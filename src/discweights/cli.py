@@ -176,8 +176,9 @@ def _run_constants(cfg: dict):
         "seed": (None, True), "tol": (1e-10, False),
     })
     p_grid = [float(p) for p in cfg["p_grid"]]
-    if any(p <= 1 for p in p_grid):
-        raise PreconditionError("constants: duality needs p > 1 throughout")
+    if not all(math.isfinite(p) and p > 1 for p in p_grid):
+        raise PreconditionError(
+            f"constants: config key 'p_grid' needs finite p > 1 throughout, got {p_grid}")
     seed = _require_seed("constants", cfg)
     depth, tol = int(cfg["depth"]), float(cfg["tol"])
 
@@ -220,8 +221,8 @@ def _run_factorize(cfg: dict):
         "terms": (60, False), "residual_tol": (1e-10, False),
     })
     p = float(cfg["p"])
-    if p <= 1:
-        raise PreconditionError("factorize: needs p > 1")
+    if not (math.isfinite(p) and p > 1):
+        raise PreconditionError(f"factorize: config key 'p' needs a finite p > 1, got {p}")
     depth = int(cfg["depth"])
     if cfg["source"] == "fixture":
         weights = [bho_tree_fixture(depth=depth)]
@@ -279,10 +280,10 @@ def _run_extend_dyadic(cfg: dict):
         "seed": (None, True), "terms": (60, False),
     })
     p, q = float(cfg["p"]), float(cfg["q"])
-    if q <= 1:
-        raise PreconditionError("extend-dyadic: needs q > 1")
-    if p < 1:
-        raise PreconditionError("extend-dyadic: needs p >= 1")
+    if not (math.isfinite(q) and q > 1):
+        raise PreconditionError(f"extend-dyadic: config key 'q' needs a finite q > 1, got {q}")
+    if not (math.isfinite(p) and p >= 1):
+        raise PreconditionError(f"extend-dyadic: config key 'p' needs a finite p >= 1, got {p}")
     seed = _require_seed("extend-dyadic", cfg)
     depth = int(cfg["depth"])
 

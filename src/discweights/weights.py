@@ -46,7 +46,6 @@ __all__ = [
     "weak_type_ratio",
     "reverse_holder",
     "osc_constants",
-    "beta_dyadic_pairs",
     "random_log_walk",
     "random_domain",
 ]
@@ -450,19 +449,30 @@ def reverse_holder(w: TreeWeight, r_grid: Optional[Sequence[float]] = None,
 class OscillationReport:
     c_const: float       # sup of w(z)/w(zeta) over pairs in a common T_{3/4}(I)
     l_const: float       # sup of |log w(z) - log w(zeta)| / (1 + beta_dyadic)
-    pairs: int
-    exact: bool          # False when the pair sup was sampled
+    pairs: int           # domain-cell pairs the l_const supremum covers
+    exact: bool          # always True; kept for readers of the report
 
 
-def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None,
-                  pair_limit: int = 4096, rng=None) -> OscillationReport:
+def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> OscillationReport:
     """Oscillation constants of a weight over the (restricted) tree.
 
     The first constant scans, for every arc I above the leaf level, the up
     to three cells meeting T_{3/4}(I) (the arc's own top half and its
-    children's); restricted variants skip cells outside the domain.  The
-    second takes pairs of domain cells; with more than `pair_limit` cells
-    the supremum is sampled and the report says so.
+    children's); restricted variants skip cells outside the domain.
+
+    The second is the exact supremum over all pairs of domain cells, at
+    every depth.  Pairs are split by their common ancestor u and by the
+    relative depth R of their deeper cell below u (so beta = R).  Per node
+    and per R <= depth - level(u) the running max and min of log w over the
+    domain cells of each subtree, down to R levels, are built bottom-up,
+    one numpy pass per level.  The pairs under u with beta <= R are u
+    against either child subtree and left against right, so their largest
+    gap is a max minus a min of those sides; dividing it by 1 + R never
+    overstates a pair and meets every pair at R = its beta.  Work and
+    memory are O(N depth) for N nodes (the level arrays hold about 2N
+    entries in all), with no pair list and no n x n temporary.  `pairs`
+    counts the n (n - 1) / 2 pairs of the n domain cells the supremum
+    covers; `exact` is always True and kept for compatibility.
     """
     _check_same_grid(w, domain)
     depth = w.depth
@@ -480,58 +490,36 @@ def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None,
         if present.any():
             c_best = max(c_best, float(np.max(hi_v[present] / lo_v[present])))
 
-    ids = np.nonzero(mask[1:])[0] + 1
-    levels = node_levels(depth)[ids]
-    indices = ids - (np.int64(1) << levels)
-    logv = np.log(v[ids])
-
-    if len(ids) <= pair_limit:
-        beta = beta_dyadic_pairs(levels, indices)
-        gaps = np.abs(logv[:, None] - logv[None, :])
-        l_best = float(np.max(gaps / (1.0 + beta)))
-        return OscillationReport(c_best, l_best, len(ids) * (len(ids) - 1) // 2, True)
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = len(ids)
-    budget = pair_limit * pair_limit // 2
-    ia = rng.integers(0, n, budget)
-    ib = rng.integers(0, n, budget)
-    beta = _beta_pairwise_flat(levels[ia], indices[ia], levels[ib], indices[ib])
-    l_best = float(np.max(np.abs(logv[ia] - logv[ib]) / (1.0 + beta)))
-    # parent and grandparent pairs are cheap and often extremal; fold them in
-    for shift in (1, 2):
-        keep = levels >= shift
-        anc_ids = ids[keep] >> shift
-        anc_mask = mask[anc_ids]
-        sel = np.nonzero(keep)[0][anc_mask]
-        if len(sel):
-            gaps = np.abs(logv[sel] - np.log(v[ids[sel] >> shift]))
-            l_best = max(l_best, float(np.max(gaps / (1.0 + shift))))
-    return OscillationReport(c_best, l_best, budget, False)
+    n = int(np.count_nonzero(mask[1:]))
+    return OscillationReport(c_best, _log_pair_sup(v, mask, depth),
+                             n * (n - 1) // 2, True)
 
 
-def beta_dyadic_pairs(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Matrix of dyadic distances between cells given by (level, index)."""
-    k = levels[:, None]
-    m = levels[None, :]
-    kmin = np.minimum(k, m)
-    ja = indices[:, None] >> (k - kmin)
-    jb = indices[None, :] >> (m - kmin)
-    x = ja ^ jb
-    return np.maximum(k, m) - (kmin - _bit_length(x))
+def _log_pair_sup(v: np.ndarray, mask: np.ndarray, depth: int) -> float:
+    """sup over pairs of masked cells of |log v(a) - log v(b)| / (1 + beta(a, b)).
 
-
-def _beta_pairwise_flat(ka, ja, kb, jb):
-    kmin = np.minimum(ka, kb)
-    x = (ja >> (ka - kmin)) ^ (jb >> (kb - kmin))
-    return np.maximum(ka, kb) - (kmin - _bit_length(x))
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = np.floor(np.log2(x[nz])).astype(out.dtype) + 1
-    return out
+    Each side of a pair set is summarised by (max log v, max -log v) over
+    its cells, -inf for an empty side; the largest gap between sides A and
+    B is then max(A[0] + B[1], A[1] + B[0]), finite or -inf, never NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # slot 0 is unused
+        logv = np.log(v)
+    ends = np.where(mask[:, None], np.stack([logv, -logv], axis=1), -np.inf)
+    # gaps[R - 1]: largest gap over the pairs with beta <= R under one node
+    gaps = np.full(depth, -np.inf)
+    # sub[i, r]: ends over the cells of the subtree of node i at most r
+    # levels below it, for the nodes i of the level below the current one
+    sub = ends[1 << depth :, None, :]
+    for k in range(depth - 1, -1, -1):
+        u = ends[1 << k : 1 << (k + 1), None, :]
+        left, right = sub[0::2], sub[1::2]
+        # pairs under u: (u or left) against right, and left against (u or right)
+        u_left = np.maximum(u, left)
+        gap = u_left + right[..., ::-1]
+        np.maximum(gap, left + np.maximum(u, right)[..., ::-1], out=gap)
+        np.maximum(gaps[: depth - k], gap.max(axis=(0, 2)), out=gaps[: depth - k])
+        sub = np.concatenate([u, np.maximum(u_left, right)], axis=1)
+    return float(np.max(gaps / (1.0 + np.arange(1, depth + 1)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

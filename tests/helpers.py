@@ -6,8 +6,10 @@ pure Python, deliberately ignoring the package's vectorized layouts.
 
 from fractions import Fraction as F
 
+import numpy as np
+
 from discweights.geometry import area_carleson, area_top
-from discweights.weights import node_id
+from discweights.weights import node_id, node_levels
 
 
 def brute_cells(depth, domain=None):
@@ -43,3 +45,41 @@ def brute_maximal(w, domain=None):
             lvl, idx = lvl - 1, idx >> 1
         out[(k, j)] = best
     return out
+
+
+def beta_dyadic_pairs(levels_a, indices_a, levels_b, indices_b):
+    """Matrix of dyadic distances from the cells (levels_a, indices_a), one
+    per row, to the cells (levels_b, indices_b), one per column."""
+    k = levels_a[:, None]
+    m = levels_b[None, :]
+    kmin = np.minimum(k, m)
+    ja = indices_a[:, None] >> (k - kmin)
+    jb = indices_b[None, :] >> (m - kmin)
+    return np.maximum(k, m) - (kmin - _bit_length(ja ^ jb))
+
+
+def _bit_length(x):
+    out = np.zeros_like(x)
+    nz = x > 0
+    out[nz] = np.floor(np.log2(x[nz])).astype(out.dtype) + 1
+    return out
+
+
+def brute_l_const(w, domain=None, row_chunk=1024):
+    """sup over domain-cell pairs of |log w(a) - log w(b)| / (1 + beta(a, b)).
+
+    Builds the pairwise gap and distance matrices explicitly, `row_chunk`
+    rows at a time so that large trees stay within memory.
+    """
+    mask = domain.mask if domain is not None else np.ones(len(w.values), dtype=bool)
+    ids = np.nonzero(mask[1:])[0] + 1
+    levels = node_levels(w.depth)[ids]
+    indices = ids - (np.int64(1) << levels)
+    logv = np.log(w.values[ids])
+    best = 0.0
+    for start in range(0, len(ids), row_chunk):
+        rows = slice(start, start + row_chunk)
+        beta = beta_dyadic_pairs(levels[rows], indices[rows], levels, indices)
+        gaps = np.abs(logv[rows, None] - logv[None, :])
+        best = max(best, float(np.max(gaps / (1.0 + beta))))
+    return best

@@ -126,6 +126,21 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "increase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("constants", '{"p_grid": [NaN], "seed": 1}', "p_grid"),
+        ("factorize", '{"p": NaN}', "p"),
+        ("extend-dyadic", '{"p": NaN, "seed": 1}', "p"),
+        ("extend-dyadic", '{"q": Infinity, "seed": 1}', "q"),
+    ])
+    def test_non_finite_exponent_names_the_key(self, tmp_path, capsys,
+                                               command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "finite" in err
+
 
 class TestArtifacts:
     def test_reports_byte_identical_for_same_inputs(self, tmp_path, capsys):

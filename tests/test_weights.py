@@ -15,7 +15,6 @@ from discweights.weights import (
     DyadicDomain,
     TreeWeight,
     b1_constant,
-    beta_dyadic_pairs,
     box_integral,
     bp_constant,
     cell_areas,
@@ -31,6 +30,8 @@ from discweights.weights import (
     subtree_sums,
     weak_type_ratio,
 )
+
+from helpers import beta_dyadic_pairs, brute_l_const
 
 
 def brute_cells(depth, domain=None):
@@ -268,11 +269,57 @@ class TestOscillation:
             assert rep.l_const == pytest.approx(expect_l, rel=1e-12)
             assert rep.c_const == pytest.approx(math.exp(2 * depth - 1), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(48))
+    def test_l_const_matches_pairwise_oracle(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        depth = seed % 10
+        w = random_log_walk(depth, rng=rng, sigma=rng.uniform(0.2, 1.5))
+        om = random_domain(depth, rng=rng, density=rng.uniform(0.05, 0.9)) if seed % 2 else None
+        rep = osc_constants(w, om)
+        n = om.cell_count() if om is not None else (1 << (depth + 1)) - 1
+        assert rep.exact
+        assert rep.pairs == n * (n - 1) // 2
+        assert rep.l_const == pytest.approx(brute_l_const(w, om), rel=1e-12, abs=1e-12)
+
+    def test_one_cell_domain(self):
+        w = random_log_walk(5, seed=24, sigma=1.0)
+        om = DyadicDomain.from_generators(0, 5, [(3, 5)])
+        rep = osc_constants(w, om)
+        assert rep.l_const == 0.0
+        assert rep.pairs == 0 and rep.exact
+
+    def test_domain_with_an_empty_child_subtree(self):
+        # the root's right subtree holds no domain cell, so every node on
+        # that side compares against empty (+-inf) sides
+        depth = 6
+        w = random_log_walk(depth, seed=25, sigma=1.0)
+        mask = random_domain(depth, seed=26, density=0.6).mask.copy()
+        right = np.zeros_like(mask)
+        for k in range(1, depth + 1):
+            right[(1 << k) + (1 << (k - 1)) : 1 << (k + 1)] = True
+        mask[right] = False
+        mask[node_id(1, 0)] = True
+        om = DyadicDomain(0, depth, mask)
+        rep = osc_constants(w, om)
+        assert rep.l_const > 0
+        assert rep.l_const == pytest.approx(brute_l_const(w, om), rel=1e-12)
+
+    def test_exact_above_four_thousand_cells(self):
+        w = random_log_walk(12, seed=1, sigma=0.6)
+        om = random_domain(12, seed=2, density=0.55)
+        n = om.cell_count()
+        assert n > 4096
+        rep = osc_constants(w, om)
+        assert rep.exact
+        assert rep.pairs == n * (n - 1) // 2
+        assert rep.l_const == pytest.approx(brute_l_const(w, om), rel=1e-12)
+
     def test_pairwise_beta_matrix_matches_geometry(self):
         rng = np.random.default_rng(21)
         levels = rng.integers(0, 10, 40)
         indices = np.array([rng.integers(0, 1 << k) for k in levels])
-        mat = beta_dyadic_pairs(levels.astype(np.int64), indices.astype(np.int64))
+        levels, indices = levels.astype(np.int64), indices.astype(np.int64)
+        mat = beta_dyadic_pairs(levels, indices, levels, indices)
         for a in range(40):
             for b in range(40):
                 na = GridNode(0, int(levels[a]), int(indices[a]))
