@@ -26,7 +26,6 @@ level exactly m} is the difference of consecutive containment chances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -48,7 +47,9 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _plain,
     bp_constant as tree_bp_constant,
+    values_at,
 )
 
 __all__ = [
@@ -187,9 +188,6 @@ class ContinuousDomain:
                 out.append(PolarRect(lo, hi2, s, e - s))
         return out
 
-    def min_generator_length(self) -> Fraction:
-        return min(g.length for g in self.generators)
-
 
 def rect_quadrature(rect: PolarRect, fn, nr: int = 4, na: int = 4) -> float:
     """Midpoint-rule integral of fn(r, angle) over the rectangle.
@@ -227,6 +225,7 @@ class SampledWeight:
 
 def geo_mean_weight(trees: Sequence[TreeWeight], label: str = "geo") -> SampledWeight:
     """Pointwise geometric mean over a family of tree weights."""
+    # one tree at a time: a (T, points) stack over a dense region mesh costs more memory
     trees = list(trees)
 
     def fn(r, a):
@@ -541,7 +540,8 @@ def _cells_over_offsets(modulus: float, angle: float, thetas: np.ndarray):
     return k, j
 
 
-def _beta_theta_vector(z, w, thetas: np.ndarray) -> np.ndarray:
+def _common_ancestor_levels(z, w, thetas: np.ndarray):
+    """(level of the deeper cell, level of the common ancestor per offset)."""
     kz, jz = _cells_over_offsets(z[0], z[1], thetas)
     kw, jw = _cells_over_offsets(w[0], w[1], thetas)
     kmin = min(kz, kw)
@@ -549,7 +549,7 @@ def _beta_theta_vector(z, w, thetas: np.ndarray) -> np.ndarray:
     bl = np.zeros_like(x)
     nz = x > 0
     bl[nz] = np.floor(np.log2(x[nz])).astype(np.int64) + 1
-    return (max(kz, kw) - kmin) + bl
+    return max(kz, kw), kmin - bl
 
 
 def avg_beta_check(pairs, resolution_bits: int = 12):
@@ -566,7 +566,8 @@ def avg_beta_check(pairs, resolution_bits: int = 12):
     thetas = (np.arange(t) + 0.5) / t
     ratios, means, maxima, pointwise = [], [], [], []
     for z, w in pairs:
-        bt = _beta_theta_vector(z, w, thetas)
+        deeper, common = _common_ancestor_levels(z, w, thetas)
+        bt = deeper - common
         mean_bt = float(bt.mean())
         zc = z[0] * np.exp(2j * np.pi * z[1])
         wc = w[0] * np.exp(2j * np.pi * w[1])
@@ -590,15 +591,8 @@ def mean_common_boxes(z, w, resolution_bits: int = 12) -> float:
     """Mean over offsets of the number of grid boxes containing both cells."""
     t = 1 << resolution_bits
     thetas = (np.arange(t) + 0.5) / t
-    kz, jz = _cells_over_offsets(z[0], z[1], thetas)
-    kw, jw = _cells_over_offsets(w[0], w[1], thetas)
-    kmin = min(kz, kw)
-    x = (jz >> (kz - kmin)) ^ (jw >> (kw - kmin))
-    bl = np.zeros_like(x)
-    nz = x > 0
-    bl[nz] = np.floor(np.log2(x[nz])).astype(np.int64) + 1
-    lca = kmin - bl
-    return float((lca + 1).mean())
+    _, common = _common_ancestor_levels(z, w, thetas)
+    return float((common + 1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +646,6 @@ class ContinuousExtensionResult:
         return rows
 
 
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _domain_mesh(domain: ContinuousDomain, nr: int = 10, na: int = 32,
                  d_floor: float = 0.0):
     # dense enough that the reported sup of |log w - log W| is stable in
@@ -673,16 +661,19 @@ def _survey_geo_family(stacks, p: float, family, nr: int = 6, na: int = 6):
     Along the way the log-Minkowski inequality (box average of the
     geometric mean is at most the geometric mean of box averages) is
     checked for every stack on every box; the worst relative violation is
-    returned (negative or tiny positive means it held).
+    returned (negative or tiny positive means it held).  Each stack is
+    evaluated at a box's mesh in one lookup over all of its offsets.
     """
+    batches = [(np.stack([t.values for t in trees]), [t.theta for t in trees],
+                trees[0].depth, power) for trees, power in stacks]
     best = 0.0
     mink_worst = -np.inf
     for arc in family:
         r, a, areas = _box_mesh(arc, nr, na)
         mu = areas / areas.sum()
         logg = np.zeros_like(r)
-        for trees, power in stacks:
-            logv = np.log(np.stack([t.eval_polar(r, a) for t in trees]))
+        for values, thetas, depth, power in batches:
+            logv = np.log(values_at(values, thetas, depth, r, a))
             mean_log = logv.mean(axis=0)
             logg += power * mean_log
             lhs = float(mu @ np.exp(mean_log))
@@ -700,8 +691,8 @@ def _survey_geo_family(stacks, p: float, family, nr: int = 6, na: int = 6):
 
 def extend_continuous(w: SampledWeight, p: float, q: float,
                       domain: ContinuousDomain, depth: int = 8,
-                      theta_count: int = 64, family_depth: int = 5,
-                      threads: int = 1) -> ContinuousExtensionResult:
+                      theta_count: int = 64,
+                      family_depth: int = 5) -> ContinuousExtensionResult:
     """Extend a weight off a union of top halves, averaging over offsets.
 
     Per offset theta (midpoints of a uniform partition of the circle): the
@@ -709,11 +700,14 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     there by the dyadic machinery at exponent p, and for p > 1 the
     extension is factored into B_1 pieces over the full tree.  The output
     is the geometric mean in theta of the per-offset extensions (for
-    p > 1, of each factor separately, recombined as W1 W2^{1-p}).
+    p > 1, of each factor separately, recombined as W1 W2^{1-p}).  The
+    offsets run one after another; a ValueError from one of them is
+    raised again naming the offset.
 
     Reported constants: a continuous B_p (or B_1) survey over the default
     arc family, the worst log-Minkowski margin seen on those boxes, and
-    the sup over a region mesh of |log w - log W|.
+    the sup over a region mesh of |log w - log W|.  The survey evaluates
+    all offsets' trees at each box in one batch.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
 
@@ -725,14 +719,10 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
             res = extend_bp(wt, p, q, om)
             fact = factor_bho_full(res.weight, p)
             return ThetaArtifact(theta, wt, om, res, fact)
-        except Exception as exc:
-            raise RuntimeError(f"offset {theta} failed: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"offset {theta} failed: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            artifacts = list(pool.map(one, thetas))
-    else:
-        artifacts = [one(th) for th in thetas]
+    artifacts = [one(th) for th in thetas]
 
     family = default_arc_family(family_depth)
     if p == 1:

@@ -330,6 +330,18 @@ def _run_extend_continuous(cfg: dict):
         "family_depth": (4, False), "threads": (1, False),
         "minkowski_tol": (1e-9, False),
     })
+    # "threads" stays accepted for compatibility; the offsets run serially
+    p, q = float(cfg["p"]), float(cfg["q"])
+    if not (math.isfinite(p) and p >= 1):
+        raise PreconditionError(
+            f"extend-continuous: config key 'p' needs a finite p >= 1, got {p}")
+    if not (math.isfinite(q) and q > 1):
+        raise PreconditionError(
+            f"extend-continuous: config key 'q' needs a finite q > 1, got {q}")
+    if int(cfg["theta_count"]) < 1:
+        raise PreconditionError(
+            f"extend-continuous: config key 'theta_count' needs at least 1 offset, "
+            f"got {cfg['theta_count']}")
     names = list(_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
     if any(n not in _FIXTURES for n in names):
         raise PreconditionError(
@@ -339,11 +351,9 @@ def _run_extend_continuous(cfg: dict):
     certs, rows, results = [], [], {}
     for name in names:
         w, dom = continuous_fixture(name)
-        res = extend_continuous(w, float(cfg["p"]), float(cfg["q"]), dom,
-                                depth=int(cfg["depth"]),
+        res = extend_continuous(w, p, q, dom, depth=int(cfg["depth"]),
                                 theta_count=int(cfg["theta_count"]),
-                                family_depth=int(cfg["family_depth"]),
-                                threads=int(cfg["threads"]))
+                                family_depth=int(cfg["family_depth"]))
         finite = all(math.isfinite(v) for v in res.constants.values())
         certs.append(_flag_cert(f"{name}:constants_finite", finite))
         certs.append(_cert(f"{name}:log_minkowski_margin",
@@ -788,7 +798,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override for randomized experiments")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads where the command supports them")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--depth", type=int, default=None,
                         help="depth override where the command takes one")
     return parser

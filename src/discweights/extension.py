@@ -31,6 +31,7 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _plain,
     b1_constant,
     bp_constant,
     maximal_values,
@@ -92,16 +93,10 @@ class ExtensionResult:
             "p": self.p,
             "q": self.q,
             "via_dual": self.via_dual,
-            "diagnostics": {k: _scalar(v) for k, v in sorted(self.diagnostics.items())},
+            "diagnostics": {k: _plain(v) for k, v in sorted(self.diagnostics.items())},
             "certificates": [c.as_dict() for c in self.certificates],
             "ok": self.ok,
         }
-
-
-def _scalar(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:

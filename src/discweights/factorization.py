@@ -32,11 +32,13 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _cell_masses,
+    ancestor_max,
     b1_constant,
     bp_constant,
-    cell_areas,
     maximal_values,
     osc_constants,
+    subtree_sums,
 )
 
 __all__ = [
@@ -75,30 +77,12 @@ def weighted_maximal(f: np.ndarray, w: TreeWeight,
                      domain: Optional[DyadicDomain] = None) -> np.ndarray:
     """Maximal function with averages taken in the w-measure."""
     depth = w.depth
-    areas = cell_areas(depth)
-    wmass = w.values * areas
-    wmass[0] = 0.0
-    if domain is not None:
-        wmass = np.where(domain.mask, wmass, 0.0)
-    num = _tree_sums(np.abs(f) * wmass, depth)
-    den = _tree_sums(wmass, depth)
+    wmass = _cell_masses(w.values, depth, domain)
+    num = subtree_sums(np.abs(f) * wmass, depth)
+    den = subtree_sums(wmass, depth)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
-    out = np.empty_like(avg)
-    out[0] = np.nan
-    out[1] = avg[1]
-    for k in range(1, depth + 1):
-        lo, hi = 1 << k, 1 << (k + 1)
-        out[lo:hi] = np.maximum(np.repeat(out[lo >> 1 : hi >> 1], 2), avg[lo:hi])
-    return out
-
-
-def _tree_sums(masses: np.ndarray, depth: int) -> np.ndarray:
-    out = masses.astype(np.float64, copy=True)
-    for k in range(depth - 1, -1, -1):
-        lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
-        out[lo:mid] += out[mid:hi:2] + out[mid + 1 : hi : 2]
-    return out
+    return ancestor_max(avg, depth)
 
 
 def restricted_maximal_norm_lp(p: float, q: float, delta: float, bracket_wq: float) -> float:

@@ -39,6 +39,8 @@ __all__ = [
     "level_starts",
     "cell_areas",
     "subtree_sums",
+    "ancestor_max",
+    "values_at",
     "box_integral",
     "bp_constant",
     "b1_constant",
@@ -132,38 +134,14 @@ class TreeWeight:
     def power(self, alpha: float) -> "TreeWeight":
         return TreeWeight(self.theta, self.depth, self.values ** alpha)
 
-    def scaled(self, c: float) -> "TreeWeight":
-        return TreeWeight(self.theta, self.depth, self.values * c)
-
     def node(self, level: int, index: int) -> GridNode:
         return GridNode(self.theta, level, index)
 
     # -- evaluation at points of the disc ---------------------------------
 
     def eval_polar(self, modulus: np.ndarray, angle: np.ndarray) -> np.ndarray:
-        """Value of the weight at disc points given in polar form.
-
-        Points deeper than the leaf level fall in leaf boxes.  Cell lookup
-        here is float based; it is meant for quadrature at interior sample
-        points, not for boundary-exact decisions.
-        """
-        modulus = np.asarray(modulus, dtype=np.float64)
-        angle = np.asarray(angle, dtype=np.float64)
-        d = 1.0 - modulus
-        with np.errstate(divide="ignore"):
-            k = np.ceil(-np.log2(np.maximum(d, 1e-300))).astype(np.int64) - 1
-        k = np.clip(k, 0, None)
-        # repair the guess on exact powers of two and rounding slips
-        k = np.where(d > np.exp2(-k.astype(float)), k - 1, k)
-        k = np.where(d <= np.exp2(-(k + 1).astype(float)), k + 1, k)
-        k = np.clip(k, 0, self.depth)
-        rel = (angle - float(self.theta)) % 1.0
-        scaled = rel * np.exp2(k.astype(float))
-        j = np.ceil(scaled).astype(np.int64) - 1
-        n = np.int64(1) << k
-        j = np.where(j < 0, n - 1, j)
-        j = np.minimum(j, n - 1)
-        return self.values[(n + j)]
+        """Value of the weight at disc points given in polar form (see values_at)."""
+        return values_at(self.values[None], [self.theta], self.depth, modulus, angle)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -197,6 +175,36 @@ class TreeWeight:
     def load(cls, path) -> "TreeWeight":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def values_at(values: np.ndarray, thetas: Sequence, depth: int,
+              modulus: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Values of T depth-N trees with offsets thetas at disc points in polar form.
+
+    values is (T, 2^(N+1)), one row per tree; the result has shape
+    (T,) + the points' shape.  Each point's level is found once for all
+    rows, its index within the level per row from that row's offset.
+    Points deeper than the leaf level fall in leaf boxes.  The lookup is
+    float based; it is meant for quadrature at interior sample points, not
+    for boundary-exact decisions.
+    """
+    modulus = np.asarray(modulus, dtype=np.float64)
+    angle = np.asarray(angle, dtype=np.float64)
+    d = 1.0 - modulus
+    with np.errstate(divide="ignore"):
+        k = np.ceil(-np.log2(np.maximum(d, 1e-300))).astype(np.int64) - 1
+    k = np.maximum(k, 0)
+    # repair the guess on exact powers of two and rounding slips
+    k = np.where(d > np.exp2(-k.astype(float)), k - 1, k)
+    k = np.where(d <= np.exp2(-(k + 1).astype(float)), k + 1, k)
+    k = np.minimum(np.maximum(k, 0), depth)
+    theta = np.array([float(t) for t in thetas]).reshape((-1,) + (1,) * k.ndim)
+    rel = (angle - theta) % 1.0
+    j = np.ceil(rel * np.exp2(k.astype(float))).astype(np.int64) - 1
+    n = np.int64(1) << k
+    j = np.where(j < 0, n - 1, np.minimum(j, n - 1))
+    rows = np.arange(len(values)).reshape(theta.shape)
+    return values[rows, n + j]
 
 
 class DyadicDomain:
@@ -234,10 +242,6 @@ class DyadicDomain:
                 raise ValueError("generator deeper than the tree")
             mask[node_id(level, index)] = True
         return cls(theta, depth, mask)
-
-    @property
-    def is_full(self) -> bool:
-        return bool(self.mask[1:].all())
 
     def cell_count(self) -> int:
         return int(self.mask.sum())
@@ -325,11 +329,13 @@ def box_integral(w: TreeWeight, level: int, index: int, power: float = 1.0,
     return float(sums[node_id(level, index)])
 
 
-def box_area_vector(depth: int, domain: Optional[DyadicDomain]) -> np.ndarray:
-    """A(S(I)) per node id; full boxes regardless of the domain."""
+@lru_cache(maxsize=64)
+def box_area_vector(depth: int) -> np.ndarray:
+    """A(S(I)) per node id, read-only; full boxes regardless of any domain."""
     ell = np.exp2(-node_levels(depth).astype(float))
     areas = ell * (1.0 - (1.0 - ell) ** 2)
     areas[0] = np.nan
+    areas.setflags(write=False)
     return areas
 
 
@@ -351,7 +357,7 @@ def bp_constant(w: TreeWeight, p: float, domain: Optional[DyadicDomain] = None) 
     depth = w.depth
     s1 = subtree_sums(_cell_masses(w.values, depth, domain), depth)
     s2 = subtree_sums(_cell_masses(w.values ** (-1.0 / (p - 1)), depth, domain), depth)
-    areas = box_area_vector(depth, domain)
+    areas = box_area_vector(depth)
     with np.errstate(invalid="ignore"):
         prod = (s1 / areas) * (s2 / areas) ** (p - 1)
     live = s1 > 0
@@ -378,14 +384,17 @@ def maximal_values(values: np.ndarray, depth: int,
                    domain: Optional[DyadicDomain] = None) -> np.ndarray:
     """Array version of `maximal`; f is taken through |f|."""
     sums = subtree_sums(_cell_masses(np.abs(values), depth, domain), depth)
-    avg = sums / box_area_vector(depth, domain)
+    return ancestor_max(sums / box_area_vector(depth), depth)
+
+
+def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
+    """For each node, the largest of avg over its ancestors-or-self; slot 0 is NaN."""
     out = np.empty_like(avg)
     out[0] = np.nan
     out[1] = avg[1]
     for k in range(1, depth + 1):
         lo, hi = 1 << k, 1 << (k + 1)
-        parent_max = np.repeat(out[lo >> 1 : hi >> 1], 2)
-        out[lo:hi] = np.maximum(parent_max, avg[lo:hi])
+        out[lo:hi] = np.maximum(np.repeat(out[lo >> 1 : hi >> 1], 2), avg[lo:hi])
     return out
 
 
@@ -479,16 +488,14 @@ def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> Oscil
     v = w.values
     mask = domain.mask if domain is not None else np.ones_like(v, dtype=bool)
 
-    c_best = 1.0
-    for k in range(depth):
-        lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
-        trio_vals = np.stack([v[lo:mid], v[mid:hi:2], v[mid + 1 : hi : 2]])
-        trio_mask = np.stack([mask[lo:mid], mask[mid:hi:2], mask[mid + 1 : hi : 2]])
-        hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
-        lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
-        present = trio_mask.any(axis=0)
-        if present.any():
-            c_best = max(c_best, float(np.max(hi_v[present] / lo_v[present])))
+    # each arc i = 1 .. 2^N - 1 against its children 2i and 2i + 1
+    half = 1 << depth
+    trio_vals = np.stack([v[1:half], v[2::2], v[3::2]])
+    trio_mask = np.stack([mask[1:half], mask[2::2], mask[3::2]])
+    hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
+    lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
+    present = trio_mask.any(axis=0)
+    c_best = float(np.max(hi_v[present] / lo_v[present], initial=1.0))
 
     n = int(np.count_nonzero(mask[1:]))
     return OscillationReport(c_best, _log_pair_sup(v, mask, depth),

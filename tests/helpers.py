@@ -4,6 +4,7 @@ Everything here recomputes tree quantities from explicit cell lists in
 pure Python, deliberately ignoring the package's vectorized layouts.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -83,3 +84,32 @@ def brute_l_const(w, domain=None, row_chunk=1024):
         gaps = np.abs(logv[rows, None] - logv[None, :])
         best = max(best, float(np.max(gaps / (1.0 + beta))))
     return best
+
+
+def brute_c_const(w, domain=None):
+    """max(1, sup over arcs I above the leaf level of max / min of w over the
+    domain cells among T(I) and its children's top halves), arc by arc."""
+    best = 1.0
+    for i in range(1, 1 << w.depth):
+        trio = [float(w.values[c]) for c in (i, 2 * i, 2 * i + 1)
+                if domain is None or domain.mask[c]]
+        if trio:
+            best = max(best, max(trio) / min(trio))
+    return best
+
+
+def brute_cell_id(depth, theta, modulus, angle):
+    """Node id of the cell of a depth-N tree with offset theta holding a point.
+
+    Exact rational arithmetic on the float inputs: the level-k cell (k < N)
+    is the top half T(I), depth 1 - |z| in (2^-(k+1), 2^-k] over the arc
+    (theta + j 2^-k, theta + (j+1) 2^-k]; the leaf level takes every point
+    of depth at most 2^-N.
+    """
+    d = 1 - F(modulus)
+    k = 0
+    while k < depth and d <= F(1, 1 << (k + 1)):
+        k += 1
+    rel = (F(angle) - F(theta)) % 1
+    j = math.ceil(rel * (1 << k)) - 1
+    return (1 << k) + (j if j >= 0 else (1 << k) - 1)

@@ -141,6 +141,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config key {key!r}" in err and "finite" in err
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"p": NaN}', "config key 'p'"),
+        ('{"q": Infinity}', "config key 'q'"),
+        ('{"p": 0.5}', "config key 'p'"),
+        ('{"theta_count": 0}', "config key 'theta_count'"),
+        ('{"depth": 0}', "no good nodes"),
+    ])
+    def test_extend_continuous_bad_input_is_precondition(self, tmp_path, capsys,
+                                                         config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = main(["extend-continuous", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert message in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_reports_byte_identical_for_same_inputs(self, tmp_path, capsys):
@@ -214,6 +230,19 @@ class TestCommands:
         assert report.ok
         constants = report.results["pair_overlap"]["constants"]
         assert constants["continuous_b1"] >= 1.0 - 1e-9
+
+    def test_extend_continuous_threads_flag_has_no_effect(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"theta_count": 4, "depth": 5, "family_depth": 3}')
+        for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
+            assert main(["extend-continuous", "--config", str(cfg),
+                         "--out", str(tmp_path / name), *extra]) == EXIT_OK
+        plain, threads = read_report(tmp_path / "plain"), read_report(tmp_path / "threads")
+        assert threads["config"]["threads"] == 4
+        assert threads["results"] == plain["results"]
+        assert threads["certificates"] == plain["certificates"]
+        assert (tmp_path / "threads/per_theta.csv").read_bytes() == \
+               (tmp_path / "plain/per_theta.csv").read_bytes()
 
     def test_extend_continuous_unknown_fixture(self):
         with pytest.raises(PreconditionError, match="unknown fixture"):

@@ -15,6 +15,7 @@ from discweights.weights import (
     DyadicDomain,
     TreeWeight,
     b1_constant,
+    box_area_vector,
     box_integral,
     bp_constant,
     cell_areas,
@@ -28,10 +29,11 @@ from discweights.weights import (
     random_log_walk,
     reverse_holder,
     subtree_sums,
+    values_at,
     weak_type_ratio,
 )
 
-from helpers import beta_dyadic_pairs, brute_l_const
+from helpers import beta_dyadic_pairs, brute_c_const, brute_cell_id, brute_l_const
 
 
 def brute_cells(depth, domain=None):
@@ -87,6 +89,13 @@ class TestAreasAndSums:
             assert sums[node_id(level, index)] == pytest.approx(
                 brute_box_integral(w, level, index), rel=1e-12
             )
+
+    def test_box_area_vector_cached_read_only(self):
+        areas = box_area_vector(5)
+        assert areas is box_area_vector(5)
+        assert not areas.flags.writeable
+        ell = F(1, 1 << 3)
+        assert areas[node_id(3, 2)] == pytest.approx(float(area_carleson(ell)), rel=1e-14)
 
     def test_box_integral_restricted(self):
         w = random_log_walk(6, seed=2)
@@ -281,6 +290,20 @@ class TestOscillation:
         assert rep.pairs == n * (n - 1) // 2
         assert rep.l_const == pytest.approx(brute_l_const(w, om), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(48))
+    def test_c_const_matches_arc_loop_oracle(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        depth = seed % 10
+        w = random_log_walk(depth, rng=rng, sigma=rng.uniform(0.2, 1.5))
+        om = None
+        if seed % 3 == 1:
+            om = random_domain(depth, rng=rng, density=rng.uniform(0.05, 0.9))
+        elif seed % 3 == 2:
+            level = int(rng.integers(0, depth + 1))
+            index = int(rng.integers(0, 1 << level))
+            om = DyadicDomain.from_generators(0, depth, [(level, index)])
+        assert osc_constants(w, om).c_const == brute_c_const(w, om)
+
     def test_one_cell_domain(self):
         w = random_log_walk(5, seed=24, sigma=1.0)
         om = DyadicDomain.from_generators(0, 5, [(3, 5)])
@@ -325,6 +348,49 @@ class TestOscillation:
                 na = GridNode(0, int(levels[a]), int(indices[a]))
                 nb = GridNode(0, int(levels[b]), int(indices[b]))
                 assert mat[a, b] == beta_dyadic_nodes(na, nb)
+
+
+class TestValuesAt:
+    """The batched point lookup over trees with different offsets."""
+
+    DEPTH = 5
+
+    def points(self, thetas):
+        """Dyadic points, exact in floats: the centre, exact dyadic radii,
+        points below the leaf level, every offset's grid lines at every
+        level, and random interior points."""
+        rng = np.random.default_rng(60)
+        depth = self.DEPTH
+        radii = [0.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 4)]
+        radii += list(1.0 - rng.integers(1, 1 << 20, 40) / float(1 << 20))
+        angles = [0.0, 0.5] + list(rng.integers(0, 1 << 20, 40) / float(1 << 20))
+        for theta in thetas:
+            for k in range(depth + 1):
+                angles += [float((theta + F(j, 1 << k)) % 1) for j in range(1 << k)]
+        r, a = np.meshgrid(np.array(radii), np.array(angles), indexing="ij")
+        return r, a
+
+    def test_rows_match_eval_polar_bitwise(self):
+        thetas = [F(0), F(1, 16), F(3, 16), F(1, 3), F(5, 7), F(15, 16)]
+        trees = [random_log_walk(self.DEPTH, seed=70 + i, theta=t)
+                 for i, t in enumerate(thetas)]
+        r, a = self.points([t for t in thetas if t.denominator == 16])
+        batch = values_at(np.stack([t.values for t in trees]),
+                          [t.theta for t in trees], self.DEPTH, r, a)
+        assert batch.shape == (len(trees),) + r.shape
+        for row, tree in zip(batch, trees):
+            assert row.tobytes() == tree.eval_polar(r, a).tobytes()
+
+    def test_cells_match_exact_lookup(self):
+        depth = self.DEPTH
+        thetas = [F(2 * i + 1, 16) for i in range(8)]
+        ids = np.arange(1 << (depth + 1), dtype=np.float64)
+        r, a = self.points(thetas)
+        r, a = r.ravel(), a.ravel()
+        got = values_at(np.stack([ids] * len(thetas)), thetas, depth, r, a)
+        for row, theta in zip(got, thetas):
+            expect = [brute_cell_id(depth, theta, ri, ai) for ri, ai in zip(r, a)]
+            assert row.astype(np.int64).tolist() == expect
 
 
 class TestSerialization:
