@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .extension import extend_b1, extend_bp
-from .factorization import factor_bho_full
+from .extension import extend_b1, extend_bp_many
+from .factorization import factor_bho_full_many
 from .geometry import (
     GridNode,
     UnitArc,
@@ -47,6 +47,7 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _per_offset,
     _plain,
     bp_constant as tree_bp_constant,
     values_at,
@@ -701,8 +702,10 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     extension is factored into B_1 pieces over the full tree.  The output
     is the geometric mean in theta of the per-offset extensions (for
     p > 1, of each factor separately, recombined as W1 W2^{1-p}).  The
-    offsets run one after another; a ValueError from one of them is
-    raised again naming the offset.
+    restriction (and for p = 1 the extension) runs offset by offset; for
+    p > 1 the extension and the factorization each run once on the stack
+    of all offsets' trees.  A ValueError from one offset is raised again
+    naming the offset.
 
     Reported constants: a continuous B_p (or B_1) survey over the default
     arc family, the worst log-Minkowski margin seen on those boxes, and
@@ -710,19 +713,17 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     all offsets' trees at each box in one batch.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
-
-    def one(theta):
-        try:
-            wt, om = dyadic_restriction(w, theta, domain, depth)
-            if p == 1:
-                return ThetaArtifact(theta, wt, om, extend_b1(wt, q, om))
-            res = extend_bp(wt, p, q, om)
-            fact = factor_bho_full(res.weight, p)
-            return ThetaArtifact(theta, wt, om, res, fact)
-        except ValueError as exc:
-            raise ValueError(f"offset {theta} failed: {exc}") from exc
-
-    artifacts = [one(th) for th in thetas]
+    restricted = _per_offset(
+        thetas, lambda theta: dyadic_restriction(w, theta, domain, depth), thetas)
+    trees = [wt for wt, _ in restricted]
+    doms = [om for _, om in restricted]
+    if p == 1:
+        exts = _per_offset(thetas, lambda wt, om: extend_b1(wt, q, om), trees, doms)
+        facts = [None] * theta_count
+    else:
+        exts = extend_bp_many(trees, p, q, doms)
+        facts = factor_bho_full_many([e.weight for e in exts], p)
+    artifacts = [ThetaArtifact(*row) for row in zip(thetas, trees, doms, exts, facts)]
 
     family = default_arc_family(family_depth)
     if p == 1:

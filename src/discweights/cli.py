@@ -158,6 +158,33 @@ def _resolve(command: str, config: dict, schema: Dict[str, tuple]) -> dict:
     return out
 
 
+# Largest stack of tree arrays a command may ask for, in cells: the trees
+# held at once (one per grid offset for extend-continuous, else one) times
+# 2^(depth+1) slots each.  2^22 float64 cells are 32 MiB per array, and a
+# run keeps several arrays of that size alive, so the cap keeps a run to a
+# few hundred MiB; checked before anything is allocated.
+MAX_TREE_CELLS = 1 << 22
+
+
+def _int_key(command: str, cfg: dict, key: str, minimum: int) -> int:
+    """cfg[key] as an int (not a bool) of at least `minimum`, else exit 3."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise PreconditionError(
+            f"{command}: config key {key!r} needs an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_footprint(command: str, depth: int, trees: int = 1) -> None:
+    """Refuse trees x 2^(depth+1) cells above MAX_TREE_CELLS, naming the keys."""
+    # the depth test first keeps a huge depth from building a huge int
+    if depth >= MAX_TREE_CELLS.bit_length() or trees << (depth + 1) > MAX_TREE_CELLS:
+        keys = "config key 'depth'" + ("" if trees == 1 else " with 'theta_count'")
+        raise PreconditionError(
+            f"{command}: {keys} asks for {trees} x 2^{depth + 1} tree cells, "
+            f"over the cap of {MAX_TREE_CELLS}")
+
+
 def _require_seed(command: str, cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise PreconditionError(
@@ -180,7 +207,8 @@ def _run_constants(cfg: dict):
         raise PreconditionError(
             f"constants: config key 'p_grid' needs finite p > 1 throughout, got {p_grid}")
     seed = _require_seed("constants", cfg)
-    depth, tol = int(cfg["depth"]), float(cfg["tol"])
+    depth, tol = _int_key("constants", cfg, "depth", 0), float(cfg["tol"])
+    _check_footprint("constants", depth)
 
     unit = TreeWeight.constant(1.0, depth)
     unit_gap = max(abs(bp_constant(unit, p) - 1.0) for p in p_grid)
@@ -223,7 +251,8 @@ def _run_factorize(cfg: dict):
     p = float(cfg["p"])
     if not (math.isfinite(p) and p > 1):
         raise PreconditionError(f"factorize: config key 'p' needs a finite p > 1, got {p}")
-    depth = int(cfg["depth"])
+    depth = _int_key("factorize", cfg, "depth", 0)
+    _check_footprint("factorize", depth)
     if cfg["source"] == "fixture":
         weights = [bho_tree_fixture(depth=depth)]
     elif cfg["source"] == "random":
@@ -285,7 +314,8 @@ def _run_extend_dyadic(cfg: dict):
     if not (math.isfinite(p) and p >= 1):
         raise PreconditionError(f"extend-dyadic: config key 'p' needs a finite p >= 1, got {p}")
     seed = _require_seed("extend-dyadic", cfg)
-    depth = int(cfg["depth"])
+    depth = _int_key("extend-dyadic", cfg, "depth", 0)
+    _check_footprint("extend-dyadic", depth)
 
     rng = np.random.default_rng(seed)
     rows, failed = [], 0
@@ -338,10 +368,10 @@ def _run_extend_continuous(cfg: dict):
     if not (math.isfinite(q) and q > 1):
         raise PreconditionError(
             f"extend-continuous: config key 'q' needs a finite q > 1, got {q}")
-    if int(cfg["theta_count"]) < 1:
-        raise PreconditionError(
-            f"extend-continuous: config key 'theta_count' needs at least 1 offset, "
-            f"got {cfg['theta_count']}")
+    theta_count = _int_key("extend-continuous", cfg, "theta_count", 1)
+    depth = _int_key("extend-continuous", cfg, "depth", 0)
+    family_depth = _int_key("extend-continuous", cfg, "family_depth", 0)
+    _check_footprint("extend-continuous", depth, theta_count)
     names = list(_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
     if any(n not in _FIXTURES for n in names):
         raise PreconditionError(
@@ -351,9 +381,8 @@ def _run_extend_continuous(cfg: dict):
     certs, rows, results = [], [], {}
     for name in names:
         w, dom = continuous_fixture(name)
-        res = extend_continuous(w, p, q, dom, depth=int(cfg["depth"]),
-                                theta_count=int(cfg["theta_count"]),
-                                family_depth=int(cfg["family_depth"]))
+        res = extend_continuous(w, p, q, dom, depth=depth, theta_count=theta_count,
+                                family_depth=family_depth)
         finite = all(math.isfinite(v) for v in res.constants.values())
         certs.append(_flag_cert(f"{name}:constants_finite", finite))
         certs.append(_cert(f"{name}:log_minkowski_margin",

@@ -15,7 +15,8 @@ factored over the domain into B_1 pieces w1, w2 by the iteration engine;
 the extension is (M w1)^{1/(delta q)} (M w2)^{(1-p)/(delta q)} off the
 domain.  p > 2 extends the dual weight w^{-1/(p-1)} at the conjugate
 exponent and maps back, which preserves everything at the price of raising
-constants to the power p - 1.
+constants to the power p - 1.  extend_bp_many runs the B_p route for a
+stack of trees (one per grid offset) with one factorization series.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factorization import FactorizationResult, rdf_factor, s_norm_bound
+from .factorization import FactorizationResult, rdf_factor_many, s_norm_bound
 from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _per_offset,
     _plain,
+    _rows,
+    _stack,
     b1_constant,
     bp_constant,
     maximal_values,
@@ -44,6 +48,7 @@ __all__ = [
     "ExtensionResult",
     "extend_b1",
     "extend_bp",
+    "extend_bp_many",
     "SelfImproveReport",
     "restriction_self_improve",
 ]
@@ -191,33 +196,61 @@ def extend_bp(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
         M2 >= L_W           (2 log of the oscillation bound for W)
 
     computed from measured constants of the factorization, so both are
-    rigorous for the instance at hand.
+    rigorous for the instance at hand.  The one-tree case of extend_bp_many.
+    """
+    return extend_bp_many([w], p, q, [domain], terms)[0]
+
+
+def extend_bp_many(ws: Sequence[TreeWeight], p: float, q: float,
+                   domains: Sequence[DyadicDomain], terms: int = 60) -> list:
+    """extend_bp for several trees of one depth, each with its own domain.
+
+    The factorization series and the maximal functions of the factors run
+    once on the stack of all trees; norm bounds, powers and certificates
+    are taken per tree.  Each result equals extend_bp on its tree alone
+    bitwise, and a ValueError from one tree names its offset.
     """
     if p <= 1:
         raise ValueError("p must exceed 1; use extend_b1 for the endpoint")
     if q <= 1:
         raise ValueError("q must exceed 1")
+    ws, domains = list(ws), list(domains)
     if p > 2:
-        return _extend_bp_dual(w, p, q, domain, terms)
+        return _extend_bp_dual_many(ws, p, q, domains, terms)
 
-    depth = w.depth
-    mask = domain.mask
+    thetas = [w.theta for w in ws]
+    depth = ws[0].depth
     delta = (q + 1.0) / (2.0 * q)
     dq = delta * q                      # (q+1)/2 > 1
     gamma = 1.0 / dq                    # in (0, 1)
 
-    v = w.power(dq)
-    s = s_norm_bound(w, p, "restricted", domain, q=q, delta=delta)
-    fact = rdf_factor(v, p, s, domain, terms=terms)
+    vs = _per_offset(thetas, lambda w: w.power(dq), ws)
+    s_norms = _per_offset(
+        thetas, lambda w, om: s_norm_bound(w, p, "restricted", om, q=q, delta=delta),
+        ws, domains)
+    facts = rdf_factor_many(vs, p, s_norms, domains, terms=terms)
 
-    m1 = maximal_values(np.where(mask, fact.w1.values, 0.0), depth, domain)
-    m2 = maximal_values(np.where(mask, fact.w2.values, 0.0), depth, domain)
+    # the factors are zeroed off their domains, so the unrestricted maximal
+    # function gives the restricted one bitwise
+    mask = _stack([om.mask for om in domains])
+    m1 = maximal_values(np.where(mask, _stack([f.w1.values for f in facts]), 0.0), depth)
+    m2 = maximal_values(np.where(mask, _stack([f.w2.values for f in facts]), 0.0), depth)
     off = m1 ** (1.0 / dq) * m2 ** ((1.0 - p) / dq)
-    ext_vals = np.where(mask, w.values, off)
-    ext_vals[0] = 1.0
-    big_w = TreeWeight(w.theta, depth, ext_vals)
+    ext_vals = np.where(mask, _stack([w.values for w in ws]), off)
+    ext_vals.T[0] = 1.0
+    k = np.where(mask, _stack([v.values for v in vs]) / (m1 * m2 ** (1.0 - p)), 1.0)
 
-    k = np.where(mask, v.values / (m1 * m2 ** (1.0 - p)), 1.0)
+    return _per_offset(thetas, lambda *row: _bp_extension(p, q, delta, gamma, *row),
+                       ws, domains, facts, _rows(ext_vals), _rows(k))
+
+
+def _bp_extension(p: float, q: float, delta: float, gamma: float, w: TreeWeight,
+                  domain: DyadicDomain, fact: FactorizationResult,
+                  ext_vals: np.ndarray, k: np.ndarray) -> ExtensionResult:
+    """One tree of extend_bp_many: the extension and its certificates."""
+    mask = domain.mask
+    big_w = TreeWeight(w.theta, w.depth, ext_vals)
+
     k_on = k[mask]
     k_min, k_max = float(np.min(k_on)), float(np.max(k_on))
     k_min_g, k_max_g = min(k_min, 1.0), max(k_max, 1.0)
@@ -280,8 +313,8 @@ def extend_bp(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
     )
 
 
-def _extend_bp_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
-                    terms: int) -> ExtensionResult:
+def _extend_bp_dual_many(ws: list, p: float, q: float, domains: list,
+                         terms: int) -> list:
     """p > 2: extend w^{-1/(p-1)} at the conjugate exponent, then invert.
 
     If V extends the dual weight with constants (M1, M2) at p', then
@@ -290,8 +323,16 @@ def _extend_bp_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
     values are overwritten with w to keep the agreement bitwise.
     """
     pp = p / (p - 1.0)
-    dual = w.power(-1.0 / (p - 1.0))
-    res = extend_bp(dual, pp, q, domain, terms)
+    thetas = [w.theta for w in ws]
+    duals = _per_offset(thetas, lambda w: w.power(-1.0 / (p - 1.0)), ws)
+    results = extend_bp_many(duals, pp, q, domains, terms)
+    return _per_offset(thetas, lambda w, domain, res: _invert_dual(w, p, q, domain, res),
+                       ws, domains, results)
+
+
+def _invert_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
+                 res: ExtensionResult) -> ExtensionResult:
+    """One tree of the p > 2 route: map the dual extension back to w."""
     mask = domain.mask
     vals = np.where(mask, w.values, res.weight.values ** (-(p - 1.0)))
     vals[0] = 1.0

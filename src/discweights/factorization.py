@@ -18,13 +18,18 @@ and retries, flagging the escalation.
 
 Exponents p in (1, 2] run directly; p > 2 factors the dual weight
 w^{-1/(p-1)} at the conjugate exponent and swaps the two factors back.
+
+The `_many` entry points factor several trees of one depth at once: the
+series runs on a (T, 2^(N+1)) stack with one norm bound, one domain mask
+and one escalation count per row, and each row's result equals the
+one-tree call bitwise.  The one-tree functions are their T = 1 case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +38,9 @@ from .weights import (
     TreeWeight,
     WeightCertificate,
     _cell_masses,
+    _per_offset,
+    _rows,
+    _stack,
     ancestor_max,
     b1_constant,
     bp_constant,
@@ -51,7 +59,9 @@ __all__ = [
     "op_s",
     "FactorizationResult",
     "rdf_factor",
+    "rdf_factor_many",
     "factor_bho_full",
+    "factor_bho_full_many",
 ]
 
 
@@ -132,12 +142,18 @@ def s_norm_bound(w: TreeWeight, p: float, mode: str = "full",
 # the iteration
 # ---------------------------------------------------------------------------
 
-def op_s(g: np.ndarray, w: TreeWeight, p: float,
-         domain: Optional[DyadicDomain] = None) -> np.ndarray:
-    """One application of S(g) = M(g w)/w + M(g^{1/(p-1)})^{p-1}."""
-    m1 = maximal_values(g * w.values, w.depth, domain)
-    m2 = maximal_values(np.abs(g) ** (1.0 / (p - 1)), w.depth, domain)
-    return m1 / w.values + m2 ** (p - 1)
+def op_s(g: np.ndarray, values: np.ndarray, depth: int, p: float) -> np.ndarray:
+    """One application of S(g) = M(g w)/w + M(g^{1/(p-1)})^{p-1}.
+
+    g and values are one tree or a stack of trees (any leading shape), w
+    taken row by row.  There is no domain: the series zeroes g off the
+    domain after every step, so masking inside the maximal function would
+    change nothing, and the result is bitwise the restricted one (an
+    off-domain cell's mass is 0 x area = +0.0 either way).
+    """
+    m1 = maximal_values(g * values, depth)
+    m2 = maximal_values(np.abs(g) ** (1.0 / (p - 1)), depth)
+    return m1 / values + m2 ** (p - 1)
 
 
 @dataclass
@@ -158,46 +174,72 @@ class FactorizationResult:
         return all(c.passed for c in self.certificates)
 
 
-def rdf_factor(w: TreeWeight, p: float, s_norm: float,
-               domain: Optional[DyadicDomain] = None,
-               u: Optional[np.ndarray] = None, terms: int = 60,
-               max_escalations: int = 8) -> FactorizationResult:
-    """Iterate S and split w into B_1 factors, certifying the usual bounds.
+def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
+            p: float, terms: int):
+    """Truncated f = sum_k S^k(u) / (2s)^k with u = 1 on the mask, 0 off it.
 
-    Requires p in (1, 2].  s_norm should dominate the norm of S; when the
-    truncated series fails its fixed point check the bound is doubled, at
-    most `max_escalations` times, and the escalation count is reported.
+    Returns f and, per row, the tail ratio max(t/u) over the mask, t the
+    first omitted term (u is 1 there, so this is the max of t).
+    """
+    two_s = 2.0 * s[..., None]
+    term = mask.astype(np.float64)
+    f = term.copy()
+    for _ in range(terms):
+        term = np.where(mask, op_s(term, values, depth, p) / two_s, 0.0)
+        f = f + term
+    tail = op_s(term, values, depth, p) / two_s
+    return f, np.max(np.where(mask, tail, -np.inf), axis=-1)
+
+
+def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float],
+                    domains: Optional[Sequence[Optional[DyadicDomain]]] = None,
+                    terms: int = 60, max_escalations: int = 8) -> list:
+    """rdf_factor for several trees of one depth, one result per tree.
+
+    The series runs once on the stack of all trees.  Each row has its own
+    norm bound s_norms[i] and domain (None for the full tree); a row whose
+    series does not settle has its bound doubled and the stack is run
+    again, which leaves every settled row bitwise as it was (its bound does
+    not move).  A ValueError while splitting one row names its offset.
     """
     if not (1 < p <= 2):
         raise ValueError("rdf_factor runs for p in (1, 2]; use factor_bho_full")
-    depth = w.depth
-    mask = domain.mask if domain is not None else np.ones(1 << (depth + 1), dtype=bool)
-    mask = mask.copy()
-    mask[0] = False
-    if u is None:
-        u = np.ones(1 << (depth + 1))
-    u = np.where(mask, u, 0.0)
+    ws = list(ws)
+    depth = ws[0].depth
+    if any(w.depth != depth for w in ws):
+        raise ValueError("a stack of trees needs one depth")
+    domains = [None] * len(ws) if domains is None else list(domains)
+    full = np.ones(1 << (depth + 1), dtype=bool)
+    full[0] = False
+    masks = [full if domain is None else domain.mask for domain in domains]
+    values, mask = _stack([w.values for w in ws]), _stack(masks)
 
-    escalations = -1
-    s = s_norm / 2.0
-    while escalations < max_escalations:
-        s *= 2.0
-        escalations += 1
-        term = u.copy()
-        f = u.copy()
-        for _ in range(terms):
-            term = op_s(term, w, p, domain) / (2.0 * s)
-            term = np.where(mask, term, 0.0)
-            f = f + term
-        tail = op_s(term, w, p, domain) / (2.0 * s)
-        tail_ratio = float(np.max(tail[mask] / u[mask]))
-        if tail_ratio <= 1.0:
+    s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
+    escalations = np.zeros(s.shape, dtype=np.int64)
+    pending = np.ones(s.shape, dtype=bool)
+    for _ in range(max_escalations + 1):
+        s = np.where(pending, 2.0 * s, s)
+        f, tail_ratio = _series(values, mask, s, depth, p, terms)
+        pending = ~(tail_ratio <= 1.0)
+        if not pending.any():
             break
+        escalations += pending
     else:
         raise ArithmeticError(
             f"series did not settle after {max_escalations} doublings of the norm bound"
         )
 
+    return _per_offset(
+        [w.theta for w in ws], lambda *row: _split(p, *row), ws, domains, masks,
+        _rows(f), np.atleast_1d(s), np.atleast_1d(escalations),
+        np.atleast_1d(tail_ratio))
+
+
+def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.ndarray,
+           f: np.ndarray, s, escalations, tail_ratio) -> FactorizationResult:
+    """One row of rdf_factor_many: the B_1 factors and their certificates."""
+    s, tail_ratio = float(s), float(tail_ratio)
+    depth = w.depth
     # off the domain the factors carry neutral value 1 (never integrated)
     f_full = np.where(mask, f, 1.0)
     w1 = TreeWeight(w.theta, depth, f_full * np.where(mask, w.values, 1.0))
@@ -237,26 +279,43 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
             bound=b1_constant(w1) * b1_constant(w2) ** (p - 1),
         ))
     return FactorizationResult(
-        w1=w1, w2=w2, f=f_full, p=p, s_norm=s, escalations=escalations,
+        w1=w1, w2=w2, f=f_full, p=p, s_norm=s, escalations=int(escalations),
         tail_ratio=tail_ratio, reconstruction_error=rec_err, certificates=certs,
     )
 
 
-def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationResult:
-    """Full-disc factorization for any p > 1.
+def rdf_factor(w: TreeWeight, p: float, s_norm: float,
+               domain: Optional[DyadicDomain] = None, terms: int = 60,
+               max_escalations: int = 8) -> FactorizationResult:
+    """Iterate S and split w into B_1 factors, certifying the usual bounds.
 
-    For p <= 2 this is rdf_factor driven by the full-disc norm bound; for
-    p > 2 the dual weight w^{-1/(p-1)} is factored at the conjugate
-    exponent and the two factors swap roles.
+    Requires p in (1, 2].  s_norm should dominate the norm of S; when the
+    truncated series fails its fixed point check the bound is doubled, at
+    most `max_escalations` times, and the escalation count is reported.
+    The one-tree case of rdf_factor_many.
     """
+    return rdf_factor_many([w], p, [s_norm], [domain], terms, max_escalations)[0]
+
+
+def factor_bho_full_many(ws: Sequence[TreeWeight], p: float, terms: int = 60) -> list:
+    """factor_bho_full for several trees of one depth, one series for all."""
     if p <= 1:
         raise ValueError("p must exceed 1")
+    ws = list(ws)
+    thetas = [w.theta for w in ws]
     if p <= 2:
-        return rdf_factor(w, p, s_norm_bound(w, p, "full"), terms=terms)
+        s_norms = _per_offset(thetas, lambda w: s_norm_bound(w, p, "full"), ws)
+        return rdf_factor_many(ws, p, s_norms, terms=terms)
 
     pp = p / (p - 1)
-    dual = w.power(-1.0 / (p - 1))
-    res = rdf_factor(dual, pp, s_norm_bound(dual, pp, "full"), terms=terms)
+    duals = _per_offset(thetas, lambda w: w.power(-1.0 / (p - 1)), ws)
+    s_norms = _per_offset(thetas, lambda d: s_norm_bound(d, pp, "full"), duals)
+    results = rdf_factor_many(duals, pp, s_norms, terms=terms)
+    return _per_offset(thetas, lambda w, res: _swap_dual(w, p, res), ws, results)
+
+
+def _swap_dual(w: TreeWeight, p: float, res: FactorizationResult) -> FactorizationResult:
+    """One row of the p > 2 route: swap the dual factors and recertify."""
     w1, w2 = res.w2, res.w1
     mask = np.ones(len(w.values), dtype=bool)
     mask[0] = False
@@ -282,3 +341,14 @@ def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationRe
         escalations=res.escalations, tail_ratio=res.tail_ratio,
         reconstruction_error=rec_err, certificates=certs, via_dual=True,
     )
+
+
+def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationResult:
+    """Full-disc factorization for any p > 1.
+
+    For p <= 2 this is rdf_factor driven by the full-disc norm bound; for
+    p > 2 the dual weight w^{-1/(p-1)} is factored at the conjugate
+    exponent and the two factors swap roles.  The one-tree case of
+    factor_bho_full_many.
+    """
+    return factor_bho_full_many([w], p, terms)[0]

@@ -303,18 +303,49 @@ def _check_same_grid(w: TreeWeight, domain: Optional[DyadicDomain]):
 # integrals and averages
 # ---------------------------------------------------------------------------
 
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows stacked into (T, n); a single row is returned as it is, 1-D."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _rows(stack: np.ndarray) -> list:
+    """The rows of a `_stack` result: the array itself when it is 1-D."""
+    return [stack] if stack.ndim == 1 else list(stack)
+
+
+def _per_offset(thetas: Sequence, fn, *columns) -> list:
+    """[fn(*row) for the rows of columns], one row per offset.
+
+    A ValueError from a row is raised again naming that row's offset, so a
+    caller working on a stack of offsets can tell which one failed.
+    """
+    out = []
+    for theta, *row in zip(thetas, *columns):
+        try:
+            out.append(fn(*row))
+        except ValueError as exc:
+            raise ValueError(f"offset {theta} failed: {exc}") from exc
+    return out
+
+
+# The tree kernels below take one tree, a (2^(N+1),) array, or a stack of
+# T trees, a (T, 2^(N+1)) array, and work row by row.  They index the node
+# axis through the transposed view, which is the array itself for one tree,
+# so a single tree stays 1-D and pays no extra indexing per call.
+
 def subtree_sums(cell_masses: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the sum of cell masses over its subtree (its box)."""
     out = np.array(cell_masses, dtype=np.float64)
+    o = out.T
     for k in range(depth - 1, -1, -1):
         lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
-        out[lo:mid] += out[mid:hi:2] + out[mid + 1 : hi : 2]
+        o[lo:mid] += o[mid:hi:2] + o[mid + 1 : hi : 2]
     return out
 
 
 def _cell_masses(values: np.ndarray, depth: int, domain: Optional[DyadicDomain]) -> np.ndarray:
     masses = values * cell_areas(depth)
-    masses[0] = 0.0
+    masses.T[0] = 0.0
     if domain is not None:
         masses = np.where(domain.mask, masses, 0.0)
     return masses
@@ -382,7 +413,7 @@ def maximal(f: TreeWeight, domain: Optional[DyadicDomain] = None) -> TreeWeight:
 
 def maximal_values(values: np.ndarray, depth: int,
                    domain: Optional[DyadicDomain] = None) -> np.ndarray:
-    """Array version of `maximal`; f is taken through |f|."""
+    """Array version of `maximal` for one tree or a stack; f is taken through |f|."""
     sums = subtree_sums(_cell_masses(np.abs(values), depth, domain), depth)
     return ancestor_max(sums / box_area_vector(depth), depth)
 
@@ -390,11 +421,12 @@ def maximal_values(values: np.ndarray, depth: int,
 def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the largest of avg over its ancestors-or-self; slot 0 is NaN."""
     out = np.empty_like(avg)
-    out[0] = np.nan
-    out[1] = avg[1]
+    o, a = out.T, avg.T
+    o[0] = np.nan
+    o[1] = a[1]
     for k in range(1, depth + 1):
         lo, hi = 1 << k, 1 << (k + 1)
-        out[lo:hi] = np.maximum(np.repeat(out[lo >> 1 : hi >> 1], 2), avg[lo:hi])
+        o[lo:hi] = np.maximum(np.repeat(o[lo >> 1 : hi >> 1], 2, axis=0), a[lo:hi])
     return out
 
 

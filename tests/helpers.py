@@ -9,6 +9,9 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from discweights.averaging import dyadic_restriction
+from discweights.extension import extend_bp
+from discweights.factorization import factor_bho_full
 from discweights.geometry import area_carleson, area_top
 from discweights.weights import node_id, node_levels
 
@@ -113,3 +116,19 @@ def brute_cell_id(depth, theta, modulus, angle):
     rel = (F(angle) - F(theta)) % 1
     j = math.ceil(rel * (1 << k)) - 1
     return (1 << k) + (j if j >= 0 else (1 << k) - 1)
+
+
+def per_offset_pipeline(w, p, q, region, depth, theta_count):
+    """The p > 1 offsets of extend_continuous, one offset at a time.
+
+    Per offset (midpoints of a uniform partition of the circle): restrict,
+    extend with extend_bp, factor the extension with factor_bho_full.
+    Returns (theta, restriction, domain, extension, factorization) rows.
+    """
+    rows = []
+    for i in range(theta_count):
+        theta = F(2 * i + 1, 2 * theta_count)
+        wt, om = dyadic_restriction(w, theta, region, depth)
+        ext = extend_bp(wt, p, q, om)
+        rows.append((theta, wt, om, ext, factor_bho_full(ext.weight, p)))
+    return rows

@@ -38,6 +38,8 @@ from discweights.geometry import (
 )
 from discweights.weights import TreeWeight, osc_constants, random_log_walk
 
+from helpers import per_offset_pipeline
+
 
 def scale_cap(ell):
     """The N with 2^-N <= ell < 2^{-N+1}, found by plain scanning."""
@@ -495,6 +497,25 @@ class TestExtendContinuous:
         assert res.constants["log_minkowski_margin"] <= 1e-9
         r, a = np.array([0.5, 0.9]), np.array([0.1, 0.6])
         assert np.all(res.weight(r, a) > 0)
+
+    def test_stacked_offsets_match_per_offset_loop(self):
+        w, dom = continuous_fixture("pair_overlap")
+        res = extend_continuous(w, 2.0, 2.0, dom, depth=5, theta_count=8,
+                                family_depth=3)
+        ref = per_offset_pipeline(w, 2.0, 2.0, dom, depth=5, theta_count=8)
+        assert len(res.artifacts) == len(ref) == 8
+        for art, (theta, wt, om, ext, fact) in zip(res.artifacts, ref):
+            assert art.theta == theta
+            assert np.array_equal(art.restriction.values, wt.values)
+            assert np.array_equal(art.domain.mask, om.mask)
+            assert np.array_equal(art.extension.weight.values, ext.weight.values)
+            assert [c.as_dict() for c in art.extension.certificates] == \
+                   [c.as_dict() for c in ext.certificates]
+            assert sorted(art.extension.diagnostics.items()) == sorted(ext.diagnostics.items())
+            assert np.array_equal(art.factorization.w1.values, fact.w1.values)
+            assert np.array_equal(art.factorization.w2.values, fact.w2.values)
+            assert [c.as_dict() for c in art.factorization.certificates] == \
+                   [c.as_dict() for c in fact.certificates]
 
     def test_per_theta_failure_names_the_offset(self):
         _, dom = continuous_fixture("pair_overlap")

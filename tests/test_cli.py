@@ -147,6 +147,11 @@ class TestExitCodes:
         ('{"p": 0.5}', "config key 'p'"),
         ('{"theta_count": 0}', "config key 'theta_count'"),
         ('{"depth": 0}', "no good nodes"),
+        ('{"theta_count": 2.5}', "config key 'theta_count'"),
+        ('{"depth": 2.5}', "config key 'depth'"),
+        ('{"depth": true}', "config key 'depth'"),
+        ('{"family_depth": -1}', "config key 'family_depth'"),
+        ('{"family_depth": 1.5}', "config key 'family_depth'"),
     ])
     def test_extend_continuous_bad_input_is_precondition(self, tmp_path, capsys,
                                                          config, message):
@@ -156,6 +161,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "constants", "factorize", "extend-dyadic", "extend-continuous",
+    ])
+    def test_tree_footprint_over_the_cap_names_the_key(self, tmp_path, capsys, command):
+        # 2^41 cells per tree: refused before anything is allocated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"depth": 40, "seed": 1}' if command != "extend-continuous"
+                       else '{"depth": 40}')
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "config key 'depth'" in err and "over the cap" in err
 
 
 class TestArtifacts:

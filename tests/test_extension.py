@@ -1,13 +1,16 @@
 """Extension engine: power-maximal lemma, B_1 and B_p extensions."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from discweights import extension, factorization, weights
 from discweights.extension import (
     extend_b1,
     extend_bp,
+    extend_bp_many,
     power_maximal_b1,
     restriction_self_improve,
 )
@@ -130,6 +133,53 @@ class TestExtendBp:
         w, om = b1_instance(203)
         with pytest.raises(ValueError):
             extend_bp(w, p=1.0, q=2.0, domain=om)
+
+
+def assert_same_extension(a, b):
+    """Two ExtensionResults agree bitwise, factorization included."""
+    assert np.array_equal(a.weight.values, b.weight.values)
+    assert [c.as_dict() for c in a.certificates] == [c.as_dict() for c in b.certificates]
+    assert sorted(a.diagnostics.items()) == sorted(b.diagnostics.items())
+    assert (a.p, a.q, a.via_dual) == (b.p, b.q, b.via_dual)
+    assert np.array_equal(a.factorization.f, b.factorization.f)
+    assert np.array_equal(a.factorization.w1.values, b.factorization.w1.values)
+    assert np.array_equal(a.factorization.w2.values, b.factorization.w2.values)
+
+
+class TestExtendBpMany:
+    def stack(self, seed, count=4, depth=6):
+        rng = np.random.default_rng(seed)
+        thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
+        ws = [random_log_walk(depth, rng=rng, sigma=0.7, theta=t) for t in thetas]
+        doms = [random_domain(depth, rng=rng, density=0.5, theta=t) for t in thetas]
+        return ws, doms
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_rows_match_single(self, p):
+        ws, doms = self.stack(60)
+        for w, om, res in zip(ws, doms, extend_bp_many(ws, p, 2.0, doms)):
+            assert_same_extension(res, extend_bp(w, p, 2.0, om))
+
+    def test_single_tree_stays_one_dimensional(self, monkeypatch):
+        ndims = []
+        real = weights.maximal_values
+
+        def spy(values, depth, domain=None):
+            ndims.append(np.ndim(values))
+            return real(values, depth, domain)
+
+        for module in (weights, factorization, extension):
+            monkeypatch.setattr(module, "maximal_values", spy)
+        w, om = b1_instance(63, depth=5)
+        extend_bp(w, 3.0, 2.0, om)
+        factorization.factor_bho_full(w, 3.0)
+        assert ndims and set(ndims) == {1}
+
+    def test_row_error_names_its_offset(self):
+        ws, doms = self.stack(61)
+        doms[2] = random_domain(6, seed=62, theta=F(1, 3))   # on another grid
+        with pytest.raises(ValueError, match=f"offset {ws[2].theta} failed"):
+            extend_bp_many(ws, 2.0, 2.0, doms)
 
 
 class TestSelfImprove:

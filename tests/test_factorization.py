@@ -1,6 +1,7 @@
 """Factorization engine: norm bounds, fixed point, B_1 splitting."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from discweights.weights import (
 )
 from discweights.factorization import (
     factor_bho_full,
+    factor_bho_full_many,
     maximal_norm_bound,
     op_s,
     rdf_factor,
+    rdf_factor_many,
     s_norm_bound,
     weighted_maximal,
     weighted_maximal_norm_bound,
@@ -75,7 +78,7 @@ class TestIteration:
     def test_fixed_point_inequality_per_cell(self):
         w = random_log_walk(6, seed=34, sigma=0.5)
         res = rdf_factor(w, 1.5, s_norm_bound(w, 1.5))
-        sf = op_s(res.f, w, 1.5)
+        sf = op_s(res.f, w.values, w.depth, 1.5)
         slack = res.tail_ratio * 2.0 * res.s_norm
         assert np.all(sf[1:] <= 2.0 * res.s_norm * res.f[1:] + slack + 1e-9)
 
@@ -136,3 +139,46 @@ class TestDualRoute:
         res = factor_bho_full(w, 2.0)
         assert not res.via_dual
         assert res.reconstruction_error <= 1e-10
+
+
+def assert_same_factorization(a, b):
+    """Two FactorizationResults agree bitwise in every field."""
+    assert np.array_equal(a.f, b.f)
+    assert np.array_equal(a.w1.values, b.w1.values)
+    assert np.array_equal(a.w2.values, b.w2.values)
+    assert (a.s_norm, a.escalations, a.tail_ratio, a.reconstruction_error, a.via_dual) == \
+           (b.s_norm, b.escalations, b.tail_ratio, b.reconstruction_error, b.via_dual)
+    assert [c.as_dict() for c in a.certificates] == [c.as_dict() for c in b.certificates]
+
+
+class TestStacked:
+    """The _many entry points: each row equals the one-tree call bitwise."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_rdf_factor_many_rows_match_single(self, p):
+        rng = np.random.default_rng(41)
+        ws, doms = [], []
+        for i in range(5):
+            theta = F(2 * i + 1, 10)
+            ws.append(random_log_walk(6, rng=rng, sigma=0.6, theta=theta))
+            doms.append(None if i == 4 else
+                        random_domain(6, rng=rng, density=0.6, theta=theta))
+        s_norms = [s_norm_bound(w, p, "full", om) for w, om in zip(ws, doms)]
+        s_norms[1] /= 64.0    # this row escalates, the others settle at once
+        many = rdf_factor_many(ws, p, s_norms, doms)
+        assert many[1].escalations >= 1
+        assert [r.escalations for i, r in enumerate(many) if i != 1] == [0] * 4
+        for w, om, s, res in zip(ws, doms, s_norms, many):
+            assert_same_factorization(res, rdf_factor(w, p, s, om))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_factor_bho_full_many_rows_match_single(self, p):
+        rng = np.random.default_rng(42)
+        ws = [random_log_walk(6, rng=rng, sigma=0.6, theta=F(i, 4)) for i in range(4)]
+        for w, res in zip(ws, factor_bho_full_many(ws, p)):
+            assert_same_factorization(res, factor_bho_full(w, p))
+
+    def test_mixed_depths_are_refused(self):
+        ws = [TreeWeight.constant(1.0, 4), TreeWeight.constant(1.0, 5)]
+        with pytest.raises(ValueError, match="one depth"):
+            rdf_factor_many(ws, 2.0, [10.0, 10.0])

@@ -14,6 +14,8 @@ from discweights.geometry import GridNode, area_carleson, area_top, beta_dyadic_
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
+    _cell_masses,
+    ancestor_max,
     b1_constant,
     box_area_vector,
     box_integral,
@@ -391,6 +393,33 @@ class TestValuesAt:
         for row, theta in zip(got, thetas):
             expect = [brute_cell_id(depth, theta, ri, ai) for ri, ai in zip(r, a)]
             assert row.astype(np.int64).tolist() == expect
+
+
+class TestStackedKernels:
+    """A (T, 2^(N+1)) stack gives, row by row, the one-tree results bitwise."""
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("depth", range(10))
+    def test_rows_match_single_trees(self, depth, restricted):
+        rng = np.random.default_rng(500 + depth)
+        trees = [random_log_walk(depth, rng=rng, sigma=0.7).values for _ in range(4)]
+        domain = random_domain(depth, rng=rng, density=0.5) if restricted else None
+        stack = np.stack(trees)
+        masses = _cell_masses(stack, depth, domain)
+        sums = subtree_sums(masses, depth)
+        avg = sums / box_area_vector(depth)
+        cascade = ancestor_max(avg, depth)
+        maxima = maximal_values(stack, depth, domain)
+        for row, values in enumerate(trees):
+            one = _cell_masses(values, depth, domain)
+            assert one.shape == values.shape
+            assert np.array_equal(masses[row], one)
+            assert np.array_equal(sums[row], subtree_sums(one, depth))
+            assert np.array_equal(cascade[row], ancestor_max(avg[row], depth),
+                                  equal_nan=True)
+            single = maximal_values(values, depth, domain)
+            assert single.shape == values.shape and np.isnan(single[0])
+            assert np.array_equal(maxima[row], single, equal_nan=True)
 
 
 class TestSerialization:
