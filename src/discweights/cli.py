@@ -519,7 +519,7 @@ def _run_azuma(cfg: dict):
 
 def _sequence_from_config(spec) -> PointSeq:
     if isinstance(spec, dict) and spec.get("kind") == "radial_chain":
-        return radial_chain(int(spec.get("depth", 12)))
+        return radial_chain(_int_key("trace", {"depth": 12, **spec}, "depth", 1))
     if isinstance(spec, dict) and "entries" in spec:
         return PointSeq.from_json(spec)
     raise PreconditionError(
@@ -533,9 +533,16 @@ def _run_trace(cfg: dict):
         "martingale": ({"kind": "kahane"}, False),
         "lambda": (0.05, False), "r_levels": (12, False), "probe": ("", False),
     })
-    lam = float(cfg["lambda"])
-    if lam < 0:
-        raise PreconditionError("trace: lambda must be nonnegative")
+    lam = cfg["lambda"]
+    try:
+        lam_ok = not isinstance(lam, bool) and math.isfinite(lam) and lam >= 0
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        lam_ok = False
+    if not lam_ok:
+        raise PreconditionError(
+            f"trace: config key 'lambda' needs a finite number >= 0, got {lam!r}")
+    lam = float(lam)
+    r_levels = _int_key("trace", cfg, "r_levels", 1)
     seq = _sequence_from_config(cfg["sequence"])
     try:
         M = martingale_from_spec(dict(cfg["martingale"]))
@@ -543,7 +550,7 @@ def _run_trace(cfg: dict):
         raise PreconditionError(f"trace: bad martingale spec: {exc}") from exc
 
     sup_rep = carleson_sup(seq)
-    sup_i = trace_sup_i(seq, M, lam, r_levels=int(cfg["r_levels"]))
+    sup_i = trace_sup_i(seq, M, lam, r_levels=r_levels)
     weak = trace_weak_l1(seq, M, lam, probe=str(cfg["probe"]))
 
     certs = [
@@ -552,7 +559,7 @@ def _run_trace(cfg: dict):
         _flag_cert("weak_l1_finite", weak["finite"], **{"lambda": lam}),
     ]
     radius_rows = [(m + 1, 1.0 - 0.5 ** (m + 1), sup_i["by_radius"][m])
-                   for m in range(int(cfg["r_levels"]))]
+                   for m in range(r_levels)]
     tables = {"by_radius": Table(
         columns=[("r_level", "radius index m"),
                  ("r", "radius 1 - 2^-m"),

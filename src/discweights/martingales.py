@@ -28,7 +28,9 @@ angle differences:
 
 with dt the wrapped angle difference in turns.  No term is a difference
 of nearly equal floats, and 1 - rho^2 comes out as the positive quotient
-(mass_z * mass_w) / |1 - conj(z) w|^2.
+(mass_z * mass_w) / |1 - conj(z) w|^2.  Sums over many pairs evaluate all
+probes against all anchors in one array pass, with every angle on one
+common denominator, so dt is an exact integer ratio rounded once.
 """
 
 from __future__ import annotations
@@ -432,9 +434,6 @@ class AzumaRow:
     count: int
     total: int
 
-    def as_tuple(self):
-        return (self.eps, self.k, self.count, self.total)
-
 
 @dataclass(frozen=True)
 class AzumaFit:
@@ -583,19 +582,89 @@ def radial_chain(depth: int = 12, grid_theta=0) -> PointSeq:
 # stable disc metric from (gap, angle) pairs
 # ---------------------------------------------------------------------------
 
-def _pair_invariants(d1: Fraction, t1: Fraction, d2: Fraction, t2: Fraction):
-    """(rho^2, 1 - rho^2) between anchors given exactly by gap and angle."""
-    dt = mod1(t1 - t2)
-    if dt > Fraction(1, 2):
-        dt = 1 - dt
-    sin_half = math.sin(math.pi * float(dt))
-    rprod = float((1 - d1) * (1 - d2))
-    cross = 4.0 * rprod * sin_half * sin_half
-    num = float(d1 - d2) ** 2 + cross
-    den = float(d1 + d2 - d1 * d2) ** 2 + cross
-    m1 = float(d1 * (2 - d1))
-    m2 = float(d2 * (2 - d2))
-    return num / den, (m1 * m2) / den
+# Probe rows per block of the pair kernel are chosen so that a block holds
+# about this many pairs (at least one probe row): each of its arrays takes
+# about 128 KiB however many probes a call has.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _gap_terms(probe_gaps: Sequence[Fraction], anchor_gaps: Sequence[Fraction]):
+    """The angle-free factors of the pair formula, one entry per (probe gap,
+    anchor gap): (1 - d1)(1 - d2), (d1 - d2)^2, (d1 + d2 - d1 d2)^2 and the
+    mass product d1(2 - d1) d2(2 - d2), each rounded to float where the
+    scalar formula rounds it.  Each rational is one integer quotient over
+    unreduced denominators; int / int rounds once, as float(Fraction) does.
+    """
+    shape = (len(probe_gaps), len(anchor_gaps))
+    rprod, near, far, mass = (np.empty(shape) for _ in range(4))
+    for i, d1 in enumerate(probe_gaps):
+        p1, q1 = d1.numerator, d1.denominator
+        m1 = p1 * (2 * q1 - p1) / (q1 * q1)
+        for j, d2 in enumerate(anchor_gaps):
+            p2, q2 = d2.numerator, d2.denominator
+            q = q1 * q2
+            rprod[i, j] = (q1 - p1) * (q2 - p2) / q
+            near[i, j] = ((p1 * q2 - p2 * q1) / q) ** 2
+            far[i, j] = ((p1 * q2 + p2 * q1 - p1 * p2) / q) ** 2
+            mass[i, j] = m1 * (p2 * (2 * q2 - p2) / (q2 * q2))
+    return rprod, near, far, mass
+
+
+def _gap_level(d: Fraction) -> int:
+    """-log2 of a boundary gap to the nearest level; the level of 2^-k is k."""
+    return d.denominator.bit_length() - d.numerator.bit_length()
+
+
+def _pair_blocks(probes: Sequence[Tuple[Fraction, Fraction]],
+                 anchors: Sequence[Tuple[Fraction, Fraction]]):
+    """(rho^2, 1 - rho^2) between every probe and every anchor.
+
+    Points are exact (gap, angle) pairs.  Yields (start, rho2, inv) with
+    (rows, anchors) float arrays for the probes start, start + 1, ...,
+    a block of about _BLOCK_PAIRS pairs at a time.  Every angle goes on
+    one common denominator L, so the folded difference dt is an integer
+    over L, divided once; the gap terms come exact from _gap_terms.  Each
+    entry is bitwise what the scalar formula gives for its pair.  Angle
+    numerators are int64 while L < 2^53 (so dt / L rounds once) and
+    Python ints above.  A pair whose |1 - conj(z) w|^2 underflows to 0
+    raises a ValueError naming its levels.
+    """
+    points = list(probes) + list(anchors)
+    count = len(probes)
+    L = math.lcm(*(t.denominator for _, t in points))
+    turns = np.array([t.numerator * (L // t.denominator) for _, t in points],
+                     dtype=np.int64 if L < 1 << 53 else object)
+    probe_gaps = sorted({d for d, _ in probes})
+    anchor_gaps = sorted({d for d, _ in anchors})
+    rprod, near, far, mass = _gap_terms(probe_gaps, anchor_gaps)
+    where_p = {d: i for i, d in enumerate(probe_gaps)}
+    where_a = {d: j for j, d in enumerate(anchor_gaps)}
+    gp = np.array([where_p[d] for d, _ in probes], dtype=np.intp)
+    ga = np.array([where_a[d] for d, _ in anchors], dtype=np.intp)[None, :]
+    rows = max(1, _BLOCK_PAIRS // max(1, len(anchors)))
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        dt = (turns[start:stop, None] - turns[None, count:]) % L
+        dt = np.minimum(dt, L - dt)
+        sin_half = np.sin(np.pi * (dt / L).astype(float))
+        g = gp[start:stop, None]
+        cross = 4.0 * rprod[g, ga] * sin_half * sin_half
+        den = far[g, ga] + cross
+        if not den.all():
+            i, j = np.argwhere(den == 0)[0]
+            raise ValueError(
+                f"probe at level {_gap_level(probes[start + i][0])} and anchor at "
+                f"level {_gap_level(anchors[j][0])} lie too close to the circle: "
+                "|1 - conj(z) w|^2 underflows to 0 in double precision")
+        yield start, (near[g, ga] + cross) / den, mass[g, ga] / den
+
+
+def _anchor_order_sums(inv: np.ndarray) -> np.ndarray:
+    """Row sums of a (probes, anchors) block, added in anchor order as a
+    scalar loop adds them; np.sum adds pairwise and moves the last bits."""
+    if inv.shape[1] == 0:
+        return np.zeros(len(inv))
+    return np.cumsum(inv, axis=1)[:, -1]
 
 
 def _log_inv_mass(level: int) -> float:
@@ -603,9 +672,15 @@ def _log_inv_mass(level: int) -> float:
     return level * math.log(2.0) - math.log(2.0 - 0.5 ** level)
 
 
-def _anchor_of_address(address: str, grid_theta) -> Tuple[Fraction, Fraction]:
-    e = SeqEntry(address)
-    return e.gap, e.angle(mod1(grid_theta))
+def _address_points(addresses: Sequence[str]) -> List[Tuple[Fraction, Fraction]]:
+    """Exact (gap, angle) of address anchors, the grid offset left out: it
+    shifts every angle alike, so no pair term sees it."""
+    out = []
+    for address in addresses:
+        k = len(_validate_address(address))
+        idx = int(address, 2) if address else 0
+        out.append((Fraction(1, 1 << k), Fraction(2 * idx + 1, 1 << (k + 1))))
+    return out
 
 
 def default_probe_addresses(seq: PointSeq) -> List[str]:
@@ -642,8 +717,8 @@ class CarlesonReport:
 def carleson_sum_at(seq: PointSeq, gap, angle) -> float:
     """Sum of 1 - rho^2(z, z_n) at the point with boundary gap and angle."""
     d = Fraction(gap) if not isinstance(gap, Fraction) else gap
-    t = mod1(angle)
-    return sum(_pair_invariants(d, t, dq, tq)[1] for dq, tq in seq.anchors())
+    (_, _, inv), = _pair_blocks([(d, mod1(angle))], seq.anchors())
+    return float(_anchor_order_sums(inv)[0])
 
 
 def carleson_sup(seq: PointSeq, probes: Optional[Sequence[str]] = None) -> CarlesonReport:
@@ -656,17 +731,19 @@ def carleson_sup(seq: PointSeq, probes: Optional[Sequence[str]] = None) -> Carle
     """
     if probes is None:
         probes = default_probe_addresses(seq)
-    anchors = seq.anchors()
+    totals = np.empty(len(probes))
+    anchors = _address_points([e.address for e in seq])
+    for start, _, inv in _pair_blocks(_address_points(probes), anchors):
+        totals[start:start + len(inv)] = _anchor_order_sums(inv)
     best, arg = -math.inf, ""
-    for address in probes:
-        d, t = _anchor_of_address(address, seq.grid_theta)
-        total = sum(_pair_invariants(d, t, dq, tq)[1] for dq, tq in anchors)
+    for address, total in zip(probes, totals.tolist()):
         if total > best:
             best, arg = total, address
     box_best, box_arg = -math.inf, ""
+    masses = seq.masses().tolist()
     prefixes = {e.address[:i] for e in seq for i in range(len(e.address) + 1)}
     for a in sorted(prefixes, key=lambda s: (len(s), s)):
-        mu = sum(float(e.mass) for e in seq if e.address.startswith(a))
+        mu = sum(m for e, m in zip(seq, masses) if e.address.startswith(a))
         ratio = mu * (1 << len(a))
         if ratio > box_best:
             box_best, box_arg = ratio, a
@@ -689,30 +766,26 @@ def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float,
     """
     if probes is None:
         probes = default_probe_addresses(seq)
-    anchors = seq.anchors()
+    anchors = _address_points([e.address for e in seq])
     b_entries = np.array([M.value(e.address) for e in seq])
     log_terms = [m * math.log(2.0) - math.log(2.0 - 0.5 ** m)
                  for m in range(1, r_levels + 1)]
     r2s = [(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)]
     sup, arg_probe, arg_m = -math.inf, "", 0
     by_radius = [0.0] * r_levels
-    for address in probes:
-        d, t = _anchor_of_address(address, seq.grid_theta)
-        bz = M.value(address)
-        rho2 = np.empty(len(anchors))
-        inv = np.empty(len(anchors))
-        for i, (dq, tq) in enumerate(anchors):
-            rho2[i], inv[i] = _pair_invariants(d, t, dq, tq)
-        db2 = (b_entries - bz) ** 2
-        for mi in range(r_levels):
-            mask = rho2 < r2s[mi]
-            if not np.any(mask):
-                continue
-            with np.errstate(over="ignore"):
-                total = float(np.sum(np.exp(lam * db2[mask] / log_terms[mi]) * inv[mask]))
-            by_radius[mi] = max(by_radius[mi], total)
-            if total > sup:
-                sup, arg_probe, arg_m = total, address, mi + 1
+    for start, rho2_rows, inv_rows in _pair_blocks(_address_points(probes), anchors):
+        block = probes[start:start + len(rho2_rows)]
+        for address, rho2, inv in zip(block, rho2_rows, inv_rows):
+            db2 = (b_entries - M.value(address)) ** 2
+            for mi in range(r_levels):
+                mask = rho2 < r2s[mi]
+                if not np.any(mask):
+                    continue
+                with np.errstate(over="ignore"):
+                    total = float(np.sum(np.exp(lam * db2[mask] / log_terms[mi]) * inv[mask]))
+                by_radius[mi] = max(by_radius[mi], total)
+                if total > sup:
+                    sup, arg_probe, arg_m = total, address, mi + 1
     return {
         "lambda": lam,
         "sup": sup,
@@ -731,16 +804,12 @@ def trace_weak_l1(seq: PointSeq, M: DyadicMartingale, lam: float,
     order statistics.  Entries colliding with the probe are excluded and
     counted; the plain sum of the a_n is reported alongside.
     """
-    d, t = _anchor_of_address(probe, seq.grid_theta)
     bz = M.value(probe)
+    kept = [e for e in seq if e.address != probe]
+    (_, _, inv_row), = _pair_blocks(_address_points([probe]),
+                                    _address_points([e.address for e in kept]))
     values = []
-    collisions = 0
-    for e in seq:
-        dq, tq = e.gap, e.angle(seq.grid_theta)
-        if dq == d and tq == t:
-            collisions += 1
-            continue
-        rho2, inv = _pair_invariants(d, t, dq, tq)
+    for e, inv in zip(kept, inv_row[0].tolist()):
         # log(1/(1 - rho^2)) via the quotient's parts; safe for rho near 0 or 1
         log_inv = -math.log(inv) if inv < 1.0 else 0.0
         db2 = (M.value(e.address) - bz) ** 2
@@ -760,7 +829,7 @@ def trace_weak_l1(seq: PointSeq, M: DyadicMartingale, lam: float,
         "weak_l1": weak,
         "strong_sum": strong,
         "count": len(values),
-        "excluded_collisions": collisions,
+        "excluded_collisions": len(seq) - len(kept),
         "finite": math.isfinite(weak),
     }
 

@@ -36,7 +36,6 @@ __all__ = [
     "WeightCertificate",
     "OscillationReport",
     "node_id",
-    "level_starts",
     "cell_areas",
     "subtree_sums",
     "ancestor_max",
@@ -55,10 +54,6 @@ __all__ = [
 
 def node_id(level: int, index: int) -> int:
     return (1 << level) + index
-
-
-def level_starts(depth: int) -> np.ndarray:
-    return np.array([1 << k for k in range(depth + 2)], dtype=np.int64)
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,8 @@ import numpy as np
 from discweights.averaging import dyadic_restriction
 from discweights.extension import extend_bp
 from discweights.factorization import factor_bho_full
-from discweights.geometry import area_carleson, area_top
+from discweights.geometry import area_carleson, area_top, mod1
+from discweights.martingales import SeqEntry, default_probe_addresses
 from discweights.weights import node_id, node_levels
 
 
@@ -132,3 +133,102 @@ def per_offset_pipeline(w, p, q, region, depth, theta_count):
         ext = extend_bp(wt, p, q, om)
         rows.append((theta, wt, om, ext, factor_bho_full(ext.weight, p)))
     return rows
+
+
+def brute_pair_invariants(d1, t1, d2, t2):
+    """(rho^2, 1 - rho^2) between anchors given exactly by gap and angle,
+    one pair at a time in scalar float arithmetic."""
+    dt = mod1(t1 - t2)
+    if dt > F(1, 2):
+        dt = 1 - dt
+    sin_half = math.sin(math.pi * float(dt))
+    rprod = float((1 - d1) * (1 - d2))
+    cross = 4.0 * rprod * sin_half * sin_half
+    num = float(d1 - d2) ** 2 + cross
+    den = float(d1 + d2 - d1 * d2) ** 2 + cross
+    m1 = float(d1 * (2 - d1))
+    m2 = float(d2 * (2 - d2))
+    return num / den, (m1 * m2) / den
+
+
+def _probe_anchor(address, grid_theta):
+    e = SeqEntry(address)
+    return e.gap, e.angle(grid_theta)
+
+
+def brute_carleson_sup(seq, probes=None):
+    """(sup, argmax, box_sup, box_argmax) of carleson_sup, pair by pair."""
+    if probes is None:
+        probes = default_probe_addresses(seq)
+    anchors = seq.anchors()
+    best, arg = -math.inf, ""
+    for address in probes:
+        d, t = _probe_anchor(address, seq.grid_theta)
+        total = sum(brute_pair_invariants(d, t, dq, tq)[1] for dq, tq in anchors)
+        if total > best:
+            best, arg = total, address
+    box_best, box_arg = -math.inf, ""
+    prefixes = {e.address[:i] for e in seq for i in range(len(e.address) + 1)}
+    for a in sorted(prefixes, key=lambda s: (len(s), s)):
+        mu = sum(float(e.mass) for e in seq if e.address.startswith(a))
+        ratio = mu * (1 << len(a))
+        if ratio > box_best:
+            box_best, box_arg = ratio, a
+    return best, arg, box_best, box_arg
+
+
+def brute_trace_sup_i(seq, M, lam, probes=None, r_levels=12):
+    """trace_sup_i's sup, argmax and per-radius profile, pair by pair."""
+    if probes is None:
+        probes = default_probe_addresses(seq)
+    anchors = seq.anchors()
+    b_entries = np.array([M.value(e.address) for e in seq])
+    log_terms = [m * math.log(2.0) - math.log(2.0 - 0.5 ** m)
+                 for m in range(1, r_levels + 1)]
+    r2s = [(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)]
+    sup, arg_probe, arg_m = -math.inf, "", 0
+    by_radius = [0.0] * r_levels
+    for address in probes:
+        d, t = _probe_anchor(address, seq.grid_theta)
+        pairs = [brute_pair_invariants(d, t, dq, tq) for dq, tq in anchors]
+        rho2 = np.array([r for r, _ in pairs])
+        inv = np.array([m for _, m in pairs])
+        db2 = (b_entries - M.value(address)) ** 2
+        for mi in range(r_levels):
+            mask = rho2 < r2s[mi]
+            if not np.any(mask):
+                continue
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.exp(lam * db2[mask] / log_terms[mi]) * inv[mask]))
+            by_radius[mi] = max(by_radius[mi], total)
+            if total > sup:
+                sup, arg_probe, arg_m = total, address, mi + 1
+    return {"sup": sup, "argmax_probe": arg_probe, "argmax_r_level": arg_m,
+            "by_radius": by_radius}
+
+
+def brute_trace_weak_l1(seq, M, lam, probe=""):
+    """trace_weak_l1's (weak_l1, strong_sum, count, collisions), pair by pair."""
+    d, t = _probe_anchor(probe, seq.grid_theta)
+    bz = M.value(probe)
+    values = []
+    collisions = 0
+    for e in seq:
+        dq, tq = e.gap, e.angle(seq.grid_theta)
+        if dq == d and tq == t:
+            collisions += 1
+            continue
+        inv = brute_pair_invariants(d, t, dq, tq)[1]
+        log_inv = -math.log(inv) if inv < 1.0 else 0.0
+        db2 = (M.value(e.address) - bz) ** 2
+        if log_inv == 0.0:
+            a = math.inf if db2 > 0 and lam > 0 else inv
+        else:
+            x = lam * db2 / log_inv
+            a = math.exp(x) * inv if x < 700 else math.inf
+        values.append(a)
+    values.sort(reverse=True)
+    weak = 0.0
+    for i, a in enumerate(values, start=1):
+        weak = max(weak, i * a)
+    return weak, float(sum(values)), len(values), collisions

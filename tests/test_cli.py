@@ -162,6 +162,34 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        ('{"r_levels": 2.5}', "r_levels"),
+        ('{"r_levels": 0}', "r_levels"),
+        ('{"r_levels": -3}', "r_levels"),
+        ('{"lambda": NaN}', "lambda"),
+        ('{"lambda": Infinity}', "lambda"),
+        ('{"lambda": [1]}', "lambda"),
+        ('{"sequence": {"kind": "radial_chain", "depth": 2.5}}', "depth"),
+    ])
+    def test_trace_bad_input_names_the_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = main(["trace", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sequence", [
+        {"grid_theta": "0", "entries": [{"address": "0" * 539}]},
+        {"kind": "radial_chain", "depth": 600},
+    ])
+    def test_trace_too_deep_names_the_level(self, tmp_path, capsys, sequence):
+        # |1 - conj(z) w|^2 underflows to 0 for an anchor of level 539 and itself
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sequence": sequence}))
+        code = main(["trace", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "level 539" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         "constants", "factorize", "extend-dyadic", "extend-continuous",
     ])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discweights.geometry import GridNode, node_point
+from discweights import martingales
+from discweights.geometry import GridNode, mod1, node_point
 from discweights.martingales import (
     DyadicMartingale,
     PointSeq,
@@ -20,6 +21,7 @@ from discweights.martingales import (
     carleson_sum_at,
     carleson_sup,
     counterexample_build,
+    default_probe_addresses,
     divergence_terms,
     kahane,
     martingale_from_spec,
@@ -30,6 +32,12 @@ from discweights.martingales import (
     trace_sup_i,
     trace_weak_l1,
     weak_separation_ok,
+)
+from helpers import (
+    brute_carleson_sup,
+    brute_pair_invariants,
+    brute_trace_sup_i,
+    brute_trace_weak_l1,
 )
 
 
@@ -440,6 +448,96 @@ class TestTrace:
         out = trace_weak_l1(radial_chain(12), kahane(), 0.05, probe="0")
         assert out["excluded_collisions"] == 1
         assert out["count"] == 11
+
+
+def spread_addresses(rng, count, extra=0):
+    """`count` addresses below distinct level-7 nodes, each followed by
+    extra + (i % 5) random digits, like the benchmark's trace sequences."""
+    tops = rng.choice(128, size=count, replace=False)
+    return sorted(format(int(top), "07b")
+                  + "".join("01"[b] for b in rng.integers(0, 2, extra + i % 5))
+                  for i, top in enumerate(tops))
+
+
+def kernel_arrays(probes, anchors):
+    """The pair kernel's row blocks assembled into (probes, anchors) arrays."""
+    rho2 = np.empty((len(probes), len(anchors)))
+    inv = np.empty_like(rho2)
+    for start, r, m in martingales._pair_blocks(probes, anchors):
+        rho2[start:start + len(r)] = r
+        inv[start:start + len(m)] = m
+    return rho2, inv
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("seed, grid_theta, count, extra", [
+        (1, Fraction(0), 24, 0),
+        (2, Fraction(3, 7), 24, 0),
+        # anchors at levels 47-51: L = 7 * 2^52 with the offset, above 2^53
+        (3, Fraction(3, 7), 10, 40),
+        # anchors below level 72: L >= 2^73, past int64 too
+        (4, Fraction(0), 10, 65),
+        (5, Fraction(3, 7), 10, 65),
+    ])
+    def test_pairs_bitwise_equal_scalar_formula(self, monkeypatch, seed, grid_theta,
+                                                count, extra):
+        monkeypatch.setattr(martingales, "_BLOCK_PAIRS", 200)  # many row blocks
+        addresses = spread_addresses(np.random.default_rng(seed), count, extra)
+        seq = PointSeq(addresses, grid_theta=grid_theta)
+        probes = default_probe_addresses(seq)
+        probe_points = [(SeqEntry(a).gap, SeqEntry(a).angle(grid_theta)) for a in probes]
+        want = [[brute_pair_invariants(d, t, dq, tq) for dq, tq in seq.anchors()]
+                for d, t in probe_points]
+        want_rho2 = np.array([[r for r, _ in row] for row in want])
+        want_inv = np.array([[m for _, m in row] for row in want])
+        # with the grid offset (L carries its 7) and without it (L = 2^(K+1))
+        for points, anchors in ((probe_points, seq.anchors()),
+                                (martingales._address_points(probes),
+                                 martingales._address_points(addresses))):
+            rho2, inv = kernel_arrays(points, anchors)
+            assert np.array_equal(rho2, want_rho2)
+            assert np.array_equal(inv, want_inv)
+
+    @pytest.mark.parametrize("seed, grid_theta, extra", [
+        (6, Fraction(0), 0), (7, Fraction(3, 7), 0), (8, Fraction(3, 7), 50),
+    ])
+    def test_sums_equal_plain_loop_oracle(self, seed, grid_theta, extra):
+        seq = PointSeq(spread_addresses(np.random.default_rng(seed), 12, extra),
+                       grid_theta=grid_theta)
+        K = kahane()
+        rep = carleson_sup(seq)
+        assert (rep.sup, rep.argmax, rep.box_sup, rep.box_argmax) == brute_carleson_sup(seq)
+        for lam in (0.05, 0.7):
+            out = trace_sup_i(seq, K, lam)
+            assert {k: out[k] for k in ("sup", "argmax_probe", "argmax_r_level",
+                                        "by_radius")} == brute_trace_sup_i(seq, K, lam)
+            for probe in ("", seq.entries[3].address, seq.entries[3].address[:4]):
+                weak = trace_weak_l1(seq, K, lam, probe=probe)
+                got = (weak["weak_l1"], weak["strong_sum"], weak["count"],
+                       weak["excluded_collisions"])
+                assert got == brute_trace_weak_l1(seq, K, lam, probe)
+
+    @pytest.mark.parametrize("gap, angle", [
+        (Fraction(1), 0),
+        (Fraction(1, 3), Fraction(2, 7)),
+        (Fraction(1, 1000), Fraction(5, 11)),
+        (Fraction(0.1), Fraction(0.3)),  # denominators 2^55 and more
+        (Fraction(1, 1 << 60), Fraction(-4, 3)),
+    ])
+    def test_sum_at_non_dyadic_probes(self, gap, angle):
+        seq = PointSeq(spread_addresses(np.random.default_rng(9), 24),
+                       grid_theta=Fraction(3, 7))
+        want = sum(brute_pair_invariants(gap, mod1(angle), dq, tq)[1]
+                   for dq, tq in seq.anchors())
+        assert carleson_sum_at(seq, gap, angle) == want
+
+    def test_underflow_names_the_level(self):
+        # the anchor's own probe: (2 d - d^2)^2 underflows below 2^-1074
+        assert math.isfinite(carleson_sup(PointSeq(["0" * 538])).sup)
+        with pytest.raises(ValueError, match="level 539"):
+            carleson_sup(PointSeq(["0" * 539]))
+        with pytest.raises(ValueError, match="level 539"):
+            trace_sup_i(PointSeq(["1" * 539]), kahane(), 0.05)
 
 
 class TestBuilder:
