@@ -1,7 +1,7 @@
 """Config-driven experiment runner: JSON reports, CSV tables, exit codes.
 
-Every command resolves its config against a declared schema (unknown keys
-are precondition failures), runs the owning module, and emits one
+Every command resolves its config against a declared schema of typed keys
+(unknown or bad keys are precondition failures), runs its module and emits one
 report.json plus CSV side tables into the output directory.  The report
 is deterministic for a fixed (config, seed, version): wall-clock time is
 kept out of it and written to run_meta.json instead.
@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from . import __version__
 from .averaging import avg_beta_check, extend_continuous, theta_measure_spectrum
 from .extension import extend_b1, extend_bp, power_maximal_b1
 from .factorization import factor_bho_full
-from .fixtures import bho_tree_fixture, continuous_fixture
+from .fixtures import CONTINUOUS_FIXTURES, bho_tree_fixture, continuous_fixture
 from .geometry import UnitArc
 from .martingales import (
     PointSeq,
@@ -141,74 +142,121 @@ def _flag_cert(quantity: str, ok: bool, **inputs) -> dict:
     return _cert(quantity, 0.0 if ok else 1.0, 0.0, **inputs)
 
 
-def _resolve(command: str, config: dict, schema: Dict[str, tuple]) -> dict:
-    """Apply defaults and reject unknown keys; None default means required."""
-    leftover = dict(config)
+# ---------------------------------------------------------------------------
+# config schemas
+# ---------------------------------------------------------------------------
+
+# A spec checks one config value: (test, need), where test(value) says
+# whether the value is acceptable and `need` says what is, for the error.
+Spec = Tuple[Callable[[object], bool], str]
+Schema = Dict[str, Tuple[object, Spec]]
+
+
+def _int(lo: int) -> Spec:
+    """An integer (not a bool) of at least lo."""
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= lo), f"an integer >= {lo}"
+
+
+def _number(lo: float, strict: bool = False) -> Spec:
+    """A finite number (not a bool) above lo, or of at least lo."""
+    def test(v):
+        try:
+            return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) and (v > lo if strict else v >= lo))
+        except OverflowError:  # an int past float range
+            return False
+    return test, f"a finite number {'>' if strict else '>='} {lo:g}"
+
+
+def _list(spec: Spec) -> Spec:
+    test, need = spec
+    return ((lambda v: isinstance(v, list) and len(v) > 0 and all(map(test, v))),
+            f"a non-empty list, each {need}")
+
+
+def _choice(*values: str) -> Spec:
+    return (lambda v: isinstance(v, str) and v in values), f"one of {list(values)}"
+
+
+def _optional(spec: Spec) -> Spec:
+    test, need = spec
+    return (lambda v: v is None or test(v)), f"null or {need}"
+
+
+_DIGITS: Spec = (lambda v: isinstance(v, str) and set(v) <= {"0", "1"},
+                 "a string of 0/1 digits")
+_OBJECT: Spec = (lambda v: isinstance(v, dict), "a JSON object")
+# a seed is optional in the schema; randomized runs require it (_require_seed)
+_SEED = _optional(_int(0))
+
+
+def _resolve(command: str, config: dict, schema: Schema) -> dict:
+    """Reject unknown keys, apply defaults, and check every value against
+    its key's spec; the only place a config key is checked by itself."""
+    unknown = sorted(set(config) - set(schema))
+    if unknown:
+        raise PreconditionError(f"{command}: unknown config keys {unknown}")
     out = {}
-    for key, (default, required) in schema.items():
-        if key in leftover:
-            out[key] = leftover.pop(key)
-        elif required:
-            raise PreconditionError(f"{command}: config key {key!r} is required")
-        else:
-            out[key] = default
-    if leftover:
-        raise PreconditionError(
-            f"{command}: unknown config keys {sorted(leftover)}")
+    for key, (default, (test, need)) in schema.items():
+        value = config.get(key, default)
+        if not test(value):
+            raise PreconditionError(
+                f"{command}: config key {key!r} needs {need}, got {value!r}")
+        out[key] = value
     return out
 
 
-# Largest stack of tree arrays a command may ask for, in cells: the trees
-# held at once (one per grid offset for extend-continuous, else one) times
-# 2^(depth+1) slots each.  2^22 float64 cells are 32 MiB per array, and a
-# run keeps several arrays of that size alive, so the cap keeps a run to a
-# few hundred MiB; checked before anything is allocated.
+# Largest footprint a command may ask for, in cells (tree slots, offsets or
+# address digits; each caller says what it counts).  2^22 float64 cells are
+# 32 MiB per array, and a run keeps several arrays of that size alive, so
+# the cap keeps a run to a few hundred MiB; checked before any allocation.
 MAX_TREE_CELLS = 1 << 22
 
 
-def _int_key(command: str, cfg: dict, key: str, minimum: int) -> int:
-    """cfg[key] as an int (not a bool) of at least `minimum`, else exit 3."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+def _check_footprint(command: str, keys: str, count: int, bits: int = 0) -> None:
+    """Refuse count x 2^bits cells above MAX_TREE_CELLS, naming the keys."""
+    # the bits test first keeps a huge exponent from building a huge int
+    if bits >= MAX_TREE_CELLS.bit_length() or count << bits > MAX_TREE_CELLS:
+        size = f"{count} x 2^{bits}" if bits else f"{count}"
         raise PreconditionError(
-            f"{command}: config key {key!r} needs an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _check_footprint(command: str, depth: int, trees: int = 1) -> None:
-    """Refuse trees x 2^(depth+1) cells above MAX_TREE_CELLS, naming the keys."""
-    # the depth test first keeps a huge depth from building a huge int
-    if depth >= MAX_TREE_CELLS.bit_length() or trees << (depth + 1) > MAX_TREE_CELLS:
-        keys = "config key 'depth'" + ("" if trees == 1 else " with 'theta_count'")
-        raise PreconditionError(
-            f"{command}: {keys} asks for {trees} x 2^{depth + 1} tree cells, "
+            f"{command}: config key {keys} asks for {size} cells, "
             f"over the cap of {MAX_TREE_CELLS}")
 
 
 def _require_seed(command: str, cfg: dict) -> int:
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         raise PreconditionError(
             f"{command}: randomized run needs a seed (config or --seed)")
-    return int(cfg["seed"])
+    return cfg["seed"]
+
+
+COMMANDS: Dict[str, Callable[[dict], tuple]] = {}
+SCHEMAS: Dict[str, Schema] = {}
+
+
+def _command(name: str, schema: Schema):
+    """Register a runner under `name`; run() resolves its config first."""
+    def register(fn):
+        COMMANDS[name], SCHEMAS[name] = fn, schema
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+@_command("constants", {
+    "depth": (8, _int(0)), "count": (100, _int(1)),
+    "p_grid": ([1.5, 2.0, 3.0], _list(_number(1, strict=True))), "sigma": (0.8, _number(0)),
+    "seed": (None, _SEED), "tol": (1e-10, _number(0)),
+})
 def _run_constants(cfg: dict):
-    cfg = _resolve("constants", cfg, {
-        "depth": (8, False), "count": (100, False),
-        "p_grid": ([1.5, 2.0, 3.0], False), "sigma": (0.8, False),
-        "seed": (None, True), "tol": (1e-10, False),
-    })
     p_grid = [float(p) for p in cfg["p_grid"]]
-    if not all(math.isfinite(p) and p > 1 for p in p_grid):
-        raise PreconditionError(
-            f"constants: config key 'p_grid' needs finite p > 1 throughout, got {p_grid}")
     seed = _require_seed("constants", cfg)
-    depth, tol = _int_key("constants", cfg, "depth", 0), float(cfg["tol"])
-    _check_footprint("constants", depth)
+    depth, tol = cfg["depth"], float(cfg["tol"])
+    _check_footprint("constants", "'depth'", 1, depth + 1)
 
     unit = TreeWeight.constant(1.0, depth)
     unit_gap = max(abs(bp_constant(unit, p) - 1.0) for p in p_grid)
@@ -216,7 +264,7 @@ def _run_constants(cfg: dict):
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
-    for i in range(int(cfg["count"])):
+    for i in range(cfg["count"]):
         w = random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"]))
         for p in p_grid:
             pp = p / (p - 1.0)
@@ -242,32 +290,26 @@ def _run_constants(cfg: dict):
     return results, certs, tables
 
 
+@_command("factorize", {
+    "source": ("fixture", _choice("fixture", "random")), "p": (2.0, _number(1, strict=True)),
+    "depth": (8, _int(0)), "count": (50, _int(1)), "sigma": (0.6, _number(0)),
+    "seed": (None, _SEED), "terms": (60, _int(1)), "residual_tol": (1e-10, _number(0)),
+})
 def _run_factorize(cfg: dict):
-    cfg = _resolve("factorize", cfg, {
-        "source": ("fixture", False), "p": (2.0, False), "depth": (8, False),
-        "count": (50, False), "sigma": (0.6, False), "seed": (None, False),
-        "terms": (60, False), "residual_tol": (1e-10, False),
-    })
-    p = float(cfg["p"])
-    if not (math.isfinite(p) and p > 1):
-        raise PreconditionError(f"factorize: config key 'p' needs a finite p > 1, got {p}")
-    depth = _int_key("factorize", cfg, "depth", 0)
-    _check_footprint("factorize", depth)
+    p, depth = float(cfg["p"]), cfg["depth"]
     if cfg["source"] == "fixture":
+        _check_footprint("factorize", "'depth'", 1, depth + 1)
         weights = [bho_tree_fixture(depth=depth)]
-    elif cfg["source"] == "random":
-        seed = _require_seed("factorize", cfg)
-        rng = np.random.default_rng(seed)
-        weights = [random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"]))
-                   for _ in range(int(cfg["count"]))]
     else:
-        raise PreconditionError(
-            f"factorize: source must be 'fixture' or 'random', got {cfg['source']!r}")
+        _check_footprint("factorize", "'depth' with 'count'", cfg["count"], depth + 1)
+        rng = np.random.default_rng(_require_seed("factorize", cfg))
+        weights = [random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"]))
+                   for _ in range(cfg["count"])]
 
     rows, instance_rows = [], []
     max_residual, failed = 0.0, 0
     for i, w in enumerate(weights):
-        res = factor_bho_full(w, p, terms=int(cfg["terms"]))
+        res = factor_bho_full(w, p, terms=cfg["terms"])
         max_residual = max(max_residual, res.reconstruction_error)
         instance_rows.append((i, res.s_norm, res.reconstruction_error,
                               res.escalations, res.tail_ratio, res.via_dual))
@@ -302,31 +344,27 @@ def _run_factorize(cfg: dict):
     return results, certs, tables
 
 
+@_command("extend-dyadic", {
+    "p": (1.0, _number(1)), "q": (2.0, _number(1, strict=True)), "depth": (7, _int(0)),
+    "count": (50, _int(1)), "density": (0.5, _number(0)), "sigma": (0.7, _number(0)),
+    "seed": (None, _SEED), "terms": (60, _int(1)),
+})
 def _run_extend_dyadic(cfg: dict):
-    cfg = _resolve("extend-dyadic", cfg, {
-        "p": (1.0, False), "q": (2.0, False), "depth": (7, False),
-        "count": (50, False), "density": (0.5, False), "sigma": (0.7, False),
-        "seed": (None, True), "terms": (60, False),
-    })
     p, q = float(cfg["p"]), float(cfg["q"])
-    if not (math.isfinite(q) and q > 1):
-        raise PreconditionError(f"extend-dyadic: config key 'q' needs a finite q > 1, got {q}")
-    if not (math.isfinite(p) and p >= 1):
-        raise PreconditionError(f"extend-dyadic: config key 'p' needs a finite p >= 1, got {p}")
     seed = _require_seed("extend-dyadic", cfg)
-    depth = _int_key("extend-dyadic", cfg, "depth", 0)
-    _check_footprint("extend-dyadic", depth)
+    depth = cfg["depth"]
+    _check_footprint("extend-dyadic", "'depth'", 1, depth + 1)
 
     rng = np.random.default_rng(seed)
     rows, failed = [], 0
     worst_margin, worst_instance = -math.inf, -1
-    for i in range(int(cfg["count"])):
+    for i in range(cfg["count"]):
         w = random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"]))
         om = random_domain(depth, rng=rng, density=float(cfg["density"]))
         if p == 1.0:
             res = extend_b1(w, q, om)
         else:
-            res = extend_bp(w, p, q, om, terms=int(cfg["terms"]))
+            res = extend_bp(w, p, q, om, terms=cfg["terms"])
         for c in res.certificates:
             rows.append((i, c.quantity, c.measured, c.bound, c.sense, c.passed))
             failed += 0 if c.passed else 1
@@ -350,39 +388,23 @@ def _run_extend_dyadic(cfg: dict):
     return results, certs, tables
 
 
-_FIXTURES = ("pair_overlap", "chain_wrap", "wide_plus_thin")
-
-
+@_command("extend-continuous", {
+    "fixture": ("pair_overlap", _choice(*CONTINUOUS_FIXTURES, "all")), "p": (1.0, _number(1)),
+    "q": (2.0, _number(1, strict=True)), "depth": (6, _int(0)),
+    "theta_count": (16, _int(1)), "family_depth": (4, _int(0)),
+    "minkowski_tol": (1e-9, _number(0)),
+})
 def _run_extend_continuous(cfg: dict):
-    cfg = _resolve("extend-continuous", cfg, {
-        "fixture": ("pair_overlap", False), "p": (1.0, False), "q": (2.0, False),
-        "depth": (6, False), "theta_count": (16, False),
-        "family_depth": (4, False), "threads": (1, False),
-        "minkowski_tol": (1e-9, False),
-    })
-    # "threads" stays accepted for compatibility; the offsets run serially
     p, q = float(cfg["p"]), float(cfg["q"])
-    if not (math.isfinite(p) and p >= 1):
-        raise PreconditionError(
-            f"extend-continuous: config key 'p' needs a finite p >= 1, got {p}")
-    if not (math.isfinite(q) and q > 1):
-        raise PreconditionError(
-            f"extend-continuous: config key 'q' needs a finite q > 1, got {q}")
-    theta_count = _int_key("extend-continuous", cfg, "theta_count", 1)
-    depth = _int_key("extend-continuous", cfg, "depth", 0)
-    family_depth = _int_key("extend-continuous", cfg, "family_depth", 0)
-    _check_footprint("extend-continuous", depth, theta_count)
-    names = list(_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
-    if any(n not in _FIXTURES for n in names):
-        raise PreconditionError(
-            f"extend-continuous: unknown fixture {cfg['fixture']!r}, "
-            f"have {sorted(_FIXTURES)} or 'all'")
+    depth, theta_count = cfg["depth"], cfg["theta_count"]
+    _check_footprint("extend-continuous", "'depth' with 'theta_count'", theta_count, depth + 1)
+    names = list(CONTINUOUS_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
 
     certs, rows, results = [], [], {}
     for name in names:
         w, dom = continuous_fixture(name)
         res = extend_continuous(w, p, q, dom, depth=depth, theta_count=theta_count,
-                                family_depth=family_depth)
+                                family_depth=cfg["family_depth"])
         finite = all(math.isfinite(v) for v in res.constants.values())
         certs.append(_flag_cert(f"{name}:constants_finite", finite))
         certs.append(_cert(f"{name}:log_minkowski_margin",
@@ -404,18 +426,20 @@ def _run_extend_continuous(cfg: dict):
     return results, certs, tables
 
 
+@_command("average", {
+    "arcs": (1000, _int(1)), "pairs": (1000, _int(1)), "seed": (None, _SEED),
+    "resolution_bits": (12, _int(0)), "ratio_bound": (50.0, _number(0, strict=True)),
+})
 def _run_average(cfg: dict):
-    cfg = _resolve("average", cfg, {
-        "arcs": (1000, False), "pairs": (1000, False), "seed": (None, True),
-        "resolution_bits": (12, False), "ratio_bound": (50.0, False),
-    })
+    # avg_beta_check holds 2^resolution_bits offsets per pair
+    _check_footprint("average", "'resolution_bits'", 1, cfg["resolution_bits"])
     seed = _require_seed("average", cfg)
     rng = np.random.default_rng(seed)
 
     grid = 1 << 20
     arc_rows, sum_violations = [], 0
     bucket_ratio_max = Fraction(0)
-    for i in range(int(cfg["arcs"])):
+    for i in range(cfg["arcs"]):
         center = Fraction(int(rng.integers(0, grid)), grid)
         length = Fraction(int(rng.integers(1, grid + 1)), grid)
         spec = theta_measure_spectrum(UnitArc(center, length))
@@ -429,11 +453,11 @@ def _run_average(cfg: dict):
                          float(worst)))
 
     pairs = []
-    for _ in range(int(cfg["pairs"])):
+    for _ in range(cfg["pairs"]):
         r1, r2 = rng.uniform(0.05, 0.999, 2)
         a1, a2 = rng.uniform(0, 1, 2)
         pairs.append(((r1, a1), (r2, a2)))
-    beta = avg_beta_check(pairs, resolution_bits=int(cfg["resolution_bits"]))
+    beta = avg_beta_check(pairs, resolution_bits=cfg["resolution_bits"])
     beta_rows = [(i, beta["mean_beta_theta"][i], beta["max_beta_theta"][i],
                   float(beta["ratios"][i])) for i in range(len(pairs))]
 
@@ -466,31 +490,28 @@ def _run_average(cfg: dict):
     return results, certs, tables
 
 
+@_command("azuma", {
+    "kind": ("kahane", _choice("kahane", "random_walk", "random_pm1")),
+    "depth": (None, _optional(_int(1))), "seed": (None, _SEED),
+    "eps_grid": ([0.3, 0.5, 0.7], _list(_number(0, strict=True))), "k_min": (1, _int(1)),
+    "k_max": (20, _int(1)), "base": ("", _DIGITS),
+    "gamma_min": (0.05, _number(0)), "c_max": (10.0, _number(0, strict=True)),
+})
 def _run_azuma(cfg: dict):
-    cfg = _resolve("azuma", cfg, {
-        "kind": ("kahane", False), "depth": (None, False), "seed": (None, False),
-        "eps_grid": ([0.3, 0.5, 0.7], False), "k_min": (1, False),
-        "k_max": (20, False), "base": ("", False),
-        "gamma_min": (0.05, False), "c_max": (10.0, False),
-    })
-    kind, base = cfg["kind"], str(cfg["base"])
-    k_min, k_max = int(cfg["k_min"]), int(cfg["k_max"])
-    if not 1 <= k_min <= k_max:
-        raise PreconditionError("azuma: need 1 <= k_min <= k_max")
-    spec = {"kind": kind}
+    kind, base, depth = cfg["kind"], cfg["base"], cfg["depth"]
+    k_min, k_max = cfg["k_min"], cfg["k_max"]
+    if k_min > k_max:
+        raise PreconditionError(
+            f"azuma: config key 'k_min' needs to be <= k_max {k_max}, got {k_min}")
+    spec = {"kind": kind} if depth is None else {"kind": kind, "depth": depth}
     if kind == "random_pm1":
-        seed = _require_seed("azuma", cfg)
-        if cfg["depth"] is None:
-            raise PreconditionError("azuma: random_pm1 needs a depth")
-        if int(cfg["depth"]) < len(base) + k_max:
+        spec["seed"] = _require_seed("azuma", cfg)
+        if depth is None or depth < len(base) + k_max:
             raise PreconditionError(
-                f"azuma: depth {cfg['depth']} cannot reach k_max {k_max} below "
-                f"base of length {len(base)}")
-        spec.update(depth=int(cfg["depth"]), seed=seed)
-    elif kind not in ("random_walk", "kahane"):
-        raise PreconditionError(f"azuma: unknown martingale kind {kind!r}")
-    elif cfg["depth"] is not None:
-        spec["depth"] = int(cfg["depth"])
+                f"azuma: random_pm1 config key 'depth' {depth} cannot reach k_max "
+                f"{k_max} below base of length {len(base)}")
+        # random_pm1 materializes every level, 2^(depth+1) - 1 values
+        _check_footprint("azuma", "'depth'", 1, depth + 1)
 
     M = martingale_from_spec(spec)
     rows = azuma_table(M, list(cfg["eps_grid"]), range(k_min, k_max + 1), base)
@@ -517,32 +538,27 @@ def _run_azuma(cfg: dict):
     return results, certs, tables
 
 
-def _sequence_from_config(spec) -> PointSeq:
-    if isinstance(spec, dict) and spec.get("kind") == "radial_chain":
-        return radial_chain(_int_key("trace", {"depth": 12, **spec}, "depth", 1))
-    if isinstance(spec, dict) and "entries" in spec:
+def _sequence_from_config(spec: dict) -> PointSeq:
+    if spec.get("kind") == "radial_chain":
+        depth = _resolve("trace: sequence", spec, {
+            "kind": ("radial_chain", _choice("radial_chain")), "depth": (12, _int(1))})["depth"]
+        # the chain's addresses hold depth (depth + 1) / 2 digits
+        _check_footprint("trace: sequence", "'depth'", depth * (depth + 1) // 2)
+        return radial_chain(depth)
+    if "entries" in spec:
         return PointSeq.from_json(spec)
     raise PreconditionError(
         "sequence must be {'kind': 'radial_chain', 'depth': N} or a "
         "{'grid_theta', 'entries'} object")
 
 
+@_command("trace", {
+    "sequence": ({"kind": "radial_chain", "depth": 12}, _OBJECT),
+    "martingale": ({"kind": "kahane"}, _OBJECT),
+    "lambda": (0.05, _number(0)), "r_levels": (12, _int(1)), "probe": ("", _DIGITS),
+})
 def _run_trace(cfg: dict):
-    cfg = _resolve("trace", cfg, {
-        "sequence": ({"kind": "radial_chain", "depth": 12}, False),
-        "martingale": ({"kind": "kahane"}, False),
-        "lambda": (0.05, False), "r_levels": (12, False), "probe": ("", False),
-    })
-    lam = cfg["lambda"]
-    try:
-        lam_ok = not isinstance(lam, bool) and math.isfinite(lam) and lam >= 0
-    except (TypeError, OverflowError):  # not a number, or an int past float range
-        lam_ok = False
-    if not lam_ok:
-        raise PreconditionError(
-            f"trace: config key 'lambda' needs a finite number >= 0, got {lam!r}")
-    lam = float(lam)
-    r_levels = _int_key("trace", cfg, "r_levels", 1)
+    lam, r_levels = float(cfg["lambda"]), cfg["r_levels"]
     seq = _sequence_from_config(cfg["sequence"])
     try:
         M = martingale_from_spec(dict(cfg["martingale"]))
@@ -551,7 +567,7 @@ def _run_trace(cfg: dict):
 
     sup_rep = carleson_sup(seq)
     sup_i = trace_sup_i(seq, M, lam, r_levels=r_levels)
-    weak = trace_weak_l1(seq, M, lam, probe=str(cfg["probe"]))
+    weak = trace_weak_l1(seq, M, lam, probe=cfg["probe"])
 
     certs = [
         _flag_cert("carleson_sup_finite", math.isfinite(sup_rep.sup)),
@@ -572,17 +588,18 @@ def _run_trace(cfg: dict):
     return results, certs, tables
 
 
+@_command("counterexample", {
+    "generations": (4, _int(1)), "depth_budget": (60, _int(2)),
+    "scale": (2.0, _number(0, strict=True)),
+    "thresholds": (None, _optional(_list(_number(0, strict=True)))),
+    "lambdas": ([0.5, 1.0], _list(_number(0))), "trace_lambda": (0.05, _number(0)),
+    "node_budget": (1 << 15, _int(1)), "require_generations": (0, _int(0)),
+})
 def _run_counterexample(cfg: dict):
-    cfg = _resolve("counterexample", cfg, {
-        "generations": (4, False), "depth_budget": (60, False),
-        "scale": (2.0, False), "thresholds": (None, False),
-        "lambdas": ([0.5, 1.0], False), "trace_lambda": (0.05, False),
-        "node_budget": (1 << 15, False), "require_generations": (0, False),
-    })
     build = counterexample_build(
-        generations=int(cfg["generations"]), depth_budget=int(cfg["depth_budget"]),
+        generations=cfg["generations"], depth_budget=cfg["depth_budget"],
         scale=float(cfg["scale"]), thresholds=cfg["thresholds"],
-        node_budget=int(cfg["node_budget"]))
+        node_budget=cfg["node_budget"])
 
     window_bad = sum(
         1 for g in build.generations if g.complete
@@ -735,8 +752,8 @@ def _selftest_checks():
     ]
 
 
+@_command("selftest", {})
 def _run_selftest(cfg: dict):
-    _resolve("selftest", cfg, {})
     certs, rows = [], []
     for name, check, bound in _selftest_checks():
         measured = float(check())
@@ -749,19 +766,6 @@ def _run_selftest(cfg: dict):
                  ("passed", "measured within the bound")],
         rows=rows)}
     return {"checks": len(rows)}, certs, tables
-
-
-COMMANDS: Dict[str, Callable[[dict], tuple]] = {
-    "constants": _run_constants,
-    "factorize": _run_factorize,
-    "extend-dyadic": _run_extend_dyadic,
-    "extend-continuous": _run_extend_continuous,
-    "average": _run_average,
-    "azuma": _run_azuma,
-    "trace": _run_trace,
-    "counterexample": _run_counterexample,
-    "selftest": _run_selftest,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +783,7 @@ def run(command: str, config: Optional[dict] = None) -> RunReport:
     if not isinstance(config, dict):
         raise PreconditionError("config must be a JSON object")
     start = time.perf_counter()
-    results, certs, tables = COMMANDS[command](dict(config))
+    results, certs, tables = COMMANDS[command](_resolve(command, config, SCHEMAS[command]))
     wall = time.perf_counter() - start
     return RunReport(command=command, config=_jsonable(config),
                      version=__version__, results=results,
@@ -833,8 +837,6 @@ def build_parser() -> _Parser:
                         help="output directory (default ./out)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override for randomized experiments")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--depth", type=int, default=None,
                         help="depth override where the command takes one")
     return parser
@@ -854,15 +856,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise PreconditionError(f"malformed config {args.config}: {exc}")
             if not isinstance(config, dict):
                 raise PreconditionError("config must be a JSON object")
-        for key in ("seed", "threads", "depth"):
+        for key in ("seed", "depth"):
             value = getattr(args, key)
             if value is not None:
                 config[key] = value
         report = run(args.command, config)
-    except PreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # PreconditionError is a ValueError
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -38,6 +38,7 @@ from .weights import (
     _stack,
     b1_constant,
     bp_constant,
+    c_const,
     maximal_values,
     osc_constants,
     reverse_holder,
@@ -150,7 +151,7 @@ def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:
         ),
         WeightCertificate(
             "k_window_upper",
-            bound=4.0 * osc_constants(w.power(q), domain).c_const * (1 + _WINDOW_SLACK),
+            bound=4.0 * c_const(w.power(q), domain) * (1 + _WINDOW_SLACK),
             measured=k_max, inputs={"q": q},
         ),
         WeightCertificate(
@@ -255,14 +256,14 @@ def _bp_extension(p: float, q: float, delta: float, gamma: float, w: TreeWeight,
     k_min, k_max = float(np.min(k_on)), float(np.max(k_on))
     k_min_g, k_max_g = min(k_min, 1.0), max(k_max, 1.0)
 
-    osc1 = osc_constants(fact.w1, domain)
-    osc2 = osc_constants(fact.w2, domain)
+    c1 = c_const(fact.w1, domain)
+    c2 = c_const(fact.w2, domain)
     b1_1 = b1_constant(fact.w1, domain)
     b1_2 = b1_constant(fact.w2, domain)
 
-    k_max_bound = 4.0 * osc1.c_const * b1_2 ** (p - 1.0)
-    k_min_bound = (4.0 * osc2.c_const) ** (1.0 - p) / b1_1
-    window_product = 4.0 ** p * osc1.c_const * osc2.c_const ** (p - 1.0) * b1_1 * b1_2 ** (p - 1.0)
+    k_max_bound = 4.0 * c1 * b1_2 ** (p - 1.0)
+    k_min_bound = (4.0 * c2) ** (1.0 - p) / b1_1
+    window_product = 4.0 ** p * c1 * c2 ** (p - 1.0) * b1_1 * b1_2 ** (p - 1.0)
     front = (2.0 - gamma) / (1.0 - gamma)
     m1_bound = front ** p * window_product ** gamma
     cw_bound = (4.0 ** p * k_max_g / k_min_g) ** gamma
@@ -297,8 +298,8 @@ def _bp_extension(p: float, q: float, delta: float, gamma: float, w: TreeWeight,
         "escalations": fact.escalations,
         "b1_of_w1": b1_1,
         "b1_of_w2": b1_2,
-        "c_const_w1": osc1.c_const,
-        "c_const_w2": osc2.c_const,
+        "c_const_w1": c1,
+        "c_const_w2": c2,
         "k_min": k_min,
         "k_max": k_max,
         "m1_bound": m1_bound,

@@ -44,8 +44,8 @@ from .weights import (
     ancestor_max,
     b1_constant,
     bp_constant,
+    c_const,
     maximal_values,
-    osc_constants,
     subtree_sums,
 )
 
@@ -248,9 +248,7 @@ def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.nda
     recon = w1.values[mask] * w2.values[mask] ** (1.0 - p)
     rec_err = float(np.max(np.abs(recon / w.values[mask] - 1.0)))
 
-    osc_w = osc_constants(w, domain)
-    osc1 = osc_constants(w1, domain)
-    osc2 = osc_constants(w2, domain)
+    c_w = c_const(w, domain)
     certs = [
         WeightCertificate(
             "b1_of_w1", bound=2.0 * s, measured=b1_constant(w1, domain),
@@ -262,12 +260,12 @@ def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.nda
             inputs={"s_norm": s, "p": p},
         ),
         WeightCertificate(
-            "osc_of_w1", bound=4.0 * osc_w.c_const ** 2, measured=osc1.c_const,
-            inputs={"osc_of_w": osc_w.c_const},
+            "osc_of_w1", bound=4.0 * c_w ** 2, measured=c_const(w1, domain),
+            inputs={"osc_of_w": c_w},
         ),
         WeightCertificate(
-            "osc_of_w2", bound=(4.0 * osc_w.c_const) ** (1.0 / (p - 1)),
-            measured=osc2.c_const, inputs={"osc_of_w": osc_w.c_const},
+            "osc_of_w2", bound=(4.0 * c_w) ** (1.0 / (p - 1)),
+            measured=c_const(w2, domain), inputs={"osc_of_w": c_w},
         ),
         WeightCertificate(
             "reconstruction_relative_error", bound=1e-10, measured=rec_err,

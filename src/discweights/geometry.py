@@ -25,7 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Union
 
 AngleLike = Union[int, float, Fraction]
@@ -61,8 +60,6 @@ def as_fraction(x: AngleLike) -> Fraction:
     """Exact conversion; floats are dyadic rationals so nothing is lost."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -250,17 +247,8 @@ def containing_node(theta: AngleLike, z: DiscPoint) -> GridNode:
     the half-open arc convention: z with angle exactly on a grid endpoint
     belongs to the arc lying to the left (counterclockwise below) of it.
     """
-    theta = mod1(theta)
     d = 1 - as_fraction(z.modulus)
-    k = containing_level(d)
-    n = 1 << k
-    r = mod1(z.angle - theta) * n
-    # j = ceil(r) - 1 for r > 0; angle == theta wraps to the last arc
-    if r == 0:
-        j = n - 1
-    else:
-        j = -((-r.numerator) // r.denominator) - 1
-    return GridNode(theta, k, j)
+    return containing_grid_arc_of_angle(theta, containing_level(d), z.angle)
 
 
 def lca_level(a: GridNode, b: GridNode) -> int:
@@ -359,6 +347,7 @@ def containing_grid_arc_of_angle(theta: AngleLike, level: int, angle: AngleLike)
     theta = mod1(theta)
     n = 1 << level
     r = mod1(as_fraction(angle) - theta) * n
+    # j = ceil(r) - 1 for r > 0; angle == theta wraps to the last arc
     if r == 0:
         j = n - 1
     else:

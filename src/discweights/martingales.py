@@ -414,14 +414,13 @@ def azuma_counts(M: DyadicMartingale, eps, k: int, base: str = "") -> int:
         sub = M._levels[n][j0 << k:(j0 + 1) << k]
         v0 = M.value(base)
         diffs = np.abs(sub - v0)
-        thr = float(e * k)
-        # exact comparison: resolve near-threshold entries with Fractions
-        out = int(np.sum(diffs > thr + 1e-9))
-        border = np.flatnonzero(np.abs(diffs - thr) <= 1e-9)
-        for i in border:
-            if Fraction(float(diffs[i])) > e * k:
-                out += 1
-        return out
+        # lo is the largest float <= e k, so for a float d, d > lo exactly
+        # when d > e k: one exact cut, no entry needs a Fraction
+        thr = e * k
+        lo = float(thr)
+        if Fraction(lo) > thr:
+            lo = np.nextafter(lo, -np.inf)
+        return int(np.count_nonzero(diffs > lo))
     if M.kind in ("random_walk", "kahane"):
         return _count_classes(M, base, e, k)
     return _count_dfs(M, base, e, k)

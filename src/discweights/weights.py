@@ -47,6 +47,7 @@ __all__ = [
     "weak_type_ratio",
     "reverse_holder",
     "osc_constants",
+    "c_const",
     "random_log_walk",
     "random_domain",
 ]
@@ -510,23 +511,29 @@ def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> Oscil
     counts the n (n - 1) / 2 pairs of the n domain cells the supremum
     covers; `exact` is always True and kept for compatibility.
     """
-    _check_same_grid(w, domain)
-    depth = w.depth
+    c = c_const(w, domain)
     v = w.values
     mask = domain.mask if domain is not None else np.ones_like(v, dtype=bool)
+    n = int(np.count_nonzero(mask[1:]))
+    return OscillationReport(c, _log_pair_sup(v, mask, w.depth), n * (n - 1) // 2, True)
 
+
+def c_const(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
+    """The first oscillation constant of osc_constants, alone: the largest
+    max/min ratio of w over the up to three (domain) cells meeting
+    T_{3/4}(I), over every arc I above the leaf level; 1 when none has a
+    cell."""
+    _check_same_grid(w, domain)
+    v = w.values
+    mask = domain.mask if domain is not None else np.ones_like(v, dtype=bool)
     # each arc i = 1 .. 2^N - 1 against its children 2i and 2i + 1
-    half = 1 << depth
+    half = 1 << w.depth
     trio_vals = np.stack([v[1:half], v[2::2], v[3::2]])
     trio_mask = np.stack([mask[1:half], mask[2::2], mask[3::2]])
     hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
     lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
     present = trio_mask.any(axis=0)
-    c_best = float(np.max(hi_v[present] / lo_v[present], initial=1.0))
-
-    n = int(np.count_nonzero(mask[1:]))
-    return OscillationReport(c_best, _log_pair_sup(v, mask, depth),
-                             n * (n - 1) // 2, True)
+    return float(np.max(hi_v[present] / lo_v[present], initial=1.0))
 
 
 def _log_pair_sup(v: np.ndarray, mask: np.ndarray, depth: int) -> float:

@@ -151,6 +151,16 @@ def brute_pair_invariants(d1, t1, d2, t2):
     return num / den, (m1 * m2) / den
 
 
+def brute_azuma_count(M, eps, k, base=""):
+    """azuma_counts on a materialized tree, one exact Fraction comparison of
+    |M_J - M_base| against eps * k per entry (eps read decimally)."""
+    thr = (eps if isinstance(eps, F) else F(str(eps))) * k
+    j0 = int(base, 2) if base else 0
+    v0 = M.value(base)
+    level = M.level_values(len(base) + k)[j0 << k:(j0 + 1) << k]
+    return sum(F(abs(float(v) - v0)) > thr for v in level)
+
+
 def _probe_anchor(address, grid_theta):
     e = SeqEntry(address)
     return e.gap, e.angle(grid_theta)

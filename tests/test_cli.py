@@ -2,18 +2,49 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from discweights import cli
 from discweights.cli import (
+    COMMANDS,
     EXIT_CERT_VIOLATION,
     EXIT_OK,
     EXIT_PRECONDITION,
+    SCHEMAS,
     PreconditionError,
     main,
     run,
     write_artifacts,
 )
+
+# One value per (command, key) that the key's schema spec must refuse: a
+# bool, a fraction where an integer goes, NaN, a string, or a value below
+# the minimum.  Every key of every schema has an entry.
+BAD_VALUES = {
+    "constants": {"depth": 2.5, "count": -1, "p_grid": [1.5, "2"], "sigma": float("nan"),
+                  "seed": -1, "tol": float("nan")},
+    "factorize": {"source": "telepathy", "p": 1.0, "depth": True, "count": 0,
+                  "sigma": -0.1, "seed": 2.5, "terms": -5, "residual_tol": float("inf")},
+    "extend-dyadic": {"p": 0.5, "q": 1, "depth": -1, "count": 2.5, "density": float("nan"),
+                      "sigma": "wide", "seed": True, "terms": 0},
+    "extend-continuous": {"fixture": "bagel", "p": float("nan"), "q": 1.0, "depth": 2.5,
+                          "theta_count": 0, "family_depth": -1, "minkowski_tol": "tight"},
+    "average": {"arcs": 2.5, "pairs": 0, "seed": "s", "resolution_bits": -1,
+                "ratio_bound": float("nan")},
+    "azuma": {"kind": "brownian", "depth": 2.5, "seed": -1, "eps_grid": [0.3, 0],
+              "k_min": 2.5, "k_max": 0, "base": "012", "gamma_min": float("nan"),
+              "c_max": 0},
+    "trace": {"sequence": "chain", "martingale": ["kahane"], "lambda": float("nan"),
+              "r_levels": 0, "probe": "2"},
+    "counterexample": {"generations": 2.5, "depth_budget": 1, "scale": 0,
+                       "thresholds": [1.0, float("nan")], "lambdas": [],
+                       "trace_lambda": float("nan"), "node_budget": -1,
+                       "require_generations": 2.5},
+    "selftest": {},
+}
 
 
 def read_report(out_dir):
@@ -190,6 +221,57 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "level 539" in capsys.readouterr().err
 
+    def test_bad_values_cover_every_schema_key(self):
+        assert {c: set(keys) for c, keys in BAD_VALUES.items()} == \
+               {c: set(SCHEMAS[c]) for c in COMMANDS}
+
+    @pytest.mark.parametrize("command, key, value", [
+        (command, key, value)
+        for command, keys in BAD_VALUES.items() for key, value in keys.items()
+    ])
+    def test_bad_value_names_the_key(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"config key {key!r} needs" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, config, allocator, key", [
+        ("azuma", {"kind": "random_pm1", "seed": 1, "depth": 40}, "martingale_from_spec",
+         "'depth'"),
+        ("average", {"seed": 1, "resolution_bits": 40}, "avg_beta_check",
+         "'resolution_bits'"),
+        ("factorize", {"source": "random", "seed": 1, "depth": 16, "count": 64},
+         "random_log_walk", "'depth' with 'count'"),
+        ("trace", {"sequence": {"kind": "radial_chain", "depth": 3000}}, "radial_chain",
+         "'depth'"),
+        ("trace", {"sequence": {"kind": "radial_chain", "depth": 2896}}, "radial_chain",
+         "'depth'"),
+    ])
+    def test_footprint_cap_refuses_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                     command, config, allocator, key):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{allocator} reached past the footprint check")
+
+        monkeypatch.setattr(cli, allocator, unreachable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"config key {key}" in err and "over the cap" in err
+
+    def test_radial_chain_at_the_cap_is_built(self, monkeypatch):
+        # depth 2895 holds 2895 * 2896 / 2 <= 2^22 address digits
+        def reached(depth):
+            raise LookupError(depth)
+
+        monkeypatch.setattr(cli, "radial_chain", reached)
+        with pytest.raises(LookupError, match="2895"):
+            run("trace", {"sequence": {"kind": "radial_chain", "depth": 2895}})
+
     @pytest.mark.parametrize("command", [
         "constants", "factorize", "extend-dyadic", "extend-continuous",
     ])
@@ -277,21 +359,18 @@ class TestCommands:
         constants = report.results["pair_overlap"]["constants"]
         assert constants["continuous_b1"] >= 1.0 - 1e-9
 
-    def test_extend_continuous_threads_flag_has_no_effect(self, tmp_path, capsys):
+    def test_extend_continuous_threads_flag_and_key_are_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["extend-continuous", "--threads", "4", "--out", out]) == EXIT_PRECONDITION
+        assert "--threads" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"theta_count": 4, "depth": 5, "family_depth": 3}')
-        for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
-            assert main(["extend-continuous", "--config", str(cfg),
-                         "--out", str(tmp_path / name), *extra]) == EXIT_OK
-        plain, threads = read_report(tmp_path / "plain"), read_report(tmp_path / "threads")
-        assert threads["config"]["threads"] == 4
-        assert threads["results"] == plain["results"]
-        assert threads["certificates"] == plain["certificates"]
-        assert (tmp_path / "threads/per_theta.csv").read_bytes() == \
-               (tmp_path / "plain/per_theta.csv").read_bytes()
+        cfg.write_text('{"threads": 4}')
+        code = main(["extend-continuous", "--config", str(cfg), "--out", out])
+        assert code == EXIT_PRECONDITION
+        assert "unknown config keys ['threads']" in capsys.readouterr().err
 
     def test_extend_continuous_unknown_fixture(self):
-        with pytest.raises(PreconditionError, match="unknown fixture"):
+        with pytest.raises(PreconditionError, match="config key 'fixture'"):
             run("extend-continuous", config={"fixture": "bagel"})
 
     def test_average_small(self):
@@ -348,3 +427,24 @@ class TestCommands:
         assert report.results["weak_l1"]["finite"]
         div = report.tables["divergence"].rows
         assert len(div) == 12  # 3 lambdas x 4 generations
+
+
+class TestDocs:
+    @staticmethod
+    def readme_tables():
+        """{command: keys listed in the README's table for that command}."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tables = {}
+        for section in re.split(r"^#### ", text, flags=re.M)[1:]:
+            heading, body = section.split("\n", 1)
+            body = body.split("\n#", 1)[0]
+            if heading.startswith("`") and heading.endswith("` keys"):
+                tables[heading[1:-len("` keys")]] = re.findall(r"^\| `([^`]+)` \|", body,
+                                                              flags=re.M)
+        return tables
+
+    def test_readme_tables_list_every_schema_key(self):
+        tables = self.readme_tables()
+        assert sorted(tables) == sorted(COMMANDS)
+        for command in COMMANDS:
+            assert sorted(tables[command]) == sorted(SCHEMAS[command]), command

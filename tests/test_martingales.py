@@ -34,6 +34,7 @@ from discweights.martingales import (
     weak_separation_ok,
 )
 from helpers import (
+    brute_azuma_count,
     brute_carleson_sup,
     brute_pair_invariants,
     brute_trace_sup_i,
@@ -233,6 +234,44 @@ class TestAzumaCounts:
             for k in (3, 6, 9):
                 for base in ("", "01", "11010"):
                     assert azuma_counts(M, eps, k, base=base) == walk_count_oracle(eps, k)
+
+    @staticmethod
+    def _symmetric(half_leaves):
+        """Materialized martingale whose last level is half_leaves followed
+        by their negatives: parents are exact midpoints and the root is 0,
+        so |M_J - M_root| is exactly the leaf's absolute value."""
+        leaves = np.concatenate([half_leaves, -np.asarray(half_leaves)])
+        levels = [leaves]
+        while levels[0].size > 1:
+            levels.insert(0, (levels[0][0::2] + levels[0][1::2]) / 2.0)
+        return DyadicMartingale("materialized", levels=levels)
+
+    @pytest.mark.parametrize("eps, k", [(0.5, 6), (0.3, 7)])
+    def test_materialized_threshold_is_exact(self, eps, k):
+        # 0.5 * 6 = 3 is a float; 0.3 * 7 = 21/10 is not, and the float 2.1
+        # lies above it, so 2.1 itself counts while the float below does not
+        thr = Fraction(str(eps)) * k
+        near = float(thr)
+        ulps = [near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)]
+        rng = np.random.default_rng(3)
+        half = 1 << (k - 1)
+        leaves = np.concatenate([ulps, rng.uniform(0, 2 * near, half - len(ulps))])
+        M = self._symmetric(leaves)
+        assert azuma_counts(M, eps, k) == brute_azuma_count(M, eps, k)
+        above = [Fraction(v) > thr for v in ulps]
+        assert above == ([False, True, False] if eps == 0.5 else [True, True, False])
+
+    def test_materialized_matches_oracle_below_bases(self):
+        rng = np.random.default_rng(11)
+        M = self._symmetric(np.round(rng.normal(0, 3, 1 << 9), 3))
+        assert not np.all(M.level_values(10) == np.round(M.level_values(10)))
+        P = random_pm1(10, seed=2)
+        for martingale in (M, P):
+            for eps in (0.1, 0.25, 0.3, 0.5, Fraction(1, 3)):
+                for k in (1, 4, 7):
+                    for base in ("", "1", "011"):
+                        assert azuma_counts(martingale, eps, k, base) == \
+                            brute_azuma_count(martingale, eps, k, base)
 
     def test_generic_evaluator_route_agrees(self):
         def quarter(address):

@@ -20,6 +20,7 @@ from discweights.weights import (
     box_area_vector,
     box_integral,
     bp_constant,
+    c_const,
     cell_areas,
     cell_areas_exact,
     maximal,
@@ -304,7 +305,7 @@ class TestOscillation:
             level = int(rng.integers(0, depth + 1))
             index = int(rng.integers(0, 1 << level))
             om = DyadicDomain.from_generators(0, depth, [(level, index)])
-        assert osc_constants(w, om).c_const == brute_c_const(w, om)
+        assert osc_constants(w, om).c_const == c_const(w, om) == brute_c_const(w, om)
 
     def test_one_cell_domain(self):
         w = random_log_walk(5, seed=24, sigma=1.0)
