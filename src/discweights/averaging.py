@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -215,16 +215,14 @@ def rect_quadrature(rect: PolarRect, fn, nr: int = 4, na: int = 4) -> float:
 class SampledWeight:
     """Positive weight on the disc given by a vectorized evaluator fn(r, angle)."""
 
-    def __init__(self, fn: Callable, label: str = "", meta: Optional[dict] = None):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.label = label
-        self.meta = meta or {}
 
     def __call__(self, r, a):
         return self.fn(np.asarray(r, dtype=float), np.asarray(a, dtype=float))
 
 
-def geo_mean_weight(trees: Sequence[TreeWeight], label: str = "geo") -> SampledWeight:
+def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
     """Pointwise geometric mean over a family of tree weights."""
     # one tree at a time: a (T, points) stack over a dense region mesh costs more memory
     trees = list(trees)
@@ -235,7 +233,7 @@ def geo_mean_weight(trees: Sequence[TreeWeight], label: str = "geo") -> SampledW
             acc += np.log(t.eval_polar(r, a))
         return np.exp(acc / len(trees))
 
-    return SampledWeight(fn, label=label, meta={"count": len(trees)})
+    return SampledWeight(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -728,19 +726,19 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     family = default_arc_family(family_depth)
     if p == 1:
         trees = [a.extension.weight for a in artifacts]
-        big = geo_mean_weight(trees, label="geo_extension")
+        big = geo_mean_weight(trees)
         const, mink = _survey_geo_family([(trees, 1.0)], 1, family)
         key = "continuous_b1"
     else:
         w1s = [a.factorization.w1 for a in artifacts]
         w2s = [a.factorization.w2 for a in artifacts]
-        g1 = geo_mean_weight(w1s, label="geo_w1")
-        g2 = geo_mean_weight(w2s, label="geo_w2")
+        g1 = geo_mean_weight(w1s)
+        g2 = geo_mean_weight(w2s)
 
         def fn(r, a):
             return g1(r, a) * g2(r, a) ** (1.0 - p)
 
-        big = SampledWeight(fn, label="geo_extension", meta={"p": p})
+        big = SampledWeight(fn)
         const, mink = _survey_geo_family([(w1s, 1.0), (w2s, 1.0 - p)], p, family)
         key = "continuous_bp"
 

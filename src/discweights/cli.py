@@ -187,6 +187,29 @@ def _optional(spec: Spec) -> Spec:
 _DIGITS: Spec = (lambda v: isinstance(v, str) and set(v) <= {"0", "1"},
                  "a string of 0/1 digits")
 _OBJECT: Spec = (lambda v: isinstance(v, dict), "a JSON object")
+_finite = _number(-math.inf)[0]
+
+
+def _fraction_text(v) -> bool:
+    try:
+        Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+_THETA: Spec = (lambda v: _finite(v) or (isinstance(v, str) and _fraction_text(v)),
+                "a finite number or a fraction string such as '1/3'")
+_LEVELS: Spec = (
+    lambda v: isinstance(v, list) and len(v) > 0
+    and all(isinstance(lv, list) and all(map(_finite, lv)) for lv in v),
+    "a non-empty list of lists of finite numbers")
+_ENTRIES: Spec = (
+    lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and set(e) <= {"address", "generation"}
+        and _DIGITS[0](e.get("address")) and _int(0)[0](e.get("generation", 0)) for e in v),
+    "a list of objects, each with a 0/1 digit 'address' and an optional "
+    "integer 'generation' >= 0")
 # a seed is optional in the schema; randomized runs require it (_require_seed)
 _SEED = _optional(_int(0))
 
@@ -503,17 +526,14 @@ def _run_azuma(cfg: dict):
     if k_min > k_max:
         raise PreconditionError(
             f"azuma: config key 'k_min' needs to be <= k_max {k_max}, got {k_min}")
-    spec = {"kind": kind} if depth is None else {"kind": kind, "depth": depth}
+    spec = {"kind": kind, "depth": depth}
     if kind == "random_pm1":
         spec["seed"] = _require_seed("azuma", cfg)
-        if depth is None or depth < len(base) + k_max:
-            raise PreconditionError(
-                f"azuma: random_pm1 config key 'depth' {depth} cannot reach k_max "
-                f"{k_max} below base of length {len(base)}")
-        # random_pm1 materializes every level, 2^(depth+1) - 1 values
-        _check_footprint("azuma", "'depth'", 1, depth + 1)
-
-    M = martingale_from_spec(spec)
+    if depth is not None and depth < len(base) + k_max:
+        raise PreconditionError(
+            f"azuma: config key 'depth' {depth} cannot reach k_max {k_max} "
+            f"below base of length {len(base)}")
+    M = _martingale("azuma", spec)
     rows = azuma_table(M, list(cfg["eps_grid"]), range(k_min, k_max + 1), base)
     fit = azuma_fit(rows)
     violations = sum(1 for r in rows if r.count > fit.bound(r.eps, r.k) * (1 + 1e-9))
@@ -538,6 +558,30 @@ def _run_azuma(cfg: dict):
     return results, certs, tables
 
 
+# The keys of a martingale object, per kind; each kind's `depth` is the
+# deepest level its values are defined at.
+MARTINGALE_SCHEMAS: Dict[str, Schema] = {
+    "random_walk": {"depth": (None, _optional(_int(0)))},
+    "kahane": {"depth": (None, _optional(_int(0)))},
+    "random_pm1": {"depth": (None, _int(1)), "seed": (0, _int(0))},
+    "materialized": {"values": (None, _LEVELS), "depth": (None, _optional(_int(0)))},
+}
+
+
+def _martingale(command: str, spec: dict):
+    """Check a martingale object against its kind's schema, then build it."""
+    kind = spec.get("kind")
+    test, need = _choice(*MARTINGALE_SCHEMAS)
+    if not test(kind):
+        raise PreconditionError(f"{command}: config key 'kind' needs {need}, got {kind!r}")
+    cfg = _resolve(command, {k: v for k, v in spec.items() if k != "kind"},
+                   MARTINGALE_SCHEMAS[kind])
+    if kind == "random_pm1":
+        # random_pm1 materializes every level, 2^(depth+1) - 1 values
+        _check_footprint(command, "'depth'", 1, cfg["depth"] + 1)
+    return martingale_from_spec({"kind": kind, **cfg})
+
+
 def _sequence_from_config(spec: dict) -> PointSeq:
     if spec.get("kind") == "radial_chain":
         depth = _resolve("trace: sequence", spec, {
@@ -546,7 +590,8 @@ def _sequence_from_config(spec: dict) -> PointSeq:
         _check_footprint("trace: sequence", "'depth'", depth * (depth + 1) // 2)
         return radial_chain(depth)
     if "entries" in spec:
-        return PointSeq.from_json(spec)
+        return PointSeq.from_json(_resolve("trace: sequence", spec, {
+            "grid_theta": (0, _THETA), "entries": (None, _ENTRIES)}))
     raise PreconditionError(
         "sequence must be {'kind': 'radial_chain', 'depth': N} or a "
         "{'grid_theta', 'entries'} object")
@@ -560,10 +605,7 @@ def _sequence_from_config(spec: dict) -> PointSeq:
 def _run_trace(cfg: dict):
     lam, r_levels = float(cfg["lambda"]), cfg["r_levels"]
     seq = _sequence_from_config(cfg["sequence"])
-    try:
-        M = martingale_from_spec(dict(cfg["martingale"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"trace: bad martingale spec: {exc}") from exc
+    M = _martingale("trace: martingale", cfg["martingale"])
 
     sup_rep = carleson_sup(seq)
     sup_i = trace_sup_i(seq, M, lam, r_levels=r_levels)

@@ -44,7 +44,7 @@ def sqrt_weight() -> SampledWeight:
     def fn(r, a):
         return np.sqrt(1.0 - np.asarray(r, dtype=float) ** 2)
 
-    return SampledWeight(fn, label="sqrt(1-r^2)")
+    return SampledWeight(fn)
 
 
 def continuous_fixture(name: str):

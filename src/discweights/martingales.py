@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,35 +82,34 @@ def _validate_address(address: str) -> str:
     return address
 
 
-def _walk_value(address: str) -> float:
-    return float(2 * address.count("1") - len(address))
-
-
-def _quarter_value(address: str) -> float:
-    s = 0
-    for i in range(1, len(address), 2):
-        s += 1 if address[i - 1] == address[i] else -1
-    return float(s)
+# A digit rule gives, per child level n, a table steps[previous digit][digit]
+# of the step from the parent into the child; the previous digit at level 1
+# counts as 0.  Level n uses rule[n % len(rule)].
+_WALK_STEPS = ((-1, 1), (-1, 1))
+_QUARTER_STEPS = ((1, -1), (-1, 1))
+_STILL = ((0, 0), (0, 0))
+_RULES = {
+    "random_walk": (_WALK_STEPS,),
+    "kahane": (_QUARTER_STEPS, _STILL),
+}
 
 
 class DyadicMartingale:
-    """A martingale on the binary tree, evaluator-backed or materialized.
+    """A martingale on the binary tree, digit-rule or materialized.
 
     Addresses are strings of '0'/'1' digits, the root being the empty
     string.  Materialized instances store one numpy array per level and
-    verify the midpoint law exactly at construction; evaluator kinds
-    ("random_walk", "kahane") are defined at every depth.
+    verify the midpoint law exactly at construction; the digit-rule kinds
+    ("random_walk", "kahane") are defined at every depth, up to an
+    optional declared depth.
     """
 
-    def __init__(self, kind: str, fn: Optional[Callable[[str], float]] = None,
-                 levels: Optional[Sequence[np.ndarray]] = None,
+    def __init__(self, kind: str, levels: Optional[Sequence[np.ndarray]] = None,
                  depth: Optional[int] = None, seed=None):
         self.kind = kind
         self.depth = depth
         self.seed = seed
-        self._fn = fn
         self._levels = None
-        self._step_cache: Dict[int, float] = {}
         if levels is not None:
             arrs = [np.asarray(lv, dtype=float) for lv in levels]
             for n, lv in enumerate(arrs):
@@ -126,66 +125,47 @@ class DyadicMartingale:
                     )
             self._levels = arrs
             self.depth = len(arrs) - 1
-        if self._levels is None and fn is None:
-            raise ValueError("need either an evaluator or materialized levels")
+        elif kind not in _RULES:
+            raise ValueError(f"unknown martingale kind {kind!r}: "
+                             "no digit rule and no materialized levels")
+
+    def _steps(self, n: int):
+        """The step table into child level n >= 1 of a digit-rule kind."""
+        rule = _RULES[self.kind]
+        return rule[n % len(rule)]
+
+    def _check_depth(self, n: int, what: str) -> None:
+        if self.depth is not None and n > self.depth:
+            raise ValueError(f"{what} lies below depth {self.depth}")
 
     # -- evaluation ---------------------------------------------------
 
     def value(self, address: str) -> float:
         _validate_address(address)
+        self._check_depth(len(address), f"address {address!r}")
         if self._levels is not None:
-            n = len(address)
-            if n > self.depth:
-                raise ValueError(f"address {address!r} below materialized depth {self.depth}")
-            return float(self._levels[n][int(address, 2) if address else 0])
-        if self.depth is not None and len(address) > self.depth:
-            raise ValueError(f"address {address!r} below declared depth {self.depth}")
-        return self._fn(address)
+            return float(self._levels[len(address)][int(address, 2) if address else 0])
+        v, prev = 0, 0
+        for n, c in enumerate(address, 1):
+            digit = int(c)
+            v += self._steps(n)[prev][digit]
+            prev = digit
+        return float(v)
 
     def level_values(self, n: int) -> np.ndarray:
         """All values at level n, in address order."""
         if n < 0:
             raise ValueError("level must be nonnegative")
+        self._check_depth(n, f"level {n}")
         if self._levels is not None:
-            if n > self.depth:
-                raise ValueError(f"level {n} exceeds materialized depth {self.depth}")
             return self._levels[n]
         if n > _MAX_MATERIALIZE:
             raise ValueError(f"refusing to materialize level {n} > {_MAX_MATERIALIZE}")
-        if self.kind == "random_walk":
-            idx = np.arange(1 << n, dtype=np.int64)
-            cnt = np.zeros(1 << n, dtype=np.int64)
-            for _ in range(n):
-                cnt += idx & 1
-                idx >>= 1
-            return (2 * cnt - n).astype(float)
-        if self.kind == "kahane":
-            vals = np.zeros(1, dtype=float)
-            for m in range(1, n + 1):
-                vals = np.repeat(vals, 2)
-                if m % 2 == 0:
-                    i = np.arange(1 << m, dtype=np.int64)
-                    vals = vals + (1 - 2 * (((i >> 1) ^ i) & 1))
-            return vals
-        # generic evaluator: walk the addresses
-        return np.array([self._fn(format(i, f"0{n}b") if n else "")
-                         for i in range(1 << n)], dtype=float)
-
-    def max_step(self, level: int) -> float:
-        """Largest |child - parent| jump into the given child level."""
-        if level < 1:
-            raise ValueError("child level must be >= 1")
-        if self.kind == "random_walk":
-            return 1.0
-        if self.kind == "kahane":
-            return 1.0 if level % 2 == 0 else 0.0
-        if level in self._step_cache:
-            return self._step_cache[level]
-        child = self.level_values(level)
-        parent = np.repeat(self.level_values(level - 1), 2)
-        step = float(np.max(np.abs(child - parent))) if child.size else 0.0
-        self._step_cache[level] = step
-        return step
+        vals = np.zeros(1)
+        for m in range(1, n + 1):
+            i = np.arange(1 << m)
+            vals = np.repeat(vals, 2) + np.array(self._steps(m), dtype=float)[(i >> 1) & 1, i & 1]
+        return vals
 
     # -- invariants ---------------------------------------------------
 
@@ -193,8 +173,8 @@ class DyadicMartingale:
         """Verify M_I == (M_I0 + M_I1)/2; returns the number of checks.
 
         Materialized trees are checked exhaustively and exactly (they
-        were already at construction; this re-runs the sweep).  For
-        evaluators the law is checked at `paths` random prefixes.
+        were already at construction; this re-runs the sweep).  For the
+        digit rules the law is checked at `paths` random prefixes.
         """
         if self._levels is not None:
             checks = 0
@@ -208,8 +188,8 @@ class DyadicMartingale:
         lens = rng.integers(0, depth + 1, size=paths)
         for n in lens:
             address = "".join("01"[b] for b in rng.integers(0, 2, size=int(n)))
-            v = self._fn(address)
-            mean = (self._fn(address + "0") + self._fn(address + "1")) / 2.0
+            v = self.value(address)
+            mean = (self.value(address + "0") + self.value(address + "1")) / 2.0
             if v != mean:
                 raise ValueError(f"midpoint law fails at {address!r}: {v} != {mean}")
         return paths
@@ -217,7 +197,7 @@ class DyadicMartingale:
     # -- persistence ----------------------------------------------------
 
     def to_spec(self) -> dict:
-        if self.kind in ("random_walk", "kahane"):
+        if self._levels is None:
             out = {"kind": self.kind}
             if self.depth is not None:
                 out["depth"] = self.depth
@@ -233,7 +213,7 @@ class DyadicMartingale:
 
 def random_walk(depth: Optional[int] = None) -> DyadicMartingale:
     """The signed-digit walk: value = (#ones - #zeros) of the address."""
-    return DyadicMartingale("random_walk", fn=_walk_value, depth=depth)
+    return DyadicMartingale("random_walk", depth=depth)
 
 
 def kahane(depth: Optional[int] = None) -> DyadicMartingale:
@@ -244,7 +224,7 @@ def kahane(depth: Optional[int] = None) -> DyadicMartingale:
     quarters -1; equivalently each completed digit pair contributes +1
     when its two digits agree and -1 when they differ.
     """
-    return DyadicMartingale("kahane", fn=_quarter_value, depth=depth)
+    return DyadicMartingale("kahane", depth=depth)
 
 
 def random_pm1(depth: int, seed) -> DyadicMartingale:
@@ -273,16 +253,10 @@ def martingale_from_spec(spec: dict) -> DyadicMartingale:
     {"kind": "random_pm1", "depth": N, "seed": S};
     {"kind": "materialized", "values": [[...], ...]}.
     """
-    kind = spec.get("kind")
-    if kind == "random_walk":
-        return random_walk(spec.get("depth"))
-    if kind == "kahane":
-        return kahane(spec.get("depth"))
-    if kind == "random_pm1":
-        return random_pm1(int(spec["depth"]), spec.get("seed", 0))
-    if kind == "materialized":
-        return DyadicMartingale("materialized", levels=spec["values"])
-    raise ValueError(f"unknown martingale kind {kind!r}")
+    if spec.get("kind") == "random_pm1":
+        return random_pm1(spec["depth"], spec.get("seed", 0))
+    return DyadicMartingale(spec.get("kind"), levels=spec.get("values"),
+                            depth=spec.get("depth"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,74 +295,38 @@ def _exact_eps(eps) -> Fraction:
 
 
 def _count_classes(M: DyadicMartingale, base: str, eps: Fraction, k: int) -> int:
-    """Exact count for the digit-driven kinds via per-level value classes.
+    """Exact count for the digit-rule kinds via per-level value classes.
 
     Intervals at the same relative level with equal value difference and
     equal last digit transition identically, so the enumeration walks
     one (difference, last digit) histogram per level, retiring classes
     early once the remaining maximal gain can no longer move them across
-    the threshold.
+    the threshold.  Differences are integers, so |d| > eps k exactly when
+    |d| > floor(eps k).
     """
-    thr = eps * k
-    n0 = len(base)
-    walk = M.kind == "random_walk"
+    thr = math.floor(eps * k)
+    tables = [M._steps(len(base) + m) for m in range(1, k + 1)]
     # remaining maximal |difference| gain strictly below relative level m
     gain_after = [0] * (k + 1)
     for m in range(k - 1, -1, -1):
-        lvl = n0 + m + 1
-        step = 1 if walk or lvl % 2 == 0 else 0
-        gain_after[m] = gain_after[m + 1] + step
-    last = int(base[-1]) if base else 0
-    states = {(0, last): 1}
+        gain_after[m] = gain_after[m + 1] + max(abs(s) for row in tables[m] for s in row)
+    states = {(0, int(base[-1]) if base else 0): 1}
     done = 0
-    for m in range(1, k + 1):
-        lvl = n0 + m
+    for m, steps in enumerate(tables, 1):
         nxt: Dict[Tuple[int, int], int] = {}
-        if walk:
-            for (d, _), c in states.items():
-                for digit, dd in ((0, d - 1), (1, d + 1)):
-                    key = (dd, digit)
-                    nxt[key] = nxt.get(key, 0) + c
-        elif lvl % 2 == 1:
-            for (d, _), c in states.items():
-                for digit in (0, 1):
-                    key = (d, digit)
-                    nxt[key] = nxt.get(key, 0) + c
-        else:
-            for (d, b), c in states.items():
-                for digit in (0, 1):
-                    dd = d + 1 if digit == b else d - 1
-                    key = (dd, digit)
-                    nxt[key] = nxt.get(key, 0) + c
+        for (d, b), c in states.items():
+            for digit, step in enumerate(steps[b]):
+                key = (d + step, digit)
+                nxt[key] = nxt.get(key, 0) + c
         states = {}
         rem = gain_after[m]
         for (d, b), c in nxt.items():
             if abs(d) - rem > thr:
                 done += c << (k - m)
             elif abs(d) + rem > thr:
-                states[(d, b)] = states.get((d, b), 0) + c
+                states[(d, b)] = c
             # else the class can never cross; drop it
     return done
-
-
-def _count_dfs(M: DyadicMartingale, base: str, eps: Fraction, k: int) -> int:
-    """Pruned digit DFS for arbitrary evaluators (exact, possibly slow)."""
-    thr = eps * k
-    v0 = M.value(base)
-    gain_after = [0.0] * (k + 1)
-    for m in range(k - 1, -1, -1):
-        gain_after[m] = gain_after[m + 1] + M.max_step(len(base) + m + 1)
-
-    def rec(address: str, m: int) -> int:
-        d = abs(M.value(address) - v0)
-        rem = gain_after[m]
-        if d - rem > thr:
-            return 1 << (k - m)
-        if d + rem <= thr:
-            return 0
-        return rec(address + "0", m + 1) + rec(address + "1", m + 1)
-
-    return rec(base, 0)
 
 
 def azuma_counts(M: DyadicMartingale, eps, k: int, base: str = "") -> int:
@@ -396,9 +334,9 @@ def azuma_counts(M: DyadicMartingale, eps, k: int, base: str = "") -> int:
     |M_J - M_base| > eps * k (strict).
 
     Exact: materialized trees are counted by direct comparison, the
-    digit-driven kinds by class enumeration with retirement, and other
-    evaluators by pruned digit DFS.  eps given as a float is interpreted
-    decimally (0.3 means 3/10).
+    digit-rule kinds by class enumeration with retirement.  eps given as
+    a float is interpreted decimally (0.3 means 3/10).  A declared or
+    materialized depth must reach len(base) + k.
     """
     _validate_address(base)
     if k < 1:
@@ -406,24 +344,21 @@ def azuma_counts(M: DyadicMartingale, eps, k: int, base: str = "") -> int:
     e = _exact_eps(eps)
     if e <= 0:
         raise ValueError("eps must be positive")
-    if M._levels is not None:
-        n = len(base) + k
-        if n > M.depth:
-            raise ValueError(f"need depth {n}, have {M.depth}")
-        j0 = int(base, 2) if base else 0
-        sub = M._levels[n][j0 << k:(j0 + 1) << k]
-        v0 = M.value(base)
-        diffs = np.abs(sub - v0)
-        # lo is the largest float <= e k, so for a float d, d > lo exactly
-        # when d > e k: one exact cut, no entry needs a Fraction
-        thr = e * k
-        lo = float(thr)
-        if Fraction(lo) > thr:
-            lo = np.nextafter(lo, -np.inf)
-        return int(np.count_nonzero(diffs > lo))
-    if M.kind in ("random_walk", "kahane"):
+    n = len(base) + k
+    if M.depth is not None and n > M.depth:
+        raise ValueError(f"need depth {n}, have {M.depth}")
+    if M._levels is None:
         return _count_classes(M, base, e, k)
-    return _count_dfs(M, base, e, k)
+    j0 = int(base, 2) if base else 0
+    sub = M._levels[n][j0 << k:(j0 + 1) << k]
+    diffs = np.abs(sub - M.value(base))
+    # lo is the largest float <= e k, so for a float d, d > lo exactly
+    # when d > e k: one exact cut, no entry needs a Fraction
+    thr = e * k
+    lo = float(thr)
+    if Fraction(lo) > thr:
+        lo = np.nextafter(lo, -np.inf)
+    return int(np.count_nonzero(diffs > lo))
 
 
 @dataclass(frozen=True)
@@ -767,8 +702,7 @@ def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float,
         probes = default_probe_addresses(seq)
     anchors = _address_points([e.address for e in seq])
     b_entries = np.array([M.value(e.address) for e in seq])
-    log_terms = [m * math.log(2.0) - math.log(2.0 - 0.5 ** m)
-                 for m in range(1, r_levels + 1)]
+    log_terms = [_log_inv_mass(m) for m in range(1, r_levels + 1)]
     r2s = [(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)]
     sup, arg_probe, arg_m = -math.inf, "", 0
     by_radius = [0.0] * r_levels

@@ -209,6 +209,45 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"martingale": {"kind": "random_walk", "depth": "x"}}, "depth"),
+        ({"martingale": {"kind": "random_pm1", "depth": 4.7, "seed": 1}}, "depth"),
+        ({"martingale": {"kind": "random_pm1", "seed": 1}}, "depth"),
+        ({"martingale": {"kind": "random_pm1", "depth": 4, "seed": -1}}, "seed"),
+        ({"martingale": {"kind": "kahane", "seed": 1}}, "['seed']"),
+        ({"martingale": {"kind": "brownian"}}, "kind"),
+        ({"martingale": {"depth": 4}}, "kind"),
+        ({"martingale": {"kind": "materialized", "values": [0.0, 1.0]}}, "values"),
+        ({"martingale": {"kind": "materialized", "values": [[0.0], [1.0, {}]]}}, "values"),
+        ({"sequence": {"entries": 3}}, "entries"),
+        ({"sequence": {"entries": [{"address": "012"}]}}, "entries"),
+        ({"sequence": {"entries": [{"address": "01", "generation": -1}]}}, "entries"),
+        ({"sequence": {"grid_theta": "1/0", "entries": []}}, "grid_theta"),
+    ])
+    def test_trace_nested_objects_name_the_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["trace", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err or f"unknown config keys {key}" in err
+
+    def test_trace_materialized_martingale_runs(self):
+        values = [[0.0], [1.0, -1.0], [2.0, 0.0, 0.0, -2.0]]
+        report = run("trace", config={
+            "sequence": {"grid_theta": "1/3", "entries": [{"address": "01"}, {"address": "1"}]},
+            "martingale": {"kind": "materialized", "depth": 2, "values": values}})
+        assert report.ok and report.results["points"] == 2
+
+    def test_azuma_declared_depth_must_reach(self, tmp_path, capsys):
+        # kahane(3) refuses addresses below level 3, so counts to k_max 20 do too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kind": "kahane", "depth": 3}')
+        code = main(["azuma", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "config key 'depth' 3 cannot reach k_max 20" in capsys.readouterr().err
+        assert run("azuma", config={"kind": "kahane", "depth": 20}).ok
+
     @pytest.mark.parametrize("sequence", [
         {"grid_theta": "0", "entries": [{"address": "0" * 539}]},
         {"kind": "radial_chain", "depth": 600},
@@ -248,6 +287,8 @@ class TestExitCodes:
         ("trace", {"sequence": {"kind": "radial_chain", "depth": 3000}}, "radial_chain",
          "'depth'"),
         ("trace", {"sequence": {"kind": "radial_chain", "depth": 2896}}, "radial_chain",
+         "'depth'"),
+        ("trace", {"martingale": {"kind": "random_pm1", "depth": 40}}, "martingale_from_spec",
          "'depth'"),
     ])
     def test_footprint_cap_refuses_before_allocating(self, tmp_path, capsys, monkeypatch,
@@ -443,8 +484,18 @@ class TestDocs:
                                                               flags=re.M)
         return tables
 
+    @staticmethod
+    def readme_martingale_kinds():
+        """{kind: keys} from the README's table of trace martingale kinds."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        body = text.split("#### `trace` martingale kinds\n", 1)[1].split("\n#", 1)[0]
+        return {kind: sorted(re.findall(r"`([^`]+)`:", keys))
+                for kind, keys in re.findall(r"^\| `([^`]+)` \| (.*) \|$", body, flags=re.M)}
+
     def test_readme_tables_list_every_schema_key(self):
         tables = self.readme_tables()
         assert sorted(tables) == sorted(COMMANDS)
         for command in COMMANDS:
             assert sorted(tables[command]) == sorted(SCHEMAS[command]), command
+        assert self.readme_martingale_kinds() == {
+            kind: sorted(schema) for kind, schema in cli.MARTINGALE_SCHEMAS.items()}

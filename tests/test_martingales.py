@@ -1,4 +1,4 @@
-"""Dyadic martingales: evaluators, deviation counts, disc traces, builder."""
+"""Dyadic martingales: digit rules, deviation counts, disc traces, builder."""
 
 import math
 from fractions import Fraction
@@ -175,6 +175,11 @@ class TestMidpointLaw:
         with pytest.raises(ValueError, match="unknown martingale kind"):
             martingale_from_spec({"kind": "mystery"})
 
+    def test_kind_without_rule_or_levels_raises(self):
+        for kind in ("mystery", "materialized", "random_pm1"):
+            with pytest.raises(ValueError, match="no digit rule and no materialized levels"):
+                DyadicMartingale(kind)
+
 
 class TestBlochSeminorm:
     def test_quarter_pattern_jump_bound(self):
@@ -273,15 +278,15 @@ class TestAzumaCounts:
                         assert azuma_counts(martingale, eps, k, base) == \
                             brute_azuma_count(martingale, eps, k, base)
 
-    def test_generic_evaluator_route_agrees(self):
-        def quarter(address):
-            return float(sum(1 if address[i - 1] == address[i] else -1
-                             for i in range(1, len(address), 2)))
-        G = DyadicMartingale("generic", fn=quarter)
-        K = kahane()
-        for eps in (0.3, 0.5):
-            for k in range(1, 11):
-                assert azuma_counts(G, eps, k) == azuma_counts(K, eps, k)
+    @pytest.mark.parametrize("make", [random_walk, kahane])
+    @pytest.mark.parametrize("base", ["", "0", "011", "1011"])
+    @pytest.mark.parametrize("eps", [0.25, 0.3, 0.5, Fraction(1, 3)])
+    def test_digit_rules_match_brute_count(self, make, base, eps):
+        # eps k runs through integers (0.25 * 4, 0.5 * 2, k / 3 at k = 3)
+        # and non-integers, so the integer cut floor(eps k) is tested on both
+        M = make()
+        for k in range(1, 13):
+            assert azuma_counts(M, eps, k, base) == brute_azuma_count(M, eps, k, base)
 
     def test_materialized_route_agrees(self):
         K = kahane()
@@ -316,6 +321,10 @@ class TestAzumaCounts:
         M = random_pm1(5, seed=0)
         with pytest.raises(ValueError, match="need depth"):
             azuma_counts(M, 0.3, 4, base="000")
+        # a declared depth binds the counts as it binds value()
+        with pytest.raises(ValueError, match="need depth 10, have 3"):
+            azuma_counts(kahane(3), 0.3, 10)
+        assert azuma_counts(kahane(10), 0.3, 10) == azuma_counts(kahane(), 0.3, 10)
 
 
 class TestAzumaFit:
@@ -452,7 +461,8 @@ class TestCarleson:
 class TestTrace:
     def test_constant_martingale_ignores_lambda(self):
         chain = radial_chain(10)
-        M = DyadicMartingale("const", fn=lambda a: 0.25)
+        M = DyadicMartingale("materialized",
+                             levels=[np.full(1 << n, 0.25) for n in range(11)])
         low = trace_sup_i(chain, M, 0.0)
         high = trace_sup_i(chain, M, 0.9)
         assert low["sup"] == high["sup"]
