@@ -5,15 +5,22 @@ A continuous region here is a finite union of top halves T(A) of arbitrary
 each T(A) is a rectangle: depth band (|A|/2, |A|] times the arc, where
 depth means 1 - |z|.  Unions of such rectangles decompose exactly into
 disjoint polar rectangles by cutting the depth axis at all band endpoints
-and merging angular intervals per elementary band; all of that arithmetic
-runs in exact rationals, so areas and the 1/18 goodness threshold below
-are decided without rounding.
+and merging angular intervals per elementary band; the region keeps those
+bands in exact rationals.
 
 For a grid offset theta, the good nodes are the grid arcs I whose top half
 meets the region in at least A(T(I))/18 of its area.  Averaging a weight
 over those intersections produces a tree weight on the offset's grid,
 restricted to the good cells; extensions of these restrictions are then
-combined across offsets by a geometric mean in theta.
+combined across offsets by a geometric mean in theta.  Restriction treats
+all offsets at once in integers: every endpoint it meets (generator arcs
+and half-lengths, the grid lines of all offsets, node bands down to
+2^-(depth+1)) is an integer over one common denominator L, so clips are
+integer min and max, areas are integers over L^3, and the 1/18 threshold
+is decided without rounding.  The integers are int64 while 18 L^3 < 2^63
+(L is 13,440 to 80,640 for the bundled regions at depth 6 or 7 with 64
+or 128 offsets) and Python ints beyond, as for arcs built from floats,
+whose denominators reach 2^53.
 
 The offset measure of predecessor scales: for an arc of length ell with
 2^{-N} <= ell < 2^{-N+1}, the chance that a uniformly shifted grid
@@ -38,7 +45,6 @@ from .geometry import (
     GridNode,
     UnitArc,
     arc_contains_angle,
-    area_top,
     beta_hyperbolic,
     containing_level,
     mod1,
@@ -58,7 +64,10 @@ __all__ = [
     "ContinuousDomain",
     "SampledWeight",
     "theta_measure_spectrum",
+    "GoodNodes",
+    "good_nodes_many",
     "good_nodes",
+    "dyadic_restriction_many",
     "dyadic_restriction",
     "restriction_certificate",
     "five_probes",
@@ -147,6 +156,18 @@ class ContinuousDomain:
                 ang = _union([iv for g in active for iv in _arc_intervals(g.left, g.length)])
                 self._bands.append((lo, hi, ang))
 
+    def denominator(self) -> int:
+        """Least common denominator of every band and interval endpoint."""
+        return math.lcm(*(g.left.denominator for g in self.generators),
+                        *((g.length / 2).denominator for g in self.generators))
+
+    def scaled_bands(self, denom: int):
+        """The bands with every endpoint times denom, a multiple of
+        denominator(), as (lo, hi, [(start, end), ...]) in Python ints."""
+        return [(int(lo * denom), int(hi * denom),
+                 [(int(s * denom), int(e * denom)) for s, e in ang])
+                for lo, hi, ang in self._bands]
+
     def pieces(self):
         out = []
         for lo, hi, ang in self._bands:
@@ -195,17 +216,30 @@ def rect_quadrature(rect: PolarRect, fn, nr: int = 4, na: int = 4) -> float:
 
     The depth band is split evenly and each sub-band contributes its exact
     sub-area times the mean of fn at the midpoints, so constants integrate
-    exactly.
+    exactly.  This is the one-rectangle case of _quadrature_many.
     """
-    d_lo, d_hi = float(rect.d_lo), float(rect.d_hi)
-    a0, alen = float(rect.ang_start), float(rect.ang_len)
-    edges = np.linspace(d_lo, d_hi, nr + 1)
-    dmid = 0.5 * (edges[:-1] + edges[1:])
-    amid = a0 + (np.arange(na) + 0.5) * alen / na
-    sub_areas = alen * ((1 - edges[:-1]) ** 2 - (1 - edges[1:]) ** 2)
-    r, a = np.meshgrid(1.0 - dmid, amid % 1.0, indexing="ij")
-    vals = fn(r, a)
-    return float(np.sum(sub_areas * np.mean(vals, axis=1)))
+    bounds = [np.array([float(x)]) for x in
+              (rect.d_lo, rect.d_hi, rect.ang_start, rect.ang_len)]
+    return float(_quadrature_many(*bounds, fn, nr, na)[0])
+
+
+def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
+    """rect_quadrature of P rectangles given by (P,) float bounds, with one
+    evaluation of fn on all of their midpoints.
+
+    Every float operation is the one-rectangle operation along a leading
+    axis, and the mean and the sum reduce the last axis as they would for
+    one rectangle, so entry i is bitwise the integral of rectangle i alone.
+    """
+    edges = np.linspace(d_lo, d_hi, nr + 1, axis=-1)
+    dmid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    amid = a0[:, None] + (np.arange(na) + 0.5) * alen[:, None] / na
+    sub_areas = alen[:, None] * ((1 - edges[:, :-1]) ** 2 - (1 - edges[:, 1:]) ** 2)
+    shape = (len(d_lo), nr, na)
+    r = np.broadcast_to((1.0 - dmid)[:, :, None], shape).ravel()
+    a = np.broadcast_to((amid % 1.0)[:, None, :], shape).ravel()
+    vals = np.reshape(fn(r, a), shape)
+    return np.sum(sub_areas * np.mean(vals, axis=2), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,38 +313,140 @@ def theta_measure_spectrum(arc: UnitArc) -> dict:
 
 GOOD_FRACTION = Fraction(1, 18)
 
+# offsets restricted in one pass; bounds the (offsets, candidates, slots)
+# arrays of the good-node scan and the midpoint mesh of the quadrature
+OFFSET_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class GoodNodes:
+    """The good nodes of T offsets, exactly, over one common denominator.
+
+    Piece bounds are integers over `denom` and areas integers over denom^3.
+    Nodes are sorted by (offset row, node id 2^k + j); node i owns pieces
+    start[i] to start[i + 1], in the order ContinuousDomain.clip_to_top
+    lists them (band, region interval, node interval).  The integer arrays
+    are int64 where no product can reach 2^63 and Python ints (dtype
+    object) otherwise.
+    """
+
+    denom: int
+    offset: np.ndarray  # (G,) offset row
+    node: np.ndarray    # (G,) node id
+    area: np.ndarray    # (G,) intersection area times denom^3
+    start: np.ndarray   # (G + 1,) piece ranges
+    d_lo: np.ndarray    # (P,) depth band of each piece, times denom
+    d_hi: np.ndarray
+    ang_lo: np.ndarray  # (P,) angular interval of each piece, times denom
+    ang_hi: np.ndarray
+
+
+def _level_slots(bands, denom: int, step: int):
+    """(d_lo, d_hi, depth factor, start, end, node interval) for every place
+    a top half of length step can meet the bands, in clip order.  A
+    piece's area is its angular length times the depth factor."""
+    out = []
+    for lo, hi, ang in bands:
+        d_lo, d_hi = max(lo, step // 2), min(hi, step)
+        if d_lo < d_hi:
+            factor = (denom - d_lo) ** 2 - (denom - d_hi) ** 2
+            out += [(d_lo, d_hi, factor, s, e, which) for s, e in ang for which in (0, 1)]
+    return out
+
+
+def good_nodes_many(thetas, domain: ContinuousDomain, depth: int,
+                    threshold: Fraction = GOOD_FRACTION) -> GoodNodes:
+    """Grid arcs of every offset whose top half meets the region in at least
+    threshold of its area, in one integer pass per level.
+
+    Every endpoint (generator arcs and half-lengths, the offsets' grid
+    lines, node bands down to 2^-(depth+1)) is an integer over one common
+    denominator L, so clipping is integer min and max, and goodness
+    compares integers over L^3.  Only levels within one scale of some
+    generator can qualify (the depth bands must overlap), so a level takes
+    a few candidate indices per generator and offset, a (T, C) array, and
+    clips them against its slots as (T, C, M).
+    """
+    thetas = [mod1(t) for t in thetas]
+    threshold = Fraction(threshold)
+    num, den = threshold.numerator, threshold.denominator
+    L = math.lcm(domain.denominator(), 1 << (depth + 1), *(t.denominator for t in thetas))
+    dt = object if max(num, den) * L ** 3 >= 1 << 63 else np.int64
+    th = np.array([t.numerator * (L // t.denominator) for t in thetas], dtype=dt)
+    bands = domain.scaled_bands(L)
+    gens = [(int(g.left * L), int(g.length * L)) for g in domain.generators]
+    nodes = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0, dt),)]
+    pieces = [(np.zeros(0, np.int64),) + (np.zeros(0, dt),) * 4]
+    found = 0
+    for k in range(depth + 1):
+        step = L >> k
+        cols = [(gl - th)[:, None] // step + np.arange(-(-gn // step) + 3)
+                for gl, gn in gens if step // 2 < gn < 2 * step]
+        slots = _level_slots(bands, L, step)
+        if not cols or not slots:
+            continue
+        cand = np.sort(np.concatenate(cols, axis=1).astype(np.int64) % (1 << k), axis=1)
+        fresh = np.ones(cand.shape, dtype=bool)
+        fresh[:, 1:] = cand[:, 1:] != cand[:, :-1]
+        # node arcs (left, left + step] cut at the wrap; level 0 is the circle
+        left = (th[:, None] + cand.astype(dt) * step) % L if k else np.zeros(cand.shape, dt)
+        right = left + step
+        zero = np.zeros_like(left)
+        node_lo = np.stack([left, zero], axis=-1)
+        node_hi = np.stack([np.minimum(right, L), np.maximum(right - L, zero)], axis=-1)
+        d_lo, d_hi, factor, s1, e1, which = (np.array(col, dtype=dt) for col in zip(*slots))
+        which = which.astype(np.intp)
+        s = np.maximum(node_lo[:, :, which], s1)
+        e = np.minimum(node_hi[:, :, which], e1)
+        valid = (s < e) & fresh[:, :, None]
+        inter = np.where(valid, (e - s) * factor, 0).sum(axis=2)
+        top = step * ((L - step // 2) ** 2 - (L - step) ** 2)
+        good = (inter > 0) & (den * inter >= num * top)
+        t, c = np.nonzero(good)
+        pt, pc, pm = np.nonzero(valid & good[:, :, None])
+        ordinal = np.cumsum(good.ravel()).reshape(good.shape) - 1 + found
+        nodes.append((t, (1 << k) + cand[t, c], inter[t, c]))
+        pieces.append((ordinal[pt, pc], d_lo[pm], d_hi[pm], s[pt, pc, pm], e[pt, pc, pm]))
+        found += len(t)
+    offset, node, area = (np.concatenate(col) for col in zip(*nodes))
+    owner, *bounds = (np.concatenate(col) for col in zip(*pieces))
+    # levels came in order and each level in (offset, index) order
+    order = np.argsort(offset, kind="stable")
+    rank = np.empty(found, np.int64)
+    rank[order] = np.arange(found)
+    owner = rank[owner]
+    by_node = np.argsort(owner, kind="stable")
+    start = np.zeros(found + 1, np.int64)
+    np.cumsum(np.bincount(owner, minlength=found), out=start[1:])
+    return GoodNodes(L, offset[order], node[order], area[order], start,
+                     *(b[by_node] for b in bounds))
+
 
 def good_nodes(theta, domain: ContinuousDomain, depth: int,
                threshold: Fraction = GOOD_FRACTION):
     """Grid arcs whose top half meets the region in >= threshold of its area.
 
-    Only levels within one scale of some generator can qualify (the depth
-    bands must overlap), so the scan enumerates a few candidate indices
-    per generator instead of the whole tree.  Returns a list of
-    (GridNode, clip pieces, exact intersection area) sorted by node id.
+    The one-offset view of good_nodes_many, in exact rationals: a list of
+    (GridNode, clip pieces, intersection area) sorted by node id.
     """
-    theta = mod1(theta)
-    found = {}
-    for k in range(depth + 1):
-        step = Fraction(1, 1 << k)
-        cand = set()
-        for g in domain.generators:
-            if not (step / 2 < g.length < 2 * step):
-                continue
-            lo = (g.left - theta) / step
-            lo_idx = lo.numerator // lo.denominator
-            count = int(math.ceil(float(g.length / step))) + 2
-            for t in range(lo_idx, lo_idx + count + 1):
-                cand.add(t % (1 << k))
-        for j in sorted(cand):
-            node = GridNode(theta, k, j)
-            pieces = domain.clip_to_top(node)
-            if not pieces:
-                continue
-            inter = sum((p.area() for p in pieces), Fraction(0))
-            if inter >= threshold * area_top(node.length):
-                found[(k, j)] = (node, pieces, inter)
-    return [found[key] for key in sorted(found)]
+    g = good_nodes_many([theta], domain, depth, threshold)
+    L, theta = g.denom, mod1(theta)
+    out = []
+    for i, (nid, area) in enumerate(zip(g.node.tolist(), g.area.tolist())):
+        span = slice(g.start[i], g.start[i + 1])
+        pieces = [PolarRect(Fraction(lo, L), Fraction(hi, L), Fraction(s, L), Fraction(e - s, L))
+                  for lo, hi, s, e in zip(*(b[span].tolist()
+                                            for b in (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi)))]
+        level = nid.bit_length() - 1
+        out.append((GridNode(theta, level, nid - (1 << level)), pieces, Fraction(area, L ** 3)))
+    return out
+
+
+def _over(num: np.ndarray, den: int) -> np.ndarray:
+    """float(Fraction(n, den)) for every n in num, 0 <= n <= den."""
+    if num.dtype != object and den < 1 << 53:
+        return num / den  # both are exact doubles, so the quotient rounds once
+    return np.array([n / den for n in num.tolist()], dtype=np.float64)
 
 
 def five_probes(arc: UnitArc):
@@ -337,6 +473,40 @@ def five_probes(arc: UnitArc):
     ]
 
 
+def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain,
+                            depth: int, nr: int = 4, na: int = 4):
+    """dyadic_restriction for every offset: (trees, domains), one per offset.
+
+    Each block of OFFSET_BLOCK offsets takes one good_nodes_many pass and
+    one evaluation of w on the midpoint mesh of all of its pieces.  A
+    node's integral adds its pieces' quadratures in clip order, so every
+    row is bitwise the one-offset result.  An offset without good nodes,
+    or whose averages are not positive and finite, raises a ValueError
+    naming it.
+    """
+    thetas = list(thetas)
+    vals = np.ones((len(thetas), 1 << (depth + 1)))
+    mask = np.zeros(vals.shape, dtype=bool)
+    for lo in range(0, len(thetas), OFFSET_BLOCK):
+        block = thetas[lo:lo + OFFSET_BLOCK]
+        g = good_nodes_many(block, domain, depth)
+        counts = np.bincount(g.offset, minlength=len(block))
+        if not counts.all():
+            raise ValueError(f"offset {block[int(np.argmin(counts))]} failed: no good "
+                             "nodes: region and grid scales do not meet")
+        q = _quadrature_many(*(_over(b, g.denom) for b in
+                               (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi - g.ang_lo)), w, nr, na)
+        first, sizes = g.start[:-1], np.diff(g.start)
+        integral = q[first]
+        for i in range(1, int(sizes.max())):  # left to right, as sum() adds
+            more = sizes > i
+            integral[more] += q[first[more] + i]
+        vals[lo + g.offset, g.node] = integral / _over(g.area, g.denom ** 3)
+        mask[lo + g.offset, g.node] = True
+    trees = _per_offset(thetas, lambda th, v: TreeWeight(th, depth, v), thetas, vals)
+    return trees, [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)]
+
+
 def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain,
                        depth: int, nr: int = 4, na: int = 4):
     """Average w over T(I) cap region for every good node of the offset.
@@ -344,19 +514,11 @@ def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain,
     Returns (TreeWeight, DyadicDomain) on the offset's grid: the tree value
     at a good node is the region average of w over its top half (midpoint
     quadrature per exact piece), cells off the good set carry a neutral 1
-    and are excluded from the domain.
+    and are excluded from the domain.  The one-offset case of
+    dyadic_restriction_many.
     """
-    goods = good_nodes(theta, domain, depth)
-    if not goods:
-        raise ValueError("no good nodes: region and grid scales do not meet")
-    vals = np.ones(1 << (depth + 1))
-    mask = np.zeros(1 << (depth + 1), dtype=bool)
-    for node, pieces, area in goods:
-        integral = sum(rect_quadrature(p, w, nr, na) for p in pieces)
-        nid = (1 << node.level) + node.index
-        vals[nid] = integral / float(area)
-        mask[nid] = True
-    return TreeWeight(theta, depth, vals), DyadicDomain(theta, depth, mask)
+    trees, doms = dyadic_restriction_many(w, [theta], domain, depth, nr, na)
+    return trees[0], doms[0]
 
 
 def restriction_certificate(w: SampledWeight, p: float, q: float,
@@ -663,7 +825,8 @@ def _survey_geo_family(stacks, p: float, family, nr: int = 6, na: int = 6):
     returned (negative or tiny positive means it held).  Each stack is
     evaluated at a box's mesh in one lookup over all of its offsets.
     """
-    batches = [(np.stack([t.values for t in trees]), [t.theta for t in trees],
+    # offsets as floats once, not once per box
+    batches = [(np.stack([t.values for t in trees]), np.array([float(t.theta) for t in trees]),
                 trees[0].depth, power) for trees, power in stacks]
     best = 0.0
     mink_worst = -np.inf
@@ -700,10 +863,10 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     extension is factored into B_1 pieces over the full tree.  The output
     is the geometric mean in theta of the per-offset extensions (for
     p > 1, of each factor separately, recombined as W1 W2^{1-p}).  The
-    restriction (and for p = 1 the extension) runs offset by offset; for
-    p > 1 the extension and the factorization each run once on the stack
-    of all offsets' trees.  A ValueError from one offset is raised again
-    naming the offset.
+    restriction runs once for all offsets (dyadic_restriction_many); for
+    p = 1 the extension runs offset by offset, and for p > 1 the extension
+    and the factorization each run once on the stack of all offsets'
+    trees.  A ValueError from one offset is raised again naming the offset.
 
     Reported constants: a continuous B_p (or B_1) survey over the default
     arc family, the worst log-Minkowski margin seen on those boxes, and
@@ -711,10 +874,7 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     all offsets' trees at each box in one batch.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
-    restricted = _per_offset(
-        thetas, lambda theta: dyadic_restriction(w, theta, domain, depth), thetas)
-    trees = [wt for wt, _ in restricted]
-    doms = [om for _, om in restricted]
+    trees, doms = dyadic_restriction_many(w, thetas, domain, depth)
     if p == 1:
         exts = _per_offset(thetas, lambda wt, om: extend_b1(wt, q, om), trees, doms)
         facts = [None] * theta_count

@@ -579,6 +579,10 @@ def _martingale(command: str, spec: dict):
     if kind == "random_pm1":
         # random_pm1 materializes every level, 2^(depth+1) - 1 values
         _check_footprint(command, "'depth'", 1, cfg["depth"] + 1)
+    if kind == "materialized" and cfg["depth"] not in (None, len(cfg["values"]) - 1):
+        raise PreconditionError(
+            f"{command}: config key 'depth' {cfg['depth']} differs from the depth "
+            f"{len(cfg['values']) - 1} of 'values'")
     return martingale_from_spec({"kind": kind, **cfg})
 
 

@@ -9,10 +9,10 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from discweights.averaging import dyadic_restriction
+from discweights.averaging import dyadic_restriction, rect_quadrature
 from discweights.extension import extend_bp
 from discweights.factorization import factor_bho_full
-from discweights.geometry import area_carleson, area_top, mod1
+from discweights.geometry import GridNode, area_carleson, area_top, mod1
 from discweights.martingales import SeqEntry, default_probe_addresses
 from discweights.weights import node_id, node_levels
 
@@ -117,6 +117,49 @@ def brute_cell_id(depth, theta, modulus, angle):
     rel = (F(angle) - F(theta)) % 1
     j = math.ceil(rel * (1 << k)) - 1
     return (1 << k) + (j if j >= 0 else (1 << k) - 1)
+
+
+def brute_good_nodes(theta, domain, depth, threshold=F(1, 18)):
+    """good_nodes one node at a time in exact rationals.
+
+    Per level, a few candidate indices around each generator of a nearby
+    scale; per candidate, ContinuousDomain.clip_to_top and a Fraction sum
+    of the piece areas against threshold * A(T(I)).  Returns (GridNode,
+    pieces, area) sorted by node id.
+    """
+    theta = mod1(theta)
+    found = {}
+    for k in range(depth + 1):
+        step = F(1, 1 << k)
+        cand = set()
+        for g in domain.generators:
+            if not (step / 2 < g.length < 2 * step):
+                continue
+            lo = (g.left - theta) / step
+            lo_idx = lo.numerator // lo.denominator
+            count = int(math.ceil(float(g.length / step))) + 2
+            for t in range(lo_idx, lo_idx + count + 1):
+                cand.add(t % (1 << k))
+        for j in sorted(cand):
+            node = GridNode(theta, k, j)
+            pieces = domain.clip_to_top(node)
+            if not pieces:
+                continue
+            inter = sum((p.area() for p in pieces), F(0))
+            if inter >= threshold * area_top(node.length):
+                found[(k, j)] = (node, pieces, inter)
+    return [found[key] for key in sorted(found)]
+
+
+def brute_restriction_values(w, theta, domain, depth, nr=4, na=4):
+    """Tree values of the restriction to one offset: per node of
+    brute_good_nodes, rect_quadrature piece by piece, summed in clip order
+    and divided by the exact area; 1 off the good nodes."""
+    vals = np.ones(1 << (depth + 1))
+    for node, pieces, area in brute_good_nodes(theta, domain, depth):
+        integral = sum(rect_quadrature(p, w, nr, na) for p in pieces)
+        vals[(1 << node.level) + node.index] = integral / float(area)
+    return vals
 
 
 def per_offset_pipeline(w, p, q, region, depth, theta_count):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discweights import averaging
 from discweights.averaging import (
     ContinuousDomain,
     SampledWeight,
@@ -16,10 +17,12 @@ from discweights.averaging import (
     continuous_bp_constant,
     default_arc_family,
     dyadic_restriction,
+    dyadic_restriction_many,
     extend_continuous,
     five_probes,
     geo_mean_weight,
     good_nodes,
+    good_nodes_many,
     mean_common_boxes,
     rect_quadrature,
     restriction_certificate,
@@ -38,7 +41,7 @@ from discweights.geometry import (
 )
 from discweights.weights import TreeWeight, osc_constants, random_log_walk
 
-from helpers import per_offset_pipeline
+from helpers import brute_good_nodes, brute_restriction_values, per_offset_pipeline
 
 
 def scale_cap(ell):
@@ -241,6 +244,66 @@ class TestGoodNodes:
                     _arcs_overlap(g, n.arc()) for n, _, _ in goods
                 ), (theta, g)
 
+    def test_batched_matches_oracle_randomized(self):
+        """Node ids, exact areas and clip pieces of every offset, against the
+        one-node-at-a-time Fraction scan, on wrapping and overlapping arcs."""
+        rng = np.random.default_rng(31)
+        paths = set()
+        for case in range(16):
+            depth = case % 8
+            count = (1, 7, 64, 128)[case % 4]
+            den = int(rng.choice([360, 720, 1001, 2310]))
+            arcs = [UnitArc(F(int(rng.integers(0, den // 20)), den),   # wraps through 0
+                            F(int(rng.integers(den // 40, den // 2)), den))]
+            arcs += [UnitArc(F(int(rng.integers(0, den)), den),
+                             F(int(rng.integers(den // 300 + 1, den)), den))
+                     for _ in range(int(rng.integers(1, 4)))]
+            dom = ContinuousDomain(arcs)
+            if case < 8:
+                thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
+            else:
+                thetas = [F(int(rng.integers(0, 997)), 997) for _ in range(count)]
+            got = good_nodes_many(thetas, dom, depth)
+            assert (got.area.dtype == object) == (18 * got.denom ** 3 >= 1 << 63)
+            paths.add(got.area.dtype)
+            for t, theta in enumerate(thetas):
+                rows = np.flatnonzero(got.offset == t)
+                want = brute_good_nodes(theta, dom, depth)
+                assert got.node[rows].tolist() == \
+                       [(1 << n.level) + n.index for n, _, _ in want], (case, theta)
+                assert [F(int(a), got.denom ** 3) for a in got.area[rows]] == \
+                       [area for _, _, area in want]
+                if t < 8:
+                    assert good_nodes(theta, dom, depth) == want
+        assert paths == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_python_int_path_matches_oracle(self):
+        """Float-born arcs put L near 2^62, so 18 L^3 passes 2^63: the scan
+        runs on Python ints and must still match the oracle exactly."""
+        arcs = [default_arc_family(3, rng=5, random_count=1)[-1],
+                UnitArc(F(float(np.float64(0.8125) + 2.0 ** -40)), F(1, 5)),
+                UnitArc(F(1, 3), F(1, 7))]
+        dom = ContinuousDomain(arcs)
+        thetas = [F(2 * i + 1, 14) for i in range(7)]
+        got = good_nodes_many(thetas, dom, 6)
+        assert 18 * got.denom ** 3 >= 1 << 63
+        assert got.area.dtype == object
+        for theta in thetas:
+            assert good_nodes(theta, dom, 6) == brute_good_nodes(theta, dom, 6)
+        w = sqrt_weight()
+        trees, _ = dyadic_restriction_many(w, thetas, dom, 6)
+        for theta, tree in zip(thetas, trees):
+            assert np.array_equal(tree.values, brute_restriction_values(w, theta, dom, 6))
+
+    def test_fixtures_take_the_int64_path(self):
+        for name in CONTINUOUS_FIXTURES:
+            _, dom = continuous_fixture(name)
+            for depth, count in ((6, 64), (7, 128)):
+                thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
+                got = good_nodes_many(thetas, dom, depth)
+                assert 18 * got.denom ** 3 < 1 << 63
+                assert got.area.dtype == np.int64
+
     def test_five_probes_sit_inside_their_top(self):
         for arcs in CONTINUOUS_FIXTURES.values():
             for g in arcs:
@@ -333,6 +396,11 @@ class TestDyadicRestriction:
         wt, om = dyadic_restriction(w, F(1, 5), dom, 7)
         rep = osc_constants(wt, om)
         assert np.isfinite(rep.l_const) and np.isfinite(rep.c_const)
+
+    def test_offset_without_good_nodes_is_named(self):
+        dom = ContinuousDomain([UnitArc(F(1, 3), F(1, 1000))])
+        with pytest.raises(ValueError, match="offset 1/7 failed: no good nodes"):
+            dyadic_restriction(sqrt_weight(), F(1, 7), dom, 3)
 
     def test_non_finite_samples_raise(self):
         _, dom = continuous_fixture("pair_overlap")
@@ -516,6 +584,23 @@ class TestExtendContinuous:
             assert np.array_equal(art.factorization.w2.values, fact.w2.values)
             assert [c.as_dict() for c in art.factorization.certificates] == \
                    [c.as_dict() for c in fact.certificates]
+
+    def test_pipeline_restricts_without_per_node_clips(self, monkeypatch):
+        """No per-node clip or per-piece quadrature in the pipeline, and each
+        offset's restriction is bitwise the per-piece reference."""
+        w, dom = continuous_fixture("chain_wrap")
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(ContinuousDomain, "clip_to_top",
+                      lambda *a, **k: calls.append("clip_to_top"))
+            m.setattr(averaging, "rect_quadrature",
+                      lambda *a, **k: calls.append("rect_quadrature"))
+            res = extend_continuous(w, 2.0, 2.0, dom, depth=5, theta_count=8,
+                                    family_depth=3)
+        assert calls == []
+        for art in res.artifacts:
+            assert np.array_equal(art.restriction.values,
+                                  brute_restriction_values(w, art.theta, dom, 5))
 
     def test_per_theta_failure_names_the_offset(self):
         _, dom = continuous_fixture("pair_overlap")

@@ -223,6 +223,8 @@ class TestExitCodes:
         ({"sequence": {"entries": [{"address": "012"}]}}, "entries"),
         ({"sequence": {"entries": [{"address": "01", "generation": -1}]}}, "entries"),
         ({"sequence": {"grid_theta": "1/0", "entries": []}}, "grid_theta"),
+        ({"martingale": {"kind": "materialized", "depth": 9, "values": [[0.0], [1.0, -1.0]]}},
+         "depth"),
     ])
     def test_trace_nested_objects_name_the_key(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
