@@ -22,6 +22,12 @@ is decided without rounding.  The integers are int64 while 18 L^3 < 2^63
 or 128 offsets) and Python ints beyond, as for arcs built from floats,
 whose denominators reach 2^53.
 
+The averaged weight, a product of geometric means of tree weights, is
+constant on the cells of one refinement: tree depth bands times the
+pieces between the finest grid lines of all offsets and the surveyed arc
+endpoints.  So its continuous B_p and B_1 constants are exact sums of
+cell value times cell area (and minima over cells), not mesh samples.
+
 The offset measure of predecessor scales: for an arc of length ell with
 2^{-N} <= ell < 2^{-N+1}, the chance that a uniformly shifted grid
 contains the arc inside a level-m grid arc is 1 - 2^m ell (nonnegative for
@@ -56,7 +62,6 @@ from .weights import (
     _per_offset,
     _plain,
     bp_constant as tree_bp_constant,
-    values_at,
 )
 
 __all__ = [
@@ -70,14 +75,10 @@ __all__ = [
     "dyadic_restriction_many",
     "dyadic_restriction",
     "restriction_certificate",
-    "five_probes",
     "geo_mean_weight",
     "default_arc_family",
-    "continuous_bp_constant",
-    "continuous_b1_constant",
     "restricted_box_product",
     "avg_beta_check",
-    "mean_common_boxes",
     "ContinuousExtensionResult",
     "extend_continuous",
 ]
@@ -443,34 +444,10 @@ def good_nodes(theta, domain: ContinuousDomain, depth: int,
 
 
 def _over(num: np.ndarray, den: int) -> np.ndarray:
-    """float(Fraction(n, den)) for every n in num, 0 <= n <= den."""
+    """float(Fraction(n, den)) for every n in num (any shape), 0 <= n <= den."""
     if num.dtype != object and den < 1 << 53:
         return num / den  # both are exact doubles, so the quotient rounds once
-    return np.array([n / den for n in num.tolist()], dtype=np.float64)
-
-
-def five_probes(arc: UnitArc):
-    """Five probe points of T(arc): four corners and the outer-arc midpoint.
-
-    Corners are nudged inward by a 2^-40 relative amount so that each probe
-    lies in the half-open set; the nudge is far below the rational
-    resolution of any bundled generator, so grid-cell assignment matches
-    the ideal corner's cell whenever the corner is not exactly on a grid
-    line (and takes the inside arc when it is).  Returned as (depth, angle)
-    pairs, exact.
-    """
-    ell = arc.length
-    tiny = ell / (1 << 40)
-    left, right = arc.left, mod1(arc.left + ell)
-    d_in = ell
-    d_out = ell / 2 + tiny
-    return [
-        (d_in, mod1(left + tiny)),
-        (d_in, right),
-        (d_out, mod1(left + tiny)),
-        (d_out, right),
-        (d_out, mod1(left + ell / 2)),
-    ]
+    return np.array([n / den for n in num.ravel().tolist()], dtype=np.float64).reshape(num.shape)
 
 
 def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain,
@@ -612,47 +589,6 @@ def default_arc_family(depth: int, rng=None, random_count: int = 0):
     return out
 
 
-def _box_mesh(arc: UnitArc, nr: int, na: int):
-    """Midpoint mesh over the Carleson box S(arc) with per-cell areas.
-
-    The depth subdivision is graded (quartically) toward the boundary:
-    boxes reach depth 0 and radial powers of 1 - |z|^2 have square-root
-    behavior there, which a uniform midpoint rule resolves poorly.
-    """
-    ell = float(arc.length)
-    left = float(arc.left)
-    edges = ell * np.linspace(0.0, 1.0, nr + 1) ** 4
-    dmid = 0.5 * (edges[:-1] + edges[1:])
-    amid = (left + (np.arange(na) + 0.5) * ell / na) % 1.0
-    sub = ell / na * ((1 - edges[:-1]) ** 2 - (1 - edges[1:]) ** 2)
-    r, a = np.meshgrid(1.0 - dmid, amid, indexing="ij")
-    areas = np.repeat(sub[:, None], na, axis=1)
-    return r.ravel(), a.ravel(), areas.ravel()
-
-
-def continuous_bp_constant(w: SampledWeight, p: float,
-                           family: Sequence[UnitArc], nr: int = 6, na: int = 6):
-    """Survey sup of the B_p product over an arc family by quadrature.
-
-    Evaluates w once per box mesh and reuses the values for the dual power.
-    Returns (sup, per-arc list of (arc, value)).
-    """
-    if p <= 1:
-        raise ValueError("use continuous_b1_constant at the endpoint")
-    rows = []
-    best = 0.0
-    for arc in family:
-        r, a, areas = _box_mesh(arc, nr, na)
-        vals = w(r, a)
-        total = areas.sum()
-        avg_w = float((vals * areas).sum() / total)
-        avg_dual = float((vals ** (-1.0 / (p - 1)) * areas).sum() / total)
-        prod = avg_w * avg_dual ** (p - 1)
-        rows.append((arc, prod))
-        best = max(best, prod)
-    return best, rows
-
-
 def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
                            arc: UnitArc, nr: int = 4, na: int = 4):
     """The restricted B_p product of w over S(arc) cap region.
@@ -671,20 +607,6 @@ def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
     dual = SampledWeight(lambda r, a: w(r, a) ** (-1.0 / (p - 1)))
     int_dual = sum(rect_quadrature(pc, dual, nr, na) for pc in pieces)
     return (int_w / area) * (int_dual / area) ** (p - 1)
-
-
-def continuous_b1_constant(w: SampledWeight, family: Sequence[UnitArc],
-                           nr: int = 6, na: int = 6):
-    """Survey sup over arcs of (box average of w) / (box minimum of w)."""
-    rows = []
-    best = 0.0
-    for arc in family:
-        r, a, areas = _box_mesh(arc, nr, na)
-        vals = w(r, a)
-        ratio = float((vals * areas).sum() / areas.sum() / vals.min())
-        rows.append((arc, ratio))
-        best = max(best, ratio)
-    return best, rows
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +670,6 @@ def avg_beta_check(pairs, resolution_bits: int = 12):
     }
 
 
-def mean_common_boxes(z, w, resolution_bits: int = 12) -> float:
-    """Mean over offsets of the number of grid boxes containing both cells."""
-    t = 1 << resolution_bits
-    thetas = (np.arange(t) + 0.5) / t
-    _, common = _common_ancestor_levels(z, w, thetas)
-    return float((common + 1).mean())
-
-
 # ---------------------------------------------------------------------------
 # the continuous extension pipeline
 # ---------------------------------------------------------------------------
@@ -814,41 +728,140 @@ def _domain_mesh(domain: ContinuousDomain, nr: int = 10, na: int = 32,
     return _pieces_mesh(domain.pieces(), nr, na, d_floor=d_floor)
 
 
-def _survey_geo_family(stacks, p: float, family, nr: int = 6, na: int = 6):
+def _window_mean_log(logv: np.ndarray, th: np.ndarray, k: int, L: int,
+                     origin: int, span: int, cuts: np.ndarray) -> np.ndarray:
+    """Mean over offsets of the band-k log tree value (logv, offsets x 2^k)
+    on each piece of the window (origin, origin + span] starting at cuts:
+    the value at its start plus cumulative jumps at each offset's lines."""
+    step, cells = L >> k, 1 << k
+    count = np.arange(max(1, span // step))
+    at = ((th - origin) % step)[:, None] + count.astype(th.dtype) * step  # lines from origin on
+    cell = ((-((th - origin) // step)) % cells).astype(np.intp)  # right of the first one
+    col = (cell[:, None] + count) % cells
+    rows = np.arange(len(th))[:, None]
+    inside = at < span
+    jumps = np.bincount(np.searchsorted(cuts, at[inside]),
+                        (logv[rows, col] - logv[rows, col - 1])[inside], minlength=len(cuts))
+    return (logv[rows[:, 0], cell - 1].sum() + np.cumsum(jumps)) / len(th)
+
+
+def _tree_prefix(trees, th: np.ndarray, k: int, L: int, points: np.ndarray) -> np.ndarray:
+    """(offsets, points + 1): each tree's band-k integral along the angle
+    from 0 to each point (the first is 0) and to the full turn."""
+    step, cells = L >> k, 1 << k
+    total = np.stack([t.values[cells:2 * cells] for t in trees])
+    np.cumsum(total, axis=1, out=total)
+    rows = np.arange(len(th))[:, None]
+    rel = (points - th[:, None]) % L
+    j = (rel // step).astype(np.intp)
+    before = np.where(j > 0, total[rows, j - 1], 0.0)
+    at = before / cells + _over(rel % step, L) * (total[rows, j] - before)  # from theta
+    whole = total[:, -1:] / cells
+    return np.hstack([at - at[:, :1] + np.where(rel < rel[:, :1], whole, 0.0), whole])
+
+
+def _survey_geo_family(stacks, p: float, family):
     """Survey the B_p product of a product of geo-averaged tree families.
 
-    stacks: list of (trees, exponent) pairs; the surveyed weight at a point
-    is the product over stacks of exp(mean_theta log tree value)^exponent.
-    Along the way the log-Minkowski inequality (box average of the
-    geometric mean is at most the geometric mean of box averages) is
-    checked for every stack on every box; the worst relative violation is
-    returned (negative or tiny positive means it held).  Each stack is
-    evaluated at a box's mesh in one lookup over all of its offsets.
+    stacks: (trees, exponent) pairs, all trees of one depth N; the weight
+    g is the product over stacks of exp(mean_theta log tree)^exponent.
+    Returns the sup over the family and the worst relative violation of
+    log-Minkowski (box average of each stack's geometric mean at most the
+    geometric mean of its box averages; negative or tiny means it held).
+
+    Both are exact: g is constant on depth band k (the leaf band
+    (0, 2^-N]) times the pieces between the finest grid lines of all
+    offsets and the arc endpoints, integers over one denominator L.  Per
+    band and window of 2^-(N // 2) turns, the mean log on each piece is a
+    cumulative sum of jumps; cell value times exact area, and the B_1
+    minimum over this and deeper bands, add up per chunk between arc
+    endpoints and window starts.  Offsets' box sums come from their own
+    cells.  The largest arrays: a band's (offsets, 2^k) values, a window's
+    pieces, the (offsets, arcs) box sums.
     """
-    # offsets as floats once, not once per box
-    batches = [(np.stack([t.values for t in trees]), np.array([float(t.theta) for t in trees]),
-                trees[0].depth, power) for trees, power in stacks]
-    best = 0.0
-    mink_worst = -np.inf
-    for arc in family:
-        r, a, areas = _box_mesh(arc, nr, na)
-        mu = areas / areas.sum()
-        logg = np.zeros_like(r)
-        for values, thetas, depth, power in batches:
-            logv = np.log(values_at(values, thetas, depth, r, a))
-            mean_log = logv.mean(axis=0)
-            logg += power * mean_log
-            lhs = float(mu @ np.exp(mean_log))
-            rhs = float(np.exp(np.mean(np.log(np.exp(logv) @ mu))))
-            mink_worst = max(mink_worst, lhs / rhs - 1.0)
-        g = np.exp(logg)
-        avg_w = float(mu @ g)
-        if p == 1:
-            val = avg_w / float(g.min())
-        else:
-            val = avg_w * float(mu @ g ** (-1.0 / (p - 1))) ** (p - 1)
-        best = max(best, val)
-    return best, mink_worst
+    arcs = list(family)
+    depth = stacks[0][0][0].depth
+    L = math.lcm(1 << (depth + 1), *(t.theta.denominator for trees, _ in stacks for t in trees),
+                 *(x.denominator for arc in arcs for x in (arc.left, arc.length)))
+    dt = np.int64 if L < 1 << 61 else object
+
+    def scaled(xs):
+        return np.array([x.numerator * (L // x.denominator) for x in xs], dtype=dt)
+
+    offsets = [scaled(t.theta for t in trees) for trees, _ in stacks]
+    left, ell = scaled(arc.left for arc in arcs), scaled(arc.length for arc in arcs)
+    right = (left + ell) % L
+    windows, span, fine = 1 << (depth // 2), L >> (depth // 2), L >> depth
+    grid = np.arange(windows + 1).astype(dt) * span
+    # each window holds the same finest grid lines, relative to its start
+    shifts = sorted({t.theta % Fraction(1, 1 << depth) for trees, _ in stacks for t in trees})
+    lines = (np.arange(span // fine).astype(dt)[:, None] * fine + scaled(shifts)).ravel()
+    # distinct chunk starts, sorted (a first np.unique call imports a megabyte)
+    starts = np.sort(np.concatenate([grid[:-1], left, right]))
+    starts = starts[np.append(True, starts[1:] != starts[:-1])]
+    edges = np.searchsorted(starts, grid)
+    # arc i is chunks a[i] to b[i], through angle 0 when b[i] <= a[i]
+    a = np.searchsorted(starts, left)
+    b = np.where(right == 0, len(starts), np.searchsorted(starts, right))
+    wrap = b <= a
+
+    def along(prefix):  # integrals over each arc from (..., chunks + 1) ones from 0
+        return prefix[..., b] - prefix[..., a] + np.where(wrap, prefix[..., -1:], 0.0)
+
+    # (bands, arcs): the exact area of band k inside each box, per unit of angle
+    lo = np.array([L >> (k + 1) for k in range(depth)] + [0], dtype=dt)[:, None]
+    hi = np.array([L >> k for k in range(depth + 1)], dtype=dt)[:, None]
+    d_lo, d_top = _over(lo, L), _over(np.maximum(np.minimum(ell, hi), lo), L)
+    factor = (d_top - d_lo) * (2.0 - d_lo - d_top)
+
+    # (bands, chunks) integrals along the angle, and minima of g
+    g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
+    geo_int = [np.zeros_like(g_int) for _ in stacks]
+    tree_sums = [np.zeros((len(th), len(arcs))) for th in offsets]
+    for k in range(depth + 1):
+        logs = [np.stack([t.values[1 << k:2 << k] for t in trees]) for trees, _ in stacks]
+        for logv in logs:
+            np.log(logv, out=logv)
+        for w in range(windows):
+            chunks, origin = slice(edges[w], edges[w + 1]), w * span
+            rel = starts[chunks] - origin
+            # a chunk start on a grid line leaves a zero-width piece, adding nothing
+            cuts = np.insert(lines, np.searchsorted(lines, rel), rel)
+            width = _over(np.diff(np.append(cuts, span)), L)
+            first = np.searchsorted(cuts, rel)
+            logg = np.zeros(len(cuts))
+            for (_, power), th, logv, geo in zip(stacks, offsets, logs, geo_int):
+                mean_log = _window_mean_log(logv, th, k, L, origin, span, cuts)
+                logg += power * mean_log
+                geo[k, chunks] = np.add.reduceat(width * np.exp(mean_log), first)
+            g = np.exp(logg)
+            g_int[k, chunks] = np.add.reduceat(width * g, first)
+            if p == 1:
+                g_min[k, chunks] = np.minimum.reduceat(g, first)
+            else:
+                dual_int[k, chunks] = np.add.reduceat(width * g ** (-1.0 / (p - 1)), first)
+        del logs, logv  # one (offsets, 2^k) array per stack at a time
+        for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
+            sums += factor[k] * along(_tree_prefix(trees, th, k, L, starts))
+
+    def over_arcs(table):
+        prefix = np.concatenate([np.zeros((depth + 1, 1)), np.cumsum(table, axis=1)], axis=1)
+        return np.sum(factor * along(prefix), axis=0)
+
+    area = _over(ell, L) ** 2 * (2.0 - _over(ell, L))
+    avg_g = over_arcs(g_int) / area
+    if p == 1:
+        # box minima from each box's shallowest band down; in two laps no arc wraps
+        low = np.minimum.accumulate(g_min[::-1], axis=0)[::-1]
+        laps = np.concatenate([low, low, np.full((depth + 1, 1), np.inf)], axis=1).ravel()
+        row = np.sum(lo >= ell, axis=0) * (2 * len(starts) + 1)
+        spans = np.stack([row + a, row + b + np.where(wrap, len(starts), 0)], axis=1)
+        val = avg_g / np.minimum.reduceat(laps, spans.ravel())[::2]
+    else:
+        val = avg_g * (over_arcs(dual_int) / area) ** (p - 1)
+    mink = [over_arcs(geo) / area / np.exp(np.mean(np.log(sums / area), axis=0)) - 1.0
+            for geo, sums in zip(geo_int, tree_sums)]
+    return float(val.max(initial=0.0)), float(np.max(mink, initial=-np.inf))
 
 
 def extend_continuous(w: SampledWeight, p: float, q: float,
@@ -868,10 +881,11 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     and the factorization each run once on the stack of all offsets'
     trees.  A ValueError from one offset is raised again naming the offset.
 
-    Reported constants: a continuous B_p (or B_1) survey over the default
-    arc family, the worst log-Minkowski margin seen on those boxes, and
-    the sup over a region mesh of |log w - log W|.  The survey evaluates
-    all offsets' trees at each box in one batch.
+    Reported constants: the continuous B_p (or B_1) constant of the
+    averaged weight over the default arc family and the worst
+    log-Minkowski margin on those boxes, both exact cell sums
+    (_survey_geo_family), and the sup over a region mesh of
+    |log w - log W|.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
     trees, doms = dyadic_restriction_many(w, thetas, domain, depth)
@@ -892,13 +906,8 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     else:
         w1s = [a.factorization.w1 for a in artifacts]
         w2s = [a.factorization.w2 for a in artifacts]
-        g1 = geo_mean_weight(w1s)
-        g2 = geo_mean_weight(w2s)
-
-        def fn(r, a):
-            return g1(r, a) * g2(r, a) ** (1.0 - p)
-
-        big = SampledWeight(fn)
+        g1, g2 = geo_mean_weight(w1s), geo_mean_weight(w2s)
+        big = SampledWeight(lambda r, a: g1(r, a) * g2(r, a) ** (1.0 - p))
         const, mink = _survey_geo_family([(w1s, 1.0), (w2s, 1.0 - p)], p, family)
         key = "continuous_bp"
 

@@ -421,6 +421,8 @@ def _run_extend_continuous(cfg: dict):
     p, q = float(cfg["p"]), float(cfg["q"])
     depth, theta_count = cfg["depth"], cfg["theta_count"]
     _check_footprint("extend-continuous", "'depth' with 'theta_count'", theta_count, depth + 1)
+    _check_footprint("extend-continuous", "'family_depth' with 'theta_count'",  # box sums per arc
+                     theta_count * (cfg["family_depth"] + 1), cfg["family_depth"] + 1)
     names = list(CONTINUOUS_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
 
     certs, rows, results = [], [], {}

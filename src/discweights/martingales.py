@@ -67,7 +67,6 @@ __all__ = [
     "threshold_sequence",
     "counterexample_build",
     "divergence_terms",
-    "weak_separation_ok",
     "ParentRecord",
     "GenerationRecord",
     "BuildResult",
@@ -1032,17 +1031,6 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
         depth_budget=depth_budget,
         requested=generations,
     )
-
-
-def weak_separation_ok(seq: PointSeq) -> bool:
-    """True when no two same-generation addresses are nested (disjoint boxes)."""
-    by_gen = seq.generation_spans()
-    for idxs in by_gen.values():
-        addrs = sorted(seq.entries[i].address for i in idxs)
-        for a, b in zip(addrs, addrs[1:]):
-            if b.startswith(a):
-                return False
-    return True
 
 
 def divergence_terms(seq: PointSeq, M: DyadicMartingale, lam: float,

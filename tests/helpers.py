@@ -1,7 +1,10 @@
 """Brute-force reference computations shared by several test modules.
 
 Everything here recomputes tree quantities from explicit cell lists in
-pure Python, deliberately ignoring the package's vectorized layouts.
+pure Python, deliberately ignoring the package's vectorized layouts, or is
+a sampled or exact computation the package no longer runs, kept as an
+oracle (the mesh survey of continuous constants, probe points, offset
+sampling of common boxes, weak separation of a sequence).
 """
 
 import math
@@ -9,10 +12,10 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from discweights.averaging import dyadic_restriction, rect_quadrature
+from discweights.averaging import _common_ancestor_levels, dyadic_restriction, rect_quadrature
 from discweights.extension import extend_bp
 from discweights.factorization import factor_bho_full
-from discweights.geometry import GridNode, area_carleson, area_top, mod1
+from discweights.geometry import GridNode, arc_contains_angle, area_carleson, area_top, mod1
 from discweights.martingales import SeqEntry, default_probe_addresses
 from discweights.weights import node_id, node_levels
 
@@ -176,6 +179,177 @@ def per_offset_pipeline(w, p, q, region, depth, theta_count):
         ext = extend_bp(wt, p, q, om)
         rows.append((theta, wt, om, ext, factor_bho_full(ext.weight, p)))
     return rows
+
+
+def five_probes(arc):
+    """Five probe points of T(arc): four corners and the outer-arc midpoint.
+
+    Corners are nudged inward by a 2^-40 relative amount so that each probe
+    lies in the half-open set; the nudge is far below the rational
+    resolution of any bundled generator, so grid-cell assignment matches
+    the ideal corner's cell whenever the corner is not exactly on a grid
+    line (and takes the inside arc when it is).  Returned as (depth, angle)
+    pairs, exact.
+    """
+    ell = arc.length
+    tiny = ell / (1 << 40)
+    left, right = arc.left, mod1(arc.left + ell)
+    d_in = ell
+    d_out = ell / 2 + tiny
+    return [
+        (d_in, mod1(left + tiny)),
+        (d_in, right),
+        (d_out, mod1(left + tiny)),
+        (d_out, right),
+        (d_out, mod1(left + ell / 2)),
+    ]
+
+
+def box_mesh(arc, nr, na, grade=4):
+    """Midpoint mesh over the Carleson box S(arc) with per-cell areas.
+
+    The depth subdivision is graded toward the boundary by the power
+    `grade` (4, quartic, by default; 1 is uniform): boxes reach depth 0 and
+    radial powers of 1 - |z|^2 have square-root behavior there, which a
+    uniform midpoint rule resolves poorly.
+    """
+    ell = float(arc.length)
+    left = float(arc.left)
+    edges = ell * np.linspace(0.0, 1.0, nr + 1) ** grade
+    dmid = 0.5 * (edges[:-1] + edges[1:])
+    amid = (left + (np.arange(na) + 0.5) * ell / na) % 1.0
+    sub = ell / na * ((1 - edges[:-1]) ** 2 - (1 - edges[1:]) ** 2)
+    r, a = np.meshgrid(1.0 - dmid, amid, indexing="ij")
+    areas = np.repeat(sub[:, None], na, axis=1)
+    return r.ravel(), a.ravel(), areas.ravel()
+
+
+def continuous_bp_constant(w, p, family, nr=6, na=6, grade=4):
+    """Survey sup of the B_p product over an arc family by mesh quadrature.
+
+    Evaluates w once per box mesh and reuses the values for the dual power.
+    Returns (sup, per-arc list of (arc, value)).
+    """
+    if p <= 1:
+        raise ValueError("use continuous_b1_constant at the endpoint")
+    rows = []
+    best = 0.0
+    for arc in family:
+        r, a, areas = box_mesh(arc, nr, na, grade)
+        vals = w(r, a)
+        total = areas.sum()
+        avg_w = float((vals * areas).sum() / total)
+        avg_dual = float((vals ** (-1.0 / (p - 1)) * areas).sum() / total)
+        prod = avg_w * avg_dual ** (p - 1)
+        rows.append((arc, prod))
+        best = max(best, prod)
+    return best, rows
+
+
+def continuous_b1_constant(w, family, nr=6, na=6, grade=4):
+    """Survey sup over arcs of (box average of w) / (box minimum of w), by
+    mesh quadrature and the minimum over the mesh points."""
+    rows = []
+    best = 0.0
+    for arc in family:
+        r, a, areas = box_mesh(arc, nr, na, grade)
+        vals = w(r, a)
+        ratio = float((vals * areas).sum() / areas.sum() / vals.min())
+        rows.append((arc, ratio))
+        best = max(best, ratio)
+    return best, rows
+
+
+def brute_cell_survey(stacks, p, family):
+    """(sup, log-Minkowski margin) of the averaging survey, cell by cell.
+
+    The breakpoints are Fractions: every offset's finest grid lines and the
+    arc endpoints.  For each depth band and angular piece, every tree's
+    value is looked up at the piece's midpoint; a box takes the cells of
+    the pieces its arc contains and of the bands it meets, with exact
+    Fraction areas, in plain loops.
+    """
+    depth = stacks[0][0][0].depth
+    points = {F(0)}
+    for trees, _ in stacks:
+        for t in trees:
+            points.update(mod1(t.theta + F(j, 1 << depth)) for j in range(1 << depth))
+    for arc in family:
+        points.update((arc.left, mod1(arc.left + arc.length)))
+    cuts = sorted(points) + [F(1)]
+    pieces = list(zip(cuts, cuts[1:]))
+    widths = [e - s for s, e in pieces]
+    bands = [(F(1, 1 << (k + 1)) if k < depth else F(0), F(1, 1 << k), k)
+             for k in range(depth + 1)]
+    # each tree's leaf-level cell index at every piece's midpoint; its
+    # level-k cell index is that index shifted right by depth - k
+    leaf = [[[math.floor(mod1((s + e) / 2 - t.theta) * (1 << depth)) for s, e in pieces]
+             for t in trees] for trees, _ in stacks]
+    # cell (band, piece) -> per stack the list of tree values, and g
+    cells = {}
+    for lo, hi, k in bands:
+        for i in range(len(pieces)):
+            per_stack = []
+            log_g = 0.0
+            for (trees, power), index in zip(stacks, leaf):
+                vals = [t.value_at(k, j[i] >> (depth - k)) for t, j in zip(trees, index)]
+                mean_log = sum(math.log(v) for v in vals) / len(vals)
+                log_g += power * mean_log
+                per_stack.append((vals, math.exp(mean_log)))
+            cells[k, i] = (per_stack, math.exp(log_g))
+    best, margin = 0.0, -math.inf
+    for arc in family:
+        inside = [i for i, (s, e) in enumerate(pieces)
+                  if arc_contains_angle(arc, (s + e) / 2)]
+        area = float(area_carleson(arc.length))
+        sum_g, sum_dual, min_g = 0.0, 0.0, math.inf
+        geo = [0.0] * len(stacks)
+        trees_sum = [[0.0] * len(trees) for trees, _ in stacks]
+        for lo, hi, k in bands:
+            if lo >= arc.length:
+                continue
+            top = min(hi, arc.length)
+            radial = (1 - lo) ** 2 - (1 - top) ** 2
+            for i in inside:
+                width = widths[i]
+                # the exact area, rounded once (int division rounds correctly)
+                cell_area = (width.numerator * radial.numerator
+                             / (width.denominator * radial.denominator))
+                per_stack, g = cells[k, i]
+                sum_g += g * cell_area
+                if p != 1:
+                    sum_dual += g ** (-1.0 / (p - 1)) * cell_area
+                min_g = min(min_g, g)
+                for s_idx, (vals, geo_val) in enumerate(per_stack):
+                    geo[s_idx] += geo_val * cell_area
+                    for t_idx, v in enumerate(vals):
+                        trees_sum[s_idx][t_idx] += v * cell_area
+        avg = sum_g / area
+        val = avg / min_g if p == 1 else avg * (sum_dual / area) ** (p - 1)
+        best = max(best, val)
+        for s_idx, sums in enumerate(trees_sum):
+            rhs = math.exp(sum(math.log(x / area) for x in sums) / len(sums))
+            margin = max(margin, geo[s_idx] / area / rhs - 1.0)
+    return best, margin
+
+
+def mean_common_boxes(z, w, resolution_bits=12):
+    """Mean over offsets of the number of grid boxes containing both cells."""
+    t = 1 << resolution_bits
+    thetas = (np.arange(t) + 0.5) / t
+    _, common = _common_ancestor_levels(z, w, thetas)
+    return float((common + 1).mean())
+
+
+def weak_separation_ok(seq):
+    """True when no two same-generation addresses are nested (disjoint boxes)."""
+    by_gen = seq.generation_spans()
+    for idxs in by_gen.values():
+        addrs = sorted(seq.entries[i].address for i in idxs)
+        for a, b in zip(addrs, addrs[1:]):
+            if b.startswith(a):
+                return False
+    return True
 
 
 def brute_pair_invariants(d1, t1, d2, t2):

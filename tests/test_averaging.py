@@ -13,17 +13,13 @@ from discweights.averaging import (
     ContinuousDomain,
     SampledWeight,
     avg_beta_check,
-    continuous_b1_constant,
-    continuous_bp_constant,
     default_arc_family,
     dyadic_restriction,
     dyadic_restriction_many,
     extend_continuous,
-    five_probes,
     geo_mean_weight,
     good_nodes,
     good_nodes_many,
-    mean_common_boxes,
     rect_quadrature,
     restriction_certificate,
     theta_measure_spectrum,
@@ -41,7 +37,16 @@ from discweights.geometry import (
 )
 from discweights.weights import TreeWeight, osc_constants, random_log_walk
 
-from helpers import brute_good_nodes, brute_restriction_values, per_offset_pipeline
+from helpers import (
+    brute_cell_survey,
+    brute_good_nodes,
+    brute_restriction_values,
+    continuous_b1_constant,
+    continuous_bp_constant,
+    five_probes,
+    mean_common_boxes,
+    per_offset_pipeline,
+)
 
 
 def scale_cap(ell):
@@ -437,6 +442,66 @@ class TestGeoAverage:
         _, margin = _survey_geo_family([([up, down], 1.0)], 1,
                                        [UnitArc(F(1, 2), F(1))])
         assert margin < -0.1
+
+
+def _walk_stack(depth, thetas, seed):
+    return [TreeWeight(theta, depth, random_log_walk(depth, seed=seed + i, sigma=0.7).values)
+            for i, theta in enumerate(thetas)]
+
+
+class TestExactSurvey:
+    """The survey's cell sums against brute_cell_survey, which looks every
+    tree up per cell on Fraction breakpoints, and against fine meshes."""
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_matches_brute_cell_survey(self, depth):
+        for count in (1, 3, 8):
+            # the second stack's offsets are not the first's, so its grid
+            # lines add breakpoints of their own
+            a = _walk_stack(depth, [F(2 * i + 1, 2 * count) for i in range(count)], 10 * depth)
+            b = _walk_stack(depth, [F(i, 2 * count + 1) for i in range(count)], 10 * depth + 5)
+            # arcs longer than the leaf cells, and shorter; index 0 is the circle
+            for family_depth in (max(depth - 2, 0), depth + 1):
+                family = default_arc_family(family_depth)
+                family = family[::max(1, len(family) // 12)]
+                assert family[0].length == 1 and family[-1].length == F(1, 1 << family_depth)
+                for p in (1.0, 2.0):
+                    stacks = [(a, 1.0), (b, 1.0 - p)]
+                    got = _survey_geo_family(stacks, p, family)
+                    want = brute_cell_survey(stacks, p, family)
+                    case = (count, family_depth, p, got, want)
+                    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0), case
+                    assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), case
+
+    def test_float_arcs_match_brute_cell_survey(self):
+        """Arcs built from floats put the common denominator past int64."""
+        trees = _walk_stack(4, [F(2 * i + 1, 10) for i in range(5)], 7)
+        family = default_arc_family(2, rng=3, random_count=6)[-8:]
+        assert max(arc.left.denominator for arc in family) > 1 << 40
+        for p in (1.0, 3.0):
+            got = _survey_geo_family([(trees, 1.0)], p, family)
+            want = brute_cell_survey([(trees, 1.0)], p, family)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
+
+    def test_fine_mesh_converges_to_the_cell_sum(self):
+        """On chain_wrap at p = 1, a uniform 256 x 256 mesh of the argmax box
+        lands within 1e-3 of the cell sum, closer than the 6 x 6 graded mesh
+        the survey used before it summed cells."""
+        w, dom = continuous_fixture("chain_wrap")
+        res = extend_continuous(w, 1, 2.0, dom, depth=6, theta_count=64, family_depth=4)
+        exact = res.constants["continuous_b1"]
+        assert exact == pytest.approx(1.569671, abs=5e-7)
+        trees = [a.extension.weight for a in res.artifacts]
+        family = default_arc_family(4)
+        per_arc = [_survey_geo_family([(trees, 1.0)], 1, [arc])[0] for arc in family]
+        assert max(per_arc) == pytest.approx(exact, rel=1e-12)
+        arc = family[int(np.argmax(per_arc))]
+        geo = geo_mean_weight(trees)
+        fine, _ = continuous_b1_constant(geo, [arc], nr=256, na=256, grade=1)
+        coarse, _ = continuous_b1_constant(geo, [arc])
+        assert abs(fine - exact) < 1e-3
+        assert abs(fine - exact) < abs(coarse - exact)
 
 
 class TestContinuousConstants:

@@ -292,6 +292,8 @@ class TestExitCodes:
          "'depth'"),
         ("trace", {"martingale": {"kind": "random_pm1", "depth": 40}}, "martingale_from_spec",
          "'depth'"),
+        ("extend-continuous", {"family_depth": 30}, "extend_continuous",
+         "'family_depth' with 'theta_count'"),
     ])
     def test_footprint_cap_refuses_before_allocating(self, tmp_path, capsys, monkeypatch,
                                                      command, config, allocator, key):

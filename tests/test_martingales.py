@@ -31,7 +31,6 @@ from discweights.martingales import (
     threshold_sequence,
     trace_sup_i,
     trace_weak_l1,
-    weak_separation_ok,
 )
 from helpers import (
     brute_azuma_count,
@@ -39,6 +38,7 @@ from helpers import (
     brute_pair_invariants,
     brute_trace_sup_i,
     brute_trace_weak_l1,
+    weak_separation_ok,
 )
 
 
