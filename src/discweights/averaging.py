@@ -34,6 +34,8 @@ contains the arc inside a level-m grid arc is 1 - 2^m ell (nonnegative for
 m <= N, and 1 at m = 0 where the grid arc is the whole circle).  The
 events nest in m, so the measure of {smallest containing grid arc has
 level exactly m} is the difference of consecutive containment chances.
+The same chances, at the circular distance of two points, give the mean
+over offsets of their dyadic distance in closed form.
 """
 
 from __future__ import annotations
@@ -275,6 +277,15 @@ def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
 # offset measure of predecessor scales
 # ---------------------------------------------------------------------------
 
+def _containment_chance(m: int, ell: Fraction) -> Fraction:
+    """Offset measure of the event that an arc of length ell lies inside
+    one level-m grid arc: 1 for the full circle, max(0, 1 - 2^m ell) below.
+    The events nest in m."""
+    if m == 0:
+        return Fraction(1)
+    return max(Fraction(0), 1 - (1 << m) * ell)
+
+
 def theta_measure_spectrum(arc: UnitArc) -> dict:
     """Exact offset-measure of the smallest containing grid arc's scale.
 
@@ -294,15 +305,9 @@ def theta_measure_spectrum(arc: UnitArc) -> dict:
         return {0: Fraction(1)}
     n = containing_level(ell)
     cap = n if (1 << n) * ell == 1 else n + 1
-
-    def contain(m):
-        if m == 0:
-            return Fraction(1)
-        return max(Fraction(0), 1 - (1 << m) * ell)
-
     out = {0: Fraction(0)}
     for m in range(n + 1):
-        mass = contain(m) - contain(m + 1)
+        mass = _containment_chance(m, ell) - _containment_chance(m + 1, ell)
         if mass > 0:
             out[cap - m] = mass
     return out
@@ -635,30 +640,47 @@ def _common_ancestor_levels(z, w, thetas: np.ndarray):
     return max(kz, kw), kmin - bl
 
 
-def avg_beta_check(pairs, resolution_bits: int = 12):
+def avg_beta_check(pairs, resolution_bits: int | None = None):
     """Compare the offset-averaged dyadic distance against the hyperbolic one.
 
     pairs: iterable of ((modulus, angle), (modulus, angle)) tuples, angles
     in turns.  The headline ratio per pair is
-    (mean over offsets of beta_theta) / (1 + beta); the report also carries
-    the reverse pointwise ratio beta / (1 + beta_theta) maximized over the
-    offset grid, which stays small because a grid cell of the scale of
-    either point contains both whenever beta_theta vanishes.
+    (mean over offsets of beta_theta) / (1 + beta), in closed form: the
+    points share their level-k cell with the containment chance of their
+    circular distance, so the mean is the deeper level minus those chances
+    summed over k = 1..kmin.  The largest and smallest beta_theta are exact
+    too, and the report carries the reverse pointwise ratio
+    beta / (1 + smallest beta_theta), which stays small because a grid cell
+    of the scale of either point contains both whenever beta_theta vanishes.
+    resolution_bits opts in to a cross-check at 2^resolution_bits sampled
+    offsets per pair; "max_sample_gap" is the largest distance of a sampled
+    mean from the exact one (None without the cross-check).
     """
-    t = 1 << resolution_bits
-    thetas = (np.arange(t) + 0.5) / t
-    ratios, means, maxima, pointwise = [], [], [], []
+    thetas = None
+    if resolution_bits is not None:
+        t = 1 << resolution_bits
+        thetas = (np.arange(t) + 0.5) / t
+    ratios, means, maxima, pointwise, gaps = [], [], [], [], []
     for z, w in pairs:
-        deeper, common = _common_ancestor_levels(z, w, thetas)
-        bt = deeper - common
-        mean_bt = float(bt.mean())
+        kz = containing_level(1 - Fraction(z[0]))
+        kw = containing_level(1 - Fraction(w[0]))
+        deeper, kmin = max(kz, kw), min(kz, kw)
+        d = (Fraction(z[1]) - Fraction(w[1])) % 1
+        delta = min(d, 1 - d)
+        chances = [_containment_chance(k, delta) for k in range(1, kmin + 1)]
+        mean_bt = float(deeper - sum(chances))
+        smallest = deeper - sum(c > 0 for c in chances)  # the chances nest in k
+        if thetas is not None:
+            _, common = _common_ancestor_levels(z, w, thetas)
+            gaps.append(abs(float((deeper - common).mean()) - mean_bt))
         zc = z[0] * np.exp(2j * np.pi * z[1])
         wc = w[0] * np.exp(2j * np.pi * w[1])
         beta = beta_hyperbolic(zc, wc)
         ratios.append(mean_bt / (1.0 + beta))
         means.append(mean_bt)
-        maxima.append(int(bt.max()))
-        pointwise.append(beta / (1.0 + float(bt.min())))
+        # a level-1 line separates distinct angles on a share 2 delta of offsets
+        maxima.append(deeper if delta > 0 else deeper - kmin)
+        pointwise.append(beta / (1.0 + smallest))
     ratios = np.array(ratios)
     return {
         "max_ratio": float(ratios.max()),
@@ -667,6 +689,7 @@ def avg_beta_check(pairs, resolution_bits: int = 12):
         "mean_beta_theta": means,
         "max_beta_theta": maxima,
         "ratios": ratios,
+        "max_sample_gap": max(gaps, default=None),
     }
 
 

@@ -453,11 +453,13 @@ def _run_extend_continuous(cfg: dict):
 
 @_command("average", {
     "arcs": (1000, _int(1)), "pairs": (1000, _int(1)), "seed": (None, _SEED),
-    "resolution_bits": (12, _int(0)), "ratio_bound": (50.0, _number(0, strict=True)),
+    "resolution_bits": (None, _optional(_int(0))),
+    "ratio_bound": (50.0, _number(0, strict=True)),
 })
 def _run_average(cfg: dict):
-    # avg_beta_check holds 2^resolution_bits offsets per pair
-    _check_footprint("average", "'resolution_bits'", 1, cfg["resolution_bits"])
+    if cfg["resolution_bits"] is not None:
+        # the sampled cross-check holds 2^resolution_bits offsets per pair
+        _check_footprint("average", "'resolution_bits'", 1, cfg["resolution_bits"])
     seed = _require_seed("average", cfg)
     rng = np.random.default_rng(seed)
 
@@ -511,7 +513,8 @@ def _run_average(cfg: dict):
                "sum_violations": sum_violations,
                "bucket_ratio_max": float(bucket_ratio_max),
                "max_ratio": beta["max_ratio"],
-               "mean_ratio": beta["mean_ratio"]}
+               "mean_ratio": beta["mean_ratio"],
+               "max_sample_gap": beta["max_sample_gap"]}
     return results, certs, tables
 
 

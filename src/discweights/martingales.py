@@ -97,7 +97,8 @@ class DyadicMartingale:
     """A martingale on the binary tree, digit-rule or materialized.
 
     Addresses are strings of '0'/'1' digits, the root being the empty
-    string.  Materialized instances store one numpy array per level and
+    string.  Materialized instances store one numpy array per level (an
+    integer array keeps its dtype, anything else becomes float) and
     verify the midpoint law exactly at construction; the digit-rule kinds
     ("random_walk", "kahane") are defined at every depth, up to an
     optional declared depth.
@@ -110,12 +111,14 @@ class DyadicMartingale:
         self.seed = seed
         self._levels = None
         if levels is not None:
-            arrs = [np.asarray(lv, dtype=float) for lv in levels]
+            arrs = [lv if isinstance(lv, np.ndarray) and lv.dtype.kind == "i"
+                    else np.asarray(lv, dtype=float) for lv in levels]
             for n, lv in enumerate(arrs):
                 if lv.shape != (1 << n,):
                     raise ValueError(f"level {n} must hold {1 << n} values")
             for n in range(len(arrs) - 1):
-                mid = (arrs[n + 1][0::2] + arrs[n + 1][1::2]) / 2.0
+                # a float sum: integer children may overflow their own dtype
+                mid = np.add(arrs[n + 1][0::2], arrs[n + 1][1::2], dtype=float) / 2.0
                 if not np.array_equal(arrs[n], mid):
                     bad = int(np.flatnonzero(arrs[n] != mid)[0])
                     raise ValueError(
@@ -157,7 +160,7 @@ class DyadicMartingale:
             raise ValueError("level must be nonnegative")
         self._check_depth(n, f"level {n}")
         if self._levels is not None:
-            return self._levels[n]
+            return self._levels[n].astype(float, copy=False)
         if n > _MAX_MATERIALIZE:
             raise ValueError(f"refusing to materialize level {n} > {_MAX_MATERIALIZE}")
         vals = np.zeros(1)
@@ -179,7 +182,7 @@ class DyadicMartingale:
             checks = 0
             for n in range(self.depth):
                 lv, nxt = self._levels[n], self._levels[n + 1]
-                if not np.array_equal(lv, (nxt[0::2] + nxt[1::2]) / 2.0):
+                if not np.array_equal(lv, np.add(nxt[0::2], nxt[1::2], dtype=float) / 2.0):
                     raise ValueError(f"midpoint law fails at level {n}")
                 checks += lv.size
             return checks
@@ -234,11 +237,12 @@ def random_pm1(depth: int, seed) -> DyadicMartingale:
     increments have unit size.
     """
     rng = np.random.default_rng(seed)
-    levels = [np.zeros(1)]
+    # |value| <= depth: int8 holds every depth whose 2^depth leaves fit in memory
+    levels = [np.zeros(1, dtype=np.int8)]
     for n in range(1, depth + 1):
         parent = np.repeat(levels[-1], 2)
-        sign = np.where(rng.integers(0, 2, size=1 << (n - 1)) == 0, 1.0, -1.0)
-        bump = np.empty(1 << n)
+        sign = np.where(rng.integers(0, 2, size=1 << (n - 1)) == 0, np.int8(1), np.int8(-1))
+        bump = np.empty(1 << n, dtype=np.int8)
         bump[0::2] = sign
         bump[1::2] = -sign
         levels.append(parent + bump)

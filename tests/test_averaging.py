@@ -32,6 +32,7 @@ from discweights.geometry import (
     arc_contains_angle,
     arc_contains_arc,
     area_top,
+    beta_hyperbolic,
     containing_level,
     mod1,
 )
@@ -560,6 +561,11 @@ class TestContinuousConstants:
         assert small <= full
 
 
+def disc_beta(z, w):
+    """Hyperbolic distance of two (modulus, angle in turns) points."""
+    return beta_hyperbolic(z[0] * np.exp(2j * np.pi * z[1]), w[0] * np.exp(2j * np.pi * w[1]))
+
+
 class TestAvgBeta:
     def test_equal_points_give_zero(self):
         rep = avg_beta_check([((0.5, 0.25), (0.5, 0.25))], resolution_bits=8)
@@ -582,6 +588,47 @@ class TestAvgBeta:
         rep = avg_beta_check([(z, w)])
         assert rep["max_beta_theta"][0] >= 9
         assert rep["mean_beta_theta"][0] < 4.0
+
+    def test_narrow_pair_is_exact(self):
+        """Points 2^-15 apart at level 16: a 4096-offset sample never puts
+        a level-1 line between them, but the exact largest beta_theta is the
+        deeper level and the mean subtracts every containment chance."""
+        z = (1 - 2 ** -16, 0.3)
+        w = (1 - 2 ** -16, 0.3 + 2 ** -15)
+        rep = avg_beta_check([(z, w)])
+        chances = sum(max(F(0), 1 - F(1 << k, 1 << 15)) for k in range(1, 17))
+        assert rep["max_beta_theta"] == [16]
+        assert rep["mean_beta_theta"] == [float(16 - chances)]
+        # they share a cell down to level 14 at best
+        assert rep["max_pointwise_ratio"] == disc_beta(z, w) / 3.0
+
+    def test_equal_angles_on_two_levels(self):
+        """Same angle, levels 5 and 8: every offset puts both points in one
+        cell down to level 5, so mean, largest and smallest are all 3."""
+        z = (1 - 3 / 128, 0.3)
+        w = (1 - 3 / 1024, 0.3)
+        rep = avg_beta_check([(z, w)])
+        assert rep["mean_beta_theta"] == [3.0]
+        assert rep["max_beta_theta"] == [3]
+        assert rep["max_pointwise_ratio"] == disc_beta(z, w) / 4.0
+
+    @pytest.mark.parametrize("bits", [4, 8, 12])
+    def test_sample_gap_within_the_grid_bound(self, bits):
+        """At level k the offsets that keep both points in one cell form 2^k
+        equal intervals; 2^bits midpoint samples miss at most one sample per
+        interval, 2^(k - bits) of the chance in all (and never more than 1)."""
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            r1, r2 = rng.uniform(0.05, 0.999, 2)
+            a1, a2 = rng.uniform(0, 1, 2)
+            z, w = (r1, a1), (r2, a2)
+            levels = sorted((containing_level(1 - F(r1)), containing_level(1 - F(r2))))
+            bound = sum(min(1.0, 2.0 ** (k - bits)) for k in range(1, levels[0] + 1))
+            rep = avg_beta_check([(z, w)], resolution_bits=bits)
+            sampled = levels[1] + 1 - mean_common_boxes(z, w, bits)
+            gap = rep["max_sample_gap"]
+            assert gap == pytest.approx(abs(sampled - rep["mean_beta_theta"][0]), abs=1e-12)
+            assert gap <= bound + 1e-12
 
     def test_envelopes_on_random_pairs(self):
         rng = np.random.default_rng(17)

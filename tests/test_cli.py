@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from discweights import cli
+from discweights import averaging, cli
 from discweights.cli import (
     COMMANDS,
     EXIT_CERT_VIOLATION,
@@ -423,6 +424,21 @@ class TestCommands:
         assert report.ok
         assert report.results["sum_violations"] == 0
         assert report.results["bucket_ratio_max"] <= 1.0
+
+    def test_average_default_is_exact_only(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the default average sampled offsets")
+
+        monkeypatch.setattr(averaging, "_common_ancestor_levels", unreachable)
+        report = run("average", config={"arcs": 5, "pairs": 50, "seed": 3})
+        assert report.ok
+        assert report.results["max_sample_gap"] is None
+
+    def test_average_sampled_cross_check(self):
+        report = run("average", config={"arcs": 5, "pairs": 50, "seed": 3,
+                                        "resolution_bits": 8})
+        assert report.ok
+        assert math.isfinite(report.results["max_sample_gap"])
 
     def test_trace_radial_chain(self):
         report = run("trace", config={"lambda": 0.05})

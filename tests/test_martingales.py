@@ -145,6 +145,19 @@ class TestMidpointLaw:
         with pytest.raises(ValueError, match="level 1 must hold 2 values"):
             DyadicMartingale("materialized", levels=[[0.0], [1.0, -1.0, 0.0]])
 
+    def test_integer_levels_keep_their_dtype(self):
+        M = random_pm1(6, seed=11)
+        assert {lv.dtype for lv in M._levels} == {np.dtype(np.int8)}
+        assert M.level_values(6).dtype == np.float64
+        assert type(M.value("010")) is float
+        with pytest.raises(ValueError, match="midpoint law fails at level 0"):
+            DyadicMartingale("materialized", levels=[np.zeros(1, np.int8),
+                                                     np.array([1, 0], np.int8)])
+        # 100 + 100 wraps in int8; the law is checked without overflow
+        big = DyadicMartingale("materialized", levels=[np.array([100], np.int8),
+                                                       np.array([100, 100], np.int8)])
+        assert big.check_midpoint_law() == 1
+
     def test_materialized_exhaustive(self):
         M = random_pm1(10, seed=2)
         assert M.check_midpoint_law() == (1 << 10) - 1
