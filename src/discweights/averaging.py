@@ -360,10 +360,9 @@ def _level_slots(bands, denom: int, step: int):
     return out
 
 
-def good_nodes_many(thetas, domain: ContinuousDomain, depth: int,
-                    threshold: Fraction = GOOD_FRACTION) -> GoodNodes:
+def good_nodes_many(thetas, domain: ContinuousDomain, depth: int) -> GoodNodes:
     """Grid arcs of every offset whose top half meets the region in at least
-    threshold of its area, in one integer pass per level.
+    GOOD_FRACTION of its area, in one integer pass per level.
 
     Every endpoint (generator arcs and half-lengths, the offsets' grid
     lines, node bands down to 2^-(depth+1)) is an integer over one common
@@ -374,8 +373,7 @@ def good_nodes_many(thetas, domain: ContinuousDomain, depth: int,
     clips them against its slots as (T, C, M).
     """
     thetas = [mod1(t) for t in thetas]
-    threshold = Fraction(threshold)
-    num, den = threshold.numerator, threshold.denominator
+    num, den = GOOD_FRACTION.numerator, GOOD_FRACTION.denominator
     L = math.lcm(domain.denominator(), 1 << (depth + 1), *(t.denominator for t in thetas))
     dt = object if max(num, den) * L ** 3 >= 1 << 63 else np.int64
     th = np.array([t.numerator * (L // t.denominator) for t in thetas], dtype=dt)
@@ -428,14 +426,13 @@ def good_nodes_many(thetas, domain: ContinuousDomain, depth: int,
                      *(b[by_node] for b in bounds))
 
 
-def good_nodes(theta, domain: ContinuousDomain, depth: int,
-               threshold: Fraction = GOOD_FRACTION):
-    """Grid arcs whose top half meets the region in >= threshold of its area.
+def good_nodes(theta, domain: ContinuousDomain, depth: int):
+    """Grid arcs whose top half meets the region in >= GOOD_FRACTION of its area.
 
     The one-offset view of good_nodes_many, in exact rationals: a list of
     (GridNode, clip pieces, intersection area) sorted by node id.
     """
-    g = good_nodes_many([theta], domain, depth, threshold)
+    g = good_nodes_many([theta], domain, depth)
     L, theta = g.denom, mod1(theta)
     out = []
     for i, (nid, area) in enumerate(zip(g.node.tolist(), g.area.tolist())):
@@ -455,12 +452,11 @@ def _over(num: np.ndarray, den: int) -> np.ndarray:
     return np.array([n / den for n in num.ravel().tolist()], dtype=np.float64).reshape(num.shape)
 
 
-def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain,
-                            depth: int, nr: int = 4, na: int = 4):
+def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain, depth: int):
     """dyadic_restriction for every offset: (trees, domains), one per offset.
 
     Each block of OFFSET_BLOCK offsets takes one good_nodes_many pass and
-    one evaluation of w on the midpoint mesh of all of its pieces.  A
+    one evaluation of w on the 4 x 4 midpoint mesh of all of its pieces.  A
     node's integral adds its pieces' quadratures in clip order, so every
     row is bitwise the one-offset result.  An offset without good nodes,
     or whose averages are not positive and finite, raises a ValueError
@@ -477,7 +473,7 @@ def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain,
             raise ValueError(f"offset {block[int(np.argmin(counts))]} failed: no good "
                              "nodes: region and grid scales do not meet")
         q = _quadrature_many(*(_over(b, g.denom) for b in
-                               (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi - g.ang_lo)), w, nr, na)
+                               (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi - g.ang_lo)), w, 4, 4)
         first, sizes = g.start[:-1], np.diff(g.start)
         integral = q[first]
         for i in range(1, int(sizes.max())):  # left to right, as sum() adds
@@ -489,8 +485,7 @@ def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain,
     return trees, [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)]
 
 
-def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain,
-                       depth: int, nr: int = 4, na: int = 4):
+def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain, depth: int):
     """Average w over T(I) cap region for every good node of the offset.
 
     Returns (TreeWeight, DyadicDomain) on the offset's grid: the tree value
@@ -499,7 +494,7 @@ def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain,
     and are excluded from the domain.  The one-offset case of
     dyadic_restriction_many.
     """
-    trees, doms = dyadic_restriction_many(w, [theta], domain, depth, nr, na)
+    trees, doms = dyadic_restriction_many(w, [theta], domain, depth)
     return trees[0], doms[0]
 
 
@@ -573,25 +568,13 @@ def _pieces_mesh(pieces, nr: int, na: int, d_floor: float = 0.0):
 # continuous constants
 # ---------------------------------------------------------------------------
 
-def default_arc_family(depth: int, rng=None, random_count: int = 0):
-    """Survey family for continuous constants.
-
-    Deterministic part: arcs centered on the 2^{depth+1} grid with lengths
-    on the geometric grid 2^0 .. 2^-depth.  Optionally followed by random
-    arcs (uniform center, log-uniform length down to the same scale).
-    """
-    out = []
+def default_arc_family(depth: int):
+    """Survey family for continuous constants: arcs starting on the
+    2^{depth+1} grid with lengths on the geometric grid 2^0 .. 2^-depth,
+    all dyadic, so the survey's common denominator stays small."""
     centers = 1 << (depth + 1)
-    for k in range(depth + 1):
-        for j in range(centers):
-            out.append(UnitArc(Fraction(j, centers), Fraction(1, 1 << k)))
-    if random_count:
-        rng = np.random.default_rng(rng)
-        for _ in range(random_count):
-            c = Fraction(float(rng.uniform()))
-            ell = Fraction(float(np.exp2(-rng.uniform(0, depth))))
-            out.append(UnitArc(c, ell))
-    return out
+    return [UnitArc(Fraction(j, centers), Fraction(1, 1 << k))
+            for k in range(depth + 1) for j in range(centers)]
 
 
 def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
@@ -618,29 +601,7 @@ def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
 # offset-averaged dyadic distance
 # ---------------------------------------------------------------------------
 
-def _cells_over_offsets(modulus: float, angle: float, thetas: np.ndarray):
-    """(level, index per offset) of the containing grid cell, vectorized."""
-    k = containing_level(1 - Fraction(modulus))
-    n = np.int64(1 << k)
-    f = ((angle - thetas) % 1.0) * (1 << k)
-    j = np.ceil(f).astype(np.int64) - 1
-    j = np.where(j < 0, n - 1, np.minimum(j, n - 1))
-    return k, j
-
-
-def _common_ancestor_levels(z, w, thetas: np.ndarray):
-    """(level of the deeper cell, level of the common ancestor per offset)."""
-    kz, jz = _cells_over_offsets(z[0], z[1], thetas)
-    kw, jw = _cells_over_offsets(w[0], w[1], thetas)
-    kmin = min(kz, kw)
-    x = (jz >> (kz - kmin)) ^ (jw >> (kw - kmin))
-    bl = np.zeros_like(x)
-    nz = x > 0
-    bl[nz] = np.floor(np.log2(x[nz])).astype(np.int64) + 1
-    return max(kz, kw), kmin - bl
-
-
-def avg_beta_check(pairs, resolution_bits: int | None = None):
+def avg_beta_check(pairs):
     """Compare the offset-averaged dyadic distance against the hyperbolic one.
 
     pairs: iterable of ((modulus, angle), (modulus, angle)) tuples, angles
@@ -652,15 +613,9 @@ def avg_beta_check(pairs, resolution_bits: int | None = None):
     too, and the report carries the reverse pointwise ratio
     beta / (1 + smallest beta_theta), which stays small because a grid cell
     of the scale of either point contains both whenever beta_theta vanishes.
-    resolution_bits opts in to a cross-check at 2^resolution_bits sampled
-    offsets per pair; "max_sample_gap" is the largest distance of a sampled
-    mean from the exact one (None without the cross-check).
+    No offset is sampled.
     """
-    thetas = None
-    if resolution_bits is not None:
-        t = 1 << resolution_bits
-        thetas = (np.arange(t) + 0.5) / t
-    ratios, means, maxima, pointwise, gaps = [], [], [], [], []
+    ratios, means, maxima, pointwise = [], [], [], []
     for z, w in pairs:
         kz = containing_level(1 - Fraction(z[0]))
         kw = containing_level(1 - Fraction(w[0]))
@@ -670,9 +625,6 @@ def avg_beta_check(pairs, resolution_bits: int | None = None):
         chances = [_containment_chance(k, delta) for k in range(1, kmin + 1)]
         mean_bt = float(deeper - sum(chances))
         smallest = deeper - sum(c > 0 for c in chances)  # the chances nest in k
-        if thetas is not None:
-            _, common = _common_ancestor_levels(z, w, thetas)
-            gaps.append(abs(float((deeper - common).mean()) - mean_bt))
         zc = z[0] * np.exp(2j * np.pi * z[1])
         wc = w[0] * np.exp(2j * np.pi * w[1])
         beta = beta_hyperbolic(zc, wc)
@@ -689,7 +641,6 @@ def avg_beta_check(pairs, resolution_bits: int | None = None):
         "mean_beta_theta": means,
         "max_beta_theta": maxima,
         "ratios": ratios,
-        "max_sample_gap": max(gaps, default=None),
     }
 
 
@@ -742,13 +693,6 @@ class ContinuousExtensionResult:
                 rows.append((float(art.theta), cert.quantity,
                              cert.bound, cert.measured))
         return rows
-
-
-def _domain_mesh(domain: ContinuousDomain, nr: int = 10, na: int = 32,
-                 d_floor: float = 0.0):
-    # dense enough that the reported sup of |log w - log W| is stable in
-    # the offset count; the coarse 3x8 mesh made it wobble by ~10%
-    return _pieces_mesh(domain.pieces(), nr, na, d_floor=d_floor)
 
 
 def _window_mean_log(logv: np.ndarray, th: np.ndarray, k: int, L: int,
@@ -936,8 +880,10 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
 
     # gap survey stops at the deepest band the tree resolves: below it the
     # extension is cellwise constant while w may keep moving, so the sup
-    # over the full open region would measure resolution, not agreement
-    r_mesh, a_mesh = _domain_mesh(domain, d_floor=0.5 ** (depth + 1))
+    # over the full open region would measure resolution, not agreement.
+    # The 10 x 32 mesh per piece is dense enough that the sup is stable in
+    # the offset count; a coarse 3 x 8 mesh made it wobble by ~10%
+    r_mesh, a_mesh = _pieces_mesh(domain.pieces(), 10, 32, d_floor=0.5 ** (depth + 1))
     gap = float(np.max(np.abs(np.log(w(r_mesh, a_mesh)) - np.log(big(r_mesh, a_mesh)))))
     constants = {
         key: const,

@@ -453,13 +453,9 @@ def _run_extend_continuous(cfg: dict):
 
 @_command("average", {
     "arcs": (1000, _int(1)), "pairs": (1000, _int(1)), "seed": (None, _SEED),
-    "resolution_bits": (None, _optional(_int(0))),
     "ratio_bound": (50.0, _number(0, strict=True)),
 })
 def _run_average(cfg: dict):
-    if cfg["resolution_bits"] is not None:
-        # the sampled cross-check holds 2^resolution_bits offsets per pair
-        _check_footprint("average", "'resolution_bits'", 1, cfg["resolution_bits"])
     seed = _require_seed("average", cfg)
     rng = np.random.default_rng(seed)
 
@@ -484,15 +480,14 @@ def _run_average(cfg: dict):
         r1, r2 = rng.uniform(0.05, 0.999, 2)
         a1, a2 = rng.uniform(0, 1, 2)
         pairs.append(((r1, a1), (r2, a2)))
-    beta = avg_beta_check(pairs, resolution_bits=cfg["resolution_bits"])
+    beta = avg_beta_check(pairs)
     beta_rows = [(i, beta["mean_beta_theta"][i], beta["max_beta_theta"][i],
                   float(beta["ratios"][i])) for i in range(len(pairs))]
 
     certs = [
         _cert("spectrum_sum_violations", sum_violations, 0.0, arcs=cfg["arcs"]),
         _cert("bucket_ratio_max", float(bucket_ratio_max), 1.0),
-        _cert("avg_beta_max_ratio", beta["max_ratio"], float(cfg["ratio_bound"]),
-              resolution_bits=cfg["resolution_bits"]),
+        _cert("avg_beta_max_ratio", beta["max_ratio"], float(cfg["ratio_bound"])),
     ]
     tables = {
         "arcs": Table(
@@ -513,8 +508,7 @@ def _run_average(cfg: dict):
                "sum_violations": sum_violations,
                "bucket_ratio_max": float(bucket_ratio_max),
                "max_ratio": beta["max_ratio"],
-               "mean_ratio": beta["mean_ratio"],
-               "max_sample_gap": beta["max_sample_gap"]}
+               "mean_ratio": beta["mean_ratio"]}
     return results, certs, tables
 
 

@@ -341,13 +341,14 @@ def _invert_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
     m1_bound = res.diagnostics["m1_bound"] ** (p - 1.0)
     m2_bound = res.diagnostics["m2_bound"] * (p - 1.0)
     osc_big = osc_constants(big_w)
+    measured_bp = bp_constant(big_w, p)
     certs = [
         WeightCertificate(
             "agreement_on_domain", bound=0.0,
             measured=float(np.max(np.abs(vals[mask] - w.values[mask]))),
         ),
         WeightCertificate(
-            "bp_of_extension", bound=m1_bound, measured=bp_constant(big_w, p),
+            "bp_of_extension", bound=m1_bound, measured=measured_bp,
             inputs={"p": p, "via": "dual"},
         ),
         WeightCertificate(
@@ -357,8 +358,9 @@ def _invert_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
     ]
     diagnostics = dict(res.diagnostics)
     diagnostics.update({"m1_bound": m1_bound, "m2_bound": m2_bound,
-                        "bp_extension_measured": bp_constant(big_w, p),
-                        "l_const_extension": osc_big.l_const})
+                        "bp_extension_measured": measured_bp,
+                        "l_const_extension": osc_big.l_const,
+                        "c_const_extension": osc_big.c_const})
     return ExtensionResult(
         big_w, p=p, q=q, certificates=certs, diagnostics=diagnostics,
         factorization=res.factorization, via_dual=True,

@@ -64,6 +64,9 @@ __all__ = [
     "factor_bho_full_many",
 ]
 
+# a norm bound is doubled at most this many times before the series gives up
+_MAX_ESCALATIONS = 8
+
 
 # ---------------------------------------------------------------------------
 # norm bounds feeding the iteration
@@ -193,7 +196,7 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
 
 def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float],
                     domains: Optional[Sequence[Optional[DyadicDomain]]] = None,
-                    terms: int = 60, max_escalations: int = 8) -> list:
+                    terms: int = 60) -> list:
     """rdf_factor for several trees of one depth, one result per tree.
 
     The series runs once on the stack of all trees.  Each row has its own
@@ -217,7 +220,7 @@ def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float]
     s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
     escalations = np.zeros(s.shape, dtype=np.int64)
     pending = np.ones(s.shape, dtype=bool)
-    for _ in range(max_escalations + 1):
+    for _ in range(_MAX_ESCALATIONS + 1):
         s = np.where(pending, 2.0 * s, s)
         f, tail_ratio = _series(values, mask, s, depth, p, terms)
         pending = ~(tail_ratio <= 1.0)
@@ -226,7 +229,7 @@ def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float]
         escalations += pending
     else:
         raise ArithmeticError(
-            f"series did not settle after {max_escalations} doublings of the norm bound"
+            f"series did not settle after {_MAX_ESCALATIONS} doublings of the norm bound"
         )
 
     return _per_offset(
@@ -249,14 +252,14 @@ def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.nda
     rec_err = float(np.max(np.abs(recon / w.values[mask] - 1.0)))
 
     c_w = c_const(w, domain)
+    b1_w1, b1_w2 = b1_constant(w1, domain), b1_constant(w2, domain)
     certs = [
         WeightCertificate(
-            "b1_of_w1", bound=2.0 * s, measured=b1_constant(w1, domain),
+            "b1_of_w1", bound=2.0 * s, measured=b1_w1,
             inputs={"s_norm": s, "p": p},
         ),
         WeightCertificate(
-            "b1_of_w2_to_p_minus_1", bound=2.0 * s,
-            measured=b1_constant(w2, domain) ** (p - 1),
+            "b1_of_w2_to_p_minus_1", bound=2.0 * s, measured=b1_w2 ** (p - 1),
             inputs={"s_norm": s, "p": p},
         ),
         WeightCertificate(
@@ -273,8 +276,7 @@ def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.nda
     ]
     if domain is None:
         certs.append(WeightCertificate(
-            "product_rule_bp", measured=bp_constant(w, p),
-            bound=b1_constant(w1) * b1_constant(w2) ** (p - 1),
+            "product_rule_bp", measured=bp_constant(w, p), bound=b1_w1 * b1_w2 ** (p - 1),
         ))
     return FactorizationResult(
         w1=w1, w2=w2, f=f_full, p=p, s_norm=s, escalations=int(escalations),
@@ -283,16 +285,15 @@ def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.nda
 
 
 def rdf_factor(w: TreeWeight, p: float, s_norm: float,
-               domain: Optional[DyadicDomain] = None, terms: int = 60,
-               max_escalations: int = 8) -> FactorizationResult:
+               domain: Optional[DyadicDomain] = None, terms: int = 60) -> FactorizationResult:
     """Iterate S and split w into B_1 factors, certifying the usual bounds.
 
     Requires p in (1, 2].  s_norm should dominate the norm of S; when the
     truncated series fails its fixed point check the bound is doubled, at
-    most `max_escalations` times, and the escalation count is reported.
+    most 8 times, and the escalation count is reported.
     The one-tree case of rdf_factor_many.
     """
-    return rdf_factor_many([w], p, [s_norm], [domain], terms, max_escalations)[0]
+    return rdf_factor_many([w], p, [s_norm], [domain], terms)[0]
 
 
 def factor_bho_full_many(ws: Sequence[TreeWeight], p: float, terms: int = 60) -> list:
@@ -319,19 +320,19 @@ def _swap_dual(w: TreeWeight, p: float, res: FactorizationResult) -> Factorizati
     mask[0] = False
     recon = w1.values[mask] * w2.values[mask] ** (1.0 - p)
     rec_err = float(np.max(np.abs(recon / w.values[mask] - 1.0)))
+    b1_w1, b1_w2 = b1_constant(w1), b1_constant(w2)
     certs = [
         WeightCertificate(
             "b1_of_w1", bound=(2.0 * res.s_norm) ** (p - 1),
-            measured=b1_constant(w1), inputs={"via": "dual", "p": p},
+            measured=b1_w1, inputs={"via": "dual", "p": p},
         ),
         WeightCertificate(
             "b1_of_w2_to_p_minus_1", bound=(2.0 * res.s_norm) ** (p - 1),
-            measured=b1_constant(w2) ** (p - 1), inputs={"via": "dual", "p": p},
+            measured=b1_w2 ** (p - 1), inputs={"via": "dual", "p": p},
         ),
         WeightCertificate("reconstruction_relative_error", bound=1e-10, measured=rec_err),
         WeightCertificate(
-            "product_rule_bp", measured=bp_constant(w, p),
-            bound=b1_constant(w1) * b1_constant(w2) ** (p - 1),
+            "product_rule_bp", measured=bp_constant(w, p), bound=b1_w1 * b1_w2 ** (p - 1),
         ),
     ]
     return FactorizationResult(

@@ -171,12 +171,14 @@ class DyadicMartingale:
 
     # -- invariants ---------------------------------------------------
 
-    def check_midpoint_law(self, depth: int = 12, paths: int = 10000, seed=0) -> int:
-        """Verify M_I == (M_I0 + M_I1)/2; returns the number of checks.
+    def check_midpoint_law(self) -> int:
+        """Verify M_I == (M_I0 + M_I1)/2 exactly; returns the number of checks.
 
-        Materialized trees are checked exhaustively and exactly (they
-        were already at construction; this re-runs the sweep).  For the
-        digit rules the law is checked at `paths` random prefixes.
+        Materialized trees are swept node by node (they were already at
+        construction; this re-runs the sweep).  A digit rule's children
+        differ from their parent by the two steps of one row steps[prev],
+        so the law holds at every node of every depth exactly when each
+        row of each table sums to 0; the checks are those rows.
         """
         if self._levels is not None:
             checks = 0
@@ -186,15 +188,14 @@ class DyadicMartingale:
                     raise ValueError(f"midpoint law fails at level {n}")
                 checks += lv.size
             return checks
-        rng = np.random.default_rng(seed)
-        lens = rng.integers(0, depth + 1, size=paths)
-        for n in lens:
-            address = "".join("01"[b] for b in rng.integers(0, 2, size=int(n)))
-            v = self.value(address)
-            mean = (self.value(address + "0") + self.value(address + "1")) / 2.0
-            if v != mean:
-                raise ValueError(f"midpoint law fails at {address!r}: {v} != {mean}")
-        return paths
+        rows = 0
+        for i, steps in enumerate(_RULES[self.kind]):
+            for prev, row in enumerate(steps):
+                if sum(row) != 0:
+                    raise ValueError(f"midpoint law fails in table {i} of {self.kind!r}: "
+                                     f"steps after digit {prev} are {row}")
+                rows += 1
+        return rows
 
     # -- persistence ----------------------------------------------------
 
@@ -378,8 +379,8 @@ class AzumaFit:
     c: float
     points: int
 
-    def bound(self, eps: float, k: int, base_length: float = 1.0) -> float:
-        return self.c * (2.0 ** k) * base_length * math.exp(-self.gamma * eps * eps * k)
+    def bound(self, eps: float, k: int) -> float:
+        return self.c * (2.0 ** k) * math.exp(-self.gamma * eps * eps * k)
 
 
 def azuma_table(M: DyadicMartingale, eps_grid: Sequence, k_grid: Sequence[int],
@@ -392,18 +393,20 @@ def azuma_table(M: DyadicMartingale, eps_grid: Sequence, k_grid: Sequence[int],
     return rows
 
 
-def azuma_fit(rows: Sequence[AzumaRow], base_length: float = 1.0) -> AzumaFit:
-    """Least-squares decay rate for log(count / (2^k |I|)) against eps^2 k.
+def azuma_fit(rows: Sequence[AzumaRow]) -> AzumaFit:
+    """Least-squares decay rate for log(count / 2^k) against eps^2 k.
 
     Zero counts satisfy any bound and are left out of the regression;
-    the constant is then lifted so that count <= C 2^k |I| e^{-gamma
-    eps^2 k} holds at every positive row.
+    the constant is then lifted so that count <= C 2^k e^{-gamma eps^2 k}
+    holds at every positive row.
     """
     xs, ys = [], []
     for r in rows:
         if r.count > 0:
             xs.append(r.eps * r.eps * r.k)
-            ys.append(math.log(r.count / (r.total * base_length)))
+            # float(total), not int / int: past 2^53 the two round apart, and
+            # the reported constants come from the float quotient
+            ys.append(math.log(r.count / float(r.total)))
     if len(xs) < 2 or max(xs) == min(xs):
         raise ValueError("need at least two distinct positive rows to fit")
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
@@ -449,10 +452,11 @@ class PointSeq:
     The anchor of an address of length k has modulus 1 - 2^{-k} and the
     central angle of its interval (shifted by grid_theta), so each top
     half holds at most one anchor and distinct addresses mean distinct
-    points.  Entries may carry a generation tag for builder output.
+    points; a repeated address raises a ValueError.  Entries may carry a
+    generation tag for builder output.
     """
 
-    def __init__(self, entries, grid_theta=0, on_duplicate: str = "raise"):
+    def __init__(self, entries, grid_theta=0):
         norm = []
         for e in entries:
             if isinstance(e, SeqEntry):
@@ -467,11 +471,10 @@ class PointSeq:
             seen[e.address] = seen.get(e.address, 0) + 1
             if seen[e.address] == 2:
                 dups.append(e.address)
-        if dups and on_duplicate == "raise":
+        if dups:
             raise ValueError(f"duplicate addresses (one point per top half): {dups}")
         self.entries: Tuple[SeqEntry, ...] = tuple(norm)
         self.grid_theta = mod1(grid_theta)
-        self.duplicates: Tuple[str, ...] = tuple(dups)
 
     def __len__(self):
         return len(self.entries)
@@ -500,19 +503,18 @@ class PointSeq:
         }
 
     @classmethod
-    def from_json(cls, data: dict, on_duplicate: str = "raise") -> "PointSeq":
+    def from_json(cls, data: dict) -> "PointSeq":
         theta = data.get("grid_theta", 0)
         if isinstance(theta, str):
             theta = Fraction(theta)
         entries = [SeqEntry(d["address"], int(d.get("generation", 0)))
                    for d in data["entries"]]
-        return cls(entries, grid_theta=theta, on_duplicate=on_duplicate)
+        return cls(entries, grid_theta=theta)
 
 
-def radial_chain(depth: int = 12, grid_theta=0) -> PointSeq:
+def radial_chain(depth: int = 12) -> PointSeq:
     """Nested top halves along the leftmost digit path, levels 1..depth."""
-    return PointSeq([SeqEntry("0" * j, generation=j) for j in range(1, depth + 1)],
-                    grid_theta=grid_theta)
+    return PointSeq([SeqEntry("0" * j, generation=j) for j in range(1, depth + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -658,16 +660,15 @@ def carleson_sum_at(seq: PointSeq, gap, angle) -> float:
     return float(_anchor_order_sums(inv)[0])
 
 
-def carleson_sup(seq: PointSeq, probes: Optional[Sequence[str]] = None) -> CarlesonReport:
+def carleson_sup(seq: PointSeq) -> CarlesonReport:
     """Sup of the invariant mass sum over probe anchors, plus the box form.
 
-    Probes default to the sequence anchors, their tree ancestors, and
-    the root anchor (the origin).  The box form is exact over all grid
-    arcs: only address prefixes carry mass, so scanning prefixes attains
-    the global sup of mu(S(I)) / |I|.
+    The probes are the sequence anchors, their tree ancestors, and the
+    root anchor (the origin).  The box form is exact over all grid arcs:
+    only address prefixes carry mass, so scanning prefixes attains the
+    global sup of mu(S(I)) / |I|.
     """
-    if probes is None:
-        probes = default_probe_addresses(seq)
+    probes = default_probe_addresses(seq)
     totals = np.empty(len(probes))
     anchors = _address_points([e.address for e in seq])
     for start, _, inv in _pair_blocks(_address_points(probes), anchors):
@@ -692,17 +693,16 @@ def carleson_sup(seq: PointSeq, probes: Optional[Sequence[str]] = None) -> Carle
 # trace sums
 # ---------------------------------------------------------------------------
 
-def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float,
-                probes: Optional[Sequence[str]] = None, r_levels: int = 12) -> dict:
+def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float, r_levels: int = 12) -> dict:
     """Sup over probes z and radii r = 1 - 2^{-m} of the localized sum
 
         sum_{rho(z, z_n) < r} exp(lam (b_n - b_z)^2 / log(1/(1-r^2))) (1 - rho^2)
 
-    with b taken from the martingale at the point's own interval.
-    Returns the sup, where it is attained, and a per-radius profile.
+    with b taken from the martingale at the point's own interval, the
+    probes being those of carleson_sup.  Returns the sup, where it is
+    attained, and a per-radius profile.
     """
-    if probes is None:
-        probes = default_probe_addresses(seq)
+    probes = default_probe_addresses(seq)
     anchors = _address_points([e.address for e in seq])
     b_entries = np.array([M.value(e.address) for e in seq])
     log_terms = [_log_inv_mass(m) for m in range(1, r_levels + 1)]
@@ -922,7 +922,7 @@ def _expand_signs(parent: str, signs: Tuple[int, ...], start: int, stop: int):
 
 def counterexample_build(generations: int = 4, depth_budget: int = 60,
                          scale: float = 2.0, thresholds: Optional[Sequence[float]] = None,
-                         grid_theta=0, node_budget: int = 1 << 15) -> BuildResult:
+                         node_budget: int = 1 << 15) -> BuildResult:
     """Select nested generations of quarter-pattern crossing nodes.
 
     Starting from the root, each generation-j parent is explored two
@@ -1029,7 +1029,7 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
         entries.extend(SeqEntry(a, generation=j) for a, _ in selected)
         parents = selected
     return BuildResult(
-        seq=PointSeq(entries, grid_theta=grid_theta),
+        seq=PointSeq(entries),
         thresholds=s_list[:len(gen_records)],
         generations=gen_records,
         depth_budget=depth_budget,

@@ -4,7 +4,7 @@ Everything here recomputes tree quantities from explicit cell lists in
 pure Python, deliberately ignoring the package's vectorized layouts, or is
 a sampled or exact computation the package no longer runs, kept as an
 oracle (the mesh survey of continuous constants, probe points, offset
-sampling of common boxes, weak separation of a sequence).
+sampling of common boxes, float-born arcs, weak separation of a sequence).
 """
 
 import math
@@ -12,10 +12,18 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from discweights.averaging import _common_ancestor_levels, dyadic_restriction, rect_quadrature
+from discweights.averaging import dyadic_restriction, rect_quadrature
 from discweights.extension import extend_bp
 from discweights.factorization import factor_bho_full
-from discweights.geometry import GridNode, arc_contains_angle, area_carleson, area_top, mod1
+from discweights.geometry import (
+    GridNode,
+    UnitArc,
+    arc_contains_angle,
+    area_carleson,
+    area_top,
+    containing_level,
+    mod1,
+)
 from discweights.martingales import SeqEntry, default_probe_addresses
 from discweights.weights import node_id, node_levels
 
@@ -333,8 +341,45 @@ def brute_cell_survey(stacks, p, family):
     return best, margin
 
 
+def random_arcs(depth, rng, count):
+    """Arcs with a uniform left end and a log-uniform length down to
+    2^-depth, each read exactly from its float: their denominators reach
+    2^53, which drives the exact integer passes onto Python ints."""
+    rng = np.random.default_rng(rng)
+    out = []
+    for _ in range(count):
+        c = F(float(rng.uniform()))
+        ell = F(float(np.exp2(-rng.uniform(0, depth))))
+        out.append(UnitArc(c, ell))
+    return out
+
+
+def _cells_over_offsets(modulus, angle, thetas):
+    """(level, index per offset) of the containing grid cell, vectorized."""
+    k = containing_level(1 - F(modulus))
+    n = np.int64(1 << k)
+    f = ((angle - thetas) % 1.0) * (1 << k)
+    j = np.ceil(f).astype(np.int64) - 1
+    j = np.where(j < 0, n - 1, np.minimum(j, n - 1))
+    return k, j
+
+
+def _common_ancestor_levels(z, w, thetas):
+    """(level of the deeper cell, level of the common ancestor per offset)."""
+    kz, jz = _cells_over_offsets(z[0], z[1], thetas)
+    kw, jw = _cells_over_offsets(w[0], w[1], thetas)
+    kmin = min(kz, kw)
+    x = (jz >> (kz - kmin)) ^ (jw >> (kw - kmin))
+    bl = np.zeros_like(x)
+    nz = x > 0
+    bl[nz] = np.floor(np.log2(x[nz])).astype(np.int64) + 1
+    return max(kz, kw), kmin - bl
+
+
 def mean_common_boxes(z, w, resolution_bits=12):
-    """Mean over offsets of the number of grid boxes containing both cells."""
+    """Mean over 2^resolution_bits midpoint offsets of the number of grid
+    boxes containing both points (modulus, angle in turns), by locating
+    each point's cell under every sampled offset."""
     t = 1 << resolution_bits
     thetas = (np.arange(t) + 0.5) / t
     _, common = _common_ancestor_levels(z, w, thetas)

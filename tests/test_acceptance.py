@@ -152,7 +152,7 @@ def test_criterion_06_offset_averaging():
     """Offset-measure spectra are exact probability vectors with the 4/2^k
     bucket decay on 1000 random arcs; the log-Minkowski margin stays under
     1e-9 on every surveyed box; the averaged-distance ratio stays under 50
-    on 1000 random pairs at offset resolution 2^-12."""
+    on 1000 random pairs."""
     rng = np.random.default_rng(106)
     grid = 1 << 20
     for _ in range(1000):
@@ -171,7 +171,7 @@ def test_criterion_06_offset_averaging():
     pairs = [((0.01 + 0.98 * rng.random(), rng.random()),
               (0.01 + 0.98 * rng.random(), rng.random()))
              for _ in range(1000)]
-    out = avg_beta_check(pairs, resolution_bits=12)
+    out = avg_beta_check(pairs)
     assert out["max_ratio"] <= 50.0
 
 

@@ -47,6 +47,7 @@ from helpers import (
     five_probes,
     mean_common_boxes,
     per_offset_pipeline,
+    random_arcs,
 )
 
 
@@ -286,7 +287,7 @@ class TestGoodNodes:
     def test_python_int_path_matches_oracle(self):
         """Float-born arcs put L near 2^62, so 18 L^3 passes 2^63: the scan
         runs on Python ints and must still match the oracle exactly."""
-        arcs = [default_arc_family(3, rng=5, random_count=1)[-1],
+        arcs = [random_arcs(3, 5, 1)[0],
                 UnitArc(F(float(np.float64(0.8125) + 2.0 ** -40)), F(1, 5)),
                 UnitArc(F(1, 3), F(1, 7))]
         dom = ContinuousDomain(arcs)
@@ -477,7 +478,7 @@ class TestExactSurvey:
     def test_float_arcs_match_brute_cell_survey(self):
         """Arcs built from floats put the common denominator past int64."""
         trees = _walk_stack(4, [F(2 * i + 1, 10) for i in range(5)], 7)
-        family = default_arc_family(2, rng=3, random_count=6)[-8:]
+        family = default_arc_family(2)[-2:] + random_arcs(2, 3, 6)
         assert max(arc.left.denominator for arc in family) > 1 << 40
         for p in (1.0, 3.0):
             got = _survey_geo_family([(trees, 1.0)], p, family)
@@ -568,7 +569,7 @@ def disc_beta(z, w):
 
 class TestAvgBeta:
     def test_equal_points_give_zero(self):
-        rep = avg_beta_check([((0.5, 0.25), (0.5, 0.25))], resolution_bits=8)
+        rep = avg_beta_check([((0.5, 0.25), (0.5, 0.25))])
         assert rep["max_ratio"] == 0.0
 
     def test_exact_mean_for_commensurate_pair(self):
@@ -614,7 +615,8 @@ class TestAvgBeta:
 
     @pytest.mark.parametrize("bits", [4, 8, 12])
     def test_sample_gap_within_the_grid_bound(self, bits):
-        """At level k the offsets that keep both points in one cell form 2^k
+        """The exact mean against the 2^bits-offset sample of the oracle: at
+        level k the offsets that keep both points in one cell form 2^k
         equal intervals; 2^bits midpoint samples miss at most one sample per
         interval, 2^(k - bits) of the chance in all (and never more than 1)."""
         rng = np.random.default_rng(29)
@@ -624,11 +626,9 @@ class TestAvgBeta:
             z, w = (r1, a1), (r2, a2)
             levels = sorted((containing_level(1 - F(r1)), containing_level(1 - F(r2))))
             bound = sum(min(1.0, 2.0 ** (k - bits)) for k in range(1, levels[0] + 1))
-            rep = avg_beta_check([(z, w)], resolution_bits=bits)
+            rep = avg_beta_check([(z, w)])
             sampled = levels[1] + 1 - mean_common_boxes(z, w, bits)
-            gap = rep["max_sample_gap"]
-            assert gap == pytest.approx(abs(sampled - rep["mean_beta_theta"][0]), abs=1e-12)
-            assert gap <= bound + 1e-12
+            assert abs(sampled - rep["mean_beta_theta"][0]) <= bound + 1e-12
 
     def test_envelopes_on_random_pairs(self):
         rng = np.random.default_rng(17)
@@ -637,7 +637,7 @@ class TestAvgBeta:
             r1, r2 = rng.uniform(0.05, 0.999, 2)
             a1, a2 = rng.uniform(0, 1, 2)
             pairs.append(((r1, a1), (r2, a2)))
-        rep = avg_beta_check(pairs, resolution_bits=12)
+        rep = avg_beta_check(pairs)
         assert rep["max_ratio"] <= 50.0
         assert rep["max_pointwise_ratio"] <= 3.0
 

@@ -2,13 +2,12 @@
 
 import csv
 import json
-import math
 import re
 from pathlib import Path
 
 import pytest
 
-from discweights import averaging, cli
+from discweights import cli
 from discweights.cli import (
     COMMANDS,
     EXIT_CERT_VIOLATION,
@@ -33,8 +32,7 @@ BAD_VALUES = {
                       "sigma": "wide", "seed": True, "terms": 0},
     "extend-continuous": {"fixture": "bagel", "p": float("nan"), "q": 1.0, "depth": 2.5,
                           "theta_count": 0, "family_depth": -1, "minkowski_tol": "tight"},
-    "average": {"arcs": 2.5, "pairs": 0, "seed": "s", "resolution_bits": -1,
-                "ratio_bound": float("nan")},
+    "average": {"arcs": 2.5, "pairs": 0, "seed": "s", "ratio_bound": float("nan")},
     "azuma": {"kind": "brownian", "depth": 2.5, "seed": -1, "eps_grid": [0.3, 0],
               "k_min": 2.5, "k_max": 0, "base": "012", "gamma_min": float("nan"),
               "c_max": 0},
@@ -46,6 +44,11 @@ BAD_VALUES = {
                        "require_generations": 2.5},
     "selftest": {},
 }
+
+# Values on the edge of a strict range, refused like the ones above.  Each
+# runs right after its command's BAD_VALUES: pytest numbers the ids of list
+# and object values (value37, ...) by position in the whole list.
+EDGE_VALUES = {"average": {"ratio_bound": 0}}
 
 
 def read_report(out_dir):
@@ -268,8 +271,8 @@ class TestExitCodes:
                {c: set(SCHEMAS[c]) for c in COMMANDS}
 
     @pytest.mark.parametrize("command, key, value", [
-        (command, key, value)
-        for command, keys in BAD_VALUES.items() for key, value in keys.items()
+        (command, key, value) for command, keys in BAD_VALUES.items()
+        for key, value in [*keys.items(), *EDGE_VALUES.get(command, {}).items()]
     ])
     def test_bad_value_names_the_key(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "cfg.json"
@@ -283,8 +286,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, config, allocator, key", [
         ("azuma", {"kind": "random_pm1", "seed": 1, "depth": 40}, "martingale_from_spec",
          "'depth'"),
-        ("average", {"seed": 1, "resolution_bits": 40}, "avg_beta_check",
-         "'resolution_bits'"),
+        # 64 x 2^18 cells: each key alone stays within the cap at the other's default
+        ("extend-continuous", {"depth": 17, "theta_count": 64}, "extend_continuous",
+         "'depth' with 'theta_count'"),
         ("factorize", {"source": "random", "seed": 1, "depth": 16, "count": 64},
          "random_log_walk", "'depth' with 'count'"),
         ("trace", {"sequence": {"kind": "radial_chain", "depth": 3000}}, "radial_chain",
@@ -425,20 +429,20 @@ class TestCommands:
         assert report.results["sum_violations"] == 0
         assert report.results["bucket_ratio_max"] <= 1.0
 
-    def test_average_default_is_exact_only(self, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the default average sampled offsets")
-
-        monkeypatch.setattr(averaging, "_common_ancestor_levels", unreachable)
+    def test_average_default_is_exact_only(self):
         report = run("average", config={"arcs": 5, "pairs": 50, "seed": 3})
         assert report.ok
-        assert report.results["max_sample_gap"] is None
+        assert "max_sample_gap" not in report.results
+        cert = next(c for c in report.certificates if c["quantity"] == "avg_beta_max_ratio")
+        assert cert["inputs"] == {}
 
-    def test_average_sampled_cross_check(self):
-        report = run("average", config={"arcs": 5, "pairs": 50, "seed": 3,
-                                        "resolution_bits": 8})
-        assert report.ok
-        assert math.isfinite(report.results["max_sample_gap"])
+    def test_average_refuses_resolution_bits(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 3, "resolution_bits": 8}')
+        code = main(["average", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "unknown config keys ['resolution_bits']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_trace_radial_chain(self):
         report = run("trace", config={"lambda": 0.05})

@@ -129,6 +129,15 @@ class TestExtendBp:
         assert res.ok, [c.as_dict() for c in res.certificates if not c.passed]
         assert np.array_equal(res.weight.values[om.mask], w.values[om.mask])
 
+    def test_p_above_two_reports_the_extension_constants(self):
+        """The dual extension's oscillation diagnostics describe V, not W."""
+        w = random_log_walk(7, seed=3, sigma=0.6)
+        res = extend_bp(w, 3.0, 2.0, random_domain(7, seed=4, density=0.5))
+        osc = osc_constants(res.weight)
+        assert res.diagnostics["c_const_extension"] == osc.c_const
+        assert res.diagnostics["l_const_extension"] == osc.l_const
+        assert res.diagnostics["bp_extension_measured"] == bp_constant(res.weight, 3.0)
+
     def test_rejects_endpoint(self):
         w, om = b1_instance(203)
         with pytest.raises(ValueError):

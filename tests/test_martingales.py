@@ -162,9 +162,16 @@ class TestMidpointLaw:
         M = random_pm1(10, seed=2)
         assert M.check_midpoint_law() == (1 << 10) - 1
 
-    def test_evaluators_random_paths(self):
-        assert random_walk().check_midpoint_law(depth=10, paths=2000) == 2000
-        assert kahane().check_midpoint_law(depth=10, paths=2000) == 2000
+    def test_digit_rules_checked_row_by_row(self):
+        # one step table with two rows for the walk, two tables for kahane
+        assert random_walk().check_midpoint_law() == 2
+        assert kahane().check_midpoint_law() == 4
+
+    def test_unbalanced_step_row_fails_the_law(self, monkeypatch):
+        monkeypatch.setitem(martingales._RULES, "kahane",
+                            (((1, -1), (-1, 1)), ((0, 0), (1, 0))))
+        with pytest.raises(ValueError, match="midpoint law fails in table 1 of 'kahane'"):
+            kahane().check_midpoint_law()
 
     @given(address=addresses)
     @settings(max_examples=150, deadline=None)
@@ -386,12 +393,11 @@ class TestPointSeq:
             assert float(1 - e.gap) == z.modulus
             assert e.angle(Fraction(0)) == z.angle
 
-    def test_duplicates_raise_or_report(self):
+    def test_duplicates_raise(self):
+        with pytest.raises(ValueError, match=r"duplicate addresses .*\['01'\]"):
+            PointSeq(["01", "01", "1"])
         with pytest.raises(ValueError, match="duplicate addresses"):
-            PointSeq(["01", "01"])
-        seq = PointSeq(["01", "01", "1"], on_duplicate="report")
-        assert seq.duplicates == ("01",)
-        assert len(seq) == 3
+            PointSeq.from_json({"entries": [{"address": "1"}, {"address": "1"}]})
 
     def test_json_round_trip(self):
         seq = PointSeq([SeqEntry("0", 1), SeqEntry("0110", 2)],
@@ -464,11 +470,12 @@ class TestCarleson:
             sums.append(val)
         assert sums == sorted(sums, reverse=True)
 
-    def test_probe_override(self):
+    def test_probes_are_the_sequence_prefixes(self):
         chain = radial_chain(6)
-        rep = carleson_sup(chain, probes=[""])
-        assert rep.probe_count == 1
-        assert rep.sup == pytest.approx(carleson_sum_at(chain, Fraction(1), 0))
+        rep = carleson_sup(chain)
+        assert rep.probe_count == len(default_probe_addresses(chain)) == 7
+        top = SeqEntry(rep.argmax)
+        assert rep.sup == carleson_sum_at(chain, top.gap, top.angle(chain.grid_theta))
 
 
 class TestTrace:
