@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .extension import extend_b1, extend_bp_many
+from .extension import _extend_b1_many, extend_bp_many
 from .factorization import factor_bho_full_many
 from .geometry import (
     GridNode,
@@ -61,8 +61,9 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
-    _per_offset,
+    _name_first_bad,
     _plain,
+    _tree_rows,
     bp_constant as tree_bp_constant,
 )
 
@@ -468,10 +469,8 @@ def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain, 
     for lo in range(0, len(thetas), OFFSET_BLOCK):
         block = thetas[lo:lo + OFFSET_BLOCK]
         g = good_nodes_many(block, domain, depth)
-        counts = np.bincount(g.offset, minlength=len(block))
-        if not counts.all():
-            raise ValueError(f"offset {block[int(np.argmin(counts))]} failed: no good "
-                             "nodes: region and grid scales do not meet")
+        _name_first_bad(block, np.bincount(g.offset, minlength=len(block)) == 0,
+                        "no good nodes: region and grid scales do not meet")
         q = _quadrature_many(*(_over(b, g.denom) for b in
                                (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi - g.ang_lo)), w, 4, 4)
         first, sizes = g.start[:-1], np.diff(g.start)
@@ -481,8 +480,8 @@ def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain, 
             integral[more] += q[first[more] + i]
         vals[lo + g.offset, g.node] = integral / _over(g.area, g.denom ** 3)
         mask[lo + g.offset, g.node] = True
-    trees = _per_offset(thetas, lambda th, v: TreeWeight(th, depth, v), thetas, vals)
-    return trees, [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)]
+    return (_tree_rows(thetas, depth, vals),
+            [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)])
 
 
 def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain, depth: int):
@@ -842,11 +841,11 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     there by the dyadic machinery at exponent p, and for p > 1 the
     extension is factored into B_1 pieces over the full tree.  The output
     is the geometric mean in theta of the per-offset extensions (for
-    p > 1, of each factor separately, recombined as W1 W2^{1-p}).  The
-    restriction runs once for all offsets (dyadic_restriction_many); for
-    p = 1 the extension runs offset by offset, and for p > 1 the extension
-    and the factorization each run once on the stack of all offsets'
-    trees.  A ValueError from one offset is raised again naming the offset.
+    p > 1, of each factor separately, recombined as W1 W2^{1-p}).  Each
+    step runs once on the stack of all offsets' trees: the restriction
+    (dyadic_restriction_many), the extension with its certificate
+    constants, and for p > 1 the factorization.  A ValueError names the
+    first offset that failed.
 
     Reported constants: the continuous B_p (or B_1) constant of the
     averaged weight over the default arc family and the worst
@@ -857,26 +856,19 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
     trees, doms = dyadic_restriction_many(w, thetas, domain, depth)
     if p == 1:
-        exts = _per_offset(thetas, lambda wt, om: extend_b1(wt, q, om), trees, doms)
-        facts = [None] * theta_count
+        exts, facts = _extend_b1_many(trees, q, doms), [None] * theta_count
+        stacks = [([e.weight for e in exts], 1.0)]
     else:
         exts = extend_bp_many(trees, p, q, doms)
         facts = factor_bho_full_many([e.weight for e in exts], p)
+        stacks = [([f.w1 for f in facts], 1.0), ([f.w2 for f in facts], 1.0 - p)]
     artifacts = [ThetaArtifact(*row) for row in zip(thetas, trees, doms, exts, facts)]
 
     family = default_arc_family(family_depth)
-    if p == 1:
-        trees = [a.extension.weight for a in artifacts]
-        big = geo_mean_weight(trees)
-        const, mink = _survey_geo_family([(trees, 1.0)], 1, family)
-        key = "continuous_b1"
-    else:
-        w1s = [a.factorization.w1 for a in artifacts]
-        w2s = [a.factorization.w2 for a in artifacts]
-        g1, g2 = geo_mean_weight(w1s), geo_mean_weight(w2s)
-        big = SampledWeight(lambda r, a: g1(r, a) * g2(r, a) ** (1.0 - p))
-        const, mink = _survey_geo_family([(w1s, 1.0), (w2s, 1.0 - p)], p, family)
-        key = "continuous_bp"
+    const, mink = _survey_geo_family(stacks, p, family)
+    g = [geo_mean_weight(ts) for ts, _ in stacks]
+    big = g[0] if p == 1 else SampledWeight(lambda r, a: g[0](r, a) * g[1](r, a) ** (1.0 - p))
+    key = "continuous_b1" if p == 1 else "continuous_bp"
 
     # gap survey stops at the deepest band the tree resolves: below it the
     # extension is cellwise constant while w may keep moving, so the sup

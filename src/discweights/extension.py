@@ -15,8 +15,10 @@ factored over the domain into B_1 pieces w1, w2 by the iteration engine;
 the extension is (M w1)^{1/(delta q)} (M w2)^{(1-p)/(delta q)} off the
 domain.  p > 2 extends the dual weight w^{-1/(p-1)} at the conjugate
 exponent and maps back, which preserves everything at the price of raising
-constants to the power p - 1.  extend_bp_many runs the B_p route for a
-stack of trees (one per grid offset) with one factorization series.
+constants to the power p - 1.  Both routes run on a stack of trees, one
+per grid offset (extend_bp_many, _extend_b1_many): every power, maximal
+function, certificate constant and the factorization series run once for
+the stack, and only each tree's certificates are assembled per tree.
 """
 
 from __future__ import annotations
@@ -27,20 +29,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factorization import FactorizationResult, rdf_factor_many, s_norm_bound
+from .factorization import FactorizationResult, _rdf_factor, _s_norms
 from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
-    _per_offset,
+    _b1_values,
+    _bp_values,
+    _c_values,
+    _checked,
+    _floats,
+    _log_pair_sup,
+    _mask,
     _plain,
-    _rows,
-    _stack,
+    _stack_trees,
+    _tree_rows,
     b1_constant,
     bp_constant,
-    c_const,
     maximal_values,
-    osc_constants,
     reverse_holder,
 )
 
@@ -119,71 +125,85 @@ def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:
     generators used by the certified runs keep instances inside that
     regime, and the diagnostics expose the measured quotient window for
     the tighter bookkeeping bound ((2q-1)/(q-1)) (k_max/k_min)^{1/q}.
+    The one-tree case of _extend_b1_many.
+    """
+    return _extend_b1_many([w], q, [domain])[0]
+
+
+def _extend_b1_many(ws: Sequence[TreeWeight], q: float,
+                    domains: Sequence[DyadicDomain]) -> list:
+    """extend_b1 for several trees of one depth, each with its own domain.
+
+    The extension and every constant run once on the stack of all trees;
+    each result equals extend_b1 on its tree alone bitwise, and a
+    ValueError from one tree names its offset.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
-    if domain is None:
+    if any(om is None for om in domains):
         raise ValueError("extend_b1 needs a proper domain")
-    depth = w.depth
-    mask = domain.mask
+    thetas, depth, values, mask = _stack_trees(ws, domains)
 
-    wq = w.values ** q
-    m = maximal_values(wq, depth, domain)   # maximal of w^q chi_Omega
-    ext_vals = np.where(mask, w.values, m ** (1.0 / q))
-    ext_vals[0] = 1.0
-    big_w = TreeWeight(w.theta, depth, ext_vals)
-
-    b1_res = b1_constant(w.power(q), domain)
-    osc = osc_constants(w, domain)
-    k = np.where(mask, wq / m, 1.0)
-    k_on = k[mask]
-    k_min, k_max = float(np.min(k_on)), float(np.max(k_on))
-    k_min_g, k_max_g = min(k_min, 1.0), max(k_max, 1.0)
-
-    osc_big = osc_constants(big_w)
-    measured_b1 = b1_constant(big_w)
+    wq = _checked(thetas, values ** q)
+    # maximal of w^q chi_Omega: zeroed off the domain, as in _b1_values
+    m = maximal_values(np.where(mask, wq, 0.0), depth)
+    _, big, agree, c_big, l_big, measured_b1 = _extended(
+        thetas, depth, np.where(mask, values, m ** (1.0 / q)), values, mask, 1.0)
+    b1_res, c_wq = _floats(_b1_values(wq, mask, depth)), _floats(_c_values(wq, mask, depth))
+    c_w, l_w = _floats(_c_values(values, mask, depth)), _floats(_log_pair_sup(values, mask, depth))
+    k_min, k_max = _k_window(np.where(mask, wq / m, 1.0), mask)
     front = (2.0 * q - 1.0) / (q - 1.0)
-    certs = [
-        WeightCertificate(
-            "agreement_on_domain",
-            bound=0.0,
-            measured=float(np.max(np.abs(ext_vals[mask] - w.values[mask]))),
-        ),
-        WeightCertificate(
-            "k_window_upper",
-            bound=4.0 * c_const(w.power(q), domain) * (1 + _WINDOW_SLACK),
-            measured=k_max, inputs={"q": q},
-        ),
-        WeightCertificate(
-            "k_window_lower", bound=(1.0 / b1_res) * (1 - _WINDOW_SLACK),
-            measured=k_min, sense="ge",
-            inputs={"restricted_b1_of_wq": b1_res},
-        ),
-        WeightCertificate(
-            "b1_of_extension",
-            bound=front * b1_res ** (1.0 / q) * math.exp(3.0 * osc.l_const),
-            measured=measured_b1,
-            inputs={"restricted_b1_of_wq": b1_res, "l_const": osc.l_const, "q": q},
-        ),
-        WeightCertificate(
-            "osc_rate_of_extension",
-            bound=math.log(64.0 * b1_res) / q + 3.0 * osc.l_const,
-            measured=osc_big.l_const,
-            inputs={"restricted_b1_of_wq": b1_res, "l_const": osc.l_const, "q": q},
-        ),
-    ]
-    diagnostics = {
-        "restricted_b1_of_wq": b1_res,
-        "c_const_domain": osc.c_const,
-        "l_const_domain": osc.l_const,
-        "k_min": k_min,
-        "k_max": k_max,
-        "b1_bookkeeping_bound": front * (k_max_g / k_min_g) ** (1.0 / q),
-        "c_const_extension": osc_big.c_const,
-        "l_const_extension": osc_big.l_const,
-        "b1_extension_measured": measured_b1,
-    }
-    return ExtensionResult(big_w, p=1.0, q=q, certificates=certs, diagnostics=diagnostics)
+    out = []
+    for i, big_w in enumerate(big):
+        k_min_g, k_max_g = min(k_min[i], 1.0), max(k_max[i], 1.0)
+        inputs = {"restricted_b1_of_wq": b1_res[i], "l_const": l_w[i], "q": q}
+        certs = [
+            agree[i],
+            WeightCertificate("k_window_upper", bound=4.0 * c_wq[i] * (1 + _WINDOW_SLACK),
+                              measured=k_max[i], inputs={"q": q}),
+            WeightCertificate("k_window_lower", bound=(1.0 / b1_res[i]) * (1 - _WINDOW_SLACK),
+                              measured=k_min[i], sense="ge",
+                              inputs={"restricted_b1_of_wq": b1_res[i]}),
+            WeightCertificate("b1_of_extension",
+                              bound=front * b1_res[i] ** (1.0 / q) * math.exp(3.0 * l_w[i]),
+                              measured=measured_b1[i], inputs=dict(inputs)),
+            WeightCertificate("osc_rate_of_extension",
+                              bound=math.log(64.0 * b1_res[i]) / q + 3.0 * l_w[i],
+                              measured=l_big[i], inputs=dict(inputs)),
+        ]
+        diagnostics = {
+            "restricted_b1_of_wq": b1_res[i], "c_const_domain": c_w[i],
+            "l_const_domain": l_w[i], "k_min": k_min[i], "k_max": k_max[i],
+            "b1_bookkeeping_bound": front * (k_max_g / k_min_g) ** (1.0 / q),
+            "c_const_extension": c_big[i], "l_const_extension": l_big[i],
+            "b1_extension_measured": measured_b1[i],
+        }
+        out.append(ExtensionResult(big_w, p=1.0, q=q, certificates=certs,
+                                   diagnostics=diagnostics))
+    return out
+
+
+def _extended(thetas, depth: int, ext_vals: np.ndarray, values: np.ndarray,
+              mask: np.ndarray, p: float):
+    """The extension ext_vals of w off the domain mask, and what every route
+    measures of it: (its values, slot 0 set to 1, its trees, per tree its
+    certified bitwise agreement with w on the domain, then as lists its
+    full-tree c_const, l_const and B_p constant, B_1 for p = 1)."""
+    ext_vals[..., 0] = 1.0
+    big = _tree_rows(thetas, depth, ext_vals)
+    gap = np.max(np.where(mask, np.abs(ext_vals - values), -np.inf), axis=-1)
+    full = _mask(None, depth)
+    bp = _b1_values(ext_vals, full, depth) if p == 1 else _bp_values(ext_vals, p, full, depth)
+    agree = [WeightCertificate("agreement_on_domain", bound=0.0, measured=g)
+             for g in _floats(gap)]
+    return (ext_vals, big, agree, _floats(_c_values(ext_vals, full, depth)),
+            _floats(_log_pair_sup(ext_vals, full, depth)), _floats(bp))
+
+
+def _k_window(k: np.ndarray, mask: np.ndarray):
+    """Per tree, the least and the largest quotient k over its domain cells."""
+    return (_floats(np.min(np.where(mask, k, np.inf), axis=-1)),
+            _floats(np.max(np.where(mask, k, -np.inf), axis=-1)))
 
 
 def extend_bp(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
@@ -206,116 +226,82 @@ def extend_bp_many(ws: Sequence[TreeWeight], p: float, q: float,
                    domains: Sequence[DyadicDomain], terms: int = 60) -> list:
     """extend_bp for several trees of one depth, each with its own domain.
 
-    The factorization series and the maximal functions of the factors run
-    once on the stack of all trees; norm bounds, powers and certificates
-    are taken per tree.  Each result equals extend_bp on its tree alone
-    bitwise, and a ValueError from one tree names its offset.
+    The powers, norm bounds, factorization series, maximal functions of
+    the factors and every certificate constant run once on the stack of
+    all trees; only each tree's certificates are assembled per tree.  Each
+    result equals extend_bp on its tree alone bitwise, and a ValueError
+    from one tree names its offset.
     """
     if p <= 1:
         raise ValueError("p must exceed 1; use extend_b1 for the endpoint")
     if q <= 1:
         raise ValueError("q must exceed 1")
-    ws, domains = list(ws), list(domains)
-    if p > 2:
-        return _extend_bp_dual_many(ws, p, q, domains, terms)
+    thetas, depth, values, mask = _stack_trees(list(ws), list(domains))
+    return _extend_bp(thetas, depth, values, mask, p, q, terms)[1]
 
-    thetas = [w.theta for w in ws]
-    depth = ws[0].depth
+
+def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
+               q: float, terms: int):
+    """extend_bp_many on a stack: (the extensions' values, results)."""
+    if p > 2:
+        return _extend_bp_dual(thetas, depth, values, mask, p, q, terms)
     delta = (q + 1.0) / (2.0 * q)
     dq = delta * q                      # (q+1)/2 > 1
     gamma = 1.0 / dq                    # in (0, 1)
 
-    vs = _per_offset(thetas, lambda w: w.power(dq), ws)
-    s_norms = _per_offset(
-        thetas, lambda w, om: s_norm_bound(w, p, "restricted", om, q=q, delta=delta),
-        ws, domains)
-    facts = rdf_factor_many(vs, p, s_norms, domains, terms=terms)
+    vs = _checked(thetas, values ** dq)
+    s_norms = _s_norms(thetas, values, p, "restricted", mask, depth, q=q, delta=delta)
+    v1, v2, facts = _rdf_factor(thetas, depth, vs, mask, p, s_norms, terms,
+                                [False] * len(thetas))
 
     # the factors are zeroed off their domains, so the unrestricted maximal
     # function gives the restricted one bitwise
-    mask = _stack([om.mask for om in domains])
-    m1 = maximal_values(np.where(mask, _stack([f.w1.values for f in facts]), 0.0), depth)
-    m2 = maximal_values(np.where(mask, _stack([f.w2.values for f in facts]), 0.0), depth)
-    off = m1 ** (1.0 / dq) * m2 ** ((1.0 - p) / dq)
-    ext_vals = np.where(mask, _stack([w.values for w in ws]), off)
-    ext_vals.T[0] = 1.0
-    k = np.where(mask, _stack([v.values for v in vs]) / (m1 * m2 ** (1.0 - p)), 1.0)
-
-    return _per_offset(thetas, lambda *row: _bp_extension(p, q, delta, gamma, *row),
-                       ws, domains, facts, _rows(ext_vals), _rows(k))
-
-
-def _bp_extension(p: float, q: float, delta: float, gamma: float, w: TreeWeight,
-                  domain: DyadicDomain, fact: FactorizationResult,
-                  ext_vals: np.ndarray, k: np.ndarray) -> ExtensionResult:
-    """One tree of extend_bp_many: the extension and its certificates."""
-    mask = domain.mask
-    big_w = TreeWeight(w.theta, w.depth, ext_vals)
-
-    k_on = k[mask]
-    k_min, k_max = float(np.min(k_on)), float(np.max(k_on))
-    k_min_g, k_max_g = min(k_min, 1.0), max(k_max, 1.0)
-
-    c1 = c_const(fact.w1, domain)
-    c2 = c_const(fact.w2, domain)
-    b1_1 = b1_constant(fact.w1, domain)
-    b1_2 = b1_constant(fact.w2, domain)
-
-    k_max_bound = 4.0 * c1 * b1_2 ** (p - 1.0)
-    k_min_bound = (4.0 * c2) ** (1.0 - p) / b1_1
-    window_product = 4.0 ** p * c1 * c2 ** (p - 1.0) * b1_1 * b1_2 ** (p - 1.0)
+    m1 = maximal_values(np.where(mask, v1, 0.0), depth)
+    m2 = maximal_values(np.where(mask, v2, 0.0), depth)
+    ext_vals, big, agree, c_big, l_big, measured_bp = _extended(
+        thetas, depth, np.where(mask, values, m1 ** (1.0 / dq) * m2 ** ((1.0 - p) / dq)),
+        values, mask, p)
+    k_min, k_max = _k_window(np.where(mask, vs / (m1 * m2 ** (1.0 - p)), 1.0), mask)
+    c1, c2 = _floats(_c_values(v1, mask, depth)), _floats(_c_values(v2, mask, depth))
+    b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
     front = (2.0 - gamma) / (1.0 - gamma)
-    m1_bound = front ** p * window_product ** gamma
-    cw_bound = (4.0 ** p * k_max_g / k_min_g) ** gamma
-    m2_bound = 2.0 * math.log(cw_bound)
-
-    osc_big = osc_constants(big_w)
-    measured_bp = bp_constant(big_w, p)
-    certs = [
-        WeightCertificate(
-            "agreement_on_domain", bound=0.0,
-            measured=float(np.max(np.abs(ext_vals[mask] - w.values[mask]))),
-        ),
-        WeightCertificate(
-            "k_window_upper", bound=k_max_bound * (1 + _WINDOW_SLACK), measured=k_max,
-        ),
-        WeightCertificate(
-            "k_window_lower", bound=k_min_bound * (1 - _WINDOW_SLACK),
-            measured=k_min, sense="ge",
-        ),
-        WeightCertificate(
-            "bp_of_extension", bound=m1_bound, measured=measured_bp,
-            inputs={"p": p, "q": q, "delta": delta, "window_product": window_product},
-        ),
-        WeightCertificate(
-            "osc_rate_of_extension", bound=m2_bound, measured=osc_big.l_const,
-            inputs={"k_min": k_min, "k_max": k_max},
-        ),
-    ]
-    diagnostics = {
-        "delta": delta,
-        "s_norm": fact.s_norm,
-        "escalations": fact.escalations,
-        "b1_of_w1": b1_1,
-        "b1_of_w2": b1_2,
-        "c_const_w1": c1,
-        "c_const_w2": c2,
-        "k_min": k_min,
-        "k_max": k_max,
-        "m1_bound": m1_bound,
-        "m2_bound": m2_bound,
-        "bp_extension_measured": measured_bp,
-        "l_const_extension": osc_big.l_const,
-        "c_const_extension": osc_big.c_const,
-    }
-    return ExtensionResult(
-        big_w, p=p, q=q, certificates=certs, diagnostics=diagnostics,
-        factorization=fact,
-    )
+    out = []
+    for i, (big_w, fact) in enumerate(zip(big, facts)):
+        k_min_g, k_max_g = min(k_min[i], 1.0), max(k_max[i], 1.0)
+        k_max_bound = 4.0 * c1[i] * b1_2[i] ** (p - 1.0)
+        k_min_bound = (4.0 * c2[i]) ** (1.0 - p) / b1_1[i]
+        window_product = 4.0 ** p * c1[i] * c2[i] ** (p - 1.0) * b1_1[i] * b1_2[i] ** (p - 1.0)
+        m1_bound = front ** p * window_product ** gamma
+        cw_bound = (4.0 ** p * k_max_g / k_min_g) ** gamma
+        m2_bound = 2.0 * math.log(cw_bound)
+        certs = [
+            agree[i],
+            WeightCertificate("k_window_upper", bound=k_max_bound * (1 + _WINDOW_SLACK),
+                              measured=k_max[i]),
+            WeightCertificate("k_window_lower", bound=k_min_bound * (1 - _WINDOW_SLACK),
+                              measured=k_min[i], sense="ge"),
+            WeightCertificate("bp_of_extension", bound=m1_bound, measured=measured_bp[i],
+                              inputs={"p": p, "q": q, "delta": delta,
+                                      "window_product": window_product}),
+            WeightCertificate("osc_rate_of_extension", bound=m2_bound, measured=l_big[i],
+                              inputs={"k_min": k_min[i], "k_max": k_max[i]}),
+        ]
+        diagnostics = {
+            "delta": delta, "s_norm": fact.s_norm, "escalations": fact.escalations,
+            "b1_of_w1": b1_1[i], "b1_of_w2": b1_2[i], "c_const_w1": c1[i], "c_const_w2": c2[i],
+            "k_min": k_min[i], "k_max": k_max[i], "m1_bound": m1_bound, "m2_bound": m2_bound,
+            "bp_extension_measured": measured_bp[i], "l_const_extension": l_big[i],
+            "c_const_extension": c_big[i],
+        }
+        out.append(ExtensionResult(
+            big_w, p=p, q=q, certificates=certs, diagnostics=diagnostics,
+            factorization=fact,
+        ))
+    return ext_vals, out
 
 
-def _extend_bp_dual_many(ws: list, p: float, q: float, domains: list,
-                         terms: int) -> list:
+def _extend_bp_dual(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
+                    q: float, terms: int):
     """p > 2: extend w^{-1/(p-1)} at the conjugate exponent, then invert.
 
     If V extends the dual weight with constants (M1, M2) at p', then
@@ -323,48 +309,31 @@ def _extend_bp_dual_many(ws: list, p: float, q: float, domains: list,
     and L_W = (p-1) L_V, so the mapped bounds stay rigorous.  The domain
     values are overwritten with w to keep the agreement bitwise.
     """
-    pp = p / (p - 1.0)
-    thetas = [w.theta for w in ws]
-    duals = _per_offset(thetas, lambda w: w.power(-1.0 / (p - 1.0)), ws)
-    results = extend_bp_many(duals, pp, q, domains, terms)
-    return _per_offset(thetas, lambda w, domain, res: _invert_dual(w, p, q, domain, res),
-                       ws, domains, results)
-
-
-def _invert_dual(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
-                 res: ExtensionResult) -> ExtensionResult:
-    """One tree of the p > 2 route: map the dual extension back to w."""
-    mask = domain.mask
-    vals = np.where(mask, w.values, res.weight.values ** (-(p - 1.0)))
-    vals[0] = 1.0
-    big_w = TreeWeight(w.theta, w.depth, vals)
-    m1_bound = res.diagnostics["m1_bound"] ** (p - 1.0)
-    m2_bound = res.diagnostics["m2_bound"] * (p - 1.0)
-    osc_big = osc_constants(big_w)
-    measured_bp = bp_constant(big_w, p)
-    certs = [
-        WeightCertificate(
-            "agreement_on_domain", bound=0.0,
-            measured=float(np.max(np.abs(vals[mask] - w.values[mask]))),
-        ),
-        WeightCertificate(
-            "bp_of_extension", bound=m1_bound, measured=measured_bp,
-            inputs={"p": p, "via": "dual"},
-        ),
-        WeightCertificate(
-            "osc_rate_of_extension", bound=m2_bound, measured=osc_big.l_const,
-            inputs={"via": "dual"},
-        ),
-    ]
-    diagnostics = dict(res.diagnostics)
-    diagnostics.update({"m1_bound": m1_bound, "m2_bound": m2_bound,
-                        "bp_extension_measured": measured_bp,
-                        "l_const_extension": osc_big.l_const,
-                        "c_const_extension": osc_big.c_const})
-    return ExtensionResult(
-        big_w, p=p, q=q, certificates=certs, diagnostics=diagnostics,
-        factorization=res.factorization, via_dual=True,
-    )
+    duals = _checked(thetas, values ** (-1.0 / (p - 1.0)))
+    dual_vals, results = _extend_bp(thetas, depth, duals, mask, p / (p - 1.0), q, terms)
+    ext_vals, big, agree, c_big, l_big, measured_bp = _extended(
+        thetas, depth, np.where(mask, values, dual_vals ** (-(p - 1.0))), values, mask, p)
+    out = []
+    for i, (big_w, res) in enumerate(zip(big, results)):
+        m1_bound = res.diagnostics["m1_bound"] ** (p - 1.0)
+        m2_bound = res.diagnostics["m2_bound"] * (p - 1.0)
+        certs = [
+            agree[i],
+            WeightCertificate("bp_of_extension", bound=m1_bound, measured=measured_bp[i],
+                              inputs={"p": p, "via": "dual"}),
+            WeightCertificate("osc_rate_of_extension", bound=m2_bound, measured=l_big[i],
+                              inputs={"via": "dual"}),
+        ]
+        diagnostics = dict(res.diagnostics)
+        diagnostics.update({"m1_bound": m1_bound, "m2_bound": m2_bound,
+                            "bp_extension_measured": measured_bp[i],
+                            "l_const_extension": l_big[i],
+                            "c_const_extension": c_big[i]})
+        out.append(ExtensionResult(
+            big_w, p=p, q=q, certificates=certs, diagnostics=diagnostics,
+            factorization=res.factorization, via_dual=True,
+        ))
+    return ext_vals, out
 
 
 @dataclass

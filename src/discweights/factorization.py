@@ -20,15 +20,15 @@ Exponents p in (1, 2] run directly; p > 2 factors the dual weight
 w^{-1/(p-1)} at the conjugate exponent and swaps the two factors back.
 
 The `_many` entry points factor several trees of one depth at once: the
-series runs on a (T, 2^(N+1)) stack with one norm bound, one domain mask
-and one escalation count per row, and each row's result equals the
-one-tree call bitwise.  The one-tree functions are their T = 1 case.
+series, the dual weights and every norm bound and certificate constant
+run on a (T, 2^(N+1)) stack, with one domain mask and one escalation count
+per row, and each row's result equals the one-tree call bitwise.  The
+one-tree functions are their T = 1 case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,14 +37,17 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _b1_values,
+    _bp_values,
+    _c_values,
     _cell_masses,
-    _per_offset,
-    _rows,
-    _stack,
+    _check_same_grid,
+    _checked,
+    _floats,
+    _mask,
+    _stack_trees,
+    _tree_rows,
     ancestor_max,
-    b1_constant,
-    bp_constant,
-    c_const,
     maximal_values,
     subtree_sums,
 )
@@ -123,21 +126,24 @@ def s_norm_bound(w: TreeWeight, p: float, mode: str = "full",
     pair (q, delta), and the norms come from the restricted bounds in terms
     of [w^q]_{B_p,D,Omega}; here `w` is the base weight, not its power.
     """
+    _check_same_grid(w, domain)
+    return _s_norms([w.theta], w.values, p, mode, _mask(domain, w.depth), w.depth, q, delta)[0]
+
+
+def _s_norms(thetas, values: np.ndarray, p: float, mode: str, mask: np.ndarray,
+             depth: int, q: float = None, delta: float = None) -> list:
+    """s_norm_bound of one tree or a stack, one float per tree."""
     if mode == "full":
-        br = bp_constant(w, p, domain)
         pp = p / (p - 1)
-        return (
-            4.0 * (pp * pp / (pp - 1)) ** (1.0 / pp) * br
-            + (4.0 * (p * p / (p - 1)) ** (1.0 / p)) ** (p - 1) * br
-        )
+        return [4.0 * (pp * pp / (pp - 1)) ** (1.0 / pp) * br
+                + (4.0 * (p * p / (p - 1)) ** (1.0 / p)) ** (p - 1) * br
+                for br in _floats(_bp_values(values, p, mask, depth))]
     if mode == "restricted":
         if q is None or delta is None:
             raise ValueError("restricted mode needs q and delta")
-        br = bp_constant(w.power(q), p, domain)
-        return (
-            restricted_maximal_norm_dual(p, q, delta, br)
-            + restricted_maximal_norm_lp(p, q, delta, br) ** (p - 1)
-        )
+        return [restricted_maximal_norm_dual(p, q, delta, br)
+                + restricted_maximal_norm_lp(p, q, delta, br) ** (p - 1)
+                for br in _floats(_bp_values(_checked(thetas, values ** q), p, mask, depth))]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -203,20 +209,22 @@ def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float]
     norm bound s_norms[i] and domain (None for the full tree); a row whose
     series does not settle has its bound doubled and the stack is run
     again, which leaves every settled row bitwise as it was (its bound does
-    not move).  A ValueError while splitting one row names its offset.
+    not move).  The certificate constants are taken once on the stack, and
+    a ValueError from one row names its offset.
     """
     if not (1 < p <= 2):
         raise ValueError("rdf_factor runs for p in (1, 2]; use factor_bho_full")
     ws = list(ws)
-    depth = ws[0].depth
-    if any(w.depth != depth for w in ws):
-        raise ValueError("a stack of trees needs one depth")
     domains = [None] * len(ws) if domains is None else list(domains)
-    full = np.ones(1 << (depth + 1), dtype=bool)
-    full[0] = False
-    masks = [full if domain is None else domain.mask for domain in domains]
-    values, mask = _stack([w.values for w in ws]), _stack(masks)
+    thetas, depth, values, mask = _stack_trees(ws, domains)
+    return _rdf_factor(thetas, depth, values, mask, p, s_norms, terms,
+                       [om is None for om in domains])[2]
 
+
+def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
+                s_norms: Sequence[float], terms: int, free: Sequence[bool]):
+    """rdf_factor_many on a stack: (w1 values, w2 values, results).  free[i]
+    marks a row without a domain, also certified by the product rule."""
     s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
     escalations = np.zeros(s.shape, dtype=np.int64)
     pending = np.ones(s.shape, dtype=bool)
@@ -231,57 +239,54 @@ def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float]
         raise ArithmeticError(
             f"series did not settle after {_MAX_ESCALATIONS} doublings of the norm bound"
         )
+    s, escalations, tail_ratio = _floats(s), _floats(escalations), _floats(tail_ratio)
 
-    return _per_offset(
-        [w.theta for w in ws], lambda *row: _split(p, *row), ws, domains, masks,
-        _rows(f), np.atleast_1d(s), np.atleast_1d(escalations),
-        np.atleast_1d(tail_ratio))
-
-
-def _split(p: float, w: TreeWeight, domain: Optional[DyadicDomain], mask: np.ndarray,
-           f: np.ndarray, s, escalations, tail_ratio) -> FactorizationResult:
-    """One row of rdf_factor_many: the B_1 factors and their certificates."""
-    s, tail_ratio = float(s), float(tail_ratio)
-    depth = w.depth
     # off the domain the factors carry neutral value 1 (never integrated)
-    f_full = np.where(mask, f, 1.0)
-    w1 = TreeWeight(w.theta, depth, f_full * np.where(mask, w.values, 1.0))
-    w2 = TreeWeight(w.theta, depth, f_full ** (1.0 / (p - 1)))
+    np.copyto(f, 1.0, where=~mask)
+    v1, v2 = f * np.where(mask, values, 1.0), f ** (1.0 / (p - 1))
+    w1s, w2s = _tree_rows(thetas, depth, v1), _tree_rows(thetas, depth, v2)
+    c_w, c1, c2 = (_floats(_c_values(x, mask, depth)) for x in (values, v1, v2))
+    osc = [[WeightCertificate("osc_of_w1", bound=4.0 * c ** 2, measured=m1,
+                              inputs={"osc_of_w": c}),
+            WeightCertificate("osc_of_w2", bound=(4.0 * c) ** (1.0 / (p - 1)), measured=m2,
+                              inputs={"osc_of_w": c})] for c, m1, m2 in zip(c_w, c1, c2)]
+    checked = _factor_certs(values, v1, v2, p, mask, depth, [2.0 * x for x in s],
+                            [{"s_norm": x, "p": p} for x in s], osc, free)
+    return v1, v2, [
+        FactorizationResult(w1=w1, w2=w2, f=f_row, p=p, s_norm=s_i, escalations=e,
+                            tail_ratio=t, reconstruction_error=rec_err, certificates=certs)
+        for w1, w2, f_row, s_i, e, t, (rec_err, certs)
+        in zip(w1s, w2s, np.atleast_2d(f), s, escalations, tail_ratio, checked)]
 
-    recon = w1.values[mask] * w2.values[mask] ** (1.0 - p)
-    rec_err = float(np.max(np.abs(recon / w.values[mask] - 1.0)))
 
-    c_w = c_const(w, domain)
-    b1_w1, b1_w2 = b1_constant(w1, domain), b1_constant(w2, domain)
-    certs = [
-        WeightCertificate(
-            "b1_of_w1", bound=2.0 * s, measured=b1_w1,
-            inputs={"s_norm": s, "p": p},
-        ),
-        WeightCertificate(
-            "b1_of_w2_to_p_minus_1", bound=2.0 * s, measured=b1_w2 ** (p - 1),
-            inputs={"s_norm": s, "p": p},
-        ),
-        WeightCertificate(
-            "osc_of_w1", bound=4.0 * c_w ** 2, measured=c_const(w1, domain),
-            inputs={"osc_of_w": c_w},
-        ),
-        WeightCertificate(
-            "osc_of_w2", bound=(4.0 * c_w) ** (1.0 / (p - 1)),
-            measured=c_const(w2, domain), inputs={"osc_of_w": c_w},
-        ),
-        WeightCertificate(
-            "reconstruction_relative_error", bound=1e-10, measured=rec_err,
-        ),
-    ]
-    if domain is None:
-        certs.append(WeightCertificate(
-            "product_rule_bp", measured=bp_constant(w, p), bound=b1_w1 * b1_w2 ** (p - 1),
-        ))
-    return FactorizationResult(
-        w1=w1, w2=w2, f=f_full, p=p, s_norm=s, escalations=int(escalations),
-        tail_ratio=tail_ratio, reconstruction_error=rec_err, certificates=certs,
-    )
+def _factor_certs(values, v1, v2, p: float, mask, depth: int, bounds: list, inputs: list,
+                  osc: list, product_rule: Sequence[bool]) -> list:
+    """(reconstruction error, certificates) per row of w = w1 w2^{1-p}: the
+    B_1 bounds of both factors, the row's osc certificates, the
+    reconstruction on the mask and, where product_rule, the full-tree
+    [w]_{B_p} <= [w1]_{B_1} [w2]_{B_1}^{p-1}."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # slot 0 is unused
+        rec_err = np.abs(v1 * v2 ** (1.0 - p) / values - 1.0)
+    rec_err = _floats(np.max(np.where(mask, rec_err, -np.inf), axis=-1))
+    b1_w1, b1_w2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
+    if any(product_rule):
+        bp_w = _floats(_bp_values(values, p, _mask(None, depth), depth))
+    out = []
+    for i, (bound, rule) in enumerate(zip(bounds, product_rule)):
+        certs = [
+            WeightCertificate("b1_of_w1", bound=bound, measured=b1_w1[i],
+                              inputs=dict(inputs[i])),
+            WeightCertificate("b1_of_w2_to_p_minus_1", bound=bound,
+                              measured=b1_w2[i] ** (p - 1), inputs=dict(inputs[i])),
+            *osc[i],
+            WeightCertificate("reconstruction_relative_error", bound=1e-10,
+                              measured=rec_err[i]),
+        ]
+        if rule:
+            certs.append(WeightCertificate("product_rule_bp", measured=bp_w[i],
+                                           bound=b1_w1[i] * b1_w2[i] ** (p - 1)))
+        out.append((rec_err[i], certs))
+    return out
 
 
 def rdf_factor(w: TreeWeight, p: float, s_norm: float,
@@ -297,49 +302,29 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
 
 
 def factor_bho_full_many(ws: Sequence[TreeWeight], p: float, terms: int = 60) -> list:
-    """factor_bho_full for several trees of one depth, one series for all."""
+    """factor_bho_full for several trees of one depth, one series for all,
+    with norm bounds, dual weights and certificate constants per stack."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    ws = list(ws)
-    thetas = [w.theta for w in ws]
+    thetas, depth, values, full = _stack_trees(list(ws))
     if p <= 2:
-        s_norms = _per_offset(thetas, lambda w: s_norm_bound(w, p, "full"), ws)
-        return rdf_factor_many(ws, p, s_norms, terms=terms)
+        s_norms = _s_norms(thetas, values, p, "full", full, depth)
+        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms, [True] * len(thetas))[2]
 
+    # factor the dual weight at the conjugate exponent, swap the factors and
+    # recertify them for w
     pp = p / (p - 1)
-    duals = _per_offset(thetas, lambda w: w.power(-1.0 / (p - 1)), ws)
-    s_norms = _per_offset(thetas, lambda d: s_norm_bound(d, pp, "full"), duals)
-    results = rdf_factor_many(duals, pp, s_norms, terms=terms)
-    return _per_offset(thetas, lambda w, res: _swap_dual(w, p, res), ws, results)
-
-
-def _swap_dual(w: TreeWeight, p: float, res: FactorizationResult) -> FactorizationResult:
-    """One row of the p > 2 route: swap the dual factors and recertify."""
-    w1, w2 = res.w2, res.w1
-    mask = np.ones(len(w.values), dtype=bool)
-    mask[0] = False
-    recon = w1.values[mask] * w2.values[mask] ** (1.0 - p)
-    rec_err = float(np.max(np.abs(recon / w.values[mask] - 1.0)))
-    b1_w1, b1_w2 = b1_constant(w1), b1_constant(w2)
-    certs = [
-        WeightCertificate(
-            "b1_of_w1", bound=(2.0 * res.s_norm) ** (p - 1),
-            measured=b1_w1, inputs={"via": "dual", "p": p},
-        ),
-        WeightCertificate(
-            "b1_of_w2_to_p_minus_1", bound=(2.0 * res.s_norm) ** (p - 1),
-            measured=b1_w2 ** (p - 1), inputs={"via": "dual", "p": p},
-        ),
-        WeightCertificate("reconstruction_relative_error", bound=1e-10, measured=rec_err),
-        WeightCertificate(
-            "product_rule_bp", measured=bp_constant(w, p), bound=b1_w1 * b1_w2 ** (p - 1),
-        ),
-    ]
-    return FactorizationResult(
-        w1=w1, w2=w2, f=res.f, p=p, s_norm=res.s_norm,
-        escalations=res.escalations, tail_ratio=res.tail_ratio,
-        reconstruction_error=rec_err, certificates=certs, via_dual=True,
-    )
+    duals = _checked(thetas, values ** (-1.0 / (p - 1)))
+    d1, d2, results = _rdf_factor(thetas, depth, duals, full, pp,
+                                  _s_norms(thetas, duals, pp, "full", full, depth), terms,
+                                  [False] * len(thetas))
+    checked = _factor_certs(values, d2, d1, p, full, depth,
+                            [(2.0 * r.s_norm) ** (p - 1) for r in results],
+                            [{"via": "dual", "p": p}] * len(thetas), [[]] * len(thetas),
+                            [True] * len(thetas))
+    return [replace(res, w1=res.w2, w2=res.w1, p=p, reconstruction_error=rec_err,
+                    certificates=certs, via_dual=True)
+            for res, (rec_err, certs) in zip(results, checked)]
 
 
 def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationResult:

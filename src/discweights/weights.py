@@ -20,7 +20,6 @@ boxes whose intersection with the domain has positive area.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -104,9 +103,8 @@ class TreeWeight:
             raise ValueError(
                 f"need {1 << (depth + 1)} slots for depth {depth}, got {values.shape}"
             )
-        body = values[1:]
-        if not np.all(np.isfinite(body)) or np.any(body <= 0):
-            raise ValueError("weight values must be positive and finite")
+        if _bad_rows(values):
+            raise ValueError(_NOT_POSITIVE)
         self.theta = mod1(theta)
         self.depth = int(depth)
         self.values = values
@@ -290,9 +288,30 @@ def _plain(v):
     return v
 
 
+_NOT_POSITIVE = "weight values must be positive and finite"
+_OFF_GRID = "weight and domain live on different grids"
+
+
+def _bad_rows(values: np.ndarray) -> np.ndarray:
+    """Per tree of one tree or a stack: True where a value is not positive and finite."""
+    body = values[..., 1:]
+    return ~np.all(np.isfinite(body) & (body > 0), axis=-1)
+
+
 def _check_same_grid(w: TreeWeight, domain: Optional[DyadicDomain]):
     if domain is not None and (domain.depth != w.depth or domain.theta != w.theta):
-        raise ValueError("weight and domain live on different grids")
+        raise ValueError(_OFF_GRID)
+
+
+def _name_first_bad(thetas: Sequence, bad, message: str):
+    """Raise ValueError(message) naming the offset of the first row flagged in bad."""
+    if np.any(bad):
+        raise ValueError(f"offset {thetas[int(np.argmax(bad))]} failed: {message}")
+
+
+def _mask(domain: Optional[DyadicDomain], depth: int) -> np.ndarray:
+    """The domain's cell mask; for None, every cell (slot 0 is never one)."""
+    return np.arange(1 << (depth + 1)) > 0 if domain is None else domain.mask
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +323,44 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _rows(stack: np.ndarray) -> list:
-    """The rows of a `_stack` result: the array itself when it is 1-D."""
-    return [stack] if stack.ndim == 1 else list(stack)
+def _stack_trees(ws: Sequence[TreeWeight], domains: Optional[Sequence] = None):
+    """(thetas, depth, values, mask): `_stack`s of the values of trees of one
+    depth and of their domains' masks; a domain off its tree's grid raises
+    a ValueError naming the first such offset."""
+    depth = ws[0].depth
+    if any(w.depth != depth for w in ws):
+        raise ValueError("a stack of trees needs one depth")
+    thetas = [w.theta for w in ws]
+    domains = [None] * len(ws) if domains is None else domains
+    _name_first_bad(thetas, [om is not None and (om.depth, om.theta) != (depth, w.theta)
+                             for w, om in zip(ws, domains)], _OFF_GRID)
+    return (thetas, depth, _stack([w.values for w in ws]),
+            _stack([_mask(om, depth) for om in domains]))
 
 
-def _per_offset(thetas: Sequence, fn, *columns) -> list:
-    """[fn(*row) for the rows of columns], one row per offset.
-
-    A ValueError from a row is raised again naming that row's offset, so a
-    caller working on a stack of offsets can tell which one failed.
-    """
-    out = []
-    for theta, *row in zip(thetas, *columns):
-        try:
-            out.append(fn(*row))
-        except ValueError as exc:
-            raise ValueError(f"offset {theta} failed: {exc}") from exc
-    return out
+def _checked(thetas: Sequence, values: np.ndarray) -> np.ndarray:
+    """values, a `_stack`, once every row is positive and finite; the first
+    row that is not raises a ValueError naming its offset."""
+    _name_first_bad(thetas, _bad_rows(values), _NOT_POSITIVE)
+    return values
 
 
-# The tree kernels below take one tree, a (2^(N+1),) array, or a stack of
-# T trees, a (T, 2^(N+1)) array, and work row by row.  They index the node
-# axis through the transposed view, which is the array itself for one tree,
-# so a single tree stays 1-D and pays no extra indexing per call.
+def _tree_rows(thetas: Sequence, depth: int, values: np.ndarray) -> list:
+    """One TreeWeight per offset, each a view of its row of a `_checked` stack."""
+    return [TreeWeight(theta, depth, row)
+            for theta, row in zip(thetas, np.atleast_2d(_checked(thetas, values)))]
+
+
+def _floats(x) -> list:
+    """A constant of one tree or a stack as a list of floats, one per tree."""
+    return np.atleast_1d(x).tolist()
+
+
+# The tree kernels and constants below take one tree, a (2^(N+1),) array,
+# or a stack of T trees, a (T, 2^(N+1)) array (and one mask, or one per
+# tree), and work row by row: each row equals its one-tree result bitwise.
+# They index the node axis through the transposed view or `...`, so a
+# single tree stays 1-D; its constant is a 0-d array.
 
 def subtree_sums(cell_masses: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the sum of cell masses over its subtree (its box)."""
@@ -381,15 +414,19 @@ def bp_constant(w: TreeWeight, p: float, domain: Optional[DyadicDomain] = None) 
     if p < 1:
         raise ValueError("p must be >= 1")
     _check_same_grid(w, domain)
-    depth = w.depth
-    s1 = subtree_sums(_cell_masses(w.values, depth, domain), depth)
-    s2 = subtree_sums(_cell_masses(w.values ** (-1.0 / (p - 1)), depth, domain), depth)
+    return float(_bp_values(w.values, p, _mask(domain, w.depth), w.depth))
+
+
+def _bp_values(values: np.ndarray, p: float, mask: np.ndarray, depth: int) -> np.ndarray:
+    """bp_constant, p > 1, of one tree or a stack, each restricted to its mask."""
+    s1 = subtree_sums(np.where(mask, values * cell_areas(depth), 0.0), depth)
+    s2 = subtree_sums(np.where(mask, values ** (-1.0 / (p - 1)) * cell_areas(depth), 0.0), depth)
     areas = box_area_vector(depth)
     with np.errstate(invalid="ignore"):
         prod = (s1 / areas) * (s2 / areas) ** (p - 1)
     live = s1 > 0
-    live[0] = False
-    return float(np.max(prod[live]))
+    live[..., 0] = False
+    return np.max(np.where(live, prod, -np.inf), axis=-1)
 
 
 def maximal(f: TreeWeight, domain: Optional[DyadicDomain] = None) -> TreeWeight:
@@ -429,11 +466,14 @@ def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
 def b1_constant(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
     """sup over domain cells of (restricted maximal of w) / w."""
     _check_same_grid(w, domain)
-    m = maximal_values(w.values, w.depth, domain)
-    mask = domain.mask if domain is not None else np.ones(len(m), dtype=bool)
-    mask = mask.copy()
-    mask[0] = False
-    return float(np.max(m[mask] / w.values[mask]))
+    return float(_b1_values(w.values, _mask(domain, w.depth), w.depth))
+
+
+def _b1_values(values: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
+    """b1_constant of one tree or a stack, each restricted to its mask."""
+    # zeroing the values off the mask gives the restricted maximal function bitwise
+    m = maximal_values(np.where(mask, values, 0.0), depth)
+    return np.max(np.where(mask, m / values, -np.inf), axis=-1)
 
 
 def weak_type_ratio(w: TreeWeight, f: np.ndarray, p: float, lam: float,
@@ -512,10 +552,10 @@ def osc_constants(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> Oscil
     covers; `exact` is always True and kept for compatibility.
     """
     c = c_const(w, domain)
-    v = w.values
-    mask = domain.mask if domain is not None else np.ones_like(v, dtype=bool)
-    n = int(np.count_nonzero(mask[1:]))
-    return OscillationReport(c, _log_pair_sup(v, mask, w.depth), n * (n - 1) // 2, True)
+    mask = _mask(domain, w.depth)
+    n = int(np.count_nonzero(mask))
+    return OscillationReport(c, float(_log_pair_sup(w.values, mask, w.depth)), n * (n - 1) // 2,
+                             True)
 
 
 def c_const(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
@@ -524,43 +564,48 @@ def c_const(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
     T_{3/4}(I), over every arc I above the leaf level; 1 when none has a
     cell."""
     _check_same_grid(w, domain)
-    v = w.values
-    mask = domain.mask if domain is not None else np.ones_like(v, dtype=bool)
+    return float(_c_values(w.values, _mask(domain, w.depth), w.depth))
+
+
+def _c_values(values: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
+    """c_const of one tree or a stack, each restricted to its mask."""
     # each arc i = 1 .. 2^N - 1 against its children 2i and 2i + 1
-    half = 1 << w.depth
-    trio_vals = np.stack([v[1:half], v[2::2], v[3::2]])
-    trio_mask = np.stack([mask[1:half], mask[2::2], mask[3::2]])
+    mask, half = np.broadcast_to(mask, values.shape), 1 << depth
+    trio_vals = np.stack([values[..., 1:half], values[..., 2::2], values[..., 3::2]])
+    trio_mask = np.stack([mask[..., 1:half], mask[..., 2::2], mask[..., 3::2]])
     hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
     lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
     present = trio_mask.any(axis=0)
-    return float(np.max(hi_v[present] / lo_v[present], initial=1.0))
+    return np.max(np.where(present, hi_v, 1.0) / np.where(present, lo_v, 1.0), axis=-1,
+                  initial=1.0)
 
 
-def _log_pair_sup(v: np.ndarray, mask: np.ndarray, depth: int) -> float:
+def _log_pair_sup(v: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
     """sup over pairs of masked cells of |log v(a) - log v(b)| / (1 + beta(a, b)).
 
     Each side of a pair set is summarised by (max log v, max -log v) over
     its cells, -inf for an empty side; the largest gap between sides A and
     B is then max(A[0] + B[1], A[1] + B[0]), finite or -inf, never NaN.
     """
+    ends = np.full(np.broadcast_shapes(v.shape, mask.shape) + (2,), -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):  # slot 0 is unused
-        logv = np.log(v)
-    ends = np.where(mask[:, None], np.stack([logv, -logv], axis=1), -np.inf)
-    # gaps[R - 1]: largest gap over the pairs with beta <= R under one node
-    gaps = np.full(depth, -np.inf)
-    # sub[i, r]: ends over the cells of the subtree of node i at most r
-    # levels below it, for the nodes i of the level below the current one
-    sub = ends[1 << depth :, None, :]
+        np.copyto(ends[..., 0], np.log(v), where=mask)
+    np.negative(ends[..., 0], out=ends[..., 1], where=mask)
+    # gaps[..., R - 1]: largest gap over the pairs with beta <= R under one node
+    gaps = np.full(ends.shape[:-2] + (depth,), -np.inf)
+    # sub[..., i, r, :]: ends over the cells of the subtree of node i at most
+    # r levels below it, for the nodes i of the level below the current one
+    sub = ends[..., 1 << depth :, None, :]
     for k in range(depth - 1, -1, -1):
-        u = ends[1 << k : 1 << (k + 1), None, :]
-        left, right = sub[0::2], sub[1::2]
+        u = ends[..., 1 << k : 1 << (k + 1), None, :]
+        left, right = sub[..., 0::2, :, :], sub[..., 1::2, :, :]
         # pairs under u: (u or left) against right, and left against (u or right)
         u_left = np.maximum(u, left)
         gap = u_left + right[..., ::-1]
         np.maximum(gap, left + np.maximum(u, right)[..., ::-1], out=gap)
-        np.maximum(gaps[: depth - k], gap.max(axis=(0, 2)), out=gaps[: depth - k])
-        sub = np.concatenate([u, np.maximum(u_left, right)], axis=1)
-    return float(np.max(gaps / (1.0 + np.arange(1, depth + 1)), initial=0.0))
+        np.maximum(gaps[..., : depth - k], gap.max(axis=(-3, -1)), out=gaps[..., : depth - k])
+        sub = np.concatenate([u, np.maximum(u_left, right)], axis=-2)
+    return np.max(gaps / (1.0 + np.arange(1, depth + 1)), axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from discweights.averaging import dyadic_restriction, rect_quadrature
-from discweights.extension import extend_bp
+from discweights.extension import extend_b1, extend_bp
 from discweights.factorization import factor_bho_full
 from discweights.geometry import (
     GridNode,
@@ -174,16 +174,20 @@ def brute_restriction_values(w, theta, domain, depth, nr=4, na=4):
 
 
 def per_offset_pipeline(w, p, q, region, depth, theta_count):
-    """The p > 1 offsets of extend_continuous, one offset at a time.
+    """The offsets of extend_continuous, one offset at a time.
 
-    Per offset (midpoints of a uniform partition of the circle): restrict,
-    extend with extend_bp, factor the extension with factor_bho_full.
-    Returns (theta, restriction, domain, extension, factorization) rows.
+    Per offset (midpoints of a uniform partition of the circle): restrict;
+    for p = 1 extend with extend_b1, for p > 1 extend with extend_bp and
+    factor the extension with factor_bho_full.  Returns (theta,
+    restriction, domain, extension, factorization or None) rows.
     """
     rows = []
     for i in range(theta_count):
         theta = F(2 * i + 1, 2 * theta_count)
         wt, om = dyadic_restriction(w, theta, region, depth)
+        if p == 1:
+            rows.append((theta, wt, om, extend_b1(wt, q, om), None))
+            continue
         ext = extend_bp(wt, p, q, om)
         rows.append((theta, wt, om, ext, factor_bho_full(ext.weight, p)))
     return rows

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discweights import averaging
+from discweights import averaging, extension, factorization, weights
 from discweights.averaging import (
     ContinuousDomain,
     SampledWeight,
@@ -679,23 +679,60 @@ class TestExtendContinuous:
         assert np.all(res.weight(r, a) > 0)
 
     def test_stacked_offsets_match_per_offset_loop(self):
+        """Every route: B_1 (p = 1), B_p (p = 2) and the dual (p = 3)."""
         w, dom = continuous_fixture("pair_overlap")
-        res = extend_continuous(w, 2.0, 2.0, dom, depth=5, theta_count=8,
-                                family_depth=3)
-        ref = per_offset_pipeline(w, 2.0, 2.0, dom, depth=5, theta_count=8)
-        assert len(res.artifacts) == len(ref) == 8
-        for art, (theta, wt, om, ext, fact) in zip(res.artifacts, ref):
-            assert art.theta == theta
-            assert np.array_equal(art.restriction.values, wt.values)
-            assert np.array_equal(art.domain.mask, om.mask)
-            assert np.array_equal(art.extension.weight.values, ext.weight.values)
-            assert [c.as_dict() for c in art.extension.certificates] == \
-                   [c.as_dict() for c in ext.certificates]
-            assert sorted(art.extension.diagnostics.items()) == sorted(ext.diagnostics.items())
-            assert np.array_equal(art.factorization.w1.values, fact.w1.values)
-            assert np.array_equal(art.factorization.w2.values, fact.w2.values)
-            assert [c.as_dict() for c in art.factorization.certificates] == \
-                   [c.as_dict() for c in fact.certificates]
+        for p in (1.0, 2.0, 3.0):
+            res = extend_continuous(w, p, 2.0, dom, depth=5, theta_count=8,
+                                    family_depth=3)
+            ref = per_offset_pipeline(w, p, 2.0, dom, depth=5, theta_count=8)
+            assert len(res.artifacts) == len(ref) == 8
+            for art, (theta, wt, om, ext, fact) in zip(res.artifacts, ref):
+                assert art.theta == theta
+                assert np.array_equal(art.restriction.values, wt.values)
+                assert np.array_equal(art.domain.mask, om.mask)
+                assert np.array_equal(art.extension.weight.values, ext.weight.values)
+                assert [c.as_dict() for c in art.extension.certificates] == \
+                       [c.as_dict() for c in ext.certificates]
+                assert sorted(art.extension.diagnostics.items()) == \
+                       sorted(ext.diagnostics.items())
+                if p == 1:
+                    assert art.factorization is None and fact is None
+                    continue
+                assert np.array_equal(art.factorization.w1.values, fact.w1.values)
+                assert np.array_equal(art.factorization.w2.values, fact.w2.values)
+                assert [c.as_dict() for c in art.factorization.certificates] == \
+                       [c.as_dict() for c in fact.certificates]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_constants_run_once_per_stack(self, monkeypatch, p):
+        """The pipeline takes every constant and extension once for the
+        whole stack of offsets: the call counts do not grow with them."""
+        names = ["_c_values", "_b1_values", "_bp_values", "_log_pair_sup", "c_const",
+                 "b1_constant", "bp_constant", "osc_constants", "extend_b1", "extend_bp",
+                 "rdf_factor", "factor_bho_full", "s_norm_bound"]
+        w, dom = continuous_fixture("pair_overlap")
+
+        def counts(theta_count):
+            calls = dict.fromkeys(names, 0)
+
+            def spy(name, real):
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return counted
+
+            with monkeypatch.context() as m:
+                for module in (weights, factorization, extension, averaging):
+                    for name in names:
+                        if hasattr(module, name):
+                            m.setattr(module, name, spy(name, getattr(module, name)))
+                extend_continuous(w, p, 2.0, dom, depth=5, theta_count=theta_count,
+                                  family_depth=3)
+            return calls
+
+        few = counts(4)
+        assert few == counts(16)
+        assert few["_c_values"] > 0 and few["_log_pair_sup"] > 0
 
     def test_pipeline_restricts_without_per_node_clips(self, monkeypatch):
         """No per-node clip or per-piece quadrature in the pipeline, and each
@@ -717,5 +754,5 @@ class TestExtendContinuous:
     def test_per_theta_failure_names_the_offset(self):
         _, dom = continuous_fixture("pair_overlap")
         bad = SampledWeight(lambda r, a: np.full_like(r, np.inf))
-        with pytest.raises(ValueError, match="offset"):
+        with pytest.raises(ValueError, match="offset 1/4 failed"):
             extend_continuous(bad, 1, 2.0, dom, depth=6, theta_count=2)

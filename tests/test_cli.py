@@ -45,9 +45,7 @@ BAD_VALUES = {
     "selftest": {},
 }
 
-# Values on the edge of a strict range, refused like the ones above.  Each
-# runs right after its command's BAD_VALUES: pytest numbers the ids of list
-# and object values (value37, ...) by position in the whole list.
+# Values on the edge of a strict range, refused like the ones above.
 EDGE_VALUES = {"average": {"ratio_bound": 0}}
 
 
@@ -271,7 +269,9 @@ class TestExitCodes:
                {c: set(SCHEMAS[c]) for c in COMMANDS}
 
     @pytest.mark.parametrize("command, key, value", [
-        (command, key, value) for command, keys in BAD_VALUES.items()
+        pytest.param(command, key, value,
+                     id=f"{command}-{key}-{'list' if isinstance(value, list) else value}")
+        for command, keys in BAD_VALUES.items()
         for key, value in [*keys.items(), *EDGE_VALUES.get(command, {}).items()]
     ])
     def test_bad_value_names_the_key(self, tmp_path, capsys, command, key, value):

@@ -150,6 +150,9 @@ def assert_same_extension(a, b):
     assert [c.as_dict() for c in a.certificates] == [c.as_dict() for c in b.certificates]
     assert sorted(a.diagnostics.items()) == sorted(b.diagnostics.items())
     assert (a.p, a.q, a.via_dual) == (b.p, b.q, b.via_dual)
+    if a.p == 1:    # the B_1 route factors nothing
+        assert a.factorization is None and b.factorization is None
+        return
     assert np.array_equal(a.factorization.f, b.factorization.f)
     assert np.array_equal(a.factorization.w1.values, b.factorization.w1.values)
     assert np.array_equal(a.factorization.w2.values, b.factorization.w2.values)
@@ -189,6 +192,17 @@ class TestExtendBpMany:
         doms[2] = random_domain(6, seed=62, theta=F(1, 3))   # on another grid
         with pytest.raises(ValueError, match=f"offset {ws[2].theta} failed"):
             extend_bp_many(ws, 2.0, 2.0, doms)
+
+    def test_b1_rows_match_single(self):
+        ws, doms = self.stack(64)
+        for w, om, res in zip(ws, doms, extension._extend_b1_many(ws, 2.0, doms)):
+            assert_same_extension(res, extend_b1(w, 2.0, om))
+
+    def test_b1_row_error_names_its_offset(self):
+        ws, doms = self.stack(65)
+        doms[1] = random_domain(6, seed=66, theta=F(1, 3))   # on another grid
+        with pytest.raises(ValueError, match=f"offset {ws[1].theta} failed: weight and domain"):
+            extension._extend_b1_many(ws, 2.0, doms)
 
 
 class TestSelfImprove:

@@ -14,7 +14,12 @@ from discweights.geometry import GridNode, area_carleson, area_top, beta_dyadic_
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
+    _b1_values,
+    _bp_values,
+    _c_values,
     _cell_masses,
+    _log_pair_sup,
+    _mask,
     ancestor_max,
     b1_constant,
     box_area_vector,
@@ -421,6 +426,28 @@ class TestStackedKernels:
             single = maximal_values(values, depth, domain)
             assert single.shape == values.shape and np.isnan(single[0])
             assert np.array_equal(maxima[row], single, equal_nan=True)
+
+        # the constants, each tree with its own domain (or none)
+        doms = [random_domain(depth, rng=rng, density=0.5) if restricted else None
+                for _ in trees]
+        masks = np.stack([_mask(om, depth) for om in doms])
+        stacked = {
+            "c_const": _c_values(stack, masks, depth),
+            "b1_constant": _b1_values(stack, masks, depth),
+            "l_const": _log_pair_sup(stack, masks, depth),
+            **{f"bp_constant_{p}": _bp_values(stack, p, masks, depth) for p in (1.5, 2.0, 3.0)},
+        }
+        for row, (values, om) in enumerate(zip(trees, doms)):
+            w = TreeWeight(0, depth, values)
+            single = {
+                "c_const": c_const(w, om),
+                "b1_constant": b1_constant(w, om),
+                "l_const": osc_constants(w, om).l_const,
+                **{f"bp_constant_{p}": bp_constant(w, p, om) for p in (1.5, 2.0, 3.0)},
+            }
+            for name, value in single.items():
+                assert stacked[name].shape == (len(trees),)
+                assert stacked[name][row] == value, name
 
 
 class TestSerialization:
