@@ -525,6 +525,10 @@ def _run_azuma(cfg: dict):
     if k_min > k_max:
         raise PreconditionError(
             f"azuma: config key 'k_min' needs to be <= k_max {k_max}, got {k_min}")
+    if k_max > 1023:
+        # the fit and its envelope take 2^k as a float
+        raise PreconditionError(
+            f"azuma: config key 'k_max' needs to be <= 1023 (2^k_max as a float), got {k_max}")
     spec = {"kind": kind, "depth": depth}
     if kind == "random_pm1":
         spec["seed"] = _require_seed("azuma", cfg)

@@ -36,7 +36,7 @@ common denominator, so dt is an exact integer ratio rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -298,71 +298,63 @@ def _exact_eps(eps) -> Fraction:
     return Fraction(str(eps))
 
 
-def _count_classes(M: DyadicMartingale, base: str, eps: Fraction, k: int) -> int:
-    """Exact count for the digit-rule kinds via per-level value classes.
+def _walk_counts(M: DyadicMartingale, base: str, es: Sequence[Fraction], ks) -> Dict[int, list]:
+    """{k: one count per eps} for a digit-rule kind.
 
     Intervals at the same relative level with equal value difference and
-    equal last digit transition identically, so the enumeration walks
-    one (difference, last digit) histogram per level, retiring classes
-    early once the remaining maximal gain can no longer move them across
-    the threshold.  Differences are integers, so |d| > eps k exactly when
-    |d| > floor(eps k).
+    equal last digit transition identically, so one walk of (difference,
+    last digit) classes to max(ks) serves every level on the way.  The
+    differences are integers, so |d| > eps k exactly when |d| > floor(eps k).
     """
-    thr = math.floor(eps * k)
-    tables = [M._steps(len(base) + m) for m in range(1, k + 1)]
-    # remaining maximal |difference| gain strictly below relative level m
-    gain_after = [0] * (k + 1)
-    for m in range(k - 1, -1, -1):
-        gain_after[m] = gain_after[m + 1] + max(abs(s) for row in tables[m] for s in row)
     states = {(0, int(base[-1]) if base else 0): 1}
-    done = 0
-    for m, steps in enumerate(tables, 1):
+    counts = {}
+    for m in range(1, max(ks, default=0) + 1):
+        steps = M._steps(len(base) + m)
         nxt: Dict[Tuple[int, int], int] = {}
         for (d, b), c in states.items():
             for digit, step in enumerate(steps[b]):
-                key = (d + step, digit)
-                nxt[key] = nxt.get(key, 0) + c
-        states = {}
-        rem = gain_after[m]
-        for (d, b), c in nxt.items():
-            if abs(d) - rem > thr:
-                done += c << (k - m)
-            elif abs(d) + rem > thr:
-                states[(d, b)] = c
-            # else the class can never cross; drop it
-    return done
+                nxt[d + step, digit] = nxt.get((d + step, digit), 0) + c
+        states = nxt
+        if m in ks:
+            counts[m] = [sum(c for (d, _), c in states.items() if abs(d) > t)
+                         for t in (math.floor(e * m) for e in es)]
+    return counts
+
+
+def _slice_counts(M: DyadicMartingale, base: str, es: Sequence[Fraction], ks) -> Dict[int, list]:
+    """{k: one count per eps} for a materialized tree, one slice per k."""
+    j0 = int(base, 2) if base else 0
+    counts = {}
+    for k in ks:
+        b = M._levels[len(base)][j0].item()
+        sub = M._levels[len(base) + k][j0 << k:(j0 + 1) << k]
+        if sub.dtype.kind == "i":
+            # |x - b| > e k exactly when x > b + floor(e k) or x < b - floor(e k):
+            # two comparisons in the levels' own width, no float temporaries
+            counts[k] = [int(np.count_nonzero(sub > b + t)) + int(np.count_nonzero(sub < b - t))
+                         for t in (math.floor(e * k) for e in es)]
+            continue
+        diffs = np.abs(sub - b)
+        counts[k] = []
+        for e in es:
+            # lo is the largest float <= e k, so for a float d, d > lo exactly
+            # when d > e k: one exact cut, no entry needs a Fraction
+            lo = float(e * k)
+            if Fraction(lo) > e * k:
+                lo = np.nextafter(lo, -np.inf)
+            counts[k].append(int(np.count_nonzero(diffs > lo)))
+    return counts
 
 
 def azuma_counts(M: DyadicMartingale, eps, k: int, base: str = "") -> int:
     """Number of intervals J below `base` at relative depth k with
     |M_J - M_base| > eps * k (strict).
 
-    Exact: materialized trees are counted by direct comparison, the
-    digit-rule kinds by class enumeration with retirement.  eps given as
-    a float is interpreted decimally (0.3 means 3/10).  A declared or
-    materialized depth must reach len(base) + k.
+    Exact, and the one-row case of azuma_table.  eps given as a float is
+    interpreted decimally (0.3 means 3/10).  A declared or materialized
+    depth must reach len(base) + k.
     """
-    _validate_address(base)
-    if k < 1:
-        raise ValueError("relative depth k must be >= 1")
-    e = _exact_eps(eps)
-    if e <= 0:
-        raise ValueError("eps must be positive")
-    n = len(base) + k
-    if M.depth is not None and n > M.depth:
-        raise ValueError(f"need depth {n}, have {M.depth}")
-    if M._levels is None:
-        return _count_classes(M, base, e, k)
-    j0 = int(base, 2) if base else 0
-    sub = M._levels[n][j0 << k:(j0 + 1) << k]
-    diffs = np.abs(sub - M.value(base))
-    # lo is the largest float <= e k, so for a float d, d > lo exactly
-    # when d > e k: one exact cut, no entry needs a Fraction
-    thr = e * k
-    lo = float(thr)
-    if Fraction(lo) > thr:
-        lo = np.nextafter(lo, -np.inf)
-    return int(np.count_nonzero(diffs > lo))
+    return azuma_table(M, [eps], [k], base)[0].count
 
 
 @dataclass(frozen=True)
@@ -385,12 +377,25 @@ class AzumaFit:
 
 def azuma_table(M: DyadicMartingale, eps_grid: Sequence, k_grid: Sequence[int],
                 base: str = "") -> List[AzumaRow]:
-    rows = []
-    for eps in eps_grid:
-        for k in k_grid:
-            rows.append(AzumaRow(float(_exact_eps(eps)), int(k),
-                                 azuma_counts(M, eps, int(k), base), 1 << int(k)))
-    return rows
+    """azuma_counts for every (eps, k), eps outer and k in the given order.
+
+    A digit-rule kind walks its value classes once, to max(k_grid); a
+    materialized tree is sliced once per k and every eps is counted on
+    that slice.  Rows are checked in order, and the first bad one raises.
+    """
+    _validate_address(base)
+    ks = [int(k) for k in k_grid]
+    es = [_exact_eps(eps) for eps in eps_grid]
+    for e in es:
+        for k in ks:
+            if k < 1:
+                raise ValueError("relative depth k must be >= 1")
+            if e <= 0:
+                raise ValueError("eps must be positive")
+            if M.depth is not None and len(base) + k > M.depth:
+                raise ValueError(f"need depth {len(base) + k}, have {M.depth}")
+    counts = (_walk_counts if M._levels is None else _slice_counts)(M, base, es, set(ks))
+    return [AzumaRow(float(e), k, counts[k][i], 1 << k) for i, e in enumerate(es) for k in ks]
 
 
 def azuma_fit(rows: Sequence[AzumaRow]) -> AzumaFit:
@@ -644,13 +649,7 @@ class CarlesonReport:
     probe_count: int
 
     def report(self) -> dict:
-        return {
-            "sup": self.sup,
-            "argmax": self.argmax,
-            "box_sup": self.box_sup,
-            "box_argmax": self.box_argmax,
-            "probe_count": self.probe_count,
-        }
+        return asdict(self)
 
 
 def carleson_sum_at(seq: PointSeq, gap, angle) -> float:
@@ -793,18 +792,7 @@ class ParentRecord:
     note: str = ""
 
     def report(self) -> dict:
-        return {
-            "address": self.address,
-            "value": self.value,
-            "mass": self.mass,
-            "candidate_mass": self.candidate_mass,
-            "selected_mass": self.selected_mass,
-            "window": self.window,
-            "node_count": self.node_count,
-            "deepest_level": self.deepest_level,
-            "complete": self.complete,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -817,14 +805,7 @@ class GenerationRecord:
     parents: List[ParentRecord] = field(default_factory=list)
 
     def report(self) -> dict:
-        return {
-            "index": self.index,
-            "threshold": self.threshold,
-            "complete": self.complete,
-            "mass": self.mass,
-            "node_count": self.node_count,
-            "parents": [p.report() for p in self.parents],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -950,6 +931,13 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
     if any(s <= 0 for s in s_list):
         raise ValueError("thresholds must be positive")
 
+    # masses 2^-k (2 - 2^-k) = (2^(k+1) - 1) / 4^k as integers over 4^top
+    top = depth_budget + 1
+    den = 1 << 2 * top
+
+    def mass(level: int) -> int:
+        return ((2 << level) - 1) << 2 * (top - level)
+
     parents: List[Tuple[str, int]] = [("", 0)]
     entries: List[SeqEntry] = []
     gen_records: List[GenerationRecord] = []
@@ -958,18 +946,20 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
         records: List[ParentRecord] = []
         selected: List[Tuple[str, int]] = []
         complete = True
+        # the crossing classes below a parent depend on its (level, value) only
+        walks: Dict[Tuple[int, int], Tuple[list, int]] = {}
         for parent_addr, parent_val in parents:
             k0 = len(parent_addr)
-            pmass = Fraction(1, 1 << k0) * (2 - Fraction(1, 1 << k0))
-            quarter, half = pmass / 4, pmass / 2
-            classes, _live = _crossing_classes(k0, parent_val, s, depth_budget)
-            cand = Fraction(0)
-            for k, v, c in classes:
-                d = Fraction(1, 1 << k)
-                cand += (c << ((k - k0) // 2)) * d * (2 - d)
+            pmass = mass(k0)
+            quarter, half = pmass >> 2, pmass >> 1
+            if (k0, parent_val) not in walks:
+                classes, _live = _crossing_classes(k0, parent_val, s, depth_budget)
+                walks[k0, parent_val] = classes, sum(
+                    (c << ((k - k0) // 2)) * mass(k) for k, v, c in classes)
+            classes, cand = walks[k0, parent_val]
             rec = ParentRecord(
-                address=parent_addr, value=parent_val, mass=float(pmass),
-                candidate_mass=float(cand), selected_mass=0.0, window=0.0,
+                address=parent_addr, value=parent_val, mass=pmass / den,
+                candidate_mass=cand / den, selected_mass=0.0, window=0.0,
                 node_count=0, deepest_level=classes[-1][0] if classes else k0,
                 complete=False,
             )
@@ -979,18 +969,17 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
                 records.append(rec)
                 complete = False
                 continue
-            sel_mass = Fraction(0)
+            sel_mass = 0
             taken: List[Tuple[str, int]] = []
             for k, v, c in classes:
                 if sel_mass >= quarter:
                     break
-                d = Fraction(1, 1 << k)
-                m = d * (2 - d)
+                m = mass(k)
                 avail = c << ((k - k0) // 2)
                 if sel_mass + m > half:
                     continue
-                room = math.floor((half - sel_mass) / m)
-                need = math.ceil((quarter - sel_mass) / m)
+                room = (half - sel_mass) // m
+                need = -((sel_mass - quarter) // m)
                 n_take = min(avail, need, room)
                 if n_take <= 0:
                     continue
@@ -1010,8 +999,8 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
                     if got >= n_take:
                         break
                 sel_mass += n_take * m
-            rec.selected_mass = float(sel_mass)
-            rec.window = float(sel_mass / pmass)
+            rec.selected_mass = sel_mass / den
+            rec.window = sel_mass / pmass
             rec.node_count = len(taken)
             rec.complete = quarter <= sel_mass <= half
             records.append(rec)

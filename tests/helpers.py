@@ -4,7 +4,8 @@ Everything here recomputes tree quantities from explicit cell lists in
 pure Python, deliberately ignoring the package's vectorized layouts, or is
 a sampled or exact computation the package no longer runs, kept as an
 oracle (the mesh survey of continuous constants, probe points, offset
-sampling of common boxes, float-born arcs, weak separation of a sequence).
+sampling of common boxes, float-born arcs, weak separation of a sequence,
+the builder's per-parent Fraction selection).
 """
 
 import math
@@ -24,7 +25,15 @@ from discweights.geometry import (
     containing_level,
     mod1,
 )
-from discweights.martingales import SeqEntry, default_probe_addresses
+from discweights.martingales import (
+    ParentRecord,
+    SeqEntry,
+    _crossing_classes,
+    _expand_signs,
+    _sign_paths,
+    default_probe_addresses,
+    threshold_sequence,
+)
 from discweights.weights import node_id, node_levels
 
 
@@ -508,3 +517,75 @@ def brute_trace_weak_l1(seq, M, lam, probe=""):
     for i, a in enumerate(values, start=1):
         weak = max(weak, i * a)
     return weak, float(sum(values)), len(values), collisions
+
+
+def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budget=1 << 15):
+    """counterexample_build's ParentRecords, one list per generation built.
+
+    Each parent walks its own crossing classes and sums and selects its
+    mass in Fractions, as the builder did before it shared one walk per
+    (level, value) class and counted masses as integers.
+    """
+    s_list = threshold_sequence(generations, scale)
+    parents = [("", 0)]
+    out = []
+    for s in s_list:
+        records, selected, complete = [], [], True
+        for parent_addr, parent_val in parents:
+            k0 = len(parent_addr)
+            pmass = F(1, 1 << k0) * (2 - F(1, 1 << k0))
+            quarter, half = pmass / 4, pmass / 2
+            classes, _ = _crossing_classes(k0, parent_val, s, depth_budget)
+            cand = F(0)
+            for k, v, c in classes:
+                d = F(1, 1 << k)
+                cand += (c << ((k - k0) // 2)) * d * (2 - d)
+            rec = ParentRecord(
+                address=parent_addr, value=parent_val, mass=float(pmass),
+                candidate_mass=float(cand), selected_mass=0.0, window=0.0,
+                node_count=0, deepest_level=classes[-1][0] if classes else k0,
+                complete=False)
+            records.append(rec)
+            if cand < quarter:
+                rec.note = ("first-crossing mass within the depth budget "
+                            "falls short of the quarter window")
+                complete = False
+                continue
+            sel_mass, taken = F(0), []
+            for k, v, c in classes:
+                if sel_mass >= quarter:
+                    break
+                d = F(1, 1 << k)
+                m = d * (2 - d)
+                if sel_mass + m > half:
+                    continue
+                n_take = min(c << ((k - k0) // 2), math.ceil((quarter - sel_mass) / m),
+                             math.floor((half - sel_mass) / m))
+                if n_take <= 0:
+                    continue
+                if len(taken) + n_take > node_budget:
+                    rec.note = "node budget exhausted during selection"
+                    break
+                if (k - k0) // 2 > 32:
+                    rec.note = "crossing class too deep to enumerate addresses"
+                    break
+                got = 0
+                for signs in _sign_paths(k0, parent_val, s, k, v):
+                    take_here = min(1 << len(signs), n_take - got)
+                    taken += [(a, v) for a in _expand_signs(parent_addr, signs, 0, take_here)]
+                    got += take_here
+                    if got >= n_take:
+                        break
+                sel_mass += n_take * m
+            rec.selected_mass = float(sel_mass)
+            rec.window = float(sel_mass / pmass)
+            rec.node_count = len(taken)
+            rec.complete = quarter <= sel_mass <= half
+            if not rec.complete:
+                complete = False
+            selected += taken
+        out.append(records)
+        if not complete:
+            break
+        parents = selected
+    return out

@@ -46,7 +46,7 @@ BAD_VALUES = {
 }
 
 # Values on the edge of a strict range, refused like the ones above.
-EDGE_VALUES = {"average": {"ratio_bound": 0}}
+EDGE_VALUES = {"average": {"ratio_bound": 0}, "azuma": {"k_max": 1024}}
 
 
 def read_report(out_dir):
@@ -211,22 +211,38 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    # explicit ids, fixed at the names their list positions once gave, so
+    # adding or removing a case renames no other
     @pytest.mark.parametrize("config, key", [
-        ({"martingale": {"kind": "random_walk", "depth": "x"}}, "depth"),
-        ({"martingale": {"kind": "random_pm1", "depth": 4.7, "seed": 1}}, "depth"),
-        ({"martingale": {"kind": "random_pm1", "seed": 1}}, "depth"),
-        ({"martingale": {"kind": "random_pm1", "depth": 4, "seed": -1}}, "seed"),
-        ({"martingale": {"kind": "kahane", "seed": 1}}, "['seed']"),
-        ({"martingale": {"kind": "brownian"}}, "kind"),
-        ({"martingale": {"depth": 4}}, "kind"),
-        ({"martingale": {"kind": "materialized", "values": [0.0, 1.0]}}, "values"),
-        ({"martingale": {"kind": "materialized", "values": [[0.0], [1.0, {}]]}}, "values"),
-        ({"sequence": {"entries": 3}}, "entries"),
-        ({"sequence": {"entries": [{"address": "012"}]}}, "entries"),
-        ({"sequence": {"entries": [{"address": "01", "generation": -1}]}}, "entries"),
-        ({"sequence": {"grid_theta": "1/0", "entries": []}}, "grid_theta"),
-        ({"martingale": {"kind": "materialized", "depth": 9, "values": [[0.0], [1.0, -1.0]]}},
-         "depth"),
+        pytest.param({"martingale": {"kind": "random_walk", "depth": "x"}}, "depth",
+                     id="config0-depth"),
+        pytest.param({"martingale": {"kind": "random_pm1", "depth": 4.7, "seed": 1}}, "depth",
+                     id="config1-depth"),
+        pytest.param({"martingale": {"kind": "random_pm1", "seed": 1}}, "depth",
+                     id="config2-depth"),
+        pytest.param({"martingale": {"kind": "random_pm1", "depth": 4, "seed": -1}}, "seed",
+                     id="config3-seed"),
+        pytest.param({"martingale": {"kind": "kahane", "seed": 1}}, "['seed']",
+                     id="config4-['seed']"),
+        pytest.param({"martingale": {"kind": "brownian"}}, "kind",
+                     id="config5-kind"),
+        pytest.param({"martingale": {"depth": 4}}, "kind",
+                     id="config6-kind"),
+        pytest.param({"martingale": {"kind": "materialized", "values": [0.0, 1.0]}}, "values",
+                     id="config7-values"),
+        pytest.param({"martingale": {"kind": "materialized", "values": [[0.0], [1.0, {}]]}},
+                     "values", id="config8-values"),
+        pytest.param({"sequence": {"entries": 3}}, "entries",
+                     id="config9-entries"),
+        pytest.param({"sequence": {"entries": [{"address": "012"}]}}, "entries",
+                     id="config10-entries"),
+        pytest.param({"sequence": {"entries": [{"address": "01", "generation": -1}]}}, "entries",
+                     id="config11-entries"),
+        pytest.param({"sequence": {"grid_theta": "1/0", "entries": []}}, "grid_theta",
+                     id="config12-grid_theta"),
+        pytest.param({"martingale": {"kind": "materialized", "depth": 9,
+                                     "values": [[0.0], [1.0, -1.0]]}},
+                     "depth", id="config13-depth"),
     ])
     def test_trace_nested_objects_name_the_key(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -462,6 +478,18 @@ class TestCommands:
         with pytest.raises(PreconditionError, match="cannot reach"):
             run("azuma", config={"kind": "random_pm1", "seed": 1, "depth": 6,
                                  "k_max": 8})
+
+    def test_azuma_k_max_within_float_range(self, tmp_path, capsys):
+        # 2^1024 is past float range: the fit and its envelope could not run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "random_walk", "k_min": 1025, "k_max": 1030,
+                                   "eps_grid": [0.05, 0.1]}))
+        code = main(["azuma", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "config key 'k_max' needs to be <= 1023" in capsys.readouterr().err
+        report = run("azuma", config={"kind": "random_walk", "k_min": 1023, "k_max": 1023,
+                                      "eps_grid": [0.05, 0.1]})
+        assert report.ok and report.results["points"] == 2
 
     def test_azuma_random_pm1_runs(self):
         report = run("azuma", config={"kind": "random_pm1", "seed": 5,

@@ -1,6 +1,7 @@
 """Dyadic martingales: digit rules, deviation counts, disc traces, builder."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from helpers import (
     brute_pair_invariants,
     brute_trace_sup_i,
     brute_trace_weak_l1,
+    fraction_build_parents,
     weak_separation_ok,
 )
 
@@ -345,6 +347,94 @@ class TestAzumaCounts:
         with pytest.raises(ValueError, match="need depth 10, have 3"):
             azuma_counts(kahane(3), 0.3, 10)
         assert azuma_counts(kahane(10), 0.3, 10) == azuma_counts(kahane(), 0.3, 10)
+
+
+class TestAzumaTable:
+    # unsorted, with gaps and a repeat, so rows follow the grid as given
+    K_GRID = [7, 3, 12, 5, 9, 3]
+
+    def test_row_order_eps_outer(self):
+        rows = azuma_table(random_walk(), [0.5, 0.25], self.K_GRID)
+        assert [(r.eps, r.k) for r in rows] == \
+            [(e, k) for e in (0.5, 0.25) for k in self.K_GRID]
+        assert all(r.total == 1 << r.k for r in rows)
+
+    @pytest.mark.parametrize("make", [random_walk, kahane])
+    @pytest.mark.parametrize("base", ["", "1", "0110"])
+    def test_digit_rules_match_brute_count(self, make, base):
+        M = make()
+        eps_grid = [0.25, 0.3, Fraction(1, 3), 0.5]
+        for r, (eps, k) in zip(azuma_table(M, eps_grid, self.K_GRID, base),
+                               [(e, k) for e in eps_grid for k in self.K_GRID]):
+            assert r.count == brute_azuma_count(M, eps, k, base)
+            if make is random_walk:
+                assert r.count == walk_count_oracle(eps, k)
+
+    @pytest.mark.parametrize("eps_grid", [[0.3, 0.5, 0.7], [0.1, 0.2]])
+    def test_deep_rows_match_closed_forms(self, eps_grid):
+        ks = list(range(60, 4, -5))
+        for M, oracle in ((random_walk(), walk_count_oracle), (kahane(), kahane_count_oracle)):
+            rows = azuma_table(M, eps_grid, ks)
+            assert [r.count for r in rows] == [oracle(e, k) for e in eps_grid for k in ks]
+
+    def test_k_min_above_one(self):
+        K = kahane()
+        rows = azuma_table(K, [0.3], range(15, 31))
+        assert [r.count for r in rows] == [kahane_count_oracle(0.3, k) for k in range(15, 31)]
+
+    def test_materialized_rows_match_brute_count(self):
+        rng = np.random.default_rng(5)
+        S = TestAzumaCounts._symmetric(np.round(rng.normal(0, 2, 1 << 9), 2))
+        P = random_pm1(10, seed=4)
+        for M in (S, P):
+            for base in ("", "10"):
+                rows = azuma_table(M, [0.1, Fraction(1, 3), 0.5], [8, 2, 5], base)
+                assert [r.count for r in rows] == [
+                    brute_azuma_count(M, e, k, base)
+                    for e in (0.1, Fraction(1, 3), 0.5) for k in (8, 2, 5)]
+
+    def test_integer_levels_count_like_their_float_copy(self):
+        P = random_pm1(12, seed=9)
+        assert P._levels[12].dtype == np.int8
+        PF = DyadicMartingale("materialized", levels=[P.level_values(n) for n in range(13)])
+        # thresholds past the int8 range must not wrap
+        eps_grid = [0.25, 0.5, Fraction(1, 3), 20]
+        for base in ("", "011"):
+            assert azuma_table(P, eps_grid, range(1, 10), base) == \
+                azuma_table(PF, eps_grid, range(1, 10), base)
+
+    def test_integer_count_allocates_no_float_temporaries(self):
+        # two float64 copies of a 2^16 slice would take 1 MiB; the integer
+        # cut makes one byte-wide mask at a time
+        P = random_pm1(16, seed=1)
+        tracemalloc.start()
+        try:
+            azuma_counts(P, 0.3, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 16
+
+    def test_declared_depth_must_reach_largest_k(self):
+        with pytest.raises(ValueError, match="need depth 12, have 10"):
+            azuma_table(kahane(10), [0.3], [4, 12, 8])
+        with pytest.raises(ValueError, match="need depth 11, have 10"):
+            azuma_table(random_walk(10), [0.3, 0.5], [2, 9], base="01")
+        with pytest.raises(ValueError, match="need depth"):
+            azuma_table(random_pm1(6, seed=0), [0.3], [3, 7])
+        assert azuma_table(kahane(12), [0.3], [4, 12]) == azuma_table(kahane(), [0.3], [4, 12])
+
+    def test_first_bad_row_raises(self):
+        K = kahane()
+        with pytest.raises(ValueError, match="relative depth"):
+            azuma_table(K, [0.3], [3, 0])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            azuma_table(K, [0.3, 0], [3, 4])
+        # eps is checked at the first row, before a later bad k
+        with pytest.raises(ValueError, match="eps must be positive"):
+            azuma_table(K, [0, 0.3], [3, 0])
+        with pytest.raises(ValueError, match="address"):
+            azuma_table(K, [0.3], [3], base="012")
 
 
 class TestAzumaFit:
@@ -695,6 +785,28 @@ class TestBuilder:
         assert not result.complete
         stalled = result.generations[-1]
         assert any("node budget exhausted" in p.note for p in stalled.parents)
+
+    @pytest.mark.parametrize("config", [{"scale": 0.7}, {"depth_budget": 600}])
+    def test_parents_match_fraction_oracle(self, config):
+        result = counterexample_build(**config)
+        assert [g.parents for g in result.generations] == fraction_build_parents(**config)
+
+    def test_one_crossing_walk_per_parent_class(self, monkeypatch):
+        calls = []
+        walk = martingales._crossing_classes
+
+        def counted(k0, value0, s, depth_budget):
+            calls.append((s, k0, value0))
+            return walk(k0, value0, s, depth_budget)
+
+        monkeypatch.setattr(martingales, "_crossing_classes", counted)
+        result = counterexample_build(scale=0.7)
+        parents = [(g.threshold, len(p.address), p.value)
+                   for g in result.generations for p in g.parents]
+        # the root, then the 1 + 1 + 4 nodes of generations 1 to 3
+        assert len(parents) == 7
+        assert sorted(calls) == sorted(set(parents))
+        assert len(calls) < len(parents)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
