@@ -860,6 +860,8 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
         stacks = [([e.weight for e in exts], 1.0)]
     else:
         exts = extend_bp_many(trees, p, q, doms)
+        for e in exts:  # nothing reads the extension step's factorization: free its stacks
+            e.factorization = None
         facts = factor_bho_full_many([e.weight for e in exts], p)
         stacks = [([f.w1 for f in facts], 1.0), ([f.w2 for f in facts], 1.0 - p)]
     artifacts = [ThetaArtifact(*row) for row in zip(thetas, trees, doms, exts, facts)]

@@ -335,7 +335,7 @@ def _run_factorize(cfg: dict):
         res = factor_bho_full(w, p, terms=cfg["terms"])
         max_residual = max(max_residual, res.reconstruction_error)
         instance_rows.append((i, res.s_norm, res.reconstruction_error,
-                              res.escalations, res.tail_ratio, res.via_dual))
+                              res.escalations, res.tail_ratio, res.terms_used, res.via_dual))
         for c in res.certificates:
             rows.append((i, c.quantity, c.measured, c.bound, c.passed))
             failed += 0 if c.passed else 1
@@ -351,7 +351,9 @@ def _run_factorize(cfg: dict):
                      ("s_norm", "restricted maximal operator norm bound used"),
                      ("residual", "max relative gap |w - w1 w2^{1-p}| / w"),
                      ("escalations", "norm-bound escalations during iteration"),
-                     ("tail_ratio", "last iterate movement over first"),
+                     ("tail_ratio",
+                      "max over the domain of the first omitted series term (u = 1 there)"),
+                     ("terms_used", "series terms summed after u, at most terms"),
                      ("via_dual", "whether the dual route (p > 2) was taken")],
             rows=instance_rows),
         "certificates": Table(

@@ -16,14 +16,25 @@ as t <= u pointwise; the result records max(t/u) as the tail ratio.  If the
 supplied norm bound is too small for that to happen the engine doubles it
 and retries, flagging the escalation.
 
+`terms` is a cap.  Each tree's series stops after the first term that
+leaves its f bitwise unchanged on every cell (f + t == f), and its tail t
+is the term after that one; the result records the terms it summed.  The
+certificate is untouched by the early stop: f is still the sum of the
+terms taken, t the first one omitted, and the check t <= u is the same.
+A series that overflows stops too (inf + inf == inf), but with t = inf, so
+it escalates.  The terms past the stop lie further below the rounding of
+f, so summing on would leave f, the factors and every certificate bitwise
+as they are (checked against the fixed-length sum on seeded weights).
+
 Exponents p in (1, 2] run directly; p > 2 factors the dual weight
 w^{-1/(p-1)} at the conjugate exponent and swaps the two factors back.
 
 The `_many` entry points factor several trees of one depth at once: the
 series, the dual weights and every norm bound and certificate constant
-run on a (T, 2^(N+1)) stack, with one domain mask and one escalation count
-per row, and each row's result equals the one-tree call bitwise.  The
-one-tree functions are their T = 1 case.
+run on a (T, 2^(N+1)) stack, with one domain mask, one stop and one
+escalation count per row, and each row's result equals the one-tree call
+bitwise.  S runs only on the rows still moving, and an escalation reruns
+only the rows that failed.  The one-tree functions are their T = 1 case.
 """
 
 from __future__ import annotations
@@ -174,6 +185,7 @@ class FactorizationResult:
     s_norm: float
     escalations: int
     tail_ratio: float
+    terms_used: int
     reconstruction_error: float
     certificates: list = field(default_factory=list)
     via_dual: bool = False
@@ -187,17 +199,42 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
             p: float, terms: int):
     """Truncated f = sum_k S^k(u) / (2s)^k with u = 1 on the mask, 0 off it.
 
-    Returns f and, per row, the tail ratio max(t/u) over the mask, t the
-    first omitted term (u is 1 there, so this is the max of t).
+    Each row stops on its own, after the first term that leaves every cell
+    of its f bitwise unchanged (f + t == f), or after `terms` terms.  A row
+    whose f overflows gives inf + inf == inf and stops too; its tail is then
+    inf, so the caller's check tail <= 1 keeps it pending.  S runs only on
+    the rows still moving, so a stack shrinks as its rows settle, and each
+    row equals its one-tree result bitwise; a single tree stays 1-D.
+
+    Returns, per row, f, the tail ratio max(t/u) over the mask, t the first
+    omitted term (u is 1 there, so this is the max of t), and the number of
+    terms summed after u.
     """
-    two_s = 2.0 * s[..., None]
-    term = mask.astype(np.float64)
-    f = term.copy()
-    for _ in range(terms):
-        term = np.where(mask, op_s(term, values, depth, p) / two_s, 0.0)
-        f = f + term
-    tail = op_s(term, values, depth, p) / two_s
-    return f, np.max(np.where(mask, tail, -np.inf), axis=-1)
+    f = mask.astype(np.float64)
+    tail, used = np.empty(s.shape), np.empty(s.shape, dtype=np.int64)
+    rows, v, m, two_s = ..., values, mask, 2.0 * s[..., None]  # the rows still moving
+    term = f.copy()
+    moved = np.ones(s.shape, dtype=bool)
+    for k in range(terms + 1):
+        if k:
+            term = np.where(m, op_s(term, v, depth, p) / two_s, 0.0)
+            last = f[rows]
+            nxt = last + term
+            moved = np.any(nxt != last, axis=-1)
+            f[rows] = nxt
+            del last, nxt  # not alive through the next S
+        done = ~moved | (k == terms)
+        if not done.any():
+            continue
+        pick = ... if done.all() else done
+        if pick is not ... and rows is ...:
+            rows = np.arange(len(s))
+        out = rows if pick is ... else rows[pick]
+        t = op_s(term[pick], v[pick], depth, p) / two_s[pick]
+        tail[out], used[out] = np.max(np.where(m[pick], t, -np.inf), axis=-1), k
+        if pick is ...:
+            return f, tail, used
+        rows, v, m, two_s, term = (x[moved] for x in (rows, v, m, two_s, term))
 
 
 def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float],
@@ -205,12 +242,13 @@ def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float]
                     terms: int = 60) -> list:
     """rdf_factor for several trees of one depth, one result per tree.
 
-    The series runs once on the stack of all trees.  Each row has its own
-    norm bound s_norms[i] and domain (None for the full tree); a row whose
-    series does not settle has its bound doubled and the stack is run
-    again, which leaves every settled row bitwise as it was (its bound does
-    not move).  The certificate constants are taken once on the stack, and
-    a ValueError from one row names its offset.
+    The series runs once on the stack of all trees, each row stopping on
+    its own.  Each row has its own norm bound s_norms[i] and domain (None
+    for the full tree); a row whose series does not settle has its bound
+    doubled and runs again with the other such rows, while every settled
+    row keeps its result (its bound does not move).  The certificate
+    constants are taken once on the stack, and a ValueError from one row
+    names its offset.
     """
     if not (1 < p <= 2):
         raise ValueError("rdf_factor runs for p in (1, 2]; use factor_bho_full")
@@ -230,7 +268,11 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
     pending = np.ones(s.shape, dtype=bool)
     for _ in range(_MAX_ESCALATIONS + 1):
         s = np.where(pending, 2.0 * s, s)
-        f, tail_ratio = _series(values, mask, s, depth, p, terms)
+        if pending.all():
+            f, tail_ratio, used = _series(values, mask, s, depth, p, terms)
+        else:  # a settled row keeps its bound, so only the pending rows rerun
+            f[pending], tail_ratio[pending], used[pending] = _series(
+                values[pending], mask[pending], s[pending], depth, p, terms)
         pending = ~(tail_ratio <= 1.0)
         if not pending.any():
             break
@@ -239,7 +281,7 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
         raise ArithmeticError(
             f"series did not settle after {_MAX_ESCALATIONS} doublings of the norm bound"
         )
-    s, escalations, tail_ratio = _floats(s), _floats(escalations), _floats(tail_ratio)
+    s, escalations, tail_ratio, used = (_floats(x) for x in (s, escalations, tail_ratio, used))
 
     # off the domain the factors carry neutral value 1 (never integrated)
     np.copyto(f, 1.0, where=~mask)
@@ -254,9 +296,10 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
                             [{"s_norm": x, "p": p} for x in s], osc, free)
     return v1, v2, [
         FactorizationResult(w1=w1, w2=w2, f=f_row, p=p, s_norm=s_i, escalations=e,
-                            tail_ratio=t, reconstruction_error=rec_err, certificates=certs)
-        for w1, w2, f_row, s_i, e, t, (rec_err, certs)
-        in zip(w1s, w2s, np.atleast_2d(f), s, escalations, tail_ratio, checked)]
+                            tail_ratio=t, terms_used=n, reconstruction_error=rec_err,
+                            certificates=certs)
+        for w1, w2, f_row, s_i, e, t, n, (rec_err, certs)
+        in zip(w1s, w2s, np.atleast_2d(f), s, escalations, tail_ratio, used, checked)]
 
 
 def _factor_certs(values, v1, v2, p: float, mask, depth: int, bounds: list, inputs: list,
@@ -293,10 +336,12 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
                domain: Optional[DyadicDomain] = None, terms: int = 60) -> FactorizationResult:
     """Iterate S and split w into B_1 factors, certifying the usual bounds.
 
-    Requires p in (1, 2].  s_norm should dominate the norm of S; when the
-    truncated series fails its fixed point check the bound is doubled, at
-    most 8 times, and the escalation count is reported.
-    The one-tree case of rdf_factor_many.
+    Requires p in (1, 2].  s_norm should dominate the norm of S.  The
+    series sums at most `terms` terms and stops after the first one that
+    leaves f bitwise unchanged on every cell; the next term is the tail t.
+    When the truncated series fails its fixed point check t <= u (u = 1 on
+    the domain) the bound is doubled, at most 8 times, and the escalation
+    count is reported.  The one-tree case of rdf_factor_many.
     """
     return rdf_factor_many([w], p, [s_norm], [domain], terms)[0]
 

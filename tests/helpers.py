@@ -5,7 +5,8 @@ pure Python, deliberately ignoring the package's vectorized layouts, or is
 a sampled or exact computation the package no longer runs, kept as an
 oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
-the builder's per-parent Fraction selection).
+the builder's per-parent Fraction selection, the fixed-length
+factorization series).
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from discweights.averaging import dyadic_restriction, rect_quadrature
 from discweights.extension import extend_b1, extend_bp
-from discweights.factorization import factor_bho_full
+from discweights.factorization import factor_bho_full, op_s
 from discweights.geometry import (
     GridNode,
     UnitArc,
@@ -589,3 +590,19 @@ def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budge
             break
         parents = selected
     return out
+
+
+def full_series(values, mask, s, depth, p, terms):
+    """factorization._series at a fixed length: every row sums all `terms`
+    terms of f = sum_k S^k(u) / (2s)^k and takes its tail from the last one,
+    as the series did before its rows stopped once their f stopped moving.
+    Returns (f, tail ratio per row, terms used per row), as _series does.
+    """
+    two_s = 2.0 * s[..., None]
+    term = mask.astype(np.float64)
+    f = term.copy()
+    for _ in range(terms):
+        term = np.where(mask, op_s(term, values, depth, p) / two_s, 0.0)
+        f = f + term
+    tail = op_s(term, values, depth, p) / two_s
+    return f, np.max(np.where(mask, tail, -np.inf), axis=-1), np.full(s.shape, terms)

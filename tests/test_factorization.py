@@ -6,8 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from discweights import factorization
+from discweights.extension import extend_bp
 from discweights.weights import (
     TreeWeight,
+    _mask,
     b1_constant,
     bp_constant,
     cell_areas,
@@ -26,6 +29,7 @@ from discweights.factorization import (
     weighted_maximal,
     weighted_maximal_norm_bound,
 )
+from helpers import full_series
 
 
 class TestNormBounds:
@@ -72,7 +76,9 @@ class TestIteration:
             w = random_log_walk(7, rng=rng, sigma=0.6)
             res = rdf_factor(w, 2.0, s_norm_bound(w, 2.0))
             assert res.escalations == 0
-            assert res.tail_ratio <= 2.0 ** -50  # sixty terms at ratio <= 1/2
+            # a row stops once a term no longer moves f (below about 2^-53 f),
+            # and the first omitted term is smaller still
+            assert res.tail_ratio <= 2.0 ** -50
             assert res.ok, [c.as_dict() for c in res.certificates if not c.passed]
 
     def test_fixed_point_inequality_per_cell(self):
@@ -141,14 +147,21 @@ class TestDualRoute:
         assert res.reconstruction_error <= 1e-10
 
 
-def assert_same_factorization(a, b):
-    """Two FactorizationResults agree bitwise in every field."""
+def assert_same_factors(a, b):
+    """Two FactorizationResults agree bitwise in f, both factors and every
+    certificate, whatever terms their series summed."""
     assert np.array_equal(a.f, b.f)
     assert np.array_equal(a.w1.values, b.w1.values)
     assert np.array_equal(a.w2.values, b.w2.values)
-    assert (a.s_norm, a.escalations, a.tail_ratio, a.reconstruction_error, a.via_dual) == \
-           (b.s_norm, b.escalations, b.tail_ratio, b.reconstruction_error, b.via_dual)
+    assert (a.s_norm, a.escalations, a.reconstruction_error, a.via_dual) == \
+           (b.s_norm, b.escalations, b.reconstruction_error, b.via_dual)
     assert [c.as_dict() for c in a.certificates] == [c.as_dict() for c in b.certificates]
+
+
+def assert_same_factorization(a, b):
+    """Two FactorizationResults agree bitwise in every field."""
+    assert_same_factors(a, b)
+    assert (a.tail_ratio, a.terms_used) == (b.tail_ratio, b.terms_used)
 
 
 class TestStacked:
@@ -156,15 +169,7 @@ class TestStacked:
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_rdf_factor_many_rows_match_single(self, p):
-        rng = np.random.default_rng(41)
-        ws, doms = [], []
-        for i in range(5):
-            theta = F(2 * i + 1, 10)
-            ws.append(random_log_walk(6, rng=rng, sigma=0.6, theta=theta))
-            doms.append(None if i == 4 else
-                        random_domain(6, rng=rng, density=0.6, theta=theta))
-        s_norms = [s_norm_bound(w, p, "full", om) for w, om in zip(ws, doms)]
-        s_norms[1] /= 64.0    # this row escalates, the others settle at once
+        ws, doms, s_norms = stack_with_low_bound(p)
         many = rdf_factor_many(ws, p, s_norms, doms)
         assert many[1].escalations >= 1
         assert [r.escalations for i, r in enumerate(many) if i != 1] == [0] * 4
@@ -182,3 +187,114 @@ class TestStacked:
         ws = [TreeWeight.constant(1.0, 4), TreeWeight.constant(1.0, 5)]
         with pytest.raises(ValueError, match="one depth"):
             rdf_factor_many(ws, 2.0, [10.0, 10.0])
+
+
+def with_full_series(monkeypatch, run):
+    """run() with the fixed-length series of helpers.full_series."""
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "_series", full_series)
+        return run()
+
+
+def stack_with_low_bound(p):
+    """Five depth-6 trees, four with domains; row 1 gets 1/64 of its norm
+    bound, so it escalates while the others settle at once."""
+    rng = np.random.default_rng(41)
+    ws, doms = [], []
+    for i in range(5):
+        theta = F(2 * i + 1, 10)
+        ws.append(random_log_walk(6, rng=rng, sigma=0.6, theta=theta))
+        doms.append(None if i == 4 else
+                    random_domain(6, rng=rng, density=0.6, theta=theta))
+    s_norms = [s_norm_bound(w, p, "full", om) for w, om in zip(ws, doms)]
+    s_norms[1] /= 64.0
+    return ws, doms, s_norms
+
+
+class TestSeriesStop:
+    """Each row of the series stops once its f stops moving; f, the factors
+    and every certificate equal the fixed-length series bitwise."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_factor_bho_full_matches_full_series(self, monkeypatch, p):
+        rng = np.random.default_rng(43)
+        ws = [random_log_walk(8, rng=rng, sigma=0.6) for _ in range(3)]
+        refs = [with_full_series(monkeypatch, lambda: factor_bho_full(w, p)) for w in ws]
+        for w, ref, many in zip(ws, refs, factor_bho_full_many(ws, p)):
+            res = factor_bho_full(w, p)
+            assert_same_factors(res, ref)
+            assert_same_factorization(many, res)
+            assert res.terms_used < ref.terms_used == 60
+            assert res.tail_ratio <= 2.0 ** -50
+
+    def test_restricted_extend_bp_matches_full_series(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            w = random_log_walk(8, rng=rng, sigma=0.6)
+            om = random_domain(8, rng=rng, density=0.5)
+            res = extend_bp(w, 2.0, 2.0, om)
+            ref = with_full_series(monkeypatch, lambda: extend_bp(w, 2.0, 2.0, om))
+            assert np.array_equal(res.weight.values, ref.weight.values)
+            assert [c.as_dict() for c in res.certificates] == \
+                   [c.as_dict() for c in ref.certificates]
+            assert sorted(res.diagnostics.items()) == sorted(ref.diagnostics.items())
+            assert_same_factors(res.factorization, ref.factorization)
+            assert res.factorization.terms_used < 60
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_escalating_stack_matches_full_series(self, monkeypatch, p):
+        """Only the escalating row reruns; every row still equals the
+        fixed-length series."""
+        ws, doms, s_norms = stack_with_low_bound(p)
+        refs = with_full_series(monkeypatch, lambda: rdf_factor_many(ws, p, s_norms, doms))
+        many = rdf_factor_many(ws, p, s_norms, doms)
+        for res, ref in zip(many, refs):
+            assert_same_factors(res, ref)
+        assert all(r.terms_used < 60 for r in many if not r.escalations)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 / 64.0])
+    def test_small_terms_is_a_cap(self, monkeypatch, scale):
+        """At terms = 3 no row settles early, so every field, the tail
+        included, is the fixed-length series'; a low bound still escalates."""
+        w = random_log_walk(8, seed=45, sigma=0.6)
+        s = s_norm_bound(w, 2.0) * scale
+        res = rdf_factor(w, 2.0, s, terms=3)
+        assert res.terms_used <= 3
+        assert_same_factorization(
+            res, with_full_series(monkeypatch, lambda: rdf_factor(w, 2.0, s, terms=3)))
+        assert (res.escalations >= 1) == (scale < 1.0)
+        assert res.reconstruction_error <= 1e-10
+
+    def test_overflowing_row_stays_pending(self):
+        """A row whose f overflows stops (inf + inf == inf), but its tail is
+        inf, so it is never taken for settled; its neighbour is unaffected."""
+        rng = np.random.default_rng(46)
+        ws = [random_log_walk(6, rng=rng, sigma=0.6) for _ in range(2)]
+        values = np.stack([w.values for w in ws])
+        mask = np.stack([_mask(None, 6)] * 2)
+        s = np.array([s_norm_bound(ws[0], 2.0), 1e-300])
+        with np.errstate(over="ignore"):
+            f, tail, used = factorization._series(values, mask, s, 6, 2.0, 60)
+            with pytest.raises(ArithmeticError, match="did not settle"):
+                rdf_factor(ws[1], 2.0, 1e-300)
+        assert np.isinf(f[1, 1:]).all() and not tail[1] <= 1.0 and used[1] < 60
+        f0, tail0, used0 = factorization._series(values[0], mask[0], s[0, ...], 6, 2.0, 60)
+        assert np.array_equal(f[0], f0) and (tail[0], used[0]) == (tail0, used0)
+        assert tail0 <= 1.0
+
+    def test_settled_rows_leave_the_stack(self, monkeypatch):
+        """S runs once per term and once for the tail on each row, and on
+        no row past the term where it settled."""
+        rows = []
+        real = factorization.op_s
+
+        def spy(g, values, depth, p):
+            rows.append(len(g))
+            return real(g, values, depth, p)
+
+        monkeypatch.setattr(factorization, "op_s", spy)
+        ws = [random_log_walk(7, seed=47, sigma=sigma) for sigma in (0.2, 0.8, 2.0)]
+        results = factor_bho_full_many(ws, 2.0)
+        assert rows[0] == 3 and min(rows) == 1
+        assert len({r.terms_used for r in results}) == 3
+        assert sum(rows) == sum(r.terms_used + 1 for r in results)
