@@ -52,9 +52,9 @@ from .factorization import factor_bho_full_many
 from .geometry import (
     GridNode,
     UnitArc,
+    _ratio_level,
     arc_contains_angle,
     beta_hyperbolic,
-    containing_level,
     mod1,
 )
 from .weights import (
@@ -278,15 +278,6 @@ def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
 # offset measure of predecessor scales
 # ---------------------------------------------------------------------------
 
-def _containment_chance(m: int, ell: Fraction) -> Fraction:
-    """Offset measure of the event that an arc of length ell lies inside
-    one level-m grid arc: 1 for the full circle, max(0, 1 - 2^m ell) below.
-    The events nest in m."""
-    if m == 0:
-        return Fraction(1)
-    return max(Fraction(0), 1 - (1 << m) * ell)
-
-
 def theta_measure_spectrum(arc: UnitArc) -> dict:
     """Exact offset-measure of the smallest containing grid arc's scale.
 
@@ -296,21 +287,25 @@ def theta_measure_spectrum(arc: UnitArc) -> dict:
     contains the arc exactly when the offset residue leaves room, an event
     of measure max(0, 1 - 2^m ell) for m >= 1 and 1 for the full circle;
     the events nest in m, so each bucket is a difference of two of them.
-    Values are Fractions summing to exactly 1.  The key 0 is always
-    present with measure 0: containment at the arc's own scale needs exact
-    alignment (a null event) when the length is dyadic, and is impossible
-    otherwise since level-N arcs are then strictly shorter.
+    With ell = p/q every chance is an integer over q, so the buckets are
+    integer differences and one Fraction is built per key.  Values are
+    Fractions summing to exactly 1.  The key 0 is always present with
+    measure 0: containment at the arc's own scale needs exact alignment
+    (a null event) when the length is dyadic, and is impossible otherwise
+    since level-N arcs are then strictly shorter.
     """
-    ell = arc.length
-    if ell >= 1:
+    p, q = arc.length.numerator, arc.length.denominator
+    if p >= q:
         return {0: Fraction(1)}
-    n = containing_level(ell)
-    cap = n if (1 << n) * ell == 1 else n + 1
+    n = _ratio_level(p, q)
+    cap = n if p << n == q else n + 1
     out = {0: Fraction(0)}
+    chance = q  # q times the chance at level m, 1 for the full circle
     for m in range(n + 1):
-        mass = _containment_chance(m, ell) - _containment_chance(m + 1, ell)
-        if mass > 0:
-            out[cap - m] = mass
+        finer = max(0, q - (p << (m + 1)))
+        if chance > finer:
+            out[cap - m] = Fraction(chance - finer, q)
+        chance = finer
     return out
 
 
@@ -612,25 +607,30 @@ def avg_beta_check(pairs):
     too, and the report carries the reverse pointwise ratio
     beta / (1 + smallest beta_theta), which stays small because a grid cell
     of the scale of either point contains both whenever beta_theta vanishes.
-    No offset is sampled.
+    No offset is sampled: with both angles over one denominator Q the
+    circular distance is dn / Q, every chance max(0, Q - 2^k dn) / Q, and
+    the mean one integer quotient, rounded once as float(Fraction) rounds.
     """
     ratios, means, maxima, pointwise = [], [], [], []
     for z, w in pairs:
-        kz = containing_level(1 - Fraction(z[0]))
-        kw = containing_level(1 - Fraction(w[0]))
+        kz = _depth_level(z[0])
+        kw = _depth_level(w[0])
         deeper, kmin = max(kz, kw), min(kz, kw)
-        d = (Fraction(z[1]) - Fraction(w[1])) % 1
-        delta = min(d, 1 - d)
-        chances = [_containment_chance(k, delta) for k in range(1, kmin + 1)]
-        mean_bt = float(deeper - sum(chances))
-        smallest = deeper - sum(c > 0 for c in chances)  # the chances nest in k
+        nz, dz = _ratio(z[1])
+        nw, dw = _ratio(w[1])
+        Q = math.lcm(dz, dw)
+        dn = (nz * (Q // dz) - nw * (Q // dw)) % Q
+        dn = min(dn, Q - dn)
+        chances = [c for c in (Q - (dn << k) for k in range(1, kmin + 1)) if c > 0]
+        mean_bt = (deeper * Q - sum(chances)) / Q
+        smallest = deeper - len(chances)  # the chances nest in k
         zc = z[0] * np.exp(2j * np.pi * z[1])
         wc = w[0] * np.exp(2j * np.pi * w[1])
         beta = beta_hyperbolic(zc, wc)
         ratios.append(mean_bt / (1.0 + beta))
         means.append(mean_bt)
         # a level-1 line separates distinct angles on a share 2 delta of offsets
-        maxima.append(deeper if delta > 0 else deeper - kmin)
+        maxima.append(deeper if dn > 0 else deeper - kmin)
         pointwise.append(beta / (1.0 + smallest))
     ratios = np.array(ratios)
     return {
@@ -641,6 +641,17 @@ def avg_beta_check(pairs):
         "max_beta_theta": maxima,
         "ratios": ratios,
     }
+
+
+def _ratio(x) -> tuple:
+    """Numerator and denominator of an int, float or Fraction, exactly."""
+    return (x if isinstance(x, (float, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
+def _depth_level(modulus) -> int:
+    """containing_level of 1 - modulus, in integers."""
+    p, q = _ratio(modulus)
+    return _ratio_level(q - p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -471,8 +471,8 @@ def _run_average(cfg: dict):
         total = sum(spec.values())
         if total != 1:
             sum_violations += 1
-        worst = max((mass / Fraction(4, 1 << k) for k, mass in spec.items()),
-                    default=Fraction(0))
+        worst = max((Fraction(mass.numerator << k, mass.denominator << 2)
+                     for k, mass in spec.items()), default=Fraction(0))
         bucket_ratio_max = max(bucket_ratio_max, worst)
         arc_rows.append((i, float(center), float(length), len(spec),
                          float(worst)))

@@ -226,18 +226,22 @@ def beta_hyperbolic(z: complex, w: complex) -> float:
 # cell assignment and the dyadic metric
 # ---------------------------------------------------------------------------
 
-def containing_level(depth_to_boundary: Fraction) -> int:
+def containing_level(depth_to_boundary: AngleLike) -> int:
     """The unique k >= 0 with 2^{-k-1} < d <= 2^{-k}, for d in (0, 1]."""
     d = as_fraction(depth_to_boundary)
-    if not (0 < d <= 1):
-        raise ValueError(f"need 0 < d <= 1, got {d}")
-    # float guess, then exact adjustment by at most a couple of steps
-    k = max(0, int(-math.log2(float(d))) - 1)
-    while Fraction(1, 1 << (k + 1)) >= d:
-        k += 1
-    while Fraction(1, 1 << k) < d:
-        k -= 1
-    return k
+    return _ratio_level(d.numerator, d.denominator)
+
+
+def _ratio_level(p: int, q: int) -> int:
+    """containing_level of d = p/q (q > 0), in integers: 2^k p <= q < 2^{k+1} p.
+
+    Shifting p by the bit-length gap gives it q's bit length, so either
+    it is at most q (and one more shift exceeds q) or one shift less fits.
+    """
+    if not 0 < p <= q:
+        raise ValueError(f"need 0 < d <= 1, got {Fraction(p, q)}")
+    k = q.bit_length() - p.bit_length()
+    return k - ((p << k) > q)
 
 
 def containing_node(theta: AngleLike, z: DiscPoint) -> GridNode:

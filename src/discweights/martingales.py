@@ -676,12 +676,15 @@ def carleson_sup(seq: PointSeq) -> CarlesonReport:
     for address, total in zip(probes, totals.tolist()):
         if total > best:
             best, arg = total, address
+    # the masses inside each prefix's box, in sequence order, so that each
+    # box sum adds them as a sum over the sequence does
+    boxes: Dict[str, List[float]] = {}
+    for e, m in zip(seq, seq.masses().tolist()):
+        for i in range(len(e.address) + 1):
+            boxes.setdefault(e.address[:i], []).append(m)
     box_best, box_arg = -math.inf, ""
-    masses = seq.masses().tolist()
-    prefixes = {e.address[:i] for e in seq for i in range(len(e.address) + 1)}
-    for a in sorted(prefixes, key=lambda s: (len(s), s)):
-        mu = sum(m for e, m in zip(seq, masses) if e.address.startswith(a))
-        ratio = mu * (1 << len(a))
+    for a in sorted(boxes, key=lambda s: (len(s), s)):
+        ratio = sum(boxes[a]) * (1 << len(a))
         if ratio > box_best:
             box_best, box_arg = ratio, a
     return CarlesonReport(sup=best, argmax=arg, box_sup=box_best,
@@ -705,22 +708,23 @@ def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float, r_levels: int = 
     anchors = _address_points([e.address for e in seq])
     b_entries = np.array([M.value(e.address) for e in seq])
     log_terms = [_log_inv_mass(m) for m in range(1, r_levels + 1)]
-    r2s = [(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)]
+    r2s = np.array([(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)])[:, None]
     sup, arg_probe, arg_m = -math.inf, "", 0
     by_radius = [0.0] * r_levels
     for start, rho2_rows, inv_rows in _pair_blocks(_address_points(probes), anchors):
         block = probes[start:start + len(rho2_rows)]
-        for address, rho2, inv in zip(block, rho2_rows, inv_rows):
-            db2 = (b_entries - M.value(address)) ** 2
-            for mi in range(r_levels):
-                mask = rho2 < r2s[mi]
-                if not np.any(mask):
-                    continue
-                with np.errstate(over="ignore"):
-                    total = float(np.sum(np.exp(lam * db2[mask] / log_terms[mi]) * inv[mask]))
-                by_radius[mi] = max(by_radius[mi], total)
-                if total > sup:
-                    sup, arg_probe, arg_m = total, address, mi + 1
+        with np.errstate(over="ignore"):
+            for address, rho2, inv in zip(block, rho2_rows, inv_rows):
+                lam_db2 = lam * (b_entries - M.value(address)) ** 2
+                # one (r_levels, anchors) mask per probe; each radius still
+                # sums its own masked array, which fixes the addition order
+                masks = rho2 < r2s
+                for mi in np.flatnonzero(masks.any(axis=1)).tolist():
+                    mask = masks[mi]
+                    total = float((np.exp(lam_db2[mask] / log_terms[mi]) * inv[mask]).sum())
+                    by_radius[mi] = max(by_radius[mi], total)
+                    if total > sup:
+                        sup, arg_probe, arg_m = total, address, mi + 1
     return {
         "lambda": lam,
         "sup": sup,
@@ -844,27 +848,35 @@ def _crossing_classes(k0: int, value0: int, s: float, depth_budget: int):
     even level where value^2 >= s * log(1/(1 - |z|^2)).  Returns the
     frozen classes as (level, value, sign_path_count) in level order
     (larger values first within a level) plus the total surviving count.
+
+    The live values always form one run lo, lo + 2, ..., of same-parity
+    integers, kept as lo and a list of counts: a step widens the run by
+    one value at each end and adds neighbouring counts (Pascal's rule).
+    The values that stay live, v^2 < threshold, form an interval, so the
+    values that freeze sit at the two ends of the run and are cut off
+    there: the top end first, largest value first, then the bottom end,
+    listed from its largest value down, so each level's classes come in
+    decreasing value order.
     """
-    live: Dict[int, int] = {value0: 1}
+    lo, counts = value0, [1]
     classes: List[Tuple[int, int, int]] = []
     k = k0
-    while k + 2 <= depth_budget and live:
+    while k + 2 <= depth_budget and counts:
         k += 2
         thr2 = s * _log_inv_mass(k)
-        nxt: Dict[int, int] = {}
-        for v, c in live.items():
-            nxt[v + 1] = nxt.get(v + 1, 0) + c
-            nxt[v - 1] = nxt.get(v - 1, 0) + c
-        live = {}
-        frozen = []
-        for v, c in nxt.items():
-            if v * v >= thr2:
-                frozen.append((v, c))
-            else:
-                live[v] = c
-        for v, c in sorted(frozen, key=lambda vc: -vc[0]):
-            classes.append((k, v, c))
-    return classes, sum(live.values())
+        counts = [a + b for a, b in zip([0, *counts], [*counts, 0])]
+        lo -= 1
+        hi = lo + 2 * len(counts) - 2
+        while counts and hi * hi >= thr2:
+            classes.append((k, hi, counts.pop()))
+            hi -= 2
+        low = []
+        while len(low) < len(counts) and lo * lo >= thr2:
+            low.append((k, lo, counts[len(low)]))
+            lo += 2
+        del counts[:len(low)]
+        classes.extend(reversed(low))
+    return classes, sum(counts)
 
 
 def _sign_paths(k0: int, value0: int, s: float, target_level: int, target_value: int):
@@ -954,8 +966,10 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
             quarter, half = pmass >> 2, pmass >> 1
             if (k0, parent_val) not in walks:
                 classes, _live = _crossing_classes(k0, parent_val, s, depth_budget)
+                # sum of (c << (k - k0) // 2) * mass(k), in shifts only
                 walks[k0, parent_val] = classes, sum(
-                    (c << ((k - k0) // 2)) * mass(k) for k, v, c in classes)
+                    ((c << (k + 1)) - c) << ((k - k0) // 2 + 2 * (top - k))
+                    for k, v, c in classes)
             classes, cand = walks[k0, parent_val]
             rec = ParentRecord(
                 address=parent_addr, value=parent_val, mass=pmass / den,

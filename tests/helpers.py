@@ -5,8 +5,8 @@ pure Python, deliberately ignoring the package's vectorized layouts, or is
 a sampled or exact computation the package no longer runs, kept as an
 oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
-the builder's per-parent Fraction selection, the fixed-length
-factorization series).
+the builder's per-parent Fraction selection and dict crossing walk, the
+Fraction offset spectra, the fixed-length factorization series).
 """
 
 import math
@@ -23,14 +23,15 @@ from discweights.geometry import (
     arc_contains_angle,
     area_carleson,
     area_top,
+    beta_hyperbolic,
     containing_level,
     mod1,
 )
 from discweights.martingales import (
     ParentRecord,
     SeqEntry,
-    _crossing_classes,
     _expand_signs,
+    _log_inv_mass,
     _sign_paths,
     default_probe_addresses,
     threshold_sequence,
@@ -520,6 +521,32 @@ def brute_trace_weak_l1(seq, M, lam, probe=""):
     return weak, float(sum(values)), len(values), collisions
 
 
+def dict_crossing_classes(k0, value0, s, depth_budget):
+    """martingales._crossing_classes with one dict of live value counts,
+    rebuilt at every step, as the builder walked before it kept the live
+    run as a list updated by Pascal's rule."""
+    live = {value0: 1}
+    classes = []
+    k = k0
+    while k + 2 <= depth_budget and live:
+        k += 2
+        thr2 = s * _log_inv_mass(k)
+        nxt = {}
+        for v, c in live.items():
+            nxt[v + 1] = nxt.get(v + 1, 0) + c
+            nxt[v - 1] = nxt.get(v - 1, 0) + c
+        live = {}
+        frozen = []
+        for v, c in nxt.items():
+            if v * v >= thr2:
+                frozen.append((v, c))
+            else:
+                live[v] = c
+        for v, c in sorted(frozen, key=lambda vc: -vc[0]):
+            classes.append((k, v, c))
+    return classes, sum(live.values())
+
+
 def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budget=1 << 15):
     """counterexample_build's ParentRecords, one list per generation built.
 
@@ -536,7 +563,7 @@ def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budge
             k0 = len(parent_addr)
             pmass = F(1, 1 << k0) * (2 - F(1, 1 << k0))
             quarter, half = pmass / 4, pmass / 2
-            classes, _ = _crossing_classes(k0, parent_val, s, depth_budget)
+            classes, _ = dict_crossing_classes(k0, parent_val, s, depth_budget)
             cand = F(0)
             for k, v, c in classes:
                 d = F(1, 1 << k)
@@ -590,6 +617,70 @@ def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budge
             break
         parents = selected
     return out
+
+
+def plain_level(d):
+    """The k with 2^-(k+1) < d <= 2^-k, by scanning k up from 0."""
+    k = 0
+    while F(1, 1 << (k + 1)) >= d:
+        k += 1
+    return k
+
+
+def _containment_chance(m, ell):
+    """Offset measure of the event that an arc of length ell lies inside
+    one level-m grid arc: 1 for the full circle, max(0, 1 - 2^m ell) below."""
+    if m == 0:
+        return F(1)
+    return max(F(0), 1 - (1 << m) * ell)
+
+
+def fraction_theta_measure_spectrum(arc):
+    """averaging.theta_measure_spectrum with every chance a Fraction, as
+    it was computed before the chances became integers over ell's
+    denominator."""
+    ell = arc.length
+    if ell >= 1:
+        return {0: F(1)}
+    n = plain_level(ell)
+    cap = n if (1 << n) * ell == 1 else n + 1
+    out = {0: F(0)}
+    for m in range(n + 1):
+        mass = _containment_chance(m, ell) - _containment_chance(m + 1, ell)
+        if mass > 0:
+            out[cap - m] = mass
+    return out
+
+
+def fraction_avg_beta_check(pairs):
+    """averaging.avg_beta_check with the circular distance and every
+    containment chance a Fraction, the mean rounded by float(Fraction)."""
+    ratios, means, maxima, pointwise = [], [], [], []
+    for z, w in pairs:
+        kz = plain_level(1 - F(z[0]))
+        kw = plain_level(1 - F(w[0]))
+        deeper, kmin = max(kz, kw), min(kz, kw)
+        d = (F(z[1]) - F(w[1])) % 1
+        delta = min(d, 1 - d)
+        chances = [_containment_chance(k, delta) for k in range(1, kmin + 1)]
+        mean_bt = float(deeper - sum(chances))
+        smallest = deeper - sum(c > 0 for c in chances)
+        zc = z[0] * np.exp(2j * np.pi * z[1])
+        wc = w[0] * np.exp(2j * np.pi * w[1])
+        beta = beta_hyperbolic(zc, wc)
+        ratios.append(mean_bt / (1.0 + beta))
+        means.append(mean_bt)
+        maxima.append(deeper if delta > 0 else deeper - kmin)
+        pointwise.append(beta / (1.0 + smallest))
+    ratios = np.array(ratios)
+    return {
+        "max_ratio": float(ratios.max()),
+        "mean_ratio": float(ratios.mean()),
+        "max_pointwise_ratio": float(max(pointwise)),
+        "mean_beta_theta": means,
+        "max_beta_theta": maxima,
+        "ratios": ratios,
+    }
 
 
 def full_series(values, mask, s, depth, p, terms):

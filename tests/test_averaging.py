@@ -45,6 +45,8 @@ from helpers import (
     continuous_b1_constant,
     continuous_bp_constant,
     five_probes,
+    fraction_avg_beta_check,
+    fraction_theta_measure_spectrum,
     mean_common_boxes,
     per_offset_pipeline,
     random_arcs,
@@ -125,6 +127,19 @@ class TestThetaSpectrum:
         assert sum(out.values()) == 1
         for k, mass in out.items():
             assert mass <= F(4, 1 << k)
+
+    def test_equals_fraction_oracle(self):
+        rng = np.random.default_rng(43)
+        grid = 1 << 20
+        arcs = [UnitArc(F(int(rng.integers(0, grid)), grid),
+                        F(int(rng.integers(1, grid + 1)), grid)) for _ in range(1000)]
+        arcs += [UnitArc(F(1, 3), F(1)), UnitArc(F(3, 16), F(1, 8)),
+                 UnitArc(F(0), F(1, 2)), UnitArc(F(1, 2), F(1, 1 << 20)),
+                 UnitArc(F(1, 2), F(1, 5)), UnitArc(F(2, 7), F(1, 3))]
+        for arc in arcs:
+            got = theta_measure_spectrum(arc)
+            assert list(got.items()) == list(fraction_theta_measure_spectrum(arc).items())
+            assert all(type(v) is F for v in got.values())
 
 
 class TestRegionAlgebra:
@@ -567,7 +582,46 @@ def disc_beta(z, w):
     return beta_hyperbolic(z[0] * np.exp(2j * np.pi * z[1]), w[0] * np.exp(2j * np.pi * w[1]))
 
 
+def assert_same_beta_report(got, want):
+    """Equal keys, equal integers and bitwise-equal floats."""
+    assert got.keys() == want.keys()
+    for key in ("max_ratio", "mean_ratio", "max_pointwise_ratio",
+                "mean_beta_theta", "ratios"):
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+    assert all(type(x) is float for x in got["mean_beta_theta"])
+    assert got["max_beta_theta"] == want["max_beta_theta"]
+
+
 class TestAvgBeta:
+    def test_random_pairs_equal_fraction_oracle(self):
+        rng = np.random.default_rng(47)
+        pairs = []
+        for _ in range(1000):
+            r1, r2 = rng.uniform(0.05, 0.999, 2)
+            a1, a2 = rng.uniform(0, 1, 2)
+            pairs.append(((r1, a1), (r2, a2)))
+        assert_same_beta_report(avg_beta_check(pairs), fraction_avg_beta_check(pairs))
+
+    @pytest.mark.parametrize("pair", [
+        ((0.7, 0.3), (0.9, 0.3)),  # equal angles
+        ((1 - 3 / 128, 0.25), (1 - 3 / 1024, 1.25)),  # equal mod 1
+        ((0.5, F(1, 3)), (0.75, 0)),  # Fraction and int angles
+        ((F(3, 4), F(2, 5)), (0.9, 1)),
+        ((0.8, F(1, 7)), (F(63, 64), -F(2, 7))),
+        ((0.5, 0.1), (0.75, 0.6)),  # 1 - r a power of two
+        ((1 - 2 ** -20, 0.3), (1 - 2 ** -21, 0.3 + 2 ** -25)),
+        ((1 - 2 ** -30, F(1, 2)), (0.0, 0.0)),
+    ])
+    def test_edge_pairs_equal_fraction_oracle(self, pair):
+        assert_same_beta_report(avg_beta_check([pair]), fraction_avg_beta_check([pair]))
+
+    def test_power_of_two_moduli_equal_fraction_oracle(self):
+        rng = np.random.default_rng(53)
+        pairs = [((1 - 2.0 ** -int(k1), a1), (1 - 2.0 ** -int(k2), a2))
+                 for (k1, k2), (a1, a2) in zip(rng.integers(1, 40, (200, 2)),
+                                               rng.uniform(0, 1, (200, 2)))]
+        assert_same_beta_report(avg_beta_check(pairs), fraction_avg_beta_check(pairs))
+
     def test_equal_points_give_zero(self):
         rep = avg_beta_check([((0.5, 0.25), (0.5, 0.25))])
         assert rep["max_ratio"] == 0.0

@@ -159,6 +159,33 @@ class TestCellAssignment:
         assert containing_level(F(1, 1 << 20)) == 20
         assert containing_level(F(1, 1 << 20) + F(1, 1 << 50)) == 19
 
+    def test_containing_level_huge_denominators(self):
+        tiny = F(1, 1 << 200)
+        assert containing_level(F(1, 2) + tiny) == 0
+        assert containing_level(F(1, 2) - tiny) == 1
+        assert containing_level(F(1, 1 << 300)) == 300
+        assert containing_level(F(1, 1 << 300) + F(1, 1 << 900)) == 299
+        assert containing_level(F(1, 1 << 300) - F(1, 1 << 900)) == 300
+        # non-dyadic: 2^-301 < 1/(3 * 2^299) <= 2^-300
+        assert containing_level(F(1, 3 << 299)) == 300
+        assert containing_level(F(2, 3)) == 0 and containing_level(F(1, 3)) == 1
+
+    def test_containing_level_floats_and_ints(self):
+        assert containing_level(1) == 0
+        assert containing_level(0.5) == 1
+        assert containing_level(0.3) == 1
+        assert containing_level(2.0 ** -1074) == 1074  # smallest subnormal
+        assert containing_level(0.5 + 2.0 ** -53) == 0
+        assert containing_level(1 - 0.999) == containing_level(1 - F(0.999)) == 9
+        for d in np.random.default_rng(59).uniform(0, 1, 200):
+            k = containing_level(d)
+            assert F(1, 1 << (k + 1)) < F(d) <= F(1, 1 << k)
+
+    @pytest.mark.parametrize("d", [F(0), F(-1, 4), F(5, 4), 0.0, -0.5, 1.0000001, 2])
+    def test_containing_level_outside_unit_interval_raises(self, d):
+        with pytest.raises(ValueError, match="need 0 < d <= 1"):
+            containing_level(d)
+
     def test_node_point_round_trip(self):
         # the distinguished point of a node lands back in that node's cell
         for level in range(0, 10):

@@ -39,6 +39,7 @@ from helpers import (
     brute_pair_invariants,
     brute_trace_sup_i,
     brute_trace_weak_l1,
+    dict_crossing_classes,
     fraction_build_parents,
     weak_separation_ok,
 )
@@ -628,6 +629,25 @@ def kernel_arrays(probes, anchors):
     return rho2, inv
 
 
+def assert_sums_equal_plain_loop_oracle(seed, grid_theta, extra):
+    """carleson_sup, trace_sup_i and trace_weak_l1 on 12 spread addresses
+    equal their pair-by-pair oracles exactly."""
+    seq = PointSeq(spread_addresses(np.random.default_rng(seed), 12, extra),
+                   grid_theta=grid_theta)
+    K = kahane()
+    rep = carleson_sup(seq)
+    assert (rep.sup, rep.argmax, rep.box_sup, rep.box_argmax) == brute_carleson_sup(seq)
+    for lam in (0.05, 0.7):
+        out = trace_sup_i(seq, K, lam)
+        assert {k: out[k] for k in ("sup", "argmax_probe", "argmax_r_level",
+                                    "by_radius")} == brute_trace_sup_i(seq, K, lam)
+        for probe in ("", seq.entries[3].address, seq.entries[3].address[:4]):
+            weak = trace_weak_l1(seq, K, lam, probe=probe)
+            got = (weak["weak_l1"], weak["strong_sum"], weak["count"],
+                   weak["excluded_collisions"])
+            assert got == brute_trace_weak_l1(seq, K, lam, probe)
+
+
 class TestPairKernel:
     @pytest.mark.parametrize("seed, grid_theta, count, extra", [
         (1, Fraction(0), 24, 0),
@@ -661,20 +681,16 @@ class TestPairKernel:
         (6, Fraction(0), 0), (7, Fraction(3, 7), 0), (8, Fraction(3, 7), 50),
     ])
     def test_sums_equal_plain_loop_oracle(self, seed, grid_theta, extra):
-        seq = PointSeq(spread_addresses(np.random.default_rng(seed), 12, extra),
-                       grid_theta=grid_theta)
-        K = kahane()
-        rep = carleson_sup(seq)
-        assert (rep.sup, rep.argmax, rep.box_sup, rep.box_argmax) == brute_carleson_sup(seq)
-        for lam in (0.05, 0.7):
-            out = trace_sup_i(seq, K, lam)
-            assert {k: out[k] for k in ("sup", "argmax_probe", "argmax_r_level",
-                                        "by_radius")} == brute_trace_sup_i(seq, K, lam)
-            for probe in ("", seq.entries[3].address, seq.entries[3].address[:4]):
-                weak = trace_weak_l1(seq, K, lam, probe=probe)
-                got = (weak["weak_l1"], weak["strong_sum"], weak["count"],
-                       weak["excluded_collisions"])
-                assert got == brute_trace_weak_l1(seq, K, lam, probe)
+        assert_sums_equal_plain_loop_oracle(seed, grid_theta, extra)
+
+    @pytest.mark.parametrize("seed, grid_theta, extra", [
+        (10, Fraction(0), 0), (11, Fraction(3, 7), 50),
+    ])
+    def test_sums_over_many_blocks_equal_plain_loop_oracle(self, monkeypatch, seed,
+                                                           grid_theta, extra):
+        # five probe rows per block: each probe is read back at start + i
+        monkeypatch.setattr(martingales, "_BLOCK_PAIRS", 64)
+        assert_sums_equal_plain_loop_oracle(seed, grid_theta, extra)
 
     @pytest.mark.parametrize("gap, angle", [
         (Fraction(1), 0),
@@ -790,6 +806,25 @@ class TestBuilder:
     def test_parents_match_fraction_oracle(self, config):
         result = counterexample_build(**config)
         assert [g.parents for g in result.generations] == fraction_build_parents(**config)
+
+    @pytest.mark.parametrize("budget", [60, 600, 3000])
+    @pytest.mark.parametrize("value0", [0, 3, -2])
+    @pytest.mark.parametrize("k0", [0, 4, 6])
+    def test_crossing_walk_matches_dict_oracle(self, k0, value0, budget):
+        for s in (threshold_sequence(4)[0], threshold_sequence(4, scale=0.7)[2]):
+            got = martingales._crossing_classes(k0, value0, s, budget)
+            assert got == dict_crossing_classes(k0, value0, s, budget)
+
+    @pytest.mark.parametrize("k0, value0, first", [
+        (0, 5, [6, 4]), (0, -5, [-4, -6]),  # both values cross at once
+        (0, 1, [2]), (4, 2, [3]), (6, -3, [-4]),  # one end crosses at once
+    ])
+    def test_crossing_walk_first_step_crossings(self, k0, value0, first):
+        for s in (2 * math.log(2.0), 2.0):
+            got = martingales._crossing_classes(k0, value0, s, 60)
+            assert got == dict_crossing_classes(k0, value0, s, 60)
+            assert [v for k, v, _ in got[0] if k == k0 + 2] == first
+            assert (got[1] == 0) == (len(first) == 2)
 
     def test_one_crossing_walk_per_parent_class(self, monkeypatch):
         calls = []
