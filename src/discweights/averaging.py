@@ -62,7 +62,9 @@ from .weights import (
     TreeWeight,
     WeightCertificate,
     _name_first_bad,
+    _node_ids,
     _plain,
+    _point_levels,
     _tree_rows,
     bp_constant as tree_bp_constant,
 )
@@ -261,14 +263,20 @@ class SampledWeight:
 
 
 def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
-    """Pointwise geometric mean over a family of tree weights."""
-    # one tree at a time: a (T, points) stack over a dense region mesh costs more memory
+    """Pointwise geometric mean over a family of tree weights of one depth."""
     trees = list(trees)
+    depth = trees[0].depth
+    if any(t.depth != depth for t in trees):
+        raise ValueError("a stack of trees needs one depth")
+    thetas = [float(t.theta) for t in trees]
 
     def fn(r, a):
+        # each point's level once; then one tree at a time, as a (T, points)
+        # stack over a dense region mesh costs more memory and is no faster
+        scale, n = _point_levels(r, depth)
         acc = np.zeros_like(r, dtype=float)
-        for t in trees:
-            acc += np.log(t.eval_polar(r, a))
+        for t, theta in zip(trees, thetas):
+            acc += np.log(t.values[_node_ids(a - theta, scale, n)])
         return np.exp(acc / len(trees))
 
     return SampledWeight(fn)
@@ -758,24 +766,38 @@ def _survey_geo_family(stacks, p: float, family):
     """
     arcs = list(family)
     depth = stacks[0][0][0].depth
-    L = math.lcm(1 << (depth + 1), *(t.theta.denominator for trees, _ in stacks for t in trees),
-                 *(x.denominator for arc in arcs for x in (arc.left, arc.length)))
-    dt = np.int64 if L < 1 << 61 else object
+    thetas = [[t.theta for t in trees] for trees, _ in stacks]
+    lefts, lengths = [arc.left for arc in arcs], [arc.length for arc in arcs]
+    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (*thetas, lefts, lengths) for x in xs})
+    offsets = [_scaled(ths, L) for ths in thetas]
+    shifts = _distinct(np.concatenate(offsets) % (L >> depth))
+    return _survey_scaled(stacks, p, L, offsets, _scaled(lefts, L), _scaled(lengths, L), shifts)
 
-    def scaled(xs):
-        return np.array([x.numerator * (L // x.denominator) for x in xs], dtype=dt)
 
-    offsets = [scaled(t.theta for t in trees) for trees, _ in stacks]
-    left, ell = scaled(arc.left for arc in arcs), scaled(arc.length for arc in arcs)
+def _scaled(xs, L: int) -> np.ndarray:
+    """Fractions whose denominators divide L, times L: int64 while that is
+    safe, Python ints beyond."""
+    return np.array([x.numerator * (L // x.denominator) for x in xs],
+                    dtype=np.int64 if L < 1 << 61 else object)
+
+
+def _distinct(xs: np.ndarray) -> np.ndarray:
+    """The distinct entries, sorted (a first np.unique call imports a megabyte)."""
+    xs = np.sort(xs)
+    return xs[np.append(True, xs[1:] != xs[:-1])]
+
+
+def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
+    """The survey of `_survey_geo_family` once every endpoint is an integer
+    over L (`_scaled`): each stack's offsets, the arcs' left ends and
+    lengths, and the distinct offsets modulo the finest grid step, sorted."""
+    depth, dt = stacks[0][0][0].depth, left.dtype
     right = (left + ell) % L
     windows, span, fine = 1 << (depth // 2), L >> (depth // 2), L >> depth
     grid = np.arange(windows + 1).astype(dt) * span
     # each window holds the same finest grid lines, relative to its start
-    shifts = sorted({t.theta % Fraction(1, 1 << depth) for trees, _ in stacks for t in trees})
-    lines = (np.arange(span // fine).astype(dt)[:, None] * fine + scaled(shifts)).ravel()
-    # distinct chunk starts, sorted (a first np.unique call imports a megabyte)
-    starts = np.sort(np.concatenate([grid[:-1], left, right]))
-    starts = starts[np.append(True, starts[1:] != starts[:-1])]
+    lines = (np.arange(span // fine).astype(dt)[:, None] * fine + shifts).ravel()
+    starts = _distinct(np.concatenate([grid[:-1], left, right]))
     edges = np.searchsorted(starts, grid)
     # arc i is chunks a[i] to b[i], through angle 0 when b[i] <= a[i]
     a = np.searchsorted(starts, left)
@@ -794,7 +816,7 @@ def _survey_geo_family(stacks, p: float, family):
     # (bands, chunks) integrals along the angle, and minima of g
     g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
     geo_int = [np.zeros_like(g_int) for _ in stacks]
-    tree_sums = [np.zeros((len(th), len(arcs))) for th in offsets]
+    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
     for k in range(depth + 1):
         logs = [np.stack([t.values[1 << k:2 << k] for t in trees]) for trees, _ in stacks]
         for logv in logs:

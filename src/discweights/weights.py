@@ -182,8 +182,15 @@ def values_at(values: np.ndarray, thetas: Sequence, depth: int,
     float based; it is meant for quadrature at interior sample points, not
     for boundary-exact decisions.
     """
-    modulus = np.asarray(modulus, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)
+    scale, n = _point_levels(np.asarray(modulus, dtype=np.float64), depth)
+    theta = np.array([float(t) for t in thetas]).reshape((-1,) + (1,) * n.ndim)
+    rows = np.arange(len(values)).reshape(theta.shape)
+    return values[rows, _node_ids(np.asarray(angle, dtype=np.float64) - theta, scale, n)]
+
+
+def _point_levels(modulus: np.ndarray, depth: int):
+    """(scale, n) = (2^k as a float, 1 << k) for each point's tree level k,
+    the leaf level N for points deeper than it."""
     d = 1.0 - modulus
     with np.errstate(divide="ignore"):
         k = np.ceil(-np.log2(np.maximum(d, 1e-300))).astype(np.int64) - 1
@@ -192,13 +199,13 @@ def values_at(values: np.ndarray, thetas: Sequence, depth: int,
     k = np.where(d > np.exp2(-k.astype(float)), k - 1, k)
     k = np.where(d <= np.exp2(-(k + 1).astype(float)), k + 1, k)
     k = np.minimum(np.maximum(k, 0), depth)
-    theta = np.array([float(t) for t in thetas]).reshape((-1,) + (1,) * k.ndim)
-    rel = (angle - theta) % 1.0
-    j = np.ceil(rel * np.exp2(k.astype(float))).astype(np.int64) - 1
-    n = np.int64(1) << k
-    j = np.where(j < 0, n - 1, np.minimum(j, n - 1))
-    rows = np.arange(len(values)).reshape(theta.shape)
-    return values[rows, n + j]
+    return np.exp2(k.astype(float)), np.int64(1) << k
+
+
+def _node_ids(rel: np.ndarray, scale: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Node ids of the points at angle - theta = rel on their `_point_levels`."""
+    j = np.ceil((rel % 1.0) * scale).astype(np.int64) - 1
+    return n + np.where(j < 0, n - 1, np.minimum(j, n - 1))
 
 
 class DyadicDomain:
@@ -295,7 +302,8 @@ _OFF_GRID = "weight and domain live on different grids"
 def _bad_rows(values: np.ndarray) -> np.ndarray:
     """Per tree of one tree or a stack: True where a value is not positive and finite."""
     body = values[..., 1:]
-    return ~np.all(np.isfinite(body) & (body > 0), axis=-1)
+    # a NaN carries through min, so it fails the first test
+    return ~((body.min(-1) > 0) & (body.max(-1) < np.inf))
 
 
 def _check_same_grid(w: TreeWeight, domain: Optional[DyadicDomain]):
@@ -365,11 +373,16 @@ def _floats(x) -> list:
 def subtree_sums(cell_masses: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the sum of cell masses over its subtree (its box)."""
     out = np.array(cell_masses, dtype=np.float64)
+    _add_subtrees(out, depth)
+    return out
+
+
+def _add_subtrees(out: np.ndarray, depth: int) -> None:
+    """subtree_sums in place, bottom-up."""
     o = out.T
     for k in range(depth - 1, -1, -1):
         lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
         o[lo:mid] += o[mid:hi:2] + o[mid + 1 : hi : 2]
-    return out
 
 
 def _cell_masses(values: np.ndarray, depth: int, domain: Optional[DyadicDomain]) -> np.ndarray:
@@ -446,21 +459,37 @@ def maximal(f: TreeWeight, domain: Optional[DyadicDomain] = None) -> TreeWeight:
 
 def maximal_values(values: np.ndarray, depth: int,
                    domain: Optional[DyadicDomain] = None) -> np.ndarray:
-    """Array version of `maximal` for one tree or a stack; f is taken through |f|."""
-    sums = subtree_sums(_cell_masses(np.abs(values), depth, domain), depth)
-    return ancestor_max(sums / box_area_vector(depth), depth)
+    """Array version of `maximal` for one tree or a stack; f is taken through |f|.
+
+    Bitwise ancestor_max(subtree_sums(cell masses of |f|) / box areas), all
+    in one buffer.
+    """
+    out = np.abs(values, dtype=np.float64)
+    out *= cell_areas(depth)  # slot 0 feeds no sum and ends NaN
+    if domain is not None:
+        np.copyto(out, 0.0, where=~domain.mask)
+    _add_subtrees(out, depth)
+    out /= box_area_vector(depth)
+    _max_ancestors(out, depth)
+    return out
 
 
 def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the largest of avg over its ancestors-or-self; slot 0 is NaN."""
-    out = np.empty_like(avg)
-    o, a = out.T, avg.T
+    out = np.array(avg)
+    _max_ancestors(out, depth)
+    return out
+
+
+def _max_ancestors(out: np.ndarray, depth: int) -> None:
+    """ancestor_max in place, top-down."""
+    o = out.T
     o[0] = np.nan
-    o[1] = a[1]
     for k in range(1, depth + 1):
         lo, hi = 1 << k, 1 << (k + 1)
-        o[lo:hi] = np.maximum(np.repeat(o[lo >> 1 : hi >> 1], 2, axis=0), a[lo:hi])
-    return out
+        # each child from its parent: a broadcast (2^(k-1), 2, ...) view is slower
+        for children in (o[lo:hi:2], o[lo + 1 : hi : 2]):
+            np.maximum(o[lo >> 1 : lo], children, out=children)
 
 
 def b1_constant(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:

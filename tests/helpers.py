@@ -6,7 +6,9 @@ a sampled or exact computation the package no longer runs, kept as an
 oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
-Fraction offset spectra, the fixed-length factorization series).
+Fraction offset spectra, the fixed-length factorization series, the
+per-tree geometric mean, the Fraction survey set-up, the np.repeat
+ancestor cascade).
 """
 
 import math
@@ -14,7 +16,13 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from discweights.averaging import dyadic_restriction, rect_quadrature
+from discweights.averaging import (
+    SampledWeight,
+    _scaled,
+    _survey_scaled,
+    dyadic_restriction,
+    rect_quadrature,
+)
 from discweights.extension import extend_b1, extend_bp
 from discweights.factorization import factor_bho_full, op_s
 from discweights.geometry import (
@@ -697,3 +705,44 @@ def full_series(values, mask, s, depth, p, terms):
         f = f + term
     tail = op_s(term, values, depth, p) / two_s
     return f, np.max(np.where(mask, tail, -np.inf), axis=-1), np.full(s.shape, terms)
+
+
+def per_tree_geo_mean(trees):
+    """averaging.geo_mean_weight as it was: every tree looks up each point's
+    level and node on its own, through eval_polar."""
+    trees = list(trees)
+
+    def fn(r, a):
+        acc = np.zeros_like(r, dtype=float)
+        for t in trees:
+            acc += np.log(t.eval_polar(r, a))
+        return np.exp(acc / len(trees))
+
+    return SampledWeight(fn)
+
+
+def fraction_survey_geo_family(stacks, p, family):
+    """averaging._survey_geo_family with its Fraction set-up: each arc's
+    left end rebuilt through mod1 at every use, and the finest-line shifts
+    taken as Fractions modulo 2^-N before they are scaled."""
+    arcs = list(family)
+    depth = stacks[0][0][0].depth
+    L = math.lcm(1 << (depth + 1), *(t.theta.denominator for trees, _ in stacks for t in trees),
+                 *(x.denominator for arc in arcs for x in (arc.left, arc.length)))
+    shifts = sorted({t.theta % F(1, 1 << depth) for trees, _ in stacks for t in trees})
+    return _survey_scaled(stacks, p, L, [_scaled((t.theta for t in trees), L) for trees, _ in stacks],
+                          _scaled((arc.left for arc in arcs), L),
+                          _scaled((arc.length for arc in arcs), L), _scaled(shifts, L))
+
+
+def repeat_ancestor_max(avg, depth):
+    """weights.ancestor_max as it was: each level from a fresh np.repeat of
+    its parents' maxima."""
+    out = np.empty_like(avg)
+    o, a = out.T, avg.T
+    o[0] = np.nan
+    o[1] = a[1]
+    for k in range(1, depth + 1):
+        lo, hi = 1 << k, 1 << (k + 1)
+        o[lo:hi] = np.maximum(np.repeat(o[lo >> 1 : hi >> 1], 2, axis=0), a[lo:hi])
+    return out

@@ -24,7 +24,7 @@ from discweights.averaging import (
     restriction_certificate,
     theta_measure_spectrum,
 )
-from discweights.averaging import _survey_geo_family
+from discweights.averaging import _pieces_mesh, _survey_geo_family
 from discweights.fixtures import CONTINUOUS_FIXTURES, continuous_fixture, sqrt_weight
 from discweights.geometry import (
     GridNode,
@@ -46,9 +46,11 @@ from helpers import (
     continuous_bp_constant,
     five_probes,
     fraction_avg_beta_check,
+    fraction_survey_geo_family,
     fraction_theta_measure_spectrum,
     mean_common_boxes,
     per_offset_pipeline,
+    per_tree_geo_mean,
     random_arcs,
 )
 
@@ -445,6 +447,10 @@ class TestGeoAverage:
         out = geo(np.array([0.5]), np.array([0.25]))
         assert out[0] == pytest.approx(1.4, rel=1e-12)
 
+    def test_one_depth_only(self):
+        with pytest.raises(ValueError, match="one depth"):
+            geo_mean_weight([TreeWeight.constant(1.0, 4), TreeWeight.constant(1.0, 5)])
+
     def test_log_minkowski_margin_random_families(self):
         family = default_arc_family(3)
         for seed in range(6):
@@ -459,6 +465,59 @@ class TestGeoAverage:
         _, margin = _survey_geo_family([([up, down], 1.0)], 1,
                                        [UnitArc(F(1, 2), F(1))])
         assert margin < -0.1
+
+
+@pytest.fixture(scope="module")
+def fixture_stacks():
+    """{(fixture, p): (region, stacks)} from extend_continuous at depth 6 with
+    64 offsets: the B_1 extensions at p = 1, the two factors at p = 2."""
+    out = {}
+    for name in CONTINUOUS_FIXTURES:
+        w, dom = continuous_fixture(name)
+        for p in (1.0, 2.0):
+            res = extend_continuous(w, p, 2.0, dom, depth=6, theta_count=64, family_depth=4)
+            if p == 1:
+                stacks = [[a.extension.weight for a in res.artifacts]]
+            else:
+                stacks = [[a.factorization.w1 for a in res.artifacts],
+                          [a.factorization.w2 for a in res.artifacts]]
+            out[name, p] = dom, stacks
+    return out
+
+
+def _gap_points(region, trees):
+    """The gap survey's region mesh, then a grid of radii with 1 - r = 2^-k
+    down to below the leaf level (and r = 0, 1) against the angles 0,
+    1 - 2^-52 and grid lines of every offset."""
+    depth = trees[0].depth
+    r_mesh, a_mesh = _pieces_mesh(region.pieces(), 10, 32, d_floor=0.5 ** (depth + 1))
+    radii = [0.0, 1.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 12)]
+    angles = [0.0, 1.0 - 2.0 ** -52]
+    for t in trees:
+        angles += [float((t.theta + F(j, 1 << depth)) % 1)
+                   for j in (0, 1, 1 << (depth - 1), (1 << depth) - 1)]
+    r, a = np.meshgrid(radii, angles, indexing="ij")
+    return np.concatenate([r_mesh, r.ravel()]), np.concatenate([a_mesh, a.ravel()])
+
+
+class TestGapSurveyLookup:
+    """geo_mean_weight, which finds each point's level once for all trees,
+    against the per-tree eval_polar loop, bitwise."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_fixture_stacks(self, fixture_stacks, name, p):
+        region, stacks = fixture_stacks[name, p]
+        r, a = _gap_points(region, stacks[0])
+        for trees in stacks:
+            got, want = geo_mean_weight(trees)(r, a), per_tree_geo_mean(trees)(r, a)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tree_family(self):
+        _, dom = continuous_fixture("chain_wrap")
+        tree = random_log_walk(5, seed=41, sigma=0.9, theta=F(3, 7))
+        r, a = _gap_points(dom, [tree])
+        assert geo_mean_weight([tree])(r, a).tobytes() == per_tree_geo_mean([tree])(r, a).tobytes()
 
 
 def _walk_stack(depth, thetas, seed):
@@ -519,6 +578,44 @@ class TestExactSurvey:
         coarse, _ = continuous_b1_constant(geo, [arc])
         assert abs(fine - exact) < 1e-3
         assert abs(fine - exact) < abs(coarse - exact)
+
+
+class TestSurveySetup:
+    """The integer set-up of _survey_geo_family against the Fraction one it
+    replaced (helpers.fraction_survey_geo_family): the same pair of floats."""
+
+    @staticmethod
+    def check(stacks, family):
+        for p in (1.0, 2.0):
+            assert _survey_geo_family(stacks, p, family) == \
+                fraction_survey_geo_family(stacks, p, family)
+
+    def test_offsets_sharing_a_shift(self):
+        depth = 4
+        thetas = [F(1, 64), F(1, 64) + F(1, 16), F(1, 64) + F(5, 16), F(3, 64), F(3, 64) + F(1, 2)]
+        assert len({th % F(1, 1 << depth) for th in thetas}) == 2
+        stacks = [(_walk_stack(depth, thetas, 3), 1.0),
+                  (_walk_stack(depth, [F(1, 64) + F(1, 4), F(1, 3)], 9), -1.0)]
+        self.check(stacks, default_arc_family(3))
+
+    def test_random_families_with_non_dyadic_denominators(self):
+        rng = np.random.default_rng(17)
+        depth = 5
+        thetas = [F(2 * i + 1, 14) for i in range(7)]
+        for _ in range(3):
+            family = [UnitArc(F(int(rng.integers(0, den)), den), F(1, int(rng.integers(1, 12))))
+                      for den in rng.integers(3, 40, 12).tolist()]
+            assert any(d & (d - 1) for d in (arc.left.denominator for arc in family))
+            self.check([(_walk_stack(depth, thetas, 20), 1.0)], family)
+        # float-born arcs: dyadic, with denominators near 2^53
+        self.check([(_walk_stack(depth, thetas, 21), 1.0)], random_arcs(depth, 5, 8))
+
+    def test_python_int_path(self):
+        depth = 3
+        thetas = [F(i, 15) for i in range(5)]
+        family = default_arc_family(2)[::3] + [UnitArc(F(1, 1 << 62), F(1, 3))]
+        assert math.lcm(*(arc.left.denominator for arc in family)) >= 1 << 61
+        self.check([(_walk_stack(depth, thetas, 30), 1.0)], family)
 
 
 class TestContinuousConstants:

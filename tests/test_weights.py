@@ -15,9 +15,11 @@ from discweights.weights import (
     DyadicDomain,
     TreeWeight,
     _b1_values,
+    _bad_rows,
     _bp_values,
     _c_values,
     _cell_masses,
+    _checked,
     _log_pair_sup,
     _mask,
     ancestor_max,
@@ -41,7 +43,13 @@ from discweights.weights import (
     weak_type_ratio,
 )
 
-from helpers import beta_dyadic_pairs, brute_c_const, brute_cell_id, brute_l_const
+from helpers import (
+    beta_dyadic_pairs,
+    brute_c_const,
+    brute_cell_id,
+    brute_l_const,
+    repeat_ancestor_max,
+)
 
 
 def brute_cells(depth, domain=None):
@@ -448,6 +456,63 @@ class TestStackedKernels:
             for name, value in single.items():
                 assert stacked[name].shape == (len(trees),)
                 assert stacked[name][row] == value, name
+
+
+class TestMaximalKernel:
+    """maximal_values works in one buffer; it must equal the composed
+    kernels bitwise, and those the np.repeat cascade."""
+
+    @pytest.mark.parametrize("depth", range(12))
+    def test_matches_composed_kernels(self, depth):
+        rng = np.random.default_rng(700 + depth)
+        stack = np.stack([random_log_walk(depth, rng=rng, sigma=0.9).values for _ in range(3)])
+        stack *= rng.choice([-1.0, 0.0, 1.0], size=stack.shape, p=[0.4, 0.1, 0.5])  # through |f|
+        domain = random_domain(depth, rng=rng, density=0.5)
+        for values in (stack, stack[1]):
+            for om in (None, domain):
+                before = values.copy()
+                got = maximal_values(values, depth, om)
+                assert values.tobytes() == before.tobytes()
+                avg = subtree_sums(_cell_masses(np.abs(values), depth, om), depth) \
+                    / box_area_vector(depth)
+                want = ancestor_max(avg, depth)
+                assert got.shape == values.shape
+                assert got.tobytes() == want.tobytes()
+                assert want.tobytes() == repeat_ancestor_max(avg, depth).tobytes()
+
+
+def isfinite_bad_rows(values):
+    """_bad_rows as it was, one isfinite & > 0 pass."""
+    body = values[..., 1:]
+    return ~np.all(np.isfinite(body) & (body > 0), axis=-1)
+
+
+class TestRowCheck:
+    THETAS = [F(2 * i + 1, 10) for i in range(5)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, 5e-324])
+    def test_matches_isfinite_form(self, bad):
+        depth = 4
+        stack = np.stack([random_log_walk(depth, seed=80 + i).values for i in range(5)])
+        stack[:, 0] = bad  # slot 0 is unused
+        assert not _bad_rows(stack).any()
+        for row in (0, 2, 4):
+            for slot in (1, 9, (2 << depth) - 1):
+                values = stack.copy()
+                values[row, slot] = bad
+                values[4, 3] = bad  # a second bad row after the first
+                flags = _bad_rows(values)
+                assert flags.tolist() == isfinite_bad_rows(values).tolist()
+                for one in values:
+                    assert bool(_bad_rows(one)) == bool(isfinite_bad_rows(one))
+                if flags.any():
+                    with pytest.raises(ValueError, match=rf"^offset {self.THETAS[row]} failed"):
+                        _checked(self.THETAS, values)
+                    with pytest.raises(ValueError, match="positive and finite"):
+                        TreeWeight(0, depth, values[row])
+                else:
+                    assert bad == 5e-324
+                    TreeWeight(0, depth, values[row])
 
 
 class TestSerialization:
