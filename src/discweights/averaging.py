@@ -72,7 +72,6 @@ from .weights import (
 __all__ = [
     "PolarRect",
     "ContinuousDomain",
-    "SampledWeight",
     "theta_measure_spectrum",
     "GoodNodes",
     "good_nodes_many",
@@ -249,20 +248,10 @@ def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampled weights on the disc
+# continuous weights: any positive fn(r, angle) on float64 arrays
 # ---------------------------------------------------------------------------
 
-class SampledWeight:
-    """Positive weight on the disc given by a vectorized evaluator fn(r, angle)."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, r, a):
-        return self.fn(np.asarray(r, dtype=float), np.asarray(a, dtype=float))
-
-
-def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
+def geo_mean_weight(trees: Sequence[TreeWeight]) -> Callable:
     """Pointwise geometric mean over a family of tree weights of one depth."""
     trees = list(trees)
     depth = trees[0].depth
@@ -279,7 +268,7 @@ def geo_mean_weight(trees: Sequence[TreeWeight]) -> SampledWeight:
             acc += np.log(t.values[_node_ids(a - theta, scale, n)])
         return np.exp(acc / len(trees))
 
-    return SampledWeight(fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,7 @@ def _over(num: np.ndarray, den: int) -> np.ndarray:
     return np.array([n / den for n in num.ravel().tolist()], dtype=np.float64).reshape(num.shape)
 
 
-def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain, depth: int):
+def dyadic_restriction_many(w: Callable, thetas, domain: ContinuousDomain, depth: int):
     """dyadic_restriction for every offset: (trees, domains), one per offset.
 
     Each block of OFFSET_BLOCK offsets takes one good_nodes_many pass and
@@ -487,7 +476,7 @@ def dyadic_restriction_many(w: SampledWeight, thetas, domain: ContinuousDomain, 
             [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)])
 
 
-def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain, depth: int):
+def dyadic_restriction(w: Callable, theta, domain: ContinuousDomain, depth: int):
     """Average w over T(I) cap region for every good node of the offset.
 
     Returns (TreeWeight, DyadicDomain) on the offset's grid: the tree value
@@ -500,7 +489,7 @@ def dyadic_restriction(w: SampledWeight, theta, domain: ContinuousDomain, depth:
     return trees[0], doms[0]
 
 
-def restriction_certificate(w: SampledWeight, p: float, q: float,
+def restriction_certificate(w: Callable, p: float, q: float,
                             restriction: TreeWeight, rdomain: DyadicDomain,
                             region: ContinuousDomain,
                             nr: int = 6, na: int = 6) -> WeightCertificate:
@@ -515,7 +504,9 @@ def restriction_certificate(w: SampledWeight, p: float, q: float,
     sup runs over the grid boxes carrying restricted mass plus the
     generator arcs; enlarging the family could only raise the bound.
     """
-    wq = SampledWeight(lambda r, a: w(r, a) ** q)
+    def wq(r, a):
+        return w(r, a) ** q
+
     tree_c = tree_bp_constant(restriction.power(q), p, rdomain)
     arcs = {}
     for nid in np.flatnonzero(rdomain.mask):
@@ -579,7 +570,7 @@ def default_arc_family(depth: int):
             for k in range(depth + 1) for j in range(centers)]
 
 
-def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
+def restricted_box_product(w: Callable, p: float, domain: ContinuousDomain,
                            arc: UnitArc, nr: int = 4, na: int = 4):
     """The restricted B_p product of w over S(arc) cap region.
 
@@ -594,7 +585,10 @@ def restricted_box_product(w: SampledWeight, p: float, domain: ContinuousDomain,
     ell = arc.length
     area = float(ell * (1 - (1 - ell) ** 2))
     int_w = sum(rect_quadrature(pc, w, nr, na) for pc in pieces)
-    dual = SampledWeight(lambda r, a: w(r, a) ** (-1.0 / (p - 1)))
+
+    def dual(r, a):
+        return w(r, a) ** (-1.0 / (p - 1))
+
     int_dual = sum(rect_quadrature(pc, dual, nr, na) for pc in pieces)
     return (int_w / area) * (int_dual / area) ** (p - 1)
 
@@ -679,7 +673,7 @@ class ThetaArtifact:
 
 @dataclass
 class ContinuousExtensionResult:
-    weight: SampledWeight
+    weight: Callable
     p: float
     q: float
     artifacts: list = field(default_factory=list)
@@ -863,7 +857,7 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
     return float(val.max(initial=0.0)), float(np.max(mink, initial=-np.inf))
 
 
-def extend_continuous(w: SampledWeight, p: float, q: float,
+def extend_continuous(w: Callable, p: float, q: float,
                       domain: ContinuousDomain, depth: int = 8,
                       theta_count: int = 64,
                       family_depth: int = 5) -> ContinuousExtensionResult:
@@ -902,7 +896,7 @@ def extend_continuous(w: SampledWeight, p: float, q: float,
     family = default_arc_family(family_depth)
     const, mink = _survey_geo_family(stacks, p, family)
     g = [geo_mean_weight(ts) for ts, _ in stacks]
-    big = g[0] if p == 1 else SampledWeight(lambda r, a: g[0](r, a) * g[1](r, a) ** (1.0 - p))
+    big = g[0] if p == 1 else (lambda r, a: g[0](r, a) * g[1](r, a) ** (1.0 - p))
     key = "continuous_b1" if p == 1 else "continuous_bp"
 
     # gap survey stops at the deepest band the tree resolves: below it the

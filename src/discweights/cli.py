@@ -205,10 +205,10 @@ _LEVELS: Spec = (
     and all(isinstance(lv, list) and all(map(_finite, lv)) for lv in v),
     "a non-empty list of lists of finite numbers")
 _ENTRIES: Spec = (
-    lambda v: isinstance(v, list) and all(
+    lambda v: isinstance(v, list) and len(v) > 0 and all(
         isinstance(e, dict) and set(e) <= {"address", "generation"}
         and _DIGITS[0](e.get("address")) and _int(0)[0](e.get("generation", 0)) for e in v),
-    "a list of objects, each with a 0/1 digit 'address' and an optional "
+    "a non-empty list of objects, each with a 0/1 digit 'address' and an optional "
     "integer 'generation' >= 0")
 # a seed is optional in the schema; randomized runs require it (_require_seed)
 _SEED = _optional(_int(0))
@@ -613,6 +613,11 @@ def _sequence_from_config(spec: dict) -> PointSeq:
 })
 def _run_trace(cfg: dict):
     lam, r_levels = float(cfg["lambda"]), cfg["r_levels"]
+    if r_levels > 53:
+        # past m = 53 the radius 1 - 2^-m rounds to 1.0
+        raise PreconditionError(
+            f"trace: config key 'r_levels' needs to be <= 53 (1 - 2^-r_levels as a float), "
+            f"got {r_levels}")
     seq = _sequence_from_config(cfg["sequence"])
     M = _martingale("trace: martingale", cfg["martingale"])
 

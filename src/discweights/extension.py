@@ -45,9 +45,7 @@ from .weights import (
     _stack_trees,
     _tree_rows,
     b1_constant,
-    bp_constant,
     maximal_values,
-    reverse_holder,
 )
 
 __all__ = [
@@ -56,8 +54,6 @@ __all__ = [
     "extend_b1",
     "extend_bp",
     "extend_bp_many",
-    "SelfImproveReport",
-    "restriction_self_improve",
 ]
 
 # The quotient-window inequalities are exact identities at their extremal
@@ -334,47 +330,3 @@ def _extend_bp_dual(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p:
             factorization=res.factorization, via_dual=True,
         ))
     return ext_vals, out
-
-
-@dataclass
-class SelfImproveReport:
-    q: Optional[float]
-    threshold: float
-    rh_weight: dict
-    rh_dual: dict
-    bracket_table: dict
-
-    @property
-    def improved(self) -> bool:
-        return self.q is not None and self.q > 1
-
-
-def restriction_self_improve(w: TreeWeight, p: float, domain: DyadicDomain,
-                             r_grid: Optional[Sequence[float]] = None,
-                             threshold: float = 2.0) -> SelfImproveReport:
-    """Locate a power q > 1 with [w^q]_{B_p,D,Omega} still under control.
-
-    Scans a reverse Holder table for w and (when p > 1) its dual partner
-    w^{-1/(p-1)} over the restricted boxes and takes the largest grid
-    exponent whose ratio stays at or below the documented threshold 2.
-    Returns the exponent (None when even the smallest grid point fails)
-    and the restricted constants [w^q]_{B_p,D,Omega} along the grid.
-    """
-    if r_grid is None:
-        r_grid = [1.0 + k / 8 for k in range(1, 17)]
-    r_grid = sorted(float(r) for r in r_grid)
-    rh_w = reverse_holder(w, r_grid, domain)
-    if p > 1:
-        rh_d = reverse_holder(w.power(-1.0 / (p - 1.0)), r_grid, domain)
-    else:
-        rh_d = {r: 1.0 for r in r_grid}
-    q = None
-    for r in r_grid:
-        if rh_w[r] <= threshold and rh_d[r] <= threshold:
-            q = r
-    table = {}
-    for r in r_grid:
-        if q is not None and r <= q:
-            table[r] = bp_constant(w.power(r), p, domain)
-    return SelfImproveReport(q=q, threshold=threshold, rh_weight=rh_w,
-                             rh_dual=rh_d, bracket_table=table)

@@ -51,7 +51,6 @@ from .weights import (
     _b1_values,
     _bp_values,
     _c_values,
-    _cell_masses,
     _check_same_grid,
     _checked,
     _floats,
@@ -59,6 +58,7 @@ from .weights import (
     _stack_trees,
     _tree_rows,
     ancestor_max,
+    cell_areas,
     maximal_values,
     subtree_sums,
 )
@@ -104,7 +104,7 @@ def weighted_maximal(f: np.ndarray, w: TreeWeight,
                      domain: Optional[DyadicDomain] = None) -> np.ndarray:
     """Maximal function with averages taken in the w-measure."""
     depth = w.depth
-    wmass = _cell_masses(w.values, depth, domain)
+    wmass = np.where(_mask(domain, depth), w.values * cell_areas(depth), 0.0)
     num = subtree_sums(np.abs(f) * wmass, depth)
     den = subtree_sums(wmass, depth)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from .averaging import ContinuousDomain, SampledWeight
+from .averaging import ContinuousDomain
 from .geometry import UnitArc
 from .weights import TreeWeight, random_log_walk
 
@@ -40,11 +40,12 @@ CONTINUOUS_FIXTURES = {
 }
 
 
-def sqrt_weight() -> SampledWeight:
+def sqrt_weight():
+    """(1 - |z|^2)^{1/2} as a continuous weight fn(r, angle)."""
     def fn(r, a):
-        return np.sqrt(1.0 - np.asarray(r, dtype=float) ** 2)
+        return np.sqrt(1.0 - r ** 2)
 
-    return SampledWeight(fn)
+    return fn
 
 
 def continuous_fixture(name: str):

@@ -105,10 +105,9 @@ class DyadicMartingale:
     """
 
     def __init__(self, kind: str, levels: Optional[Sequence[np.ndarray]] = None,
-                 depth: Optional[int] = None, seed=None):
+                 depth: Optional[int] = None):
         self.kind = kind
         self.depth = depth
-        self.seed = seed
         self._levels = None
         if levels is not None:
             arrs = [lv if isinstance(lv, np.ndarray) and lv.dtype.kind == "i"
@@ -197,22 +196,6 @@ class DyadicMartingale:
                 rows += 1
         return rows
 
-    # -- persistence ----------------------------------------------------
-
-    def to_spec(self) -> dict:
-        if self._levels is None:
-            out = {"kind": self.kind}
-            if self.depth is not None:
-                out["depth"] = self.depth
-            return out
-        if self.kind == "random_pm1":
-            return {"kind": "random_pm1", "depth": self.depth, "seed": self.seed}
-        return {
-            "kind": "materialized",
-            "depth": self.depth,
-            "values": [lv.tolist() for lv in self._levels],
-        }
-
 
 def random_walk(depth: Optional[int] = None) -> DyadicMartingale:
     """The signed-digit walk: value = (#ones - #zeros) of the address."""
@@ -247,7 +230,7 @@ def random_pm1(depth: int, seed) -> DyadicMartingale:
         bump[0::2] = sign
         bump[1::2] = -sign
         levels.append(parent + bump)
-    return DyadicMartingale("random_pm1", levels=levels, depth=depth, seed=seed)
+    return DyadicMartingale("random_pm1", levels=levels, depth=depth)
 
 
 def martingale_from_spec(spec: dict) -> DyadicMartingale:

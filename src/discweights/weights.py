@@ -19,15 +19,14 @@ boxes whose intersection with the domain has positive area.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import GridNode, area_carleson, area_top, mod1
+from .geometry import area_carleson, area_top, mod1
 
 __all__ = [
     "TreeWeight",
@@ -39,12 +38,9 @@ __all__ = [
     "subtree_sums",
     "ancestor_max",
     "values_at",
-    "box_integral",
     "bp_constant",
     "b1_constant",
     "maximal",
-    "weak_type_ratio",
-    "reverse_holder",
     "osc_constants",
     "c_const",
     "random_log_walk",
@@ -70,18 +66,6 @@ def cell_areas(depth: int) -> np.ndarray:
         a = area_top(ell) if k < depth else area_carleson(ell)
         areas[1 << k : 1 << (k + 1)] = float(a)
     return areas
-
-
-@lru_cache(maxsize=64)
-def cell_areas_exact(depth: int) -> tuple:
-    """Exact rational cell areas, same layout as cell_areas."""
-    out = [Fraction(0)] * (1 << (depth + 1))
-    for k in range(depth + 1):
-        ell = Fraction(1, 1 << k)
-        a = area_top(ell) if k < depth else area_carleson(ell)
-        for j in range(1 << k):
-            out[(1 << k) + j] = a
-    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -114,61 +98,14 @@ class TreeWeight:
         vals = np.full(1 << (depth + 1), float(value))
         return cls(theta, depth, vals)
 
-    @classmethod
-    def from_node_values(cls, theta, depth, pairs: Iterable[tuple]) -> "TreeWeight":
-        """Build from ((level, index), value) pairs; unset nodes get 1."""
-        vals = np.ones(1 << (depth + 1))
-        for (level, index), v in pairs:
-            vals[node_id(level, index)] = v
-        return cls(theta, depth, vals)
-
-    def value_at(self, level: int, index: int) -> float:
-        return float(self.values[node_id(level, index)])
-
     def power(self, alpha: float) -> "TreeWeight":
         return TreeWeight(self.theta, self.depth, self.values ** alpha)
-
-    def node(self, level: int, index: int) -> GridNode:
-        return GridNode(self.theta, level, index)
 
     # -- evaluation at points of the disc ---------------------------------
 
     def eval_polar(self, modulus: np.ndarray, angle: np.ndarray) -> np.ndarray:
         """Value of the weight at disc points given in polar form (see values_at)."""
         return values_at(self.values[None], [self.theta], self.depth, modulus, angle)[0]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        nodes = []
-        for k in range(self.depth + 1):
-            start = 1 << k
-            for j in range(1 << k):
-                nodes.append([k, j, repr(float(self.values[start + j]))])
-        return {
-            "theta": f"{self.theta.numerator}/{self.theta.denominator}",
-            "depth": self.depth,
-            "nodes": nodes,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TreeWeight":
-        num, den = data["theta"].split("/")
-        theta = Fraction(int(num), int(den))
-        depth = int(data["depth"])
-        vals = np.ones(1 << (depth + 1))
-        for k, j, s in data["nodes"]:
-            vals[node_id(int(k), int(j))] = float(s)
-        return cls(theta, depth, vals)
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "TreeWeight":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def values_at(values: np.ndarray, thetas: Sequence, depth: int,
@@ -225,35 +162,8 @@ class DyadicDomain:
         self.depth = int(depth)
         self.mask = mask
 
-    @classmethod
-    def full(cls, depth: int, theta=0) -> "DyadicDomain":
-        mask = np.ones(1 << (depth + 1), dtype=bool)
-        return cls(theta, depth, mask)
-
-    @classmethod
-    def from_generators(cls, theta, depth: int, nodes: Iterable[tuple]) -> "DyadicDomain":
-        """Domain from (level, index) generator arcs, one cell each.
-
-        Distinct generators have disjoint cells (top halves never overlap
-        across distinct arcs), so no normalization is needed.
-        """
-        mask = np.zeros(1 << (depth + 1), dtype=bool)
-        for level, index in nodes:
-            if level > depth:
-                raise ValueError("generator deeper than the tree")
-            mask[node_id(level, index)] = True
-        return cls(theta, depth, mask)
-
-    def cell_count(self) -> int:
-        return int(self.mask.sum())
-
     def area(self) -> float:
         return float(cell_areas(self.depth)[self.mask].sum())
-
-    def generator_nodes(self) -> list:
-        ids = np.nonzero(self.mask)[0]
-        lv = node_levels(self.depth)[ids]
-        return [(int(k), int(i - (1 << k))) for k, i in zip(lv, ids)]
 
 
 @dataclass
@@ -385,23 +295,6 @@ def _add_subtrees(out: np.ndarray, depth: int) -> None:
         o[lo:mid] += o[mid:hi:2] + o[mid + 1 : hi : 2]
 
 
-def _cell_masses(values: np.ndarray, depth: int, domain: Optional[DyadicDomain]) -> np.ndarray:
-    masses = values * cell_areas(depth)
-    masses.T[0] = 0.0
-    if domain is not None:
-        masses = np.where(domain.mask, masses, 0.0)
-    return masses
-
-
-def box_integral(w: TreeWeight, level: int, index: int, power: float = 1.0,
-                 domain: Optional[DyadicDomain] = None) -> float:
-    """Integral of w^power over S(I) intersected with the domain."""
-    _check_same_grid(w, domain)
-    vals = w.values if power == 1.0 else w.values ** power
-    sums = subtree_sums(_cell_masses(vals, w.depth, domain), w.depth)
-    return float(sums[node_id(level, index)])
-
-
 @lru_cache(maxsize=64)
 def box_area_vector(depth: int) -> np.ndarray:
     """A(S(I)) per node id, read-only; full boxes regardless of any domain."""
@@ -503,48 +396,6 @@ def _b1_values(values: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
     # zeroing the values off the mask gives the restricted maximal function bitwise
     m = maximal_values(np.where(mask, values, 0.0), depth)
     return np.max(np.where(mask, m / values, -np.inf), axis=-1)
-
-
-def weak_type_ratio(w: TreeWeight, f: np.ndarray, p: float, lam: float,
-                    domain: Optional[DyadicDomain] = None) -> float:
-    """lambda^p w{Mf > lambda} / ||f||^p_{L^p(w)}, all over the domain."""
-    _check_same_grid(w, domain)
-    depth = w.depth
-    f = np.asarray(f, dtype=np.float64)
-    m = maximal_values(f, depth, domain)
-    mask = domain.mask if domain is not None else np.ones(len(m), dtype=bool)
-    mask = mask.copy()
-    mask[0] = False
-    areas = cell_areas(depth)
-    super_mass = float(np.sum(np.where(mask & (m > lam), w.values * areas, 0.0)))
-    fnorm = float(np.sum(np.where(mask, np.abs(f) ** p * w.values * areas, 0.0)))
-    if fnorm == 0:
-        raise ValueError("f vanishes on the domain")
-    return lam ** p * super_mass / fnorm
-
-
-def reverse_holder(w: TreeWeight, r_grid: Optional[Sequence[float]] = None,
-                   domain: Optional[DyadicDomain] = None) -> dict:
-    """Reverse Holder ratios sup_I (avg w^r)^{1/r} / (avg w) per exponent r.
-
-    Averages run over S(I) cap Omega normalized by the intersection's own
-    area, over boxes meeting the domain.
-    """
-    _check_same_grid(w, domain)
-    if r_grid is None:
-        r_grid = [1.0 + k / 8 for k in range(1, 17)]
-    depth = w.depth
-    area_in = subtree_sums(_cell_masses(np.ones_like(w.values), depth, domain), depth)
-    live = area_in > 0
-    live[0] = False
-    s1 = subtree_sums(_cell_masses(w.values, depth, domain), depth)
-    base = s1[live] / area_in[live]
-    out = {}
-    for r in r_grid:
-        sr = subtree_sums(_cell_masses(w.values ** r, depth, domain), depth)
-        ratio = (sr[live] / area_in[live]) ** (1.0 / r) / base
-        out[float(r)] = float(np.max(ratio))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
 per-tree geometric mean, the Fraction survey set-up, the np.repeat
-ancestor cascade).
+ancestor cascade, the cell masses the maximal kernel once composed, the
+weak-type ratio), or builds a small tree or domain from a node list.
 """
 
 import math
@@ -17,7 +18,6 @@ from fractions import Fraction as F
 import numpy as np
 
 from discweights.averaging import (
-    SampledWeight,
     _scaled,
     _survey_scaled,
     dyadic_restriction,
@@ -44,7 +44,14 @@ from discweights.martingales import (
     default_probe_addresses,
     threshold_sequence,
 )
-from discweights.weights import node_id, node_levels
+from discweights.weights import (
+    DyadicDomain,
+    TreeWeight,
+    cell_areas,
+    maximal_values,
+    node_id,
+    node_levels,
+)
 
 
 def brute_cells(depth, domain=None):
@@ -62,7 +69,7 @@ def brute_box_integral(w, level, index, power=1.0, domain=None):
     total = 0.0
     for k, j, area in brute_cells(w.depth, domain):
         if k >= level and (j >> (k - level)) == index:
-            total += w.value_at(k, j) ** power * float(area)
+            total += w.values[node_id(k, j)] ** power * float(area)
     return total
 
 
@@ -80,6 +87,44 @@ def brute_maximal(w, domain=None):
             lvl, idx = lvl - 1, idx >> 1
         out[(k, j)] = best
     return out
+
+
+def from_node_values(theta, depth, pairs):
+    """Tree weight from ((level, index), value) pairs; unset nodes get 1."""
+    vals = np.ones(1 << (depth + 1))
+    for (level, index), v in pairs:
+        vals[node_id(level, index)] = v
+    return TreeWeight(theta, depth, vals)
+
+
+def from_generators(theta, depth, nodes):
+    """Domain of the cells of the (level, index) generator arcs."""
+    mask = np.zeros(1 << (depth + 1), dtype=bool)
+    for level, index in nodes:
+        mask[node_id(level, index)] = True
+    return DyadicDomain(theta, depth, mask)
+
+
+def cell_masses(values, depth, domain=None):
+    """Value x cell area per cell of one tree or a stack, 0 in slot 0 and off
+    the domain: the input maximal_values once composed with subtree_sums."""
+    masses = values * cell_areas(depth)
+    masses.T[0] = 0.0
+    if domain is not None:
+        masses = np.where(domain.mask, masses, 0.0)
+    return masses
+
+
+def weak_type_ratio(w, f, p, lam, domain=None):
+    """lambda^p w{Mf > lambda} / ||f||^p_{L^p(w)}, all over the domain."""
+    f = np.asarray(f, dtype=np.float64)
+    m = maximal_values(f, w.depth, domain)
+    mask = domain.mask.copy() if domain is not None else np.ones(len(m), dtype=bool)
+    mask[0] = False
+    areas = cell_areas(w.depth)
+    super_mass = float(np.sum(np.where(mask & (m > lam), w.values * areas, 0.0)))
+    fnorm = float(np.sum(np.where(mask, np.abs(f) ** p * w.values * areas, 0.0)))
+    return lam ** p * super_mass / fnorm
 
 
 def beta_dyadic_pairs(levels_a, indices_a, levels_b, indices_b):
@@ -323,7 +368,7 @@ def brute_cell_survey(stacks, p, family):
             per_stack = []
             log_g = 0.0
             for (trees, power), index in zip(stacks, leaf):
-                vals = [t.value_at(k, j[i] >> (depth - k)) for t, j in zip(trees, index)]
+                vals = [t.values[node_id(k, j[i] >> (depth - k))] for t, j in zip(trees, index)]
                 mean_log = sum(math.log(v) for v in vals) / len(vals)
                 log_g += power * mean_log
                 per_stack.append((vals, math.exp(mean_log)))
@@ -718,7 +763,7 @@ def per_tree_geo_mean(trees):
             acc += np.log(t.eval_polar(r, a))
         return np.exp(acc / len(trees))
 
-    return SampledWeight(fn)
+    return fn
 
 
 def fraction_survey_geo_family(stacks, p, family):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from discweights import averaging, extension, factorization, weights
 from discweights.averaging import (
     ContinuousDomain,
-    SampledWeight,
     avg_beta_check,
     default_arc_family,
     dyadic_restriction,
@@ -48,6 +47,7 @@ from helpers import (
     fraction_avg_beta_check,
     fraction_survey_geo_family,
     fraction_theta_measure_spectrum,
+    from_node_values,
     mean_common_boxes,
     per_offset_pipeline,
     per_tree_geo_mean,
@@ -369,7 +369,7 @@ def _arcs_overlap(a, b):
 class TestDyadicRestriction:
     def test_constant_weight(self):
         _, dom = continuous_fixture("pair_overlap")
-        w = SampledWeight(lambda r, a: np.full_like(r, 2.5))
+        w = lambda r, a: np.full_like(r, 2.5)
         wt, om = dyadic_restriction(w, F(1, 7), dom, 7)
         ids = np.flatnonzero(om.mask)
         assert len(ids) > 0
@@ -379,7 +379,7 @@ class TestDyadicRestriction:
     def test_quadrature_against_radial_antiderivative(self):
         """One minus r integrates in closed form over any polar rectangle."""
         _, dom = continuous_fixture("chain_wrap")
-        w = SampledWeight(lambda r, a: 1.0 - r)
+        w = lambda r, a: 1.0 - r
         for rect in dom.pieces():
             r_out, r_in = 1 - rect.d_lo, 1 - rect.d_hi
 
@@ -428,7 +428,7 @@ class TestDyadicRestriction:
 
     def test_non_finite_samples_raise(self):
         _, dom = continuous_fixture("pair_overlap")
-        bad = SampledWeight(lambda r, a: np.full_like(r, np.nan))
+        bad = lambda r, a: np.full_like(r, np.nan)
         with pytest.raises(ValueError):
             dyadic_restriction(bad, F(1, 7), dom, 6)
 
@@ -460,8 +460,8 @@ class TestGeoAverage:
             assert margin <= 1e-9
 
     def test_log_minkowski_strict_on_anticorrelated_pair(self):
-        up = TreeWeight.from_node_values(0, 1, [((1, 0), 9.0), ((1, 1), 1.0)])
-        down = TreeWeight.from_node_values(0, 1, [((1, 0), 1.0), ((1, 1), 9.0)])
+        up = from_node_values(0, 1, [((1, 0), 9.0), ((1, 1), 1.0)])
+        down = from_node_values(0, 1, [((1, 0), 1.0), ((1, 1), 9.0)])
         _, margin = _survey_geo_family([([up, down], 1.0)], 1,
                                        [UnitArc(F(1, 2), F(1))])
         assert margin < -0.1
@@ -620,7 +620,7 @@ class TestSurveySetup:
 
 class TestContinuousConstants:
     def test_constant_weight_gives_one(self):
-        w = SampledWeight(lambda r, a: np.full_like(r, 3.0))
+        w = lambda r, a: np.full_like(r, 3.0)
         family = default_arc_family(4)
         bp, _ = continuous_bp_constant(w, 2.0, family)
         b1, _ = continuous_b1_constant(w, family)
@@ -634,7 +634,7 @@ class TestContinuousConstants:
         length cancels between the two averages.
         """
         for alpha in (0.5, -0.5):
-            w = SampledWeight(lambda r, a, al=alpha: (1 - r ** 2) ** al)
+            w = lambda r, a, al=alpha: (1 - r ** 2) ** al
             family = default_arc_family(5)
             bp, rows = continuous_bp_constant(w, 2.0, family, nr=128, na=2)
             expect = 1.0 / (1.0 - alpha ** 2)
@@ -657,11 +657,11 @@ class TestContinuousConstants:
         refining the mesh keeps growing the constant for alpha <= -1 while
         integrable powers have already converged."""
         family = default_arc_family(3)
-        bad = SampledWeight(lambda r, a: 1.0 / np.maximum(1 - r ** 2, 1e-300))
+        bad = lambda r, a: 1.0 / np.maximum(1 - r ** 2, 1e-300)
         coarse, _ = continuous_bp_constant(bad, 2.0, family, nr=32, na=2)
         fine, _ = continuous_bp_constant(bad, 2.0, family, nr=1024, na=2)
         assert fine > 1.5 * coarse
-        good = SampledWeight(lambda r, a: (1 - r ** 2) ** -0.5)
+        good = lambda r, a: (1 - r ** 2) ** -0.5
         coarse, _ = continuous_bp_constant(good, 2.0, family, nr=32, na=2)
         fine, _ = continuous_bp_constant(good, 2.0, family, nr=1024, na=2)
         assert fine == pytest.approx(coarse, rel=5e-3)
@@ -800,7 +800,7 @@ class TestExtendContinuous:
         honest outcome here (the dip happens wherever some offset's cell
         misses the goodness cut)."""
         _, dom = continuous_fixture("pair_overlap")
-        w = SampledWeight(lambda r, a: np.full_like(r, 2.0))
+        w = lambda r, a: np.full_like(r, 2.0)
         res = extend_continuous(w, 1, 2.0, dom, depth=6, theta_count=8,
                                 family_depth=3)
         r, a = np.array([0.8, 0.9, 0.95]), np.array([0.33, 0.4, 0.8])
@@ -904,6 +904,6 @@ class TestExtendContinuous:
 
     def test_per_theta_failure_names_the_offset(self):
         _, dom = continuous_fixture("pair_overlap")
-        bad = SampledWeight(lambda r, a: np.full_like(r, np.inf))
+        bad = lambda r, a: np.full_like(r, np.inf)
         with pytest.raises(ValueError, match="offset 1/4 failed"):
             extend_continuous(bad, 1, 2.0, dom, depth=6, theta_count=2)

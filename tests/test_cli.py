@@ -46,7 +46,7 @@ BAD_VALUES = {
 }
 
 # Values on the edge of a strict range, refused like the ones above.
-EDGE_VALUES = {"average": {"ratio_bound": 0}, "azuma": {"k_max": 1024}}
+EDGE_VALUES = {"average": {"ratio_bound": 0}, "azuma": {"k_max": 1024}, "trace": {"r_levels": 54}}
 
 
 def read_report(out_dir):
@@ -243,6 +243,8 @@ class TestExitCodes:
         pytest.param({"martingale": {"kind": "materialized", "depth": 9,
                                      "values": [[0.0], [1.0, -1.0]]}},
                      "depth", id="config13-depth"),
+        pytest.param({"sequence": {"grid_theta": 0, "entries": []}}, "entries",
+                     id="config14-entries"),
     ])
     def test_trace_nested_objects_name_the_key(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"

@@ -12,10 +12,8 @@ from discweights.extension import (
     extend_bp,
     extend_bp_many,
     power_maximal_b1,
-    restriction_self_improve,
 )
 from discweights.weights import (
-    DyadicDomain,
     TreeWeight,
     b1_constant,
     bp_constant,
@@ -26,7 +24,7 @@ from discweights.weights import (
     random_log_walk,
 )
 
-from helpers import brute_maximal
+from helpers import brute_maximal, from_generators, from_node_values
 
 
 def b1_instance(seed, depth=7):
@@ -61,20 +59,20 @@ class TestPowerMaximal:
 
 class TestExtendB1:
     def test_small_instance_against_brute_force(self):
-        w = TreeWeight.from_node_values(
+        w = from_node_values(
             0, 2, [((0, 0), 2.0), ((1, 0), 1.0), ((1, 1), 4.0),
                    ((2, 0), 0.5), ((2, 3), 8.0)]
         )
-        om = DyadicDomain.from_generators(0, 2, [(1, 0), (2, 3)])
+        om = from_generators(0, 2, [(1, 0), (2, 3)])
         res = extend_b1(w.power(0.5), q=2.0, domain=om)
         # off-domain values are the maximal of (w^0.5)^2 chi to the 1/2
         ref = brute_maximal(w, om)  # w == (w^0.5)^2
         for k, j in [(0, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
-            assert res.weight.value_at(k, j) == pytest.approx(
+            assert res.weight.values[node_id(k, j)] == pytest.approx(
                 math.sqrt(ref[(k, j)]), rel=1e-12
             )
         for k, j in [(1, 0), (2, 3)]:
-            assert res.weight.value_at(k, j) == math.sqrt(w.value_at(k, j))
+            assert res.weight.values[node_id(k, j)] == math.sqrt(w.values[node_id(k, j)])
 
     def test_certificates_on_random_instances(self):
         for seed in range(15):
@@ -203,28 +201,3 @@ class TestExtendBpMany:
         doms[1] = random_domain(6, seed=66, theta=F(1, 3))   # on another grid
         with pytest.raises(ValueError, match=f"offset {ws[1].theta} failed: weight and domain"):
             extension._extend_b1_many(ws, 2.0, doms)
-
-
-class TestSelfImprove:
-    def test_gentle_weight_improves(self):
-        w, om = b1_instance(300)
-        rep = restriction_self_improve(w, p=2.0, domain=om)
-        assert rep.improved
-        assert rep.q >= 1.125
-        assert all(np.isfinite(v) for v in rep.bracket_table.values())
-
-    def test_wild_weight_can_fail(self):
-        rng = np.random.default_rng(301)
-        depth = 6
-        vals = np.exp(rng.uniform(-25, 25, 1 << (depth + 1)))
-        w = TreeWeight(0, depth, vals)
-        om = DyadicDomain.full(depth)
-        rep = restriction_self_improve(w, p=2.0, domain=om)
-        assert rep.q is None or rep.rh_weight[rep.q] <= rep.threshold
-
-    def test_constant_weight_tops_the_grid(self):
-        w = TreeWeight.constant(3.0, 5)
-        om = DyadicDomain.full(5)
-        rep = restriction_self_improve(w, p=2.0, domain=om)
-        assert rep.q == 3.0  # top of the default grid
-        assert rep.bracket_table[rep.q] == pytest.approx(1.0, abs=1e-12)

