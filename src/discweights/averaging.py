@@ -47,8 +47,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .extension import _extend_b1_many, extend_bp_many
-from .factorization import factor_bho_full_many
+from .extension import _extend_b1, _extend_bp
+from .factorization import _factor_bho_full
 from .geometry import (
     GridNode,
     UnitArc,
@@ -61,6 +61,7 @@ from .weights import (
     DyadicDomain,
     TreeWeight,
     WeightCertificate,
+    _checked,
     _name_first_bad,
     _node_ids,
     _plain,
@@ -76,7 +77,6 @@ __all__ = [
     "GoodNodes",
     "good_nodes_many",
     "good_nodes",
-    "dyadic_restriction_many",
     "dyadic_restriction",
     "restriction_certificate",
     "geo_mean_weight",
@@ -445,8 +445,9 @@ def _over(num: np.ndarray, den: int) -> np.ndarray:
     return np.array([n / den for n in num.ravel().tolist()], dtype=np.float64).reshape(num.shape)
 
 
-def dyadic_restriction_many(w: Callable, thetas, domain: ContinuousDomain, depth: int):
-    """dyadic_restriction for every offset: (trees, domains), one per offset.
+def _restrict(w: Callable, thetas, domain: ContinuousDomain, depth: int):
+    """dyadic_restriction for every offset: (values, masks), two
+    (offsets, 2^(N+1)) arrays, one row per offset.
 
     Each block of OFFSET_BLOCK offsets takes one good_nodes_many pass and
     one evaluation of w on the 4 x 4 midpoint mesh of all of its pieces.  A
@@ -472,8 +473,7 @@ def dyadic_restriction_many(w: Callable, thetas, domain: ContinuousDomain, depth
             integral[more] += q[first[more] + i]
         vals[lo + g.offset, g.node] = integral / _over(g.area, g.denom ** 3)
         mask[lo + g.offset, g.node] = True
-    return (_tree_rows(thetas, depth, vals),
-            [DyadicDomain(th, depth, m) for th, m in zip(thetas, mask)])
+    return _checked(thetas, vals), mask
 
 
 def dyadic_restriction(w: Callable, theta, domain: ContinuousDomain, depth: int):
@@ -482,11 +482,10 @@ def dyadic_restriction(w: Callable, theta, domain: ContinuousDomain, depth: int)
     Returns (TreeWeight, DyadicDomain) on the offset's grid: the tree value
     at a good node is the region average of w over its top half (midpoint
     quadrature per exact piece), cells off the good set carry a neutral 1
-    and are excluded from the domain.  The one-offset case of
-    dyadic_restriction_many.
+    and are excluded from the domain.  The one-offset case of _restrict.
     """
-    trees, doms = dyadic_restriction_many(w, [theta], domain, depth)
-    return trees[0], doms[0]
+    values, mask = _restrict(w, [theta], domain, depth)
+    return TreeWeight(theta, depth, values[0]), DyadicDomain(theta, depth, mask[0])
 
 
 def restriction_certificate(w: Callable, p: float, q: float,
@@ -869,10 +868,10 @@ def extend_continuous(w: Callable, p: float, q: float,
     extension is factored into B_1 pieces over the full tree.  The output
     is the geometric mean in theta of the per-offset extensions (for
     p > 1, of each factor separately, recombined as W1 W2^{1-p}).  Each
-    step runs once on the stack of all offsets' trees: the restriction
-    (dyadic_restriction_many), the extension with its certificate
-    constants, and for p > 1 the factorization.  A ValueError names the
-    first offset that failed.
+    step runs once on one (offsets, 2^(N+1)) array stack: the restriction
+    (_restrict), the extension with its certificate constants (_extend_b1
+    or _extend_bp), and for p > 1 the factorization (_factor_bho_full).
+    A ValueError names the first offset that failed.
 
     Reported constants: the continuous B_p (or B_1) constant of the
     averaged weight over the default arc family and the worst
@@ -881,17 +880,20 @@ def extend_continuous(w: Callable, p: float, q: float,
     |log w - log W|.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
-    trees, doms = dyadic_restriction_many(w, thetas, domain, depth)
+    values, masks = _restrict(w, thetas, domain, depth)
     if p == 1:
-        exts, facts = _extend_b1_many(trees, q, doms), [None] * theta_count
+        _, exts = _extend_b1(thetas, depth, values, masks, q)
+        facts = [None] * theta_count
         stacks = [([e.weight for e in exts], 1.0)]
     else:
-        exts = extend_bp_many(trees, p, q, doms)
+        ext_vals, exts = _extend_bp(thetas, depth, values, masks, p, q, terms=60)
         for e in exts:  # nothing reads the extension step's factorization: free its stacks
             e.factorization = None
-        facts = factor_bho_full_many([e.weight for e in exts], p)
+        facts = _factor_bho_full(thetas, depth, ext_vals, p, terms=60)
         stacks = [([f.w1 for f in facts], 1.0), ([f.w2 for f in facts], 1.0 - p)]
-    artifacts = [ThetaArtifact(*row) for row in zip(thetas, trees, doms, exts, facts)]
+    artifacts = [ThetaArtifact(*row) for row in zip(
+        thetas, _tree_rows(thetas, depth, values),
+        [DyadicDomain(th, depth, m) for th, m in zip(thetas, masks)], exts, facts)]
 
     family = default_arc_family(family_depth)
     const, mink = _survey_geo_family(stacks, p, family)

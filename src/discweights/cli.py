@@ -468,11 +468,12 @@ def _run_average(cfg: dict):
         center = Fraction(int(rng.integers(0, grid)), grid)
         length = Fraction(int(rng.integers(1, grid + 1)), grid)
         spec = theta_measure_spectrum(UnitArc(center, length))
-        total = sum(spec.values())
-        if total != 1:
+        # every mass is an integer c over q: check and rank those integers
+        q = length.denominator
+        counts = {k: mass.numerator * (q // mass.denominator) for k, mass in spec.items()}
+        if sum(counts.values()) != q:
             sum_violations += 1
-        worst = max((Fraction(mass.numerator << k, mass.denominator << 2)
-                     for k, mass in spec.items()), default=Fraction(0))
+        worst = Fraction(max((c << k for k, c in counts.items()), default=0), q << 2)
         bucket_ratio_max = max(bucket_ratio_max, worst)
         arc_rows.append((i, float(center), float(length), len(spec),
                          float(worst)))

@@ -15,17 +15,19 @@ factored over the domain into B_1 pieces w1, w2 by the iteration engine;
 the extension is (M w1)^{1/(delta q)} (M w2)^{(1-p)/(delta q)} off the
 domain.  p > 2 extends the dual weight w^{-1/(p-1)} at the conjugate
 exponent and maps back, which preserves everything at the price of raising
-constants to the power p - 1.  Both routes run on a stack of trees, one
-per grid offset (extend_bp_many, _extend_b1_many): every power, maximal
-function, certificate constant and the factorization series run once for
-the stack, and only each tree's certificates are assembled per tree.
+constants to the power p - 1.  Each route has one array core (_extend_b1,
+_extend_bp) for one tree or a (T, 2^(N+1)) stack, one tree and domain mask
+per grid offset: every power, maximal function, certificate constant and
+the factorization series run once for the stack, each row equals the
+one-tree call bitwise, and a row that is not positive and finite raises a
+ValueError naming its offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .weights import (
     _log_pair_sup,
     _mask,
     _plain,
-    _stack_trees,
+    _tree_arrays,
     _tree_rows,
     b1_constant,
     maximal_values,
@@ -53,7 +55,6 @@ __all__ = [
     "ExtensionResult",
     "extend_b1",
     "extend_bp",
-    "extend_bp_many",
 ]
 
 # The quotient-window inequalities are exact identities at their extremal
@@ -121,29 +122,21 @@ def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:
     generators used by the certified runs keep instances inside that
     regime, and the diagnostics expose the measured quotient window for
     the tighter bookkeeping bound ((2q-1)/(q-1)) (k_max/k_min)^{1/q}.
-    The one-tree case of _extend_b1_many.
-    """
-    return _extend_b1_many([w], q, [domain])[0]
-
-
-def _extend_b1_many(ws: Sequence[TreeWeight], q: float,
-                    domains: Sequence[DyadicDomain]) -> list:
-    """extend_b1 for several trees of one depth, each with its own domain.
-
-    The extension and every constant run once on the stack of all trees;
-    each result equals extend_b1 on its tree alone bitwise, and a
-    ValueError from one tree names its offset.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
-    if any(om is None for om in domains):
+    if domain is None:
         raise ValueError("extend_b1 needs a proper domain")
-    thetas, depth, values, mask = _stack_trees(ws, domains)
+    return _extend_b1(*_tree_arrays(w, domain), q)[1][0]
 
+
+def _extend_b1(thetas, depth: int, values: np.ndarray, mask: np.ndarray, q: float):
+    """extend_b1 on one tree or a stack, one domain mask per tree: (the
+    extensions' values, one result per tree)."""
     wq = _checked(thetas, values ** q)
     # maximal of w^q chi_Omega: zeroed off the domain, as in _b1_values
     m = maximal_values(np.where(mask, wq, 0.0), depth)
-    _, big, agree, c_big, l_big, measured_b1 = _extended(
+    ext_vals, big, agree, c_big, l_big, measured_b1 = _extended(
         thetas, depth, np.where(mask, values, m ** (1.0 / q)), values, mask, 1.0)
     b1_res, c_wq = _floats(_b1_values(wq, mask, depth)), _floats(_c_values(wq, mask, depth))
     c_w, l_w = _floats(_c_values(values, mask, depth)), _floats(_log_pair_sup(values, mask, depth))
@@ -176,7 +169,7 @@ def _extend_b1_many(ws: Sequence[TreeWeight], q: float,
         }
         out.append(ExtensionResult(big_w, p=1.0, q=q, certificates=certs,
                                    diagnostics=diagnostics))
-    return out
+    return ext_vals, out
 
 
 def _extended(thetas, depth: int, ext_vals: np.ndarray, values: np.ndarray,
@@ -213,32 +206,19 @@ def extend_bp(w: TreeWeight, p: float, q: float, domain: DyadicDomain,
         M2 >= L_W           (2 log of the oscillation bound for W)
 
     computed from measured constants of the factorization, so both are
-    rigorous for the instance at hand.  The one-tree case of extend_bp_many.
-    """
-    return extend_bp_many([w], p, q, [domain], terms)[0]
-
-
-def extend_bp_many(ws: Sequence[TreeWeight], p: float, q: float,
-                   domains: Sequence[DyadicDomain], terms: int = 60) -> list:
-    """extend_bp for several trees of one depth, each with its own domain.
-
-    The powers, norm bounds, factorization series, maximal functions of
-    the factors and every certificate constant run once on the stack of
-    all trees; only each tree's certificates are assembled per tree.  Each
-    result equals extend_bp on its tree alone bitwise, and a ValueError
-    from one tree names its offset.
+    rigorous for the instance at hand.
     """
     if p <= 1:
         raise ValueError("p must exceed 1; use extend_b1 for the endpoint")
     if q <= 1:
         raise ValueError("q must exceed 1")
-    thetas, depth, values, mask = _stack_trees(list(ws), list(domains))
-    return _extend_bp(thetas, depth, values, mask, p, q, terms)[1]
+    return _extend_bp(*_tree_arrays(w, domain), p, q, terms)[1][0]
 
 
 def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
                q: float, terms: int):
-    """extend_bp_many on a stack: (the extensions' values, results)."""
+    """extend_bp on one tree or a stack, one domain mask per tree: (the
+    extensions' values, one result per tree)."""
     if p > 2:
         return _extend_bp_dual(thetas, depth, values, mask, p, q, terms)
     delta = (q + 1.0) / (2.0 * q)
@@ -254,10 +234,11 @@ def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: floa
     # function gives the restricted one bitwise
     m1 = maximal_values(np.where(mask, v1, 0.0), depth)
     m2 = maximal_values(np.where(mask, v2, 0.0), depth)
-    ext_vals, big, agree, c_big, l_big, measured_bp = _extended(
-        thetas, depth, np.where(mask, values, m1 ** (1.0 / dq) * m2 ** ((1.0 - p) / dq)),
-        values, mask, p)
+    ext_vals = np.where(mask, values, m1 ** (1.0 / dq) * m2 ** ((1.0 - p) / dq))
     k_min, k_max = _k_window(np.where(mask, vs / (m1 * m2 ** (1.0 - p)), 1.0), mask)
+    del m1, m2, vs  # not alive through the extension's constants
+    ext_vals, big, agree, c_big, l_big, measured_bp = _extended(
+        thetas, depth, ext_vals, values, mask, p)
     c1, c2 = _floats(_c_values(v1, mask, depth)), _floats(_c_values(v2, mask, depth))
     b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
     front = (2.0 - gamma) / (1.0 - gamma)

@@ -29,12 +29,12 @@ as they are (checked against the fixed-length sum on seeded weights).
 Exponents p in (1, 2] run directly; p > 2 factors the dual weight
 w^{-1/(p-1)} at the conjugate exponent and swaps the two factors back.
 
-The `_many` entry points factor several trees of one depth at once: the
-series, the dual weights and every norm bound and certificate constant
-run on a (T, 2^(N+1)) stack, with one domain mask, one stop and one
-escalation count per row, and each row's result equals the one-tree call
-bitwise.  S runs only on the rows still moving, and an escalation reruns
-only the rows that failed.  The one-tree functions are their T = 1 case.
+Each entry point has one array core (_rdf_factor, _factor_bho_full) for
+one tree or a (T, 2^(N+1)) stack, one tree per grid offset: the series,
+the dual weights and every norm bound and certificate constant run on the
+stack, with one domain mask, one stop and one escalation count per row,
+and each row's result equals the one-tree call bitwise.  S runs only on
+the rows still moving, and an escalation reruns only the rows that failed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .weights import (
     _checked,
     _floats,
     _mask,
-    _stack_trees,
+    _tree_arrays,
     _tree_rows,
     ancestor_max,
     cell_areas,
@@ -73,9 +73,7 @@ __all__ = [
     "op_s",
     "FactorizationResult",
     "rdf_factor",
-    "rdf_factor_many",
     "factor_bho_full",
-    "factor_bho_full_many",
 ]
 
 # a norm bound is doubled at most this many times before the series gives up
@@ -103,6 +101,7 @@ def weighted_maximal_norm_bound(p: float) -> float:
 def weighted_maximal(f: np.ndarray, w: TreeWeight,
                      domain: Optional[DyadicDomain] = None) -> np.ndarray:
     """Maximal function with averages taken in the w-measure."""
+    _check_same_grid(w, domain)
     depth = w.depth
     wmass = np.where(_mask(domain, depth), w.values * cell_areas(depth), 0.0)
     num = subtree_sums(np.abs(f) * wmass, depth)
@@ -237,31 +236,10 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
         rows, v, m, two_s, term = (x[moved] for x in (rows, v, m, two_s, term))
 
 
-def rdf_factor_many(ws: Sequence[TreeWeight], p: float, s_norms: Sequence[float],
-                    domains: Optional[Sequence[Optional[DyadicDomain]]] = None,
-                    terms: int = 60) -> list:
-    """rdf_factor for several trees of one depth, one result per tree.
-
-    The series runs once on the stack of all trees, each row stopping on
-    its own.  Each row has its own norm bound s_norms[i] and domain (None
-    for the full tree); a row whose series does not settle has its bound
-    doubled and runs again with the other such rows, while every settled
-    row keeps its result (its bound does not move).  The certificate
-    constants are taken once on the stack, and a ValueError from one row
-    names its offset.
-    """
-    if not (1 < p <= 2):
-        raise ValueError("rdf_factor runs for p in (1, 2]; use factor_bho_full")
-    ws = list(ws)
-    domains = [None] * len(ws) if domains is None else list(domains)
-    thetas, depth, values, mask = _stack_trees(ws, domains)
-    return _rdf_factor(thetas, depth, values, mask, p, s_norms, terms,
-                       [om is None for om in domains])[2]
-
-
 def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
                 s_norms: Sequence[float], terms: int, free: Sequence[bool]):
-    """rdf_factor_many on a stack: (w1 values, w2 values, results).  free[i]
+    """rdf_factor on one tree or a stack, one norm bound s_norms[i] and
+    domain mask per row: (w1 values, w2 values, one result per row).  free[i]
     marks a row without a domain, also certified by the product rule."""
     s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
     escalations = np.zeros(s.shape, dtype=np.int64)
@@ -341,17 +319,17 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
     leaves f bitwise unchanged on every cell; the next term is the tail t.
     When the truncated series fails its fixed point check t <= u (u = 1 on
     the domain) the bound is doubled, at most 8 times, and the escalation
-    count is reported.  The one-tree case of rdf_factor_many.
+    count is reported.
     """
-    return rdf_factor_many([w], p, [s_norm], [domain], terms)[0]
+    if not (1 < p <= 2):
+        raise ValueError("rdf_factor runs for p in (1, 2]; use factor_bho_full")
+    return _rdf_factor(*_tree_arrays(w, domain), p, [s_norm], terms, [domain is None])[2][0]
 
 
-def factor_bho_full_many(ws: Sequence[TreeWeight], p: float, terms: int = 60) -> list:
-    """factor_bho_full for several trees of one depth, one series for all,
-    with norm bounds, dual weights and certificate constants per stack."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    thetas, depth, values, full = _stack_trees(list(ws))
+def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: int) -> list:
+    """factor_bho_full on one tree or a stack: one result per row, with one
+    series, and norm bounds, dual weights and certificate constants per stack."""
+    full = np.broadcast_to(_mask(None, depth), values.shape)
     if p <= 2:
         s_norms = _s_norms(thetas, values, p, "full", full, depth)
         return _rdf_factor(thetas, depth, values, full, p, s_norms, terms, [True] * len(thetas))[2]
@@ -377,7 +355,8 @@ def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationRe
 
     For p <= 2 this is rdf_factor driven by the full-disc norm bound; for
     p > 2 the dual weight w^{-1/(p-1)} is factored at the conjugate
-    exponent and the two factors swap roles.  The one-tree case of
-    factor_bho_full_many.
+    exponent and the two factors swap roles.
     """
-    return factor_bho_full_many([w], p, terms)[0]
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    return _factor_bho_full([w.theta], w.depth, w.values, p, terms)[0]

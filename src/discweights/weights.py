@@ -236,29 +236,16 @@ def _mask(domain: Optional[DyadicDomain], depth: int) -> np.ndarray:
 # integrals and averages
 # ---------------------------------------------------------------------------
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Rows stacked into (T, n); a single row is returned as it is, 1-D."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _stack_trees(ws: Sequence[TreeWeight], domains: Optional[Sequence] = None):
-    """(thetas, depth, values, mask): `_stack`s of the values of trees of one
-    depth and of their domains' masks; a domain off its tree's grid raises
-    a ValueError naming the first such offset."""
-    depth = ws[0].depth
-    if any(w.depth != depth for w in ws):
-        raise ValueError("a stack of trees needs one depth")
-    thetas = [w.theta for w in ws]
-    domains = [None] * len(ws) if domains is None else domains
-    _name_first_bad(thetas, [om is not None and (om.depth, om.theta) != (depth, w.theta)
-                             for w, om in zip(ws, domains)], _OFF_GRID)
-    return (thetas, depth, _stack([w.values for w in ws]),
-            _stack([_mask(om, depth) for om in domains]))
+def _tree_arrays(w: TreeWeight, domain: Optional[DyadicDomain]):
+    """(thetas, depth, values, mask) of one tree and its domain, the
+    arguments of the stacked cores, each array kept 1-D."""
+    _check_same_grid(w, domain)
+    return [w.theta], w.depth, w.values, _mask(domain, w.depth)
 
 
 def _checked(thetas: Sequence, values: np.ndarray) -> np.ndarray:
-    """values, a `_stack`, once every row is positive and finite; the first
-    row that is not raises a ValueError naming its offset."""
+    """values, one tree or a stack, once every row is positive and finite;
+    the first row that is not raises a ValueError naming its offset."""
     _name_first_bad(thetas, _bad_rows(values), _NOT_POSITIVE)
     return values
 

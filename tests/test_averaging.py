@@ -14,7 +14,6 @@ from discweights.averaging import (
     avg_beta_check,
     default_arc_family,
     dyadic_restriction,
-    dyadic_restriction_many,
     extend_continuous,
     geo_mean_weight,
     good_nodes,
@@ -315,9 +314,9 @@ class TestGoodNodes:
         for theta in thetas:
             assert good_nodes(theta, dom, 6) == brute_good_nodes(theta, dom, 6)
         w = sqrt_weight()
-        trees, _ = dyadic_restriction_many(w, thetas, dom, 6)
-        for theta, tree in zip(thetas, trees):
-            assert np.array_equal(tree.values, brute_restriction_values(w, theta, dom, 6))
+        values, _ = averaging._restrict(w, thetas, dom, 6)
+        for theta, row in zip(thetas, values):
+            assert np.array_equal(row, brute_restriction_values(w, theta, dom, 6))
 
     def test_fixtures_take_the_int64_path(self):
         for name in CONTINUOUS_FIXTURES:
@@ -829,14 +828,15 @@ class TestExtendContinuous:
         r, a = np.array([0.5, 0.9]), np.array([0.1, 0.6])
         assert np.all(res.weight(r, a) > 0)
 
-    def test_stacked_offsets_match_per_offset_loop(self):
+    @pytest.mark.parametrize("theta_count", [1, 8])
+    def test_stacked_offsets_match_per_offset_loop(self, theta_count):
         """Every route: B_1 (p = 1), B_p (p = 2) and the dual (p = 3)."""
         w, dom = continuous_fixture("pair_overlap")
         for p in (1.0, 2.0, 3.0):
-            res = extend_continuous(w, p, 2.0, dom, depth=5, theta_count=8,
+            res = extend_continuous(w, p, 2.0, dom, depth=5, theta_count=theta_count,
                                     family_depth=3)
-            ref = per_offset_pipeline(w, p, 2.0, dom, depth=5, theta_count=8)
-            assert len(res.artifacts) == len(ref) == 8
+            ref = per_offset_pipeline(w, p, 2.0, dom, depth=5, theta_count=theta_count)
+            assert len(res.artifacts) == len(ref) == theta_count
             for art, (theta, wt, om, ext, fact) in zip(res.artifacts, ref):
                 assert art.theta == theta
                 assert np.array_equal(art.restriction.values, wt.values)

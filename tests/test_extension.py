@@ -10,7 +10,6 @@ from discweights import extension, factorization, weights
 from discweights.extension import (
     extend_b1,
     extend_bp,
-    extend_bp_many,
     power_maximal_b1,
 )
 from discweights.weights import (
@@ -157,6 +156,9 @@ def assert_same_extension(a, b):
 
 
 class TestExtendBpMany:
+    """The array cores _extend_bp and _extend_b1 on a stack of trees: each
+    row equals the one-tree call bitwise."""
+
     def stack(self, seed, count=4, depth=6):
         rng = np.random.default_rng(seed)
         thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
@@ -164,11 +166,20 @@ class TestExtendBpMany:
         doms = [random_domain(depth, rng=rng, density=0.5, theta=t) for t in thetas]
         return ws, doms
 
+    @staticmethod
+    def arrays(ws, doms):
+        """The cores' (thetas, depth, values, masks) of trees and their domains."""
+        return ([w.theta for w in ws], ws[0].depth, np.stack([w.values for w in ws]),
+                np.stack([om.mask for om in doms]))
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_rows_match_single(self, p):
         ws, doms = self.stack(60)
-        for w, om, res in zip(ws, doms, extend_bp_many(ws, p, 2.0, doms)):
-            assert_same_extension(res, extend_bp(w, p, 2.0, om))
+        ext_vals, results = extension._extend_bp(*self.arrays(ws, doms), p, 2.0, 60)
+        for w, om, row, res in zip(ws, doms, ext_vals, results):
+            single = extend_bp(w, p, 2.0, om)
+            assert_same_extension(res, single)
+            assert np.array_equal(row, single.weight.values)
 
     def test_single_tree_stays_one_dimensional(self, monkeypatch):
         ndims = []
@@ -187,17 +198,32 @@ class TestExtendBpMany:
 
     def test_row_error_names_its_offset(self):
         ws, doms = self.stack(61)
-        doms[2] = random_domain(6, seed=62, theta=F(1, 3))   # on another grid
-        with pytest.raises(ValueError, match=f"offset {ws[2].theta} failed"):
-            extend_bp_many(ws, 2.0, 2.0, doms)
+        thetas, depth, values, masks = self.arrays(ws, doms)
+        values[2, 5] = np.nan
+        for p in (2.0, 3.0):   # the direct and the dual route
+            with pytest.raises(ValueError,
+                               match=f"^offset {thetas[2]} failed: weight values must"):
+                extension._extend_bp(thetas, depth, values, masks, p, 2.0, 60)
 
     def test_b1_rows_match_single(self):
         ws, doms = self.stack(64)
-        for w, om, res in zip(ws, doms, extension._extend_b1_many(ws, 2.0, doms)):
-            assert_same_extension(res, extend_b1(w, 2.0, om))
+        ext_vals, results = extension._extend_b1(*self.arrays(ws, doms), 2.0)
+        for w, om, row, res in zip(ws, doms, ext_vals, results):
+            single = extend_b1(w, 2.0, om)
+            assert_same_extension(res, single)
+            assert np.array_equal(row, single.weight.values)
 
     def test_b1_row_error_names_its_offset(self):
         ws, doms = self.stack(65)
-        doms[1] = random_domain(6, seed=66, theta=F(1, 3))   # on another grid
-        with pytest.raises(ValueError, match=f"offset {ws[1].theta} failed: weight and domain"):
-            extension._extend_b1_many(ws, 2.0, doms)
+        thetas, depth, values, masks = self.arrays(ws, doms)
+        values[1, 9] = np.inf
+        with pytest.raises(ValueError, match=f"^offset {thetas[1]} failed: weight values must"):
+            extension._extend_b1(thetas, depth, values, masks, 2.0)
+
+    def test_off_grid_domain_is_refused(self):
+        """A one-tree call on a domain of another grid fails before any work."""
+        w, _ = b1_instance(66, depth=6)
+        off = random_domain(6, seed=62, theta=F(1, 3))
+        for run in (lambda: extend_bp(w, 2.0, 2.0, off), lambda: extend_b1(w, 2.0, off)):
+            with pytest.raises(ValueError, match="^weight and domain live on different grids$"):
+                run()

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from discweights import factorization
+from discweights import factorization, weights
 from discweights.extension import extend_bp
 from discweights.weights import (
     TreeWeight,
@@ -20,11 +20,9 @@ from discweights.weights import (
 )
 from discweights.factorization import (
     factor_bho_full,
-    factor_bho_full_many,
     maximal_norm_bound,
     op_s,
     rdf_factor,
-    rdf_factor_many,
     s_norm_bound,
     weighted_maximal,
     weighted_maximal_norm_bound,
@@ -54,6 +52,13 @@ class TestNormBounds:
                 num = np.sum(m[1:] ** p * w.values[1:] * areas[1:]) ** (1 / p)
                 den = np.sum(f[1:] ** p * w.values[1:] * areas[1:]) ** (1 / p)
                 assert num <= weighted_maximal_norm_bound(p) * den * (1 + 1e-12)
+
+    def test_weighted_maximal_refuses_off_grid_domain(self):
+        w = random_log_walk(5, seed=1)
+        om = random_domain(5, seed=2, theta=F(1, 3))
+        for run in (lambda: weighted_maximal(w.values, w, om), lambda: weights.maximal(w, om)):
+            with pytest.raises(ValueError, match="different grids"):
+                run()
 
     def test_unweighted_maximal_under_lerner_bound(self):
         rng = np.random.default_rng(32)
@@ -165,12 +170,13 @@ def assert_same_factorization(a, b):
 
 
 class TestStacked:
-    """The _many entry points: each row equals the one-tree call bitwise."""
+    """The array cores _rdf_factor and _factor_bho_full on a stack of
+    trees: each row equals the one-tree call bitwise."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_rdf_factor_many_rows_match_single(self, p):
         ws, doms, s_norms = stack_with_low_bound(p)
-        many = rdf_factor_many(ws, p, s_norms, doms)
+        many = rdf_stack(ws, p, s_norms, doms)
         assert many[1].escalations >= 1
         assert [r.escalations for i, r in enumerate(many) if i != 1] == [0] * 4
         for w, om, s, res in zip(ws, doms, s_norms, many):
@@ -180,13 +186,23 @@ class TestStacked:
     def test_factor_bho_full_many_rows_match_single(self, p):
         rng = np.random.default_rng(42)
         ws = [random_log_walk(6, rng=rng, sigma=0.6, theta=F(i, 4)) for i in range(4)]
-        for w, res in zip(ws, factor_bho_full_many(ws, p)):
+        for w, res in zip(ws, full_stack(ws, p)):
             assert_same_factorization(res, factor_bho_full(w, p))
 
-    def test_mixed_depths_are_refused(self):
-        ws = [TreeWeight.constant(1.0, 4), TreeWeight.constant(1.0, 5)]
-        with pytest.raises(ValueError, match="one depth"):
-            rdf_factor_many(ws, 2.0, [10.0, 10.0])
+
+def rdf_stack(ws, p, s_norms, doms):
+    """_rdf_factor on the stack of trees ws, each with its domain or None."""
+    depth = ws[0].depth
+    return factorization._rdf_factor(
+        [w.theta for w in ws], depth, np.stack([w.values for w in ws]),
+        np.stack([_mask(om, depth) for om in doms]), p, s_norms, 60,
+        [om is None for om in doms])[2]
+
+
+def full_stack(ws, p):
+    """_factor_bho_full on the stack of trees ws."""
+    return factorization._factor_bho_full([w.theta for w in ws], ws[0].depth,
+                                          np.stack([w.values for w in ws]), p, 60)
 
 
 def with_full_series(monkeypatch, run):
@@ -220,7 +236,7 @@ class TestSeriesStop:
         rng = np.random.default_rng(43)
         ws = [random_log_walk(8, rng=rng, sigma=0.6) for _ in range(3)]
         refs = [with_full_series(monkeypatch, lambda: factor_bho_full(w, p)) for w in ws]
-        for w, ref, many in zip(ws, refs, factor_bho_full_many(ws, p)):
+        for w, ref, many in zip(ws, refs, full_stack(ws, p)):
             res = factor_bho_full(w, p)
             assert_same_factors(res, ref)
             assert_same_factorization(many, res)
@@ -246,8 +262,8 @@ class TestSeriesStop:
         """Only the escalating row reruns; every row still equals the
         fixed-length series."""
         ws, doms, s_norms = stack_with_low_bound(p)
-        refs = with_full_series(monkeypatch, lambda: rdf_factor_many(ws, p, s_norms, doms))
-        many = rdf_factor_many(ws, p, s_norms, doms)
+        refs = with_full_series(monkeypatch, lambda: rdf_stack(ws, p, s_norms, doms))
+        many = rdf_stack(ws, p, s_norms, doms)
         for res, ref in zip(many, refs):
             assert_same_factors(res, ref)
         assert all(r.terms_used < 60 for r in many if not r.escalations)
@@ -294,7 +310,7 @@ class TestSeriesStop:
 
         monkeypatch.setattr(factorization, "op_s", spy)
         ws = [random_log_walk(7, seed=47, sigma=sigma) for sigma in (0.2, 0.8, 2.0)]
-        results = factor_bho_full_many(ws, 2.0)
+        results = full_stack(ws, 2.0)
         assert rows[0] == 3 and min(rows) == 1
         assert len({r.terms_used for r in results}) == 3
         assert sum(rows) == sum(r.terms_used + 1 for r in results)
