@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,11 +64,11 @@ from .weights import (
     WeightCertificate,
     _checked,
     _name_first_bad,
-    _node_ids,
     _plain,
     _point_levels,
     _tree_rows,
     bp_constant as tree_bp_constant,
+    values_at,
 )
 
 __all__ = [
@@ -252,7 +253,12 @@ def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def geo_mean_weight(trees: Sequence[TreeWeight]) -> Callable:
-    """Pointwise geometric mean over a family of tree weights of one depth."""
+    """Pointwise geometric mean over a family of tree weights of one depth.
+
+    A point's value depends only on its tree level and its angle, so fn
+    reads the trees once per distinct (level, angle) pair of its points
+    (r and a broadcast against each other) and spreads the results back.
+    """
     trees = list(trees)
     depth = trees[0].depth
     if any(t.depth != depth for t in trees):
@@ -260,13 +266,21 @@ def geo_mean_weight(trees: Sequence[TreeWeight]) -> Callable:
     thetas = [float(t.theta) for t in trees]
 
     def fn(r, a):
-        # each point's level once; then one tree at a time, as a (T, points)
-        # stack over a dense region mesh costs more memory and is no faster
-        scale, n = _point_levels(r, depth)
-        acc = np.zeros_like(r, dtype=float)
-        for t, theta in zip(trees, thetas):
-            acc += np.log(t.values[_node_ids(a - theta, scale, n)])
-        return np.exp(acc / len(trees))
+        r, a = np.broadcast_arrays(r, a)
+        r, a, shape = r.ravel(), a.ravel(), r.shape
+        _, n = _point_levels(r, depth)
+        order = np.lexsort((a, n))
+        n_s, a_s = n[order], a[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (n_s[1:] != n_s[:-1]) | (a_s[1:] != a_s[:-1])
+        where = np.empty(len(order), dtype=np.intp)
+        where[order] = np.cumsum(new) - 1
+        pick = order[new]
+        logs = np.log(values_at(np.stack([t.values for t in trees]), thetas, depth,
+                                r[pick], a[pick]))
+        # summed tree by tree, the order of each point's own sum
+        acc = np.cumsum(logs, axis=0, out=logs)[-1]
+        return np.exp(acc / len(trees))[where].reshape(shape)
 
     return fn
 
@@ -315,6 +329,10 @@ GOOD_FRACTION = Fraction(1, 18)
 # offsets restricted in one pass; bounds the (offsets, candidates, slots)
 # arrays of the good-node scan and the midpoint mesh of the quadrature
 OFFSET_BLOCK = 256
+
+# finest grid lines of the offset survey's windows taken in one group;
+# bounds its (windows, offsets, lines) and (windows, pieces) arrays
+SURVEY_LINES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -563,10 +581,16 @@ def _pieces_mesh(pieces, nr: int, na: int, d_floor: float = 0.0):
 def default_arc_family(depth: int):
     """Survey family for continuous constants: arcs starting on the
     2^{depth+1} grid with lengths on the geometric grid 2^0 .. 2^-depth,
-    all dyadic, so the survey's common denominator stays small."""
+    all dyadic, so the survey's common denominator stays small.  A fresh
+    list of arcs built once per depth."""
+    return list(_arc_family(depth))
+
+
+@lru_cache(maxsize=16)
+def _arc_family(depth: int) -> tuple:
     centers = 1 << (depth + 1)
-    return [UnitArc(Fraction(j, centers), Fraction(1, 1 << k))
-            for k in range(depth + 1) for j in range(centers)]
+    return tuple(UnitArc(Fraction(j, centers), Fraction(1, 1 << k))
+                 for k in range(depth + 1) for j in range(centers))
 
 
 def restricted_box_product(w: Callable, p: float, domain: ContinuousDomain,
@@ -706,21 +730,27 @@ class ContinuousExtensionResult:
         return rows
 
 
-def _window_mean_log(logv: np.ndarray, th: np.ndarray, k: int, L: int,
-                     origin: int, span: int, cuts: np.ndarray) -> np.ndarray:
+def _group_mean_log(logv: np.ndarray, th: np.ndarray, k: int, L: int, span: int,
+                    origins: np.ndarray, cuts: np.ndarray, slot: np.ndarray,
+                    valid: np.ndarray) -> np.ndarray:
     """Mean over offsets of the band-k log tree value (logv, offsets x 2^k)
-    on each piece of the window (origin, origin + span] starting at cuts:
-    the value at its start plus cumulative jumps at each offset's lines."""
+    on each piece of a group of windows (origin, origin + span], whose
+    pieces start at cuts: per window, the value at its start plus a running
+    sum of the jumps at each offset's lines.  Each window's jumps fill its
+    row of a (windows, pieces) pad, valid where a piece exists; slot is
+    each piece's place in the flattened pad."""
     step, cells = L >> k, 1 << k
     count = np.arange(max(1, span // step))
-    at = ((th - origin) % step)[:, None] + count.astype(th.dtype) * step  # lines from origin on
-    cell = ((-((th - origin) // step)) % cells).astype(np.intp)  # right of the first one
-    col = (cell[:, None] + count) % cells
+    rel = th - origins[:, None]
+    at = (rel % step)[..., None] + count.astype(th.dtype) * step  # lines from origin on
+    cell = ((-(rel // step)) % cells).astype(np.intp)  # right of the first one
+    col = (cell[..., None] + count) % cells
     rows = np.arange(len(th))[:, None]
     inside = at < span
-    jumps = np.bincount(np.searchsorted(cuts, at[inside]),
-                        (logv[rows, col] - logv[rows, col - 1])[inside], minlength=len(cuts))
-    return (logv[rows[:, 0], cell - 1].sum() + np.cumsum(jumps)) / len(th)
+    jumps = np.bincount(slot[np.searchsorted(cuts, (at + origins[:, None, None])[inside])],
+                        (logv[rows, col] - logv[rows, col - 1])[inside], minlength=valid.size)
+    base = logv[rows[:, 0], cell - 1].sum(axis=1)
+    return ((base[:, None] + np.cumsum(jumps.reshape(valid.shape), axis=1)) / len(th))[valid]
 
 
 def _tree_prefix(trees, th: np.ndarray, k: int, L: int, points: np.ndarray) -> np.ndarray:
@@ -749,13 +779,16 @@ def _survey_geo_family(stacks, p: float, family):
 
     Both are exact: g is constant on depth band k (the leaf band
     (0, 2^-N]) times the pieces between the finest grid lines of all
-    offsets and the arc endpoints, integers over one denominator L.  Per
-    band and window of 2^-(N // 2) turns, the mean log on each piece is a
-    cumulative sum of jumps; cell value times exact area, and the B_1
-    minimum over this and deeper bands, add up per chunk between arc
-    endpoints and window starts.  Offsets' box sums come from their own
-    cells.  The largest arrays: a band's (offsets, 2^k) values, a window's
-    pieces, the (offsets, arcs) box sums.
+    offsets and the arc endpoints, integers over one denominator L.  The
+    angle is cut into windows of 2^-(N // 2) turns, taken in groups of
+    consecutive windows with at most SURVEY_LINES finest lines.  Per group,
+    band and stack one set of array calls gives the mean log on every
+    piece, a running sum of jumps restarted at each window; cell value
+    times exact area, and the B_1 minimum over this and deeper bands, add
+    up per chunk between arc endpoints and window starts.  Offsets' box
+    sums come from their own cells.  The largest arrays: each stack's
+    (offsets, 2^(N+1)) log values, one group's pieces, the (offsets, arcs)
+    box sums.
     """
     arcs = list(family)
     depth = stacks[0][0][0].depth
@@ -809,21 +842,27 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
     # (bands, chunks) integrals along the angle, and minima of g
     g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
     geo_int = [np.zeros_like(g_int) for _ in stacks]
-    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
-    for k in range(depth + 1):
-        logs = [np.stack([t.values[1 << k:2 << k] for t in trees]) for trees, _ in stacks]
-        for logv in logs:
-            np.log(logv, out=logv)
-        for w in range(windows):
-            chunks, origin = slice(edges[w], edges[w + 1]), w * span
-            rel = starts[chunks] - origin
-            # a chunk start on a grid line leaves a zero-width piece, adding nothing
-            cuts = np.insert(lines, np.searchsorted(lines, rel), rel)
-            width = _over(np.diff(np.append(cuts, span)), L)
-            first = np.searchsorted(cuts, rel)
+    logs = [np.stack([t.values[1:] for t in trees]) for trees, _ in stacks]
+    for logv in logs:
+        np.log(logv, out=logv)
+    per_group = max(1, SURVEY_LINES // len(lines))
+    for w in range(0, windows, per_group):
+        origins = np.arange(w, min(w + per_group, windows)).astype(dt) * span
+        chunks = slice(edges[w], edges[w + len(origins)])
+        # the group's pieces: each window's lines with its chunk starts cut
+        # in; one on a grid line leaves a zero-width piece, adding nothing
+        flat = (origins[:, None] + lines).ravel()
+        cuts = np.insert(flat, np.searchsorted(flat, starts[chunks]), starts[chunks])
+        width = _over(np.diff(np.append(cuts, origins[-1] + span)), L)
+        first = np.searchsorted(cuts, starts[chunks])
+        pieces = np.diff(np.append(np.searchsorted(cuts, origins), len(cuts)))
+        valid = np.arange(pieces.max()) < pieces[:, None]
+        slot = np.flatnonzero(valid)
+        for k in range(depth + 1):
             logg = np.zeros(len(cuts))
             for (_, power), th, logv, geo in zip(stacks, offsets, logs, geo_int):
-                mean_log = _window_mean_log(logv, th, k, L, origin, span, cuts)
+                mean_log = _group_mean_log(logv[:, (1 << k) - 1:(2 << k) - 1], th, k, L, span,
+                                           origins, cuts, slot, valid)
                 logg += power * mean_log
                 geo[k, chunks] = np.add.reduceat(width * np.exp(mean_log), first)
             g = np.exp(logg)
@@ -832,8 +871,10 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
                 g_min[k, chunks] = np.minimum.reduceat(g, first)
             else:
                 dual_int[k, chunks] = np.add.reduceat(width * g ** (-1.0 / (p - 1)), first)
-        del logs, logv  # one (offsets, 2^k) array per stack at a time
-        for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
+    del logs, logv  # the (offsets, 2^(N+1)) log values, one per stack
+    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
+    for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
+        for k in range(depth + 1):
             sums += factor[k] * along(_tree_prefix(trees, th, k, L, starts))
 
     def over_arcs(table):

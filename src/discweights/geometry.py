@@ -64,8 +64,11 @@ def as_fraction(x: AngleLike) -> Fraction:
 
 
 def mod1(x: AngleLike) -> Fraction:
-    """Reduce an angle in turns to [0, 1), exactly."""
+    """Reduce an angle in turns to [0, 1), exactly; one already there is
+    returned as it is."""
     f = as_fraction(x)
+    if 0 <= f.numerator < f.denominator:
+        return f
     return f - (f.numerator // f.denominator)
 
 

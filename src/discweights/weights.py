@@ -251,9 +251,14 @@ def _checked(thetas: Sequence, values: np.ndarray) -> np.ndarray:
 
 
 def _tree_rows(thetas: Sequence, depth: int, values: np.ndarray) -> list:
-    """One TreeWeight per offset, each a view of its row of a `_checked` stack."""
-    return [TreeWeight(theta, depth, row)
-            for theta, row in zip(thetas, np.atleast_2d(_checked(thetas, values)))]
+    """One TreeWeight per offset, each a view of its row of a `_checked`
+    stack; the rows skip the per-tree checks the stack has just passed."""
+    rows = []
+    for theta, row in zip(thetas, np.atleast_2d(_checked(thetas, values))):
+        tree = object.__new__(TreeWeight)
+        tree.theta, tree.depth, tree.values = mod1(theta), int(depth), row
+        rows.append(tree)
+    return rows
 
 
 def _floats(x) -> list:

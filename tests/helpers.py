@@ -7,9 +7,10 @@ oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
-per-tree geometric mean, the Fraction survey set-up, the np.repeat
-ancestor cascade, the cell masses the maximal kernel once composed, the
-weak-type ratio), or builds a small tree or domain from a node list.
+per-tree geometric mean, the Fraction survey set-up, the window-by-window
+survey loop, the np.repeat ancestor cascade, the cell masses the maximal
+kernel once composed, the weak-type ratio), or builds a small tree or
+domain from a node list.
 """
 
 import math
@@ -18,8 +19,11 @@ from fractions import Fraction as F
 import numpy as np
 
 from discweights.averaging import (
+    _distinct,
+    _over,
     _scaled,
     _survey_scaled,
+    _tree_prefix,
     dyadic_restriction,
     rect_quadrature,
 )
@@ -407,6 +411,105 @@ def brute_cell_survey(stacks, p, family):
             rhs = math.exp(sum(math.log(x / area) for x in sums) / len(sums))
             margin = max(margin, geo[s_idx] / area / rhs - 1.0)
     return best, margin
+
+
+def _window_mean_log(logv, th, k, L, origin, span, cuts):
+    """Mean over offsets of the band-k log tree value (logv, offsets x 2^k)
+    on each piece of the window (origin, origin + span] starting at cuts:
+    the value at its start plus cumulative jumps at each offset's lines."""
+    step, cells = L >> k, 1 << k
+    count = np.arange(max(1, span // step))
+    at = ((th - origin) % step)[:, None] + count.astype(th.dtype) * step  # lines from origin on
+    cell = ((-((th - origin) // step)) % cells).astype(np.intp)  # right of the first one
+    col = (cell[:, None] + count) % cells
+    rows = np.arange(len(th))[:, None]
+    inside = at < span
+    jumps = np.bincount(np.searchsorted(cuts, at[inside]),
+                        (logv[rows, col] - logv[rows, col - 1])[inside], minlength=len(cuts))
+    return (logv[rows[:, 0], cell - 1].sum() + np.cumsum(jumps)) / len(th)
+
+
+def window_survey_geo_family(stacks, p, family):
+    """averaging._survey_geo_family as it was: band by band, one angular
+    window at a time, each window's mean log from its own calls."""
+    arcs = list(family)
+    depth = stacks[0][0][0].depth
+    thetas = [[t.theta for t in trees] for trees, _ in stacks]
+    lefts, lengths = [arc.left for arc in arcs], [arc.length for arc in arcs]
+    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (*thetas, lefts, lengths) for x in xs})
+    offsets = [_scaled(ths, L) for ths in thetas]
+    shifts = _distinct(np.concatenate(offsets) % (L >> depth))
+    left, ell = _scaled(lefts, L), _scaled(lengths, L)
+    depth, dt = stacks[0][0][0].depth, left.dtype
+    right = (left + ell) % L
+    windows, span, fine = 1 << (depth // 2), L >> (depth // 2), L >> depth
+    grid = np.arange(windows + 1).astype(dt) * span
+    # each window holds the same finest grid lines, relative to its start
+    lines = (np.arange(span // fine).astype(dt)[:, None] * fine + shifts).ravel()
+    starts = _distinct(np.concatenate([grid[:-1], left, right]))
+    edges = np.searchsorted(starts, grid)
+    # arc i is chunks a[i] to b[i], through angle 0 when b[i] <= a[i]
+    a = np.searchsorted(starts, left)
+    b = np.where(right == 0, len(starts), np.searchsorted(starts, right))
+    wrap = b <= a
+
+    def along(prefix):  # integrals over each arc from (..., chunks + 1) ones from 0
+        return prefix[..., b] - prefix[..., a] + np.where(wrap, prefix[..., -1:], 0.0)
+
+    # (bands, arcs): the exact area of band k inside each box, per unit of angle
+    lo = np.array([L >> (k + 1) for k in range(depth)] + [0], dtype=dt)[:, None]
+    hi = np.array([L >> k for k in range(depth + 1)], dtype=dt)[:, None]
+    d_lo, d_top = _over(lo, L), _over(np.maximum(np.minimum(ell, hi), lo), L)
+    factor = (d_top - d_lo) * (2.0 - d_lo - d_top)
+
+    # (bands, chunks) integrals along the angle, and minima of g
+    g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
+    geo_int = [np.zeros_like(g_int) for _ in stacks]
+    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
+    for k in range(depth + 1):
+        logs = [np.stack([t.values[1 << k:2 << k] for t in trees]) for trees, _ in stacks]
+        for logv in logs:
+            np.log(logv, out=logv)
+        for w in range(windows):
+            chunks, origin = slice(edges[w], edges[w + 1]), w * span
+            rel = starts[chunks] - origin
+            # a chunk start on a grid line leaves a zero-width piece, adding nothing
+            cuts = np.insert(lines, np.searchsorted(lines, rel), rel)
+            width = _over(np.diff(np.append(cuts, span)), L)
+            first = np.searchsorted(cuts, rel)
+            logg = np.zeros(len(cuts))
+            for (_, power), th, logv, geo in zip(stacks, offsets, logs, geo_int):
+                mean_log = _window_mean_log(logv, th, k, L, origin, span, cuts)
+                logg += power * mean_log
+                geo[k, chunks] = np.add.reduceat(width * np.exp(mean_log), first)
+            g = np.exp(logg)
+            g_int[k, chunks] = np.add.reduceat(width * g, first)
+            if p == 1:
+                g_min[k, chunks] = np.minimum.reduceat(g, first)
+            else:
+                dual_int[k, chunks] = np.add.reduceat(width * g ** (-1.0 / (p - 1)), first)
+        del logs, logv  # one (offsets, 2^k) array per stack at a time
+        for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
+            sums += factor[k] * along(_tree_prefix(trees, th, k, L, starts))
+
+    def over_arcs(table):
+        prefix = np.concatenate([np.zeros((depth + 1, 1)), np.cumsum(table, axis=1)], axis=1)
+        return np.sum(factor * along(prefix), axis=0)
+
+    area = _over(ell, L) ** 2 * (2.0 - _over(ell, L))
+    avg_g = over_arcs(g_int) / area
+    if p == 1:
+        # box minima from each box's shallowest band down; in two laps no arc wraps
+        low = np.minimum.accumulate(g_min[::-1], axis=0)[::-1]
+        laps = np.concatenate([low, low, np.full((depth + 1, 1), np.inf)], axis=1).ravel()
+        row = np.sum(lo >= ell, axis=0) * (2 * len(starts) + 1)
+        spans = np.stack([row + a, row + b + np.where(wrap, len(starts), 0)], axis=1)
+        val = avg_g / np.minimum.reduceat(laps, spans.ravel())[::2]
+    else:
+        val = avg_g * (over_arcs(dual_int) / area) ** (p - 1)
+    mink = [over_arcs(geo) / area / np.exp(np.mean(np.log(sums / area), axis=0)) - 1.0
+            for geo, sums in zip(geo_int, tree_sums)]
+    return float(val.max(initial=0.0)), float(np.max(mink, initial=-np.inf))
 
 
 def random_arcs(depth, rng, count):

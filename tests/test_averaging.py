@@ -51,6 +51,7 @@ from helpers import (
     per_offset_pipeline,
     per_tree_geo_mean,
     random_arcs,
+    window_survey_geo_family,
 )
 
 
@@ -469,11 +470,11 @@ class TestGeoAverage:
 @pytest.fixture(scope="module")
 def fixture_stacks():
     """{(fixture, p): (region, stacks)} from extend_continuous at depth 6 with
-    64 offsets: the B_1 extensions at p = 1, the two factors at p = 2."""
+    64 offsets: the B_1 extensions at p = 1, the two factors at p = 2, 3."""
     out = {}
     for name in CONTINUOUS_FIXTURES:
         w, dom = continuous_fixture(name)
-        for p in (1.0, 2.0):
+        for p in (1.0, 2.0, 3.0):
             res = extend_continuous(w, p, 2.0, dom, depth=6, theta_count=64, family_depth=4)
             if p == 1:
                 stacks = [[a.extension.weight for a in res.artifacts]]
@@ -517,6 +518,26 @@ class TestGapSurveyLookup:
         tree = random_log_walk(5, seed=41, sigma=0.9, theta=F(3, 7))
         r, a = _gap_points(dom, [tree])
         assert geo_mean_weight([tree])(r, a).tobytes() == per_tree_geo_mean([tree])(r, a).tobytes()
+
+    def test_point_shapes_and_repeats(self, fixture_stacks):
+        """r and a broadcast against each other: a scalar angle, a 2-D r
+        and points repeated many times over give the per-point values."""
+        region, (trees, _) = fixture_stacks["pair_overlap", 2.0]
+        r, a = _gap_points(region, trees)
+        fn, want = geo_mean_weight(trees), per_tree_geo_mean(trees)
+        grid = r[:64].reshape(8, 8)
+        cases = [
+            (r, np.float64(a[5])),  # one angle for every modulus
+            (grid, a[:64].reshape(8, 8)),
+            (grid, a[:8]),  # a row of angles against each row of moduli
+            (np.tile(r[:40], 5), np.tile(a[:40], 5)),  # each point five times
+            (np.full(30, r[7]), np.full(30, a[7])),  # one point only
+        ]
+        for rr, aa in cases:
+            got = fn(rr, aa)
+            full_r, full_a = (x.copy() for x in np.broadcast_arrays(rr, aa))
+            assert got.shape == full_r.shape
+            assert got.tobytes() == want(full_r, full_a).tobytes()
 
 
 def _walk_stack(depth, thetas, seed):
@@ -579,6 +600,92 @@ class TestExactSurvey:
         assert abs(fine - exact) < abs(coarse - exact)
 
 
+def _group_calls(monkeypatch) -> list:
+    """(band, windows) of every later call of the survey's grouped core."""
+    calls = []
+    real = averaging._group_mean_log
+
+    def spy(logv, th, k, L, span, origins, *rest):
+        calls.append((k, len(origins)))
+        return real(logv, th, k, L, span, origins, *rest)
+
+    monkeypatch.setattr(averaging, "_group_mean_log", spy)
+    return calls
+
+
+class TestGroupedSurvey:
+    """_survey_geo_family, which takes each band's angular windows in
+    groups, against the window-by-window loop it replaced
+    (helpers.window_survey_geo_family): the same pair of floats, bitwise."""
+
+    @staticmethod
+    def check(stacks, p, family):
+        assert _survey_geo_family(stacks, p, family) == window_survey_geo_family(stacks, p, family)
+
+    @staticmethod
+    def powered(stacks, p):
+        return list(zip(stacks, (1.0, 1.0 - p)))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_fixture_stacks(self, fixture_stacks, name, p):
+        _, stacks = fixture_stacks[name, p]
+        self.check(self.powered(stacks, p), p, default_arc_family(4))
+
+    @pytest.mark.parametrize("cap", [averaging.SURVEY_LINES, 1])
+    def test_python_int_path(self, monkeypatch, cap):
+        """Float-born arcs and one more arc put the common denominator past
+        2^61; with a cap of 1 each window is a group of its own."""
+        monkeypatch.setattr(averaging, "SURVEY_LINES", cap)
+        trees = _walk_stack(4, [F(2 * i + 1, 10) for i in range(5)], 7)
+        family = (default_arc_family(2)[-2:] + random_arcs(2, 3, 6)
+                  + [UnitArc(F(1, 1 << 62), F(1, 3))])
+        assert math.lcm(*(arc.left.denominator for arc in family)) >= 1 << 61
+        for p in (1.0, 3.0):
+            self.check([(trees, 1.0)], p, family)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_windows_in_several_groups(self, monkeypatch, fixture_stacks, p):
+        """With a cap of 24 finest lines, the 8 windows of 8 lines at depth 6
+        (all 64 offsets share one shift) fall in groups of 3, 3 and 2."""
+        stacks = self.powered(fixture_stacks["chain_wrap", p][1], p)
+        monkeypatch.setattr(averaging, "SURVEY_LINES", 24)
+        sizes = _group_calls(monkeypatch)
+        self.check(stacks, p, default_arc_family(4))
+        for band in range(7):  # one call per group, band and stack
+            assert [n for k, n in sizes if k == band] == [n for n in (3, 3, 2) for _ in stacks]
+        assert len(sizes) == 3 * 7 * len(stacks)
+
+
+class TestSurveyGroupCounts:
+    """Deterministic guards on the survey's work: calls of the grouped core,
+    which repeat exactly where timings do not."""
+
+    @pytest.mark.parametrize("p, want", [(1.0, 7), (2.0, 14)])
+    def test_one_group_per_band_at_depth_6(self, monkeypatch, p, want):
+        """At depth 6 with 64 offsets each band is one group: depth + 1
+        calls per stack, each over all 8 windows."""
+        calls = _group_calls(monkeypatch)
+        w, dom = continuous_fixture("pair_overlap")
+        extend_continuous(w, p, 2.0, dom, depth=6, theta_count=64, family_depth=4)
+        assert len(calls) == want
+        assert {n for _, n in calls} == {8}
+
+    def test_deep_bands_take_several_groups(self, monkeypatch):
+        """At depth 10 with the pipeline's 255 offsets, the 32 windows hold
+        8,160 finest lines each, so the cap splits every band into groups."""
+        depth, count = 10, 255
+        rng = np.random.default_rng(3)
+        trees = [TreeWeight(F(2 * i + 1, 2 * count), depth, np.exp(rng.normal(size=2 << depth)))
+                 for i in range(count)]
+        calls = _group_calls(monkeypatch)
+        _survey_geo_family([(trees, 1.0)], 1.0, default_arc_family(3))
+        for band in range(depth + 1):
+            groups = [n for k, n in calls if k == band]
+            assert len(groups) > 1 and sum(groups) == 32
+            assert max(groups) * 8160 <= averaging.SURVEY_LINES
+
+
 class TestSurveySetup:
     """The integer set-up of _survey_geo_family against the Fraction one it
     replaced (helpers.fraction_survey_geo_family): the same pair of floats."""
@@ -618,6 +725,14 @@ class TestSurveySetup:
 
 
 class TestContinuousConstants:
+    def test_default_family_is_built_once_per_depth(self):
+        """Every call returns a fresh list of the same arc objects."""
+        first, again = default_arc_family(3), default_arc_family(3)
+        assert first is not again and all(x is y for x, y in zip(first, again))
+        first.append(UnitArc(F(1, 2), F(1, 3)))
+        assert len(default_arc_family(3)) == len(again) == 4 * 16
+        assert again == [UnitArc(F(j, 16), F(1, 1 << k)) for k in range(4) for j in range(16)]
+
     def test_constant_weight_gives_one(self):
         w = lambda r, a: np.full_like(r, 3.0)
         family = default_arc_family(4)

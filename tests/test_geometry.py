@@ -256,6 +256,23 @@ class TestBetaDyadic:
             assert lca_level(a, b) == expect
 
 
+class TestMod1:
+    @pytest.mark.parametrize("x, want", [
+        (F(-1, 3), F(2, 3)), (F(-7, 2), F(1, 2)), (F(-1), F(0)), (F(-1, 1 << 70), 1 - F(1, 1 << 70)),
+        (F(1), F(0)), (F(7, 3), F(1, 3)), (F(5), F(0)),
+        (0, F(0)), (3, F(0)), (-2, F(0)), (1 << 80, F(0)),
+        (0.75, F(3, 4)), (-0.25, F(3, 4)), (2.5, F(1, 2)), (-1e-300, 1 - F(1e-300)), (-0.0, F(0)),
+        (F(0), F(0)), (F(1, 3), F(1, 3)), (F((1 << 60) - 1, 1 << 60), F((1 << 60) - 1, 1 << 60)),
+    ])
+    def test_reduces_to_the_unit_interval_exactly(self, x, want):
+        got = mod1(x)
+        assert type(got) is F and got == want and 0 <= got < 1
+
+    @pytest.mark.parametrize("x", [F(0), F(1, 3), F((1 << 60) - 1, 1 << 60)])
+    def test_reduced_fraction_is_returned_as_is(self, x):
+        assert mod1(x) is x
+
+
 class TestArcPredicates:
     def test_containment_basic(self):
         big = UnitArc(F(1, 2), F(1, 2))

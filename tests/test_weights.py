@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from discweights import weights
 from discweights.geometry import GridNode, area_carleson, beta_dyadic_nodes
 from discweights.weights import (
     DyadicDomain,
@@ -453,3 +454,24 @@ class TestRowCheck:
                 else:
                     assert bad == 5e-324
                     TreeWeight(0, depth, values[row])
+
+    def test_tree_rows_check_the_stack_once(self, monkeypatch):
+        """_tree_rows checks the whole stack in one pass and builds each row's
+        tree without a second check; each tree is a view of its row, with
+        its offset reduced as TreeWeight reduces it."""
+        depth = 3
+        stack = np.stack([random_log_walk(depth, seed=90 + i).values for i in range(5)])
+        thetas = self.THETAS[:4] + [F(7, 5)]
+        calls = []
+        real = weights._bad_rows
+        monkeypatch.setattr(weights, "_bad_rows", lambda v: calls.append(v.shape) or real(v))
+        rows = weights._tree_rows(thetas, depth, stack)
+        assert calls == [stack.shape]
+        for tree, theta, values in zip(rows, thetas, stack):
+            want = TreeWeight(theta, depth, values)
+            assert (tree.theta, tree.depth) == (want.theta, want.depth)
+            assert np.shares_memory(tree.values, stack) and tree.values.tobytes() == values.tobytes()
+        assert rows[-1].theta == F(2, 5)
+        stack[2, 5] = np.nan
+        with pytest.raises(ValueError, match=rf"^offset {thetas[2]} failed"):
+            weights._tree_rows(thetas, depth, stack)
