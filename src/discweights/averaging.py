@@ -64,11 +64,11 @@ from .weights import (
     WeightCertificate,
     _checked,
     _name_first_bad,
+    _node_ids,
     _plain,
     _point_levels,
     _tree_rows,
     bp_constant as tree_bp_constant,
-    values_at,
 )
 
 __all__ = [
@@ -224,9 +224,13 @@ def rect_quadrature(rect: PolarRect, fn, nr: int = 4, na: int = 4) -> float:
     sub-area times the mean of fn at the midpoints, so constants integrate
     exactly.  This is the one-rectangle case of _quadrature_many.
     """
-    bounds = [np.array([float(x)]) for x in
-              (rect.d_lo, rect.d_hi, rect.ang_start, rect.ang_len)]
-    return float(_quadrature_many(*bounds, fn, nr, na)[0])
+    return float(_quadrature_many(*_rect_bounds([rect]), fn, nr, na)[0])
+
+
+def _rect_bounds(rects) -> list:
+    """(d_lo, d_hi, ang_start, ang_len) of polar rectangles, four float arrays."""
+    return [np.array([float(x) for x in col])
+            for col in zip(*((r.d_lo, r.d_hi, r.ang_start, r.ang_len) for r in rects))]
 
 
 def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
@@ -252,23 +256,23 @@ def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
 # continuous weights: any positive fn(r, angle) on float64 arrays
 # ---------------------------------------------------------------------------
 
-def geo_mean_weight(trees: Sequence[TreeWeight]) -> Callable:
-    """Pointwise geometric mean over a family of tree weights of one depth.
+def geo_mean_weight(thetas: Sequence, depth: int, stacks) -> Callable:
+    """Pointwise product over stacks of (values, power) pairs, each values
+    an (offsets, 2^(N+1)) array of depth-N trees, row i on the grid of
+    offset thetas[i], of exp(mean over rows of log value) ** power.
 
     A point's value depends only on its tree level and its angle, so fn
-    reads the trees once per distinct (level, angle) pair of its points
-    (r and a broadcast against each other) and spreads the results back.
+    finds the distinct (level, angle) pairs of its points (r and a
+    broadcast against each other) and their node in every row once, reads
+    each stack there and spreads the results back.
     """
-    trees = list(trees)
-    depth = trees[0].depth
-    if any(t.depth != depth for t in trees):
-        raise ValueError("a stack of trees needs one depth")
-    thetas = [float(t.theta) for t in trees]
+    theta = np.array([float(t) for t in thetas])[:, None]
+    rows = np.arange(len(theta))[:, None]
 
     def fn(r, a):
         r, a = np.broadcast_arrays(r, a)
         r, a, shape = r.ravel(), a.ravel(), r.shape
-        _, n = _point_levels(r, depth)
+        scale, n = _point_levels(r, depth)
         order = np.lexsort((a, n))
         n_s, a_s = n[order], a[order]
         new = np.ones(len(order), dtype=bool)
@@ -276,11 +280,14 @@ def geo_mean_weight(trees: Sequence[TreeWeight]) -> Callable:
         where = np.empty(len(order), dtype=np.intp)
         where[order] = np.cumsum(new) - 1
         pick = order[new]
-        logs = np.log(values_at(np.stack([t.values for t in trees]), thetas, depth,
-                                r[pick], a[pick]))
-        # summed tree by tree, the order of each point's own sum
-        acc = np.cumsum(logs, axis=0, out=logs)[-1]
-        return np.exp(acc / len(trees))[where].reshape(shape)
+        node = _node_ids(a[pick] - theta, scale[pick], n[pick])
+        g = 1.0
+        for values, power in stacks:
+            logs = np.log(values[rows, node])
+            # summed tree by tree, the order of each point's own sum
+            acc = np.cumsum(logs, axis=0, out=logs)[-1]
+            g = g * np.exp(acc / len(theta)) ** power
+        return g[where].reshape(shape)
 
     return fn
 
@@ -508,8 +515,7 @@ def dyadic_restriction(w: Callable, theta, domain: ContinuousDomain, depth: int)
 
 def restriction_certificate(w: Callable, p: float, q: float,
                             restriction: TreeWeight, rdomain: DyadicDomain,
-                            region: ContinuousDomain,
-                            nr: int = 6, na: int = 6) -> WeightCertificate:
+                            region: ContinuousDomain) -> WeightCertificate:
     """Certify the restricted tree constant against the region's own.
 
     The inequality is tree constant of the restriction to the q-th power
@@ -518,8 +524,9 @@ def restriction_certificate(w: Callable, p: float, q: float,
     the region integral over its top half by at most the goodness factor
     18, the power -1/(p-1) is convex so averaging before applying it only
     helps, and both sides normalize by the full box area.  The continuous
-    sup runs over the grid boxes carrying restricted mass plus the
-    generator arcs; enlarging the family could only raise the bound.
+    sup (restricted_box_product, the B_1 ratio at p = 1) runs over the grid
+    boxes carrying restricted mass plus the generator arcs; enlarging the
+    family could only raise the bound.
     """
     def wq(r, a):
         return w(r, a) ** q
@@ -533,21 +540,8 @@ def restriction_certificate(w: Callable, p: float, q: float,
             arcs[nid] = GridNode(rdomain.theta, level, nid - (1 << level)).arc()
             nid >>= 1
     family = list(arcs.values()) + list(region.generators)
-    best = 0.0
-    for arc in family:
-        if p == 1:
-            pieces = region.clip_to_box(arc)
-            if not pieces:
-                continue
-            ell = arc.length
-            area = float(ell * (1 - (1 - ell) ** 2))
-            int_w = sum(rect_quadrature(pc, wq, nr, na) for pc in pieces)
-            r_m, a_m = _pieces_mesh(pieces, nr, na)
-            val = (int_w / area) / float(np.min(wq(r_m, a_m)))
-        else:
-            val = restricted_box_product(wq, p, region, arc, nr, na)
-        if val is not None:
-            best = max(best, val)
+    vals = [restricted_box_product(wq, p, region, arc) for arc in family]
+    best = max([0.0] + [v for v in vals if v is not None])
     return WeightCertificate(
         "bp_of_restriction",
         bound=18.0 ** p * best,
@@ -593,27 +587,37 @@ def _arc_family(depth: int) -> tuple:
                  for k in range(depth + 1) for j in range(centers))
 
 
-def restricted_box_product(w: Callable, p: float, domain: ContinuousDomain,
-                           arc: UnitArc, nr: int = 4, na: int = 4):
-    """The restricted B_p product of w over S(arc) cap region.
+# midpoints per side of each piece's mesh in the restricted box products
+BOX_MESH = 6
+
+
+def restricted_box_product(w: Callable, p: float, domain: ContinuousDomain, arc: UnitArc):
+    """The restricted B_p product of w over S(arc) cap region; at p = 1 the
+    B_1 ratio, the average over the least value on the pieces' mesh.
 
     Integrals run over the intersection only but both averages divide by
     the full box area A(S(arc)), matching the normalization of the
-    restricted tree constant.  Returns None when the box misses the
-    region.
+    restricted tree constant.  An integral is one quadrature of all of the
+    pieces, added in clip order: bitwise rect_quadrature piece by piece.
+    Returns None when the box misses the region.
     """
     pieces = domain.clip_to_box(arc)
     if not pieces:
         return None
     ell = arc.length
     area = float(ell * (1 - (1 - ell) ** 2))
-    int_w = sum(rect_quadrature(pc, w, nr, na) for pc in pieces)
+    bounds = _rect_bounds(pieces)
+
+    def integral(fn):  # left to right, as sum() adds
+        return sum(_quadrature_many(*bounds, fn, BOX_MESH, BOX_MESH).tolist())
+
+    if p == 1:
+        return (integral(w) / area) / float(np.min(w(*_pieces_mesh(pieces, BOX_MESH, BOX_MESH))))
 
     def dual(r, a):
         return w(r, a) ** (-1.0 / (p - 1))
 
-    int_dual = sum(rect_quadrature(pc, dual, nr, na) for pc in pieces)
-    return (int_w / area) * (int_dual / area) ** (p - 1)
+    return (integral(w) / area) * (integral(dual) / area) ** (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +757,11 @@ def _group_mean_log(logv: np.ndarray, th: np.ndarray, k: int, L: int, span: int,
     return ((base[:, None] + np.cumsum(jumps.reshape(valid.shape), axis=1)) / len(th))[valid]
 
 
-def _tree_prefix(trees, th: np.ndarray, k: int, L: int, points: np.ndarray) -> np.ndarray:
-    """(offsets, points + 1): each tree's band-k integral along the angle
+def _tree_prefix(values, th: np.ndarray, k: int, L: int, points: np.ndarray) -> np.ndarray:
+    """(offsets, points + 1): each row's band-k integral along the angle
     from 0 to each point (the first is 0) and to the full turn."""
     step, cells = L >> k, 1 << k
-    total = np.stack([t.values[cells:2 * cells] for t in trees])
-    np.cumsum(total, axis=1, out=total)
+    total = np.cumsum(values[:, cells:2 * cells], axis=1)
     rows = np.arange(len(th))[:, None]
     rel = (points - th[:, None]) % L
     j = (rel // step).astype(np.intp)
@@ -768,11 +771,10 @@ def _tree_prefix(trees, th: np.ndarray, k: int, L: int, points: np.ndarray) -> n
     return np.hstack([at - at[:, :1] + np.where(rel < rel[:, :1], whole, 0.0), whole])
 
 
-def _survey_geo_family(stacks, p: float, family):
+def _survey_geo_family(thetas: Sequence, depth: int, stacks, p: float, family):
     """Survey the B_p product of a product of geo-averaged tree families.
 
-    stacks: (trees, exponent) pairs, all trees of one depth N; the weight
-    g is the product over stacks of exp(mean_theta log tree)^exponent.
+    g is geo_mean_weight(thetas, depth, stacks), the offsets Fractions.
     Returns the sup over the family and the worst relative violation of
     log-Minkowski (box average of each stack's geometric mean at most the
     geometric mean of its box averages; negative or tiny means it held).
@@ -791,13 +793,11 @@ def _survey_geo_family(stacks, p: float, family):
     box sums.
     """
     arcs = list(family)
-    depth = stacks[0][0][0].depth
-    thetas = [[t.theta for t in trees] for trees, _ in stacks]
     lefts, lengths = [arc.left for arc in arcs], [arc.length for arc in arcs]
-    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (*thetas, lefts, lengths) for x in xs})
-    offsets = [_scaled(ths, L) for ths in thetas]
-    shifts = _distinct(np.concatenate(offsets) % (L >> depth))
-    return _survey_scaled(stacks, p, L, offsets, _scaled(lefts, L), _scaled(lengths, L), shifts)
+    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (thetas, lefts, lengths) for x in xs})
+    th = _scaled(thetas, L)
+    return _survey_scaled(depth, stacks, p, L, th, _scaled(lefts, L), _scaled(lengths, L),
+                          _distinct(th % (L >> depth)))
 
 
 def _scaled(xs, L: int) -> np.ndarray:
@@ -813,11 +813,11 @@ def _distinct(xs: np.ndarray) -> np.ndarray:
     return xs[np.append(True, xs[1:] != xs[:-1])]
 
 
-def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
+def _survey_scaled(depth: int, stacks, p: float, L: int, th, left, ell, shifts):
     """The survey of `_survey_geo_family` once every endpoint is an integer
-    over L (`_scaled`): each stack's offsets, the arcs' left ends and
-    lengths, and the distinct offsets modulo the finest grid step, sorted."""
-    depth, dt = stacks[0][0][0].depth, left.dtype
+    over L (`_scaled`): the offsets, the arcs' left ends and lengths, and
+    the distinct offsets modulo the finest grid step, sorted."""
+    dt = left.dtype
     right = (left + ell) % L
     windows, span, fine = 1 << (depth // 2), L >> (depth // 2), L >> depth
     grid = np.arange(windows + 1).astype(dt) * span
@@ -842,9 +842,7 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
     # (bands, chunks) integrals along the angle, and minima of g
     g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
     geo_int = [np.zeros_like(g_int) for _ in stacks]
-    logs = [np.stack([t.values[1:] for t in trees]) for trees, _ in stacks]
-    for logv in logs:
-        np.log(logv, out=logv)
+    logs = [np.log(values[:, 1:]) for values, _ in stacks]
     per_group = max(1, SURVEY_LINES // len(lines))
     for w in range(0, windows, per_group):
         origins = np.arange(w, min(w + per_group, windows)).astype(dt) * span
@@ -860,7 +858,7 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
         slot = np.flatnonzero(valid)
         for k in range(depth + 1):
             logg = np.zeros(len(cuts))
-            for (_, power), th, logv, geo in zip(stacks, offsets, logs, geo_int):
+            for (_, power), logv, geo in zip(stacks, logs, geo_int):
                 mean_log = _group_mean_log(logv[:, (1 << k) - 1:(2 << k) - 1], th, k, L, span,
                                            origins, cuts, slot, valid)
                 logg += power * mean_log
@@ -872,10 +870,10 @@ def _survey_scaled(stacks, p: float, L: int, offsets, left, ell, shifts):
             else:
                 dual_int[k, chunks] = np.add.reduceat(width * g ** (-1.0 / (p - 1)), first)
     del logs, logv  # the (offsets, 2^(N+1)) log values, one per stack
-    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
-    for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
+    tree_sums = [np.zeros((len(th), len(left))) for _ in stacks]
+    for (values, _), sums in zip(stacks, tree_sums):
         for k in range(depth + 1):
-            sums += factor[k] * along(_tree_prefix(trees, th, k, L, starts))
+            sums += factor[k] * along(_tree_prefix(values, th, k, L, starts))
 
     def over_arcs(table):
         prefix = np.concatenate([np.zeros((depth + 1, 1)), np.cumsum(table, axis=1)], axis=1)
@@ -912,34 +910,33 @@ def extend_continuous(w: Callable, p: float, q: float,
     step runs once on one (offsets, 2^(N+1)) array stack: the restriction
     (_restrict), the extension with its certificate constants (_extend_b1
     or _extend_bp), and for p > 1 the factorization (_factor_bho_full).
-    A ValueError names the first offset that failed.
+    Its stacks, [(extension, 1)] or [(w1, 1), (w2, 1 - p)], are W's
+    (geo_mean_weight).  A ValueError names the first offset that failed.
 
-    Reported constants: the continuous B_p (or B_1) constant of the
-    averaged weight over the default arc family and the worst
-    log-Minkowski margin on those boxes, both exact cell sums
-    (_survey_geo_family), and the sup over a region mesh of
-    |log w - log W|.
+    Reported constants: the continuous B_p (or B_1) constant of W over the
+    default arc family and the worst log-Minkowski margin on those boxes,
+    both exact cell sums (_survey_geo_family), and the sup over a region
+    mesh of |log w - log W|.
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
     values, masks = _restrict(w, thetas, domain, depth)
     if p == 1:
-        _, exts = _extend_b1(thetas, depth, values, masks, q)
+        ext_vals, exts = _extend_b1(thetas, depth, values, masks, q)
         facts = [None] * theta_count
-        stacks = [([e.weight for e in exts], 1.0)]
+        stacks = [(ext_vals, 1.0)]
     else:
         ext_vals, exts = _extend_bp(thetas, depth, values, masks, p, q, terms=60)
         for e in exts:  # nothing reads the extension step's factorization: free its stacks
             e.factorization = None
-        facts = _factor_bho_full(thetas, depth, ext_vals, p, terms=60)
-        stacks = [([f.w1 for f in facts], 1.0), ([f.w2 for f in facts], 1.0 - p)]
+        w1, w2, facts = _factor_bho_full(thetas, depth, ext_vals, p, terms=60)
+        stacks = [(w1, 1.0), (w2, 1.0 - p)]
     artifacts = [ThetaArtifact(*row) for row in zip(
         thetas, _tree_rows(thetas, depth, values),
         [DyadicDomain(th, depth, m) for th, m in zip(thetas, masks)], exts, facts)]
 
     family = default_arc_family(family_depth)
-    const, mink = _survey_geo_family(stacks, p, family)
-    g = [geo_mean_weight(ts) for ts, _ in stacks]
-    big = g[0] if p == 1 else (lambda r, a: g[0](r, a) * g[1](r, a) ** (1.0 - p))
+    const, mink = _survey_geo_family(thetas, depth, stacks, p, family)
+    big = geo_mean_weight(thetas, depth, stacks)
     key = "continuous_b1" if p == 1 else "continuous_bp"
 
     # gap survey stops at the deepest band the tree resolves: below it the

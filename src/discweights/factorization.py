@@ -326,13 +326,13 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
     return _rdf_factor(*_tree_arrays(w, domain), p, [s_norm], terms, [domain is None])[2][0]
 
 
-def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: int) -> list:
-    """factor_bho_full on one tree or a stack: one result per row, with one
-    series, and norm bounds, dual weights and certificate constants per stack."""
+def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: int):
+    """factor_bho_full on one tree or a stack: (w1 values, w2 values, one
+    result per row), with one series, norm bounds, duals and constants."""
     full = np.broadcast_to(_mask(None, depth), values.shape)
     if p <= 2:
         s_norms = _s_norms(thetas, values, p, "full", full, depth)
-        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms, [True] * len(thetas))[2]
+        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms, [True] * len(thetas))
 
     # factor the dual weight at the conjugate exponent, swap the factors and
     # recertify them for w
@@ -345,9 +345,9 @@ def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: in
                             [(2.0 * r.s_norm) ** (p - 1) for r in results],
                             [{"via": "dual", "p": p}] * len(thetas), [[]] * len(thetas),
                             [True] * len(thetas))
-    return [replace(res, w1=res.w2, w2=res.w1, p=p, reconstruction_error=rec_err,
-                    certificates=certs, via_dual=True)
-            for res, (rec_err, certs) in zip(results, checked)]
+    return d2, d1, [replace(res, w1=res.w2, w2=res.w1, p=p, reconstruction_error=rec_err,
+                            certificates=certs, via_dual=True)
+                    for res, (rec_err, certs) in zip(results, checked)]
 
 
 def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationResult:
@@ -359,4 +359,4 @@ def factor_bho_full(w: TreeWeight, p: float, terms: int = 60) -> FactorizationRe
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    return _factor_bho_full([w.theta], w.depth, w.values, p, terms)[0]
+    return _factor_bho_full([w.theta], w.depth, w.values, p, terms)[2][0]

@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 AngleLike = Union[int, float, Fraction]
@@ -85,11 +86,11 @@ class UnitArc:
         if not (0 < self.length <= 1):
             raise ValueError(f"arc length must lie in (0, 1], got {self.length}")
 
-    @property
+    @cached_property
     def left(self) -> Fraction:
         return mod1(self.center - self.length / 2)
 
-    @property
+    @cached_property
     def right(self) -> Fraction:
         return mod1(self.center + self.length / 2)
 

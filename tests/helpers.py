@@ -7,10 +7,10 @@ oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
-per-tree geometric mean, the Fraction survey set-up, the window-by-window
-survey loop, the np.repeat ancestor cascade, the cell masses the maximal
-kernel once composed, the weak-type ratio), or builds a small tree or
-domain from a node list.
+per-tree geometric mean, the per-piece box product, the Fraction survey
+set-up, the window-by-window survey loop, the np.repeat ancestor
+cascade, the cell masses the maximal kernel once composed, the weak-type
+ratio), or builds a small tree or domain from a node list.
 """
 
 import math
@@ -21,6 +21,7 @@ import numpy as np
 from discweights.averaging import (
     _distinct,
     _over,
+    _pieces_mesh,
     _scaled,
     _survey_scaled,
     _tree_prefix,
@@ -340,20 +341,21 @@ def continuous_b1_constant(w, family, nr=6, na=6, grade=4):
     return best, rows
 
 
-def brute_cell_survey(stacks, p, family):
+def brute_cell_survey(thetas, depth, stacks, p, family):
     """(sup, log-Minkowski margin) of the averaging survey, cell by cell.
 
     The breakpoints are Fractions: every offset's finest grid lines and the
     arc endpoints.  For each depth band and angular piece, every tree's
     value is looked up at the piece's midpoint; a box takes the cells of
     the pieces its arc contains and of the bands it meets, with exact
-    Fraction areas, in plain loops.
+    Fraction areas, in plain loops.  The arguments are those of
+    averaging._survey_geo_family; the trees are the rows of the stacks,
+    read as Python lists.
     """
-    depth = stacks[0][0][0].depth
+    stacks = [(values.tolist(), power) for values, power in stacks]
     points = {F(0)}
-    for trees, _ in stacks:
-        for t in trees:
-            points.update(mod1(t.theta + F(j, 1 << depth)) for j in range(1 << depth))
+    for theta in thetas:
+        points.update(mod1(theta + F(j, 1 << depth)) for j in range(1 << depth))
     for arc in family:
         points.update((arc.left, mod1(arc.left + arc.length)))
     cuts = sorted(points) + [F(1)]
@@ -363,8 +365,8 @@ def brute_cell_survey(stacks, p, family):
              for k in range(depth + 1)]
     # each tree's leaf-level cell index at every piece's midpoint; its
     # level-k cell index is that index shifted right by depth - k
-    leaf = [[[math.floor(mod1((s + e) / 2 - t.theta) * (1 << depth)) for s, e in pieces]
-             for t in trees] for trees, _ in stacks]
+    leaf = [[[math.floor(mod1((s + e) / 2 - theta) * (1 << depth)) for s, e in pieces]
+             for theta in thetas] for _ in stacks]
     # cell (band, piece) -> per stack the list of tree values, and g
     cells = {}
     for lo, hi, k in bands:
@@ -372,7 +374,7 @@ def brute_cell_survey(stacks, p, family):
             per_stack = []
             log_g = 0.0
             for (trees, power), index in zip(stacks, leaf):
-                vals = [t.values[node_id(k, j[i] >> (depth - k))] for t, j in zip(trees, index)]
+                vals = [t[node_id(k, j[i] >> (depth - k))] for t, j in zip(trees, index)]
                 mean_log = sum(math.log(v) for v in vals) / len(vals)
                 log_g += power * mean_log
                 per_stack.append((vals, math.exp(mean_log)))
@@ -429,18 +431,16 @@ def _window_mean_log(logv, th, k, L, origin, span, cuts):
     return (logv[rows[:, 0], cell - 1].sum() + np.cumsum(jumps)) / len(th)
 
 
-def window_survey_geo_family(stacks, p, family):
+def window_survey_geo_family(thetas, depth, stacks, p, family):
     """averaging._survey_geo_family as it was: band by band, one angular
     window at a time, each window's mean log from its own calls."""
     arcs = list(family)
-    depth = stacks[0][0][0].depth
-    thetas = [[t.theta for t in trees] for trees, _ in stacks]
     lefts, lengths = [arc.left for arc in arcs], [arc.length for arc in arcs]
-    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (*thetas, lefts, lengths) for x in xs})
-    offsets = [_scaled(ths, L) for ths in thetas]
-    shifts = _distinct(np.concatenate(offsets) % (L >> depth))
+    L = math.lcm(1 << (depth + 1), *{x.denominator for xs in (thetas, lefts, lengths) for x in xs})
+    th = _scaled(thetas, L)
+    shifts = _distinct(th % (L >> depth))
     left, ell = _scaled(lefts, L), _scaled(lengths, L)
-    depth, dt = stacks[0][0][0].depth, left.dtype
+    dt = left.dtype
     right = (left + ell) % L
     windows, span, fine = 1 << (depth // 2), L >> (depth // 2), L >> depth
     grid = np.arange(windows + 1).astype(dt) * span
@@ -465,11 +465,9 @@ def window_survey_geo_family(stacks, p, family):
     # (bands, chunks) integrals along the angle, and minima of g
     g_int, dual_int, g_min = (np.zeros((depth + 1, len(starts))) for _ in range(3))
     geo_int = [np.zeros_like(g_int) for _ in stacks]
-    tree_sums = [np.zeros((len(th), len(left))) for th in offsets]
+    tree_sums = [np.zeros((len(th), len(left))) for _ in stacks]
     for k in range(depth + 1):
-        logs = [np.stack([t.values[1 << k:2 << k] for t in trees]) for trees, _ in stacks]
-        for logv in logs:
-            np.log(logv, out=logv)
+        logs = [np.log(values[:, 1 << k:2 << k]) for values, _ in stacks]
         for w in range(windows):
             chunks, origin = slice(edges[w], edges[w + 1]), w * span
             rel = starts[chunks] - origin
@@ -478,7 +476,7 @@ def window_survey_geo_family(stacks, p, family):
             width = _over(np.diff(np.append(cuts, span)), L)
             first = np.searchsorted(cuts, rel)
             logg = np.zeros(len(cuts))
-            for (_, power), th, logv, geo in zip(stacks, offsets, logs, geo_int):
+            for (_, power), logv, geo in zip(stacks, logs, geo_int):
                 mean_log = _window_mean_log(logv, th, k, L, origin, span, cuts)
                 logg += power * mean_log
                 geo[k, chunks] = np.add.reduceat(width * np.exp(mean_log), first)
@@ -489,8 +487,8 @@ def window_survey_geo_family(stacks, p, family):
             else:
                 dual_int[k, chunks] = np.add.reduceat(width * g ** (-1.0 / (p - 1)), first)
         del logs, logv  # one (offsets, 2^k) array per stack at a time
-        for (trees, _), th, sums in zip(stacks, offsets, tree_sums):
-            sums += factor[k] * along(_tree_prefix(trees, th, k, L, starts))
+        for (values, _), sums in zip(stacks, tree_sums):
+            sums += factor[k] * along(_tree_prefix(values, th, k, L, starts))
 
     def over_arcs(table):
         prefix = np.concatenate([np.zeros((depth + 1, 1)), np.cumsum(table, axis=1)], axis=1)
@@ -855,31 +853,56 @@ def full_series(values, mask, s, depth, p, terms):
     return f, np.max(np.where(mask, tail, -np.inf), axis=-1), np.full(s.shape, terms)
 
 
-def per_tree_geo_mean(trees):
-    """averaging.geo_mean_weight as it was: every tree looks up each point's
-    level and node on its own, through eval_polar."""
-    trees = list(trees)
+def per_tree_geo_mean(thetas, depth, stacks):
+    """averaging.geo_mean_weight as it was: every tree, a row of a stack,
+    looks up each point's level and node on its own, through eval_polar;
+    the stacks' means are raised to their powers and multiplied after."""
+    families = [([TreeWeight(theta, depth, row) for theta, row in zip(thetas, values)], power)
+                for values, power in stacks]
 
     def fn(r, a):
-        acc = np.zeros_like(r, dtype=float)
-        for t in trees:
-            acc += np.log(t.eval_polar(r, a))
-        return np.exp(acc / len(trees))
+        g = 1.0
+        for trees, power in families:
+            acc = np.zeros_like(r, dtype=float)
+            for t in trees:
+                acc += np.log(t.eval_polar(r, a))
+            g = g * np.exp(acc / len(trees)) ** power
+        return g
 
     return fn
 
 
-def fraction_survey_geo_family(stacks, p, family):
+def per_piece_box_product(w, p, domain, arc, nr=6, na=6):
+    """averaging.restricted_box_product as it was, with the p = 1 branch of
+    restriction_certificate: rect_quadrature piece by piece, summed in clip
+    order, and at p = 1 the average over the least value on the mesh."""
+    pieces = domain.clip_to_box(arc)
+    if not pieces:
+        return None
+    ell = arc.length
+    area = float(ell * (1 - (1 - ell) ** 2))
+    int_w = sum(rect_quadrature(pc, w, nr, na) for pc in pieces)
+    if p == 1:
+        r_m, a_m = _pieces_mesh(pieces, nr, na)
+        return (int_w / area) / float(np.min(w(r_m, a_m)))
+
+    def dual(r, a):
+        return w(r, a) ** (-1.0 / (p - 1))
+
+    int_dual = sum(rect_quadrature(pc, dual, nr, na) for pc in pieces)
+    return (int_w / area) * (int_dual / area) ** (p - 1)
+
+
+def fraction_survey_geo_family(thetas, depth, stacks, p, family):
     """averaging._survey_geo_family with its Fraction set-up: each arc's
-    left end rebuilt through mod1 at every use, and the finest-line shifts
-    taken as Fractions modulo 2^-N before they are scaled."""
+    left end rebuilt from its center through mod1, and the finest-line
+    shifts taken as Fractions modulo 2^-N before they are scaled."""
     arcs = list(family)
-    depth = stacks[0][0][0].depth
-    L = math.lcm(1 << (depth + 1), *(t.theta.denominator for trees, _ in stacks for t in trees),
-                 *(x.denominator for arc in arcs for x in (arc.left, arc.length)))
-    shifts = sorted({t.theta % F(1, 1 << depth) for trees, _ in stacks for t in trees})
-    return _survey_scaled(stacks, p, L, [_scaled((t.theta for t in trees), L) for trees, _ in stacks],
-                          _scaled((arc.left for arc in arcs), L),
+    lefts = [mod1(arc.center - arc.length / 2) for arc in arcs]
+    L = math.lcm(1 << (depth + 1), *(theta.denominator for theta in thetas),
+                 *(x.denominator for arc, left in zip(arcs, lefts) for x in (left, arc.length)))
+    shifts = sorted({theta % F(1, 1 << depth) for theta in thetas})
+    return _survey_scaled(depth, stacks, p, L, _scaled(thetas, L), _scaled(lefts, L),
                           _scaled((arc.length for arc in arcs), L), _scaled(shifts, L))
 
 

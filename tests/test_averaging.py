@@ -19,6 +19,7 @@ from discweights.averaging import (
     good_nodes,
     good_nodes_many,
     rect_quadrature,
+    restricted_box_product,
     restriction_certificate,
     theta_measure_spectrum,
 )
@@ -49,6 +50,7 @@ from helpers import (
     from_node_values,
     mean_common_boxes,
     per_offset_pipeline,
+    per_piece_box_product,
     per_tree_geo_mean,
     random_arcs,
     window_survey_geo_family,
@@ -433,44 +435,78 @@ class TestDyadicRestriction:
             dyadic_restriction(bad, F(1, 7), dom, 6)
 
 
+class TestRestrictedBoxProduct:
+    """restricted_box_product, one quadrature of all of a box's pieces per
+    integrand, against rect_quadrature piece by piece and, at p = 1, the
+    mesh minimum (helpers.per_piece_box_product): the same float, bitwise."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_matches_per_piece_quadrature(self, name, p):
+        w, dom = continuous_fixture(name)
+        grid = [GridNode(F(1, 7), k, j).arc() for k in range(6) for j in range(0, 1 << k, 3)]
+        several = 0
+        for arc in list(dom.generators) + grid:
+            got = restricted_box_product(w, p, dom, arc)
+            assert got == per_piece_box_product(w, p, dom, arc), arc
+            several += got is not None and len(dom.clip_to_box(arc)) > 1
+        assert several >= 3
+
+
+def as_stack(trees):
+    """The offsets, depth and (offsets, 2^(N+1)) values of a list of trees."""
+    return [t.theta for t in trees], trees[0].depth, np.stack([t.values for t in trees])
+
+
+def powered(arrays, p):
+    """The stacks of extend_continuous: one at p = 1, w1 and w2 with their
+    powers 1 and 1 - p above it."""
+    return list(zip(arrays, (1.0, 1.0 - p)))
+
+
 class TestGeoAverage:
     def test_identical_trees(self):
         t = random_log_walk(5, seed=3)
-        geo = geo_mean_weight([t, t, t])
+        thetas, depth, values = as_stack([t, t, t])
+        geo = geo_mean_weight(thetas, depth, [(values, 1.0)])
         r = np.array([0.3, 0.9, 0.97])
         a = np.array([0.1, 0.5, 0.9])
         assert np.allclose(geo(r, a), t.eval_polar(r, a))
 
     def test_two_point_family_geometric_mean(self):
-        c, four_c = TreeWeight.constant(0.7, 4), TreeWeight.constant(2.8, 4)
-        geo = geo_mean_weight([c, four_c])
-        out = geo(np.array([0.5]), np.array([0.25]))
+        thetas, depth, values = as_stack([TreeWeight.constant(0.7, 4), TreeWeight.constant(2.8, 4)])
+        out = geo_mean_weight(thetas, depth, [(values, 1.0)])(np.array([0.5]), np.array([0.25]))
         assert out[0] == pytest.approx(1.4, rel=1e-12)
 
-    def test_one_depth_only(self):
-        with pytest.raises(ValueError, match="one depth"):
-            geo_mean_weight([TreeWeight.constant(1.0, 4), TreeWeight.constant(1.0, 5)])
+    def test_powers_of_two_stacks(self):
+        """Stacks of constants 2 and 3 with powers 1 and -2 give 2 / 9."""
+        thetas, values = [F(1, 4), F(3, 4)], np.ones((2, 32))
+        geo = geo_mean_weight(thetas, 4, [(2.0 * values, 1.0), (3.0 * values, -2.0)])
+        assert geo(np.array([0.2, 0.99]), 0.5) == pytest.approx(2.0 / 9.0, rel=1e-12)
 
     def test_log_minkowski_margin_random_families(self):
         family = default_arc_family(3)
         for seed in range(6):
             trees = [random_log_walk(5, seed=100 + seed * 8 + i, sigma=0.8)
                      for i in range(8)]
-            _, margin = _survey_geo_family([(trees, 1.0)], 1, family)
+            thetas, depth, values = as_stack(trees)
+            _, margin = _survey_geo_family(thetas, depth, [(values, 1.0)], 1, family)
             assert margin <= 1e-9
 
     def test_log_minkowski_strict_on_anticorrelated_pair(self):
         up = from_node_values(0, 1, [((1, 0), 9.0), ((1, 1), 1.0)])
         down = from_node_values(0, 1, [((1, 0), 1.0), ((1, 1), 9.0)])
-        _, margin = _survey_geo_family([([up, down], 1.0)], 1,
+        thetas, depth, values = as_stack([up, down])
+        _, margin = _survey_geo_family(thetas, depth, [(values, 1.0)], 1,
                                        [UnitArc(F(1, 2), F(1))])
         assert margin < -0.1
 
 
 @pytest.fixture(scope="module")
 def fixture_stacks():
-    """{(fixture, p): (region, stacks)} from extend_continuous at depth 6 with
-    64 offsets: the B_1 extensions at p = 1, the two factors at p = 2, 3."""
+    """{(fixture, p): (region, offsets, depth, arrays)} from extend_continuous
+    at depth 6 with 64 offsets: the B_1 extensions at p = 1, the two factors
+    at p = 2, 3, each an (offsets, 2^7) array."""
     out = {}
     for name in CONTINUOUS_FIXTURES:
         w, dom = continuous_fixture(name)
@@ -481,50 +517,54 @@ def fixture_stacks():
             else:
                 stacks = [[a.factorization.w1 for a in res.artifacts],
                           [a.factorization.w2 for a in res.artifacts]]
-            out[name, p] = dom, stacks
+            thetas = [a.theta for a in res.artifacts]
+            out[name, p] = dom, thetas, 6, [as_stack(trees)[2] for trees in stacks]
     return out
 
 
-def _gap_points(region, trees):
+def _gap_points(region, thetas, depth):
     """The gap survey's region mesh, then a grid of radii with 1 - r = 2^-k
     down to below the leaf level (and r = 0, 1) against the angles 0,
     1 - 2^-52 and grid lines of every offset."""
-    depth = trees[0].depth
     r_mesh, a_mesh = _pieces_mesh(region.pieces(), 10, 32, d_floor=0.5 ** (depth + 1))
     radii = [0.0, 1.0] + [1.0 - 2.0 ** -k for k in range(1, depth + 12)]
     angles = [0.0, 1.0 - 2.0 ** -52]
-    for t in trees:
-        angles += [float((t.theta + F(j, 1 << depth)) % 1)
+    for theta in thetas:
+        angles += [float((theta + F(j, 1 << depth)) % 1)
                    for j in (0, 1, 1 << (depth - 1), (1 << depth) - 1)]
     r, a = np.meshgrid(radii, angles, indexing="ij")
     return np.concatenate([r_mesh, r.ravel()]), np.concatenate([a_mesh, a.ravel()])
 
 
 class TestGapSurveyLookup:
-    """geo_mean_weight, which finds each point's level once for all trees,
-    against the per-tree eval_polar loop, bitwise."""
+    """geo_mean_weight, which finds each point's level and nodes once for
+    all trees and stacks, against the per-tree eval_polar loop, bitwise."""
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
     def test_fixture_stacks(self, fixture_stacks, name, p):
-        region, stacks = fixture_stacks[name, p]
-        r, a = _gap_points(region, stacks[0])
-        for trees in stacks:
-            got, want = geo_mean_weight(trees)(r, a), per_tree_geo_mean(trees)(r, a)
-            assert got.tobytes() == want.tobytes()
+        region, thetas, depth, arrays = fixture_stacks[name, p]
+        r, a = _gap_points(region, thetas, depth)
+        for stacks in [[(values, 1.0)] for values in arrays] + [powered(arrays, p)]:
+            got = geo_mean_weight(thetas, depth, stacks)(r, a)
+            assert got.tobytes() == per_tree_geo_mean(thetas, depth, stacks)(r, a).tobytes()
 
     def test_one_tree_family(self):
         _, dom = continuous_fixture("chain_wrap")
         tree = random_log_walk(5, seed=41, sigma=0.9, theta=F(3, 7))
-        r, a = _gap_points(dom, [tree])
-        assert geo_mean_weight([tree])(r, a).tobytes() == per_tree_geo_mean([tree])(r, a).tobytes()
+        thetas, depth, values = as_stack([tree])
+        r, a = _gap_points(dom, thetas, depth)
+        stacks = [(values, 1.0)]
+        assert geo_mean_weight(thetas, depth, stacks)(r, a).tobytes() == \
+            per_tree_geo_mean(thetas, depth, stacks)(r, a).tobytes()
 
     def test_point_shapes_and_repeats(self, fixture_stacks):
         """r and a broadcast against each other: a scalar angle, a 2-D r
         and points repeated many times over give the per-point values."""
-        region, (trees, _) = fixture_stacks["pair_overlap", 2.0]
-        r, a = _gap_points(region, trees)
-        fn, want = geo_mean_weight(trees), per_tree_geo_mean(trees)
+        region, thetas, depth, arrays = fixture_stacks["pair_overlap", 2.0]
+        r, a = _gap_points(region, thetas, depth)
+        stacks = powered(arrays, 2.0)
+        fn, want = geo_mean_weight(thetas, depth, stacks), per_tree_geo_mean(thetas, depth, stacks)
         grid = r[:64].reshape(8, 8)
         cases = [
             (r, np.float64(a[5])),  # one angle for every modulus
@@ -541,8 +581,9 @@ class TestGapSurveyLookup:
 
 
 def _walk_stack(depth, thetas, seed):
-    return [TreeWeight(theta, depth, random_log_walk(depth, seed=seed + i, sigma=0.7).values)
-            for i, theta in enumerate(thetas)]
+    """(offsets, 2^(depth+1)) values of seeded random walks, one row per offset."""
+    return np.stack([random_log_walk(depth, seed=seed + i, sigma=0.7).values
+                     for i in range(len(thetas))])
 
 
 class TestExactSurvey:
@@ -552,10 +593,9 @@ class TestExactSurvey:
     @pytest.mark.parametrize("depth", range(6))
     def test_matches_brute_cell_survey(self, depth):
         for count in (1, 3, 8):
-            # the second stack's offsets are not the first's, so its grid
-            # lines add breakpoints of their own
-            a = _walk_stack(depth, [F(2 * i + 1, 2 * count) for i in range(count)], 10 * depth)
-            b = _walk_stack(depth, [F(i, 2 * count + 1) for i in range(count)], 10 * depth + 5)
+            thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
+            a = _walk_stack(depth, thetas, 10 * depth)
+            b = _walk_stack(depth, thetas, 10 * depth + 5)
             # arcs longer than the leaf cells, and shorter; index 0 is the circle
             for family_depth in (max(depth - 2, 0), depth + 1):
                 family = default_arc_family(family_depth)
@@ -563,20 +603,21 @@ class TestExactSurvey:
                 assert family[0].length == 1 and family[-1].length == F(1, 1 << family_depth)
                 for p in (1.0, 2.0):
                     stacks = [(a, 1.0), (b, 1.0 - p)]
-                    got = _survey_geo_family(stacks, p, family)
-                    want = brute_cell_survey(stacks, p, family)
+                    got = _survey_geo_family(thetas, depth, stacks, p, family)
+                    want = brute_cell_survey(thetas, depth, stacks, p, family)
                     case = (count, family_depth, p, got, want)
                     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0), case
                     assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), case
 
     def test_float_arcs_match_brute_cell_survey(self):
         """Arcs built from floats put the common denominator past int64."""
-        trees = _walk_stack(4, [F(2 * i + 1, 10) for i in range(5)], 7)
+        thetas = [F(2 * i + 1, 10) for i in range(5)]
+        stacks = [(_walk_stack(4, thetas, 7), 1.0)]
         family = default_arc_family(2)[-2:] + random_arcs(2, 3, 6)
         assert max(arc.left.denominator for arc in family) > 1 << 40
         for p in (1.0, 3.0):
-            got = _survey_geo_family([(trees, 1.0)], p, family)
-            want = brute_cell_survey([(trees, 1.0)], p, family)
+            got = _survey_geo_family(thetas, 4, stacks, p, family)
+            want = brute_cell_survey(thetas, 4, stacks, p, family)
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
             assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
 
@@ -588,14 +629,14 @@ class TestExactSurvey:
         res = extend_continuous(w, 1, 2.0, dom, depth=6, theta_count=64, family_depth=4)
         exact = res.constants["continuous_b1"]
         assert exact == pytest.approx(1.569671, abs=5e-7)
-        trees = [a.extension.weight for a in res.artifacts]
+        thetas, depth, values = as_stack([a.extension.weight for a in res.artifacts])
         family = default_arc_family(4)
-        per_arc = [_survey_geo_family([(trees, 1.0)], 1, [arc])[0] for arc in family]
+        per_arc = [_survey_geo_family(thetas, depth, [(values, 1.0)], 1, [arc])[0]
+                   for arc in family]
         assert max(per_arc) == pytest.approx(exact, rel=1e-12)
         arc = family[int(np.argmax(per_arc))]
-        geo = geo_mean_weight(trees)
-        fine, _ = continuous_b1_constant(geo, [arc], nr=256, na=256, grade=1)
-        coarse, _ = continuous_b1_constant(geo, [arc])
+        fine, _ = continuous_b1_constant(res.weight, [arc], nr=256, na=256, grade=1)
+        coarse, _ = continuous_b1_constant(res.weight, [arc])
         assert abs(fine - exact) < 1e-3
         assert abs(fine - exact) < abs(coarse - exact)
 
@@ -619,39 +660,38 @@ class TestGroupedSurvey:
     (helpers.window_survey_geo_family): the same pair of floats, bitwise."""
 
     @staticmethod
-    def check(stacks, p, family):
-        assert _survey_geo_family(stacks, p, family) == window_survey_geo_family(stacks, p, family)
-
-    @staticmethod
-    def powered(stacks, p):
-        return list(zip(stacks, (1.0, 1.0 - p)))
+    def check(thetas, depth, stacks, p, family):
+        assert _survey_geo_family(thetas, depth, stacks, p, family) == \
+            window_survey_geo_family(thetas, depth, stacks, p, family)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
     def test_fixture_stacks(self, fixture_stacks, name, p):
-        _, stacks = fixture_stacks[name, p]
-        self.check(self.powered(stacks, p), p, default_arc_family(4))
+        _, thetas, depth, arrays = fixture_stacks[name, p]
+        self.check(thetas, depth, powered(arrays, p), p, default_arc_family(4))
 
     @pytest.mark.parametrize("cap", [averaging.SURVEY_LINES, 1])
     def test_python_int_path(self, monkeypatch, cap):
         """Float-born arcs and one more arc put the common denominator past
         2^61; with a cap of 1 each window is a group of its own."""
         monkeypatch.setattr(averaging, "SURVEY_LINES", cap)
-        trees = _walk_stack(4, [F(2 * i + 1, 10) for i in range(5)], 7)
+        thetas = [F(2 * i + 1, 10) for i in range(5)]
+        stacks = [(_walk_stack(4, thetas, 7), 1.0)]
         family = (default_arc_family(2)[-2:] + random_arcs(2, 3, 6)
                   + [UnitArc(F(1, 1 << 62), F(1, 3))])
         assert math.lcm(*(arc.left.denominator for arc in family)) >= 1 << 61
         for p in (1.0, 3.0):
-            self.check([(trees, 1.0)], p, family)
+            self.check(thetas, 4, stacks, p, family)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_windows_in_several_groups(self, monkeypatch, fixture_stacks, p):
         """With a cap of 24 finest lines, the 8 windows of 8 lines at depth 6
         (all 64 offsets share one shift) fall in groups of 3, 3 and 2."""
-        stacks = self.powered(fixture_stacks["chain_wrap", p][1], p)
+        _, thetas, depth, arrays = fixture_stacks["chain_wrap", p]
+        stacks = powered(arrays, p)
         monkeypatch.setattr(averaging, "SURVEY_LINES", 24)
         sizes = _group_calls(monkeypatch)
-        self.check(stacks, p, default_arc_family(4))
+        self.check(thetas, depth, stacks, p, default_arc_family(4))
         for band in range(7):  # one call per group, band and stack
             assert [n for k, n in sizes if k == band] == [n for n in (3, 3, 2) for _ in stacks]
         assert len(sizes) == 3 * 7 * len(stacks)
@@ -675,11 +715,10 @@ class TestSurveyGroupCounts:
         """At depth 10 with the pipeline's 255 offsets, the 32 windows hold
         8,160 finest lines each, so the cap splits every band into groups."""
         depth, count = 10, 255
-        rng = np.random.default_rng(3)
-        trees = [TreeWeight(F(2 * i + 1, 2 * count), depth, np.exp(rng.normal(size=2 << depth)))
-                 for i in range(count)]
+        thetas = [F(2 * i + 1, 2 * count) for i in range(count)]
+        values = np.exp(np.random.default_rng(3).normal(size=(count, 2 << depth)))
         calls = _group_calls(monkeypatch)
-        _survey_geo_family([(trees, 1.0)], 1.0, default_arc_family(3))
+        _survey_geo_family(thetas, depth, [(values, 1.0)], 1.0, default_arc_family(3))
         for band in range(depth + 1):
             groups = [n for k, n in calls if k == band]
             assert len(groups) > 1 and sum(groups) == 32
@@ -691,18 +730,17 @@ class TestSurveySetup:
     replaced (helpers.fraction_survey_geo_family): the same pair of floats."""
 
     @staticmethod
-    def check(stacks, family):
+    def check(thetas, depth, stacks, family):
         for p in (1.0, 2.0):
-            assert _survey_geo_family(stacks, p, family) == \
-                fraction_survey_geo_family(stacks, p, family)
+            assert _survey_geo_family(thetas, depth, stacks, p, family) == \
+                fraction_survey_geo_family(thetas, depth, stacks, p, family)
 
     def test_offsets_sharing_a_shift(self):
         depth = 4
         thetas = [F(1, 64), F(1, 64) + F(1, 16), F(1, 64) + F(5, 16), F(3, 64), F(3, 64) + F(1, 2)]
         assert len({th % F(1, 1 << depth) for th in thetas}) == 2
-        stacks = [(_walk_stack(depth, thetas, 3), 1.0),
-                  (_walk_stack(depth, [F(1, 64) + F(1, 4), F(1, 3)], 9), -1.0)]
-        self.check(stacks, default_arc_family(3))
+        stacks = [(_walk_stack(depth, thetas, 3), 1.0), (_walk_stack(depth, thetas, 9), -1.0)]
+        self.check(thetas, depth, stacks, default_arc_family(3))
 
     def test_random_families_with_non_dyadic_denominators(self):
         rng = np.random.default_rng(17)
@@ -712,16 +750,17 @@ class TestSurveySetup:
             family = [UnitArc(F(int(rng.integers(0, den)), den), F(1, int(rng.integers(1, 12))))
                       for den in rng.integers(3, 40, 12).tolist()]
             assert any(d & (d - 1) for d in (arc.left.denominator for arc in family))
-            self.check([(_walk_stack(depth, thetas, 20), 1.0)], family)
+            self.check(thetas, depth, [(_walk_stack(depth, thetas, 20), 1.0)], family)
         # float-born arcs: dyadic, with denominators near 2^53
-        self.check([(_walk_stack(depth, thetas, 21), 1.0)], random_arcs(depth, 5, 8))
+        self.check(thetas, depth, [(_walk_stack(depth, thetas, 21), 1.0)],
+                   random_arcs(depth, 5, 8))
 
     def test_python_int_path(self):
         depth = 3
         thetas = [F(i, 15) for i in range(5)]
         family = default_arc_family(2)[::3] + [UnitArc(F(1, 1 << 62), F(1, 3))]
         assert math.lcm(*(arc.left.denominator for arc in family)) >= 1 << 61
-        self.check([(_walk_stack(depth, thetas, 30), 1.0)], family)
+        self.check(thetas, depth, [(_walk_stack(depth, thetas, 30), 1.0)], family)
 
 
 class TestContinuousConstants:
@@ -1016,6 +1055,32 @@ class TestExtendContinuous:
         for art in res.artifacts:
             assert np.array_equal(art.restriction.values,
                                   brute_restriction_values(w, art.theta, dom, 5))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_survey_and_weight_read_the_pipeline_arrays(self, monkeypatch, p):
+        """The survey and geo_mean_weight get the pipeline's own (offsets,
+        2^(N+1)) arrays, which the artifacts' trees are views of: the
+        extensions at p = 1, the factors w1 and w2 at p = 2."""
+        seen = {}
+        for name in ("_survey_geo_family", "geo_mean_weight"):
+            def spy(thetas, depth, stacks, *rest, real=getattr(averaging, name), name=name):
+                seen[name] = stacks
+                return real(thetas, depth, stacks, *rest)
+            monkeypatch.setattr(averaging, name, spy)
+        w, dom = continuous_fixture("chain_wrap")
+        res = extend_continuous(w, p, 2.0, dom, depth=5, theta_count=8, family_depth=3)
+        if p == 1:
+            families = [[a.extension.weight for a in res.artifacts]]
+        else:
+            families = [[a.factorization.w1 for a in res.artifacts],
+                        [a.factorization.w2 for a in res.artifacts]]
+        assert seen.keys() == {"_survey_geo_family", "geo_mean_weight"}
+        for stacks in seen.values():
+            assert [power for _, power in stacks] == [1.0, 1.0 - p][:len(families)]
+            for (values, _), trees in zip(stacks, families):
+                assert values.shape == (8, 64)
+                assert all(np.shares_memory(values, t.values) for t in trees)
+                assert np.array_equal(values, as_stack(trees)[2])
 
     def test_per_theta_failure_names_the_offset(self):
         _, dom = continuous_fixture("pair_overlap")

@@ -189,6 +189,19 @@ class TestStacked:
         for w, res in zip(ws, full_stack(ws, p)):
             assert_same_factorization(res, factor_bho_full(w, p))
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_factor_bho_full_returns_the_factor_stacks(self, p):
+        """The (w1, w2) arrays it returns hold every result's factors, which
+        are views of their rows (swapped back from the dual at p = 3)."""
+        rng = np.random.default_rng(45)
+        ws = [random_log_walk(5, rng=rng, sigma=0.6, theta=F(i, 3)) for i in range(3)]
+        w1, w2, results = factorization._factor_bho_full(
+            [w.theta for w in ws], 5, np.stack([w.values for w in ws]), p, 60)
+        for i, res in enumerate(results):
+            for stack, tree in ((w1, res.w1), (w2, res.w2)):
+                assert stack[i].tobytes() == tree.values.tobytes()
+                assert np.shares_memory(stack, tree.values)
+
 
 def rdf_stack(ws, p, s_norms, doms):
     """_rdf_factor on the stack of trees ws, each with its domain or None."""
@@ -202,7 +215,7 @@ def rdf_stack(ws, p, s_norms, doms):
 def full_stack(ws, p):
     """_factor_bho_full on the stack of trees ws."""
     return factorization._factor_bho_full([w.theta for w in ws], ws[0].depth,
-                                          np.stack([w.values for w in ws]), p, 60)
+                                          np.stack([w.values for w in ws]), p, 60)[2]
 
 
 def with_full_series(monkeypatch, run):
