@@ -256,6 +256,11 @@ def _quadrature_many(d_lo, d_hi, a0, alen, fn, nr: int, na: int) -> np.ndarray:
 # continuous weights: any positive fn(r, angle) on float64 arrays
 # ---------------------------------------------------------------------------
 
+# trees per block of geo_mean_weight's sums: the (trees x points) node ids
+# and logs are held for one block at a time
+GEO_BLOCK = 16
+
+
 def geo_mean_weight(thetas: Sequence, depth: int, stacks) -> Callable:
     """Pointwise product over stacks of (values, power) pairs, each values
     an (offsets, 2^(N+1)) array of depth-N trees, row i on the grid of
@@ -264,7 +269,9 @@ def geo_mean_weight(thetas: Sequence, depth: int, stacks) -> Callable:
     A point's value depends only on its tree level and its angle, so fn
     finds the distinct (level, angle) pairs of its points (r and a
     broadcast against each other) and their node in every row once, reads
-    each stack there and spreads the results back.
+    each stack there and spreads the results back.  The rows are taken
+    GEO_BLOCK at a time, each point's running sum of logs carried from one
+    block to the next, so every sum is still taken tree by tree in order.
     """
     theta = np.array([float(t) for t in thetas])[:, None]
     rows = np.arange(len(theta))[:, None]
@@ -280,12 +287,19 @@ def geo_mean_weight(thetas: Sequence, depth: int, stacks) -> Callable:
         where = np.empty(len(order), dtype=np.intp)
         where[order] = np.cumsum(new) - 1
         pick = order[new]
-        node = _node_ids(a[pick] - theta, scale[pick], n[pick])
+        a, scale, n = a[pick], scale[pick], n[pick]
+        sums = [None] * len(stacks)
+        for lo in range(0, len(theta), GEO_BLOCK):
+            block = slice(lo, lo + GEO_BLOCK)
+            node = _node_ids(a - theta[block], scale, n)
+            for i, (values, _) in enumerate(stacks):
+                logs = np.log(values[rows[block], node])
+                if sums[i] is not None:
+                    logs[0] += sums[i]
+                # summed tree by tree, the order of each point's own sum
+                sums[i] = np.cumsum(logs, axis=0, out=logs)[-1].copy()
         g = 1.0
-        for values, power in stacks:
-            logs = np.log(values[rows, node])
-            # summed tree by tree, the order of each point's own sum
-            acc = np.cumsum(logs, axis=0, out=logs)[-1]
+        for acc, (_, power) in zip(sums, stacks):
             g = g * np.exp(acc / len(theta)) ** power
         return g[where].reshape(shape)
 

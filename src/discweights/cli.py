@@ -47,8 +47,14 @@ from .martingales import (
     trace_weak_l1,
 )
 from .weights import (
+    _NOT_POSITIVE,
     TreeWeight,
     WeightCertificate,
+    _b1_values,
+    _bad_rows,
+    _bp_values,
+    _floats,
+    _mask,
     bp_constant,
     random_domain,
     random_log_walk,
@@ -270,6 +276,29 @@ def _command(name: str, schema: Schema):
 # commands
 # ---------------------------------------------------------------------------
 
+# weights per stack of the constants command: enough to share the per-call
+# overhead of the tree kernels, few enough to keep the stacks' temporaries
+# near one tree's
+CONSTANTS_CHUNK = 16
+
+
+def _constants_chunk(depth: int, count: int) -> int:
+    """Rows per stack of the constants command: at most CONSTANTS_CHUNK and
+    count, and no more than fit under MAX_TREE_CELLS, but at least 1 (a
+    depth whose one tree is over the cap is refused as before)."""
+    return max(1, min(CONSTANTS_CHUNK, count, MAX_TREE_CELLS >> (depth + 1)))
+
+
+def _stack_bp(values: np.ndarray, p: float, depth: int) -> list:
+    """bp_constant(w, p) of every row w of a stack of full trees, one float
+    per row; a row not positive and finite raises as TreeWeight does."""
+    if _bad_rows(values).any():
+        raise ValueError(_NOT_POSITIVE)
+    full = _mask(None, depth)
+    return _floats(_b1_values(values, full, depth) if p == 1
+                   else _bp_values(values, p, full, depth))
+
+
 @_command("constants", {
     "depth": (8, _int(0)), "count": (100, _int(1)),
     "p_grid": ([1.5, 2.0, 3.0], _list(_number(1, strict=True))), "sigma": (0.8, _number(0)),
@@ -278,24 +307,29 @@ def _command(name: str, schema: Schema):
 def _run_constants(cfg: dict):
     p_grid = [float(p) for p in cfg["p_grid"]]
     seed = _require_seed("constants", cfg)
-    depth, tol = cfg["depth"], float(cfg["tol"])
-    _check_footprint("constants", "'depth'", 1, depth + 1)
+    depth, tol, count = cfg["depth"], float(cfg["tol"]), cfg["count"]
+    chunk = _constants_chunk(depth, count)
+    _check_footprint("constants", "'depth'", chunk, depth + 1)
 
     unit = TreeWeight.constant(1.0, depth)
     unit_gap = max(abs(bp_constant(unit, p) - 1.0) for p in p_grid)
 
+    # the weights are drawn in order, a stack of `chunk` at a time, and each
+    # row's constants are bitwise its one-tree bp_constant
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
-    for i in range(cfg["count"]):
-        w = random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"]))
-        for p in p_grid:
-            pp = p / (p - 1.0)
-            bp = bp_constant(w, p)
-            dual = bp_constant(w.power(-1.0 / (p - 1.0)), pp)
-            gap = abs(dual - bp ** (1.0 / (p - 1.0))) / max(1.0, dual)
-            worst = max(worst, gap)
-            rows.append((i, p, bp, dual, gap))
+    for start in range(0, count, chunk):
+        stack = np.stack([random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"])).values
+                          for _ in range(min(chunk, count - start))])
+        per_p = [(p, _stack_bp(stack, p, depth),
+                  _stack_bp(stack ** (-1.0 / (p - 1.0)), p / (p - 1.0), depth)) for p in p_grid]
+        for r in range(len(stack)):
+            for p, bps, duals in per_p:
+                bp, dual = bps[r], duals[r]
+                gap = abs(dual - bp ** (1.0 / (p - 1.0))) / max(1.0, dual)
+                worst = max(worst, gap)
+                rows.append((start + r, p, bp, dual, gap))
 
     certs = [
         _cert("unit_weight_constant_gap", unit_gap, 0.0, p_grid=p_grid),

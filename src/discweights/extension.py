@@ -227,8 +227,8 @@ def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: floa
 
     vs = _checked(thetas, values ** dq)
     s_norms = _s_norms(thetas, values, p, "restricted", mask, depth, q=q, delta=delta)
-    v1, v2, facts = _rdf_factor(thetas, depth, vs, mask, p, s_norms, terms,
-                                [False] * len(thetas))
+    v1, v2, facts, (c1, c2, b1_1, b1_2) = _rdf_factor(thetas, depth, vs, mask, p, s_norms,
+                                                      terms, [False] * len(thetas))
 
     # the factors are zeroed off their domains, so the unrestricted maximal
     # function gives the restricted one bitwise
@@ -239,8 +239,6 @@ def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: floa
     del m1, m2, vs  # not alive through the extension's constants
     ext_vals, big, agree, c_big, l_big, measured_bp = _extended(
         thetas, depth, ext_vals, values, mask, p)
-    c1, c2 = _floats(_c_values(v1, mask, depth)), _floats(_c_values(v2, mask, depth))
-    b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
     front = (2.0 - gamma) / (1.0 - gamma)
     out = []
     for i, (big_w, fact) in enumerate(zip(big, facts)):

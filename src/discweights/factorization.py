@@ -57,9 +57,9 @@ from .weights import (
     _mask,
     _tree_arrays,
     _tree_rows,
+    _TreeWork,
     ancestor_max,
     cell_areas,
-    maximal_values,
     subtree_sums,
 )
 
@@ -161,7 +161,8 @@ def _s_norms(thetas, values: np.ndarray, p: float, mode: str, mask: np.ndarray,
 # the iteration
 # ---------------------------------------------------------------------------
 
-def op_s(g: np.ndarray, values: np.ndarray, depth: int, p: float) -> np.ndarray:
+def op_s(g: np.ndarray, values: np.ndarray, depth: int, p: float, *,
+         work: Optional[_TreeWork] = None) -> np.ndarray:
     """One application of S(g) = M(g w)/w + M(g^{1/(p-1)})^{p-1}.
 
     g and values are one tree or a stack of trees (any leading shape), w
@@ -169,10 +170,24 @@ def op_s(g: np.ndarray, values: np.ndarray, depth: int, p: float) -> np.ndarray:
     domain after every step, so masking inside the maximal function would
     change nothing, and the result is bitwise the restricted one (an
     off-domain cell's mass is 0 x area = +0.0 either way).
+
+    Both maximal functions run in one tree workspace of the result's
+    shape: `work` when given (its buffer is overwritten), else a new one.
+    M(g w) / w is read out of the buffer before M(g^{1/(p-1)}) overwrites
+    it, in the order of the two-buffer formula, so the bits are the same.
     """
-    m1 = maximal_values(g * values, depth)
-    m2 = maximal_values(np.abs(g) ** (1.0 / (p - 1)), depth)
-    return m1 / values + m2 ** (p - 1)
+    if work is None:
+        work = _TreeWork(np.empty(np.broadcast_shapes(np.shape(g), np.shape(values))), depth)
+    buf = work.buf
+    np.multiply(g, values, out=buf)
+    np.abs(buf, out=buf)
+    out = work.maximal() / values
+    np.abs(g, out=buf)
+    buf **= 1.0 / (p - 1)
+    work.maximal()
+    buf **= p - 1
+    out += buf
+    return out
 
 
 @dataclass
@@ -201,9 +216,11 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
     Each row stops on its own, after the first term that leaves every cell
     of its f bitwise unchanged (f + t == f), or after `terms` terms.  A row
     whose f overflows gives inf + inf == inf and stops too; its tail is then
-    inf, so the caller's check tail <= 1 keeps it pending.  S runs only on
-    the rows still moving, so a stack shrinks as its rows settle, and each
-    row equals its one-tree result bitwise; a single tree stays 1-D.
+    inf, so the caller's check tail <= 1 keeps it pending.  S runs on the
+    rows still moving, and once more on a row that has just stopped, for
+    its tail, so a stack shrinks as its rows settle; the rows share one tree
+    workspace until one leaves.  Each row equals its one-tree result
+    bitwise; a single tree stays 1-D.
 
     Returns, per row, f, the tail ratio max(t/u) over the mask, t the first
     omitted term (u is 1 there, so this is the max of t), and the number of
@@ -212,35 +229,41 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
     f = mask.astype(np.float64)
     tail, used = np.empty(s.shape), np.empty(s.shape, dtype=np.int64)
     rows, v, m, two_s = ..., values, mask, 2.0 * s[..., None]  # the rows still moving
-    term = f.copy()
+    # one workspace per set of rows still moving: a new one only once a row leaves
+    term, work = f.copy(), _TreeWork(np.empty(values.shape), depth)
     moved = np.ones(s.shape, dtype=bool)
     for k in range(terms + 1):
-        if k:
-            term = np.where(m, op_s(term, v, depth, p) / two_s, 0.0)
-            last = f[rows]
-            nxt = last + term
-            moved = np.any(nxt != last, axis=-1)
-            f[rows] = nxt
-            del last, nxt  # not alive through the next S
+        # S of the latest term: the next term on the mask, or the tail of a
+        # row that has stopped
+        t = op_s(term, v, depth, p, work=work)
+        t /= two_s
         done = ~moved | (k == terms)
-        if not done.any():
-            continue
-        pick = ... if done.all() else done
-        if pick is not ... and rows is ...:
-            rows = np.arange(len(s))
-        out = rows if pick is ... else rows[pick]
-        t = op_s(term[pick], v[pick], depth, p) / two_s[pick]
-        tail[out], used[out] = np.max(np.where(m[pick], t, -np.inf), axis=-1), k
-        if pick is ...:
-            return f, tail, used
-        rows, v, m, two_s, term = (x[moved] for x in (rows, v, m, two_s, term))
+        if done.any():
+            pick = ... if done.all() else done
+            if pick is not ... and rows is ...:
+                rows = np.arange(len(s))
+            out = rows if pick is ... else rows[pick]
+            tail[out], used[out] = np.max(np.where(m[pick], t[pick], -np.inf), axis=-1), k
+            if pick is ...:
+                return f, tail, used
+            rows, v, m, two_s, t = (x[moved] for x in (rows, v, m, two_s, t))
+            work = _TreeWork(np.empty(v.shape), depth)
+        term = np.where(m, t, 0.0)
+        last = f[rows]
+        nxt = last + term
+        moved = np.any(nxt != last, axis=-1)
+        f[rows] = nxt
+        del t, last, nxt  # not alive through the next S
 
 
 def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
                 s_norms: Sequence[float], terms: int, free: Sequence[bool]):
     """rdf_factor on one tree or a stack, one norm bound s_norms[i] and
-    domain mask per row: (w1 values, w2 values, one result per row).  free[i]
-    marks a row without a domain, also certified by the product rule."""
+    domain mask per row: (w1 values, w2 values, one result per row, the
+    factors' measured constants).  free[i] marks a row without a domain,
+    also certified by the product rule.  The constants are the lists
+    (c_const of w1, c_const of w2, B_1 of w1, B_1 of w2), one float per
+    row, on the mask, for callers that certify the factors again."""
     s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
     escalations = np.zeros(s.shape, dtype=np.int64)
     pending = np.ones(s.shape, dtype=bool)
@@ -266,30 +289,32 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
     v1, v2 = f * np.where(mask, values, 1.0), f ** (1.0 / (p - 1))
     w1s, w2s = _tree_rows(thetas, depth, v1), _tree_rows(thetas, depth, v2)
     c_w, c1, c2 = (_floats(_c_values(x, mask, depth)) for x in (values, v1, v2))
+    b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
     osc = [[WeightCertificate("osc_of_w1", bound=4.0 * c ** 2, measured=m1,
                               inputs={"osc_of_w": c}),
             WeightCertificate("osc_of_w2", bound=(4.0 * c) ** (1.0 / (p - 1)), measured=m2,
                               inputs={"osc_of_w": c})] for c, m1, m2 in zip(c_w, c1, c2)]
-    checked = _factor_certs(values, v1, v2, p, mask, depth, [2.0 * x for x in s],
+    checked = _factor_certs(values, v1, v2, p, mask, depth, b1_1, b1_2, [2.0 * x for x in s],
                             [{"s_norm": x, "p": p} for x in s], osc, free)
-    return v1, v2, [
+    results = [
         FactorizationResult(w1=w1, w2=w2, f=f_row, p=p, s_norm=s_i, escalations=e,
                             tail_ratio=t, terms_used=n, reconstruction_error=rec_err,
                             certificates=certs)
         for w1, w2, f_row, s_i, e, t, n, (rec_err, certs)
         in zip(w1s, w2s, np.atleast_2d(f), s, escalations, tail_ratio, used, checked)]
+    return v1, v2, results, (c1, c2, b1_1, b1_2)
 
 
-def _factor_certs(values, v1, v2, p: float, mask, depth: int, bounds: list, inputs: list,
-                  osc: list, product_rule: Sequence[bool]) -> list:
+def _factor_certs(values, v1, v2, p: float, mask, depth: int, b1_w1: list, b1_w2: list,
+                  bounds: list, inputs: list, osc: list, product_rule: Sequence[bool]) -> list:
     """(reconstruction error, certificates) per row of w = w1 w2^{1-p}: the
-    B_1 bounds of both factors, the row's osc certificates, the
-    reconstruction on the mask and, where product_rule, the full-tree
+    B_1 bounds of both factors (their measured B_1 constants b1_w1, b1_w2
+    on the mask), the row's osc certificates, the reconstruction on the
+    mask and, where product_rule, the full-tree
     [w]_{B_p} <= [w1]_{B_1} [w2]_{B_1}^{p-1}."""
     with np.errstate(divide="ignore", invalid="ignore"):  # slot 0 is unused
         rec_err = np.abs(v1 * v2 ** (1.0 - p) / values - 1.0)
     rec_err = _floats(np.max(np.where(mask, rec_err, -np.inf), axis=-1))
-    b1_w1, b1_w2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
     if any(product_rule):
         bp_w = _floats(_bp_values(values, p, _mask(None, depth), depth))
     out = []
@@ -332,16 +357,17 @@ def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: in
     full = np.broadcast_to(_mask(None, depth), values.shape)
     if p <= 2:
         s_norms = _s_norms(thetas, values, p, "full", full, depth)
-        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms, [True] * len(thetas))
+        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms,
+                           [True] * len(thetas))[:3]
 
     # factor the dual weight at the conjugate exponent, swap the factors and
     # recertify them for w
     pp = p / (p - 1)
     duals = _checked(thetas, values ** (-1.0 / (p - 1)))
-    d1, d2, results = _rdf_factor(thetas, depth, duals, full, pp,
-                                  _s_norms(thetas, duals, pp, "full", full, depth), terms,
-                                  [False] * len(thetas))
-    checked = _factor_certs(values, d2, d1, p, full, depth,
+    d1, d2, results, (_, _, b1_d1, b1_d2) = _rdf_factor(
+        thetas, depth, duals, full, pp, _s_norms(thetas, duals, pp, "full", full, depth), terms,
+        [False] * len(thetas))
+    checked = _factor_certs(values, d2, d1, p, full, depth, b1_d2, b1_d1,
                             [(2.0 * r.s_norm) ** (p - 1) for r in results],
                             [{"via": "dual", "p": p}] * len(thetas), [[]] * len(thetas),
                             [True] * len(thetas))

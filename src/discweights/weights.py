@@ -272,19 +272,61 @@ def _floats(x) -> list:
 # They index the node axis through the transposed view or `...`, so a
 # single tree stays 1-D; its constant is a 0-d array.
 
+class _TreeWork:
+    """A tree workspace: a buffer of one tree or a stack, shape
+    (..., 2^(N+1)), with its level views built once.
+
+    Per parent level k < N it keeps the parents, their left and right
+    children and the first 2^k entries of a (..., 2^(N-1)) scratch array,
+    each indexing the node axis first.  The kernels run in place on the
+    buffer through ufuncs with out=, so a caller that reuses one workspace
+    for many calls on one shape (the factorization series) builds no slice
+    and no temporary per level; subtree_sums, ancestor_max and
+    maximal_values are one-shot uses of it.
+    """
+
+    __slots__ = ("buf", "depth", "levels")
+
+    def __init__(self, buf: np.ndarray, depth: int):
+        self.buf, self.depth = buf, depth
+        o = buf.T
+        s = np.empty(buf.shape[:-1] + ((1 << depth) >> 1,), dtype=buf.dtype).T
+        self.levels = [(o[1 << k : 2 << k], o[2 << k : 4 << k : 2],
+                        o[(2 << k) + 1 : 4 << k : 2], s[: 1 << k]) for k in range(depth)]
+
+    def add_subtrees(self) -> None:
+        """subtree_sums in place, bottom-up."""
+        for parent, left, right, scratch in reversed(self.levels):
+            np.add(left, right, out=scratch)
+            np.add(parent, scratch, out=parent)
+
+    def max_ancestors(self) -> None:
+        """ancestor_max in place, top-down; slot 0 becomes NaN."""
+        self.buf.T[0] = np.nan
+        # each child from its parent: a broadcast (2^k, 2, ...) view is slower
+        for parent, left, right, _ in self.levels:
+            np.maximum(parent, left, out=left)
+            np.maximum(parent, right, out=right)
+
+    def maximal(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """The maximal function of the buffer, which holds |f|, in place:
+        ancestor_max(subtree_sums(cell masses, zeroed off the mask) / box
+        areas).  Returns the buffer."""
+        buf = self.buf
+        buf *= cell_areas(self.depth)  # slot 0 feeds no sum and ends NaN
+        if mask is not None:
+            np.copyto(buf, 0.0, where=~mask)
+        self.add_subtrees()
+        buf /= box_area_vector(self.depth)
+        self.max_ancestors()
+        return buf
+
+
 def subtree_sums(cell_masses: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the sum of cell masses over its subtree (its box)."""
-    out = np.array(cell_masses, dtype=np.float64)
-    _add_subtrees(out, depth)
-    return out
-
-
-def _add_subtrees(out: np.ndarray, depth: int) -> None:
-    """subtree_sums in place, bottom-up."""
-    o = out.T
-    for k in range(depth - 1, -1, -1):
-        lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
-        o[lo:mid] += o[mid:hi:2] + o[mid + 1 : hi : 2]
+    work = _TreeWork(np.array(cell_masses, dtype=np.float64), depth)
+    work.add_subtrees()
+    return work.buf
 
 
 @lru_cache(maxsize=64)
@@ -349,32 +391,15 @@ def maximal_values(values: np.ndarray, depth: int,
     Bitwise ancestor_max(subtree_sums(cell masses of |f|) / box areas), all
     in one buffer.
     """
-    out = np.abs(values, dtype=np.float64)
-    out *= cell_areas(depth)  # slot 0 feeds no sum and ends NaN
-    if domain is not None:
-        np.copyto(out, 0.0, where=~domain.mask)
-    _add_subtrees(out, depth)
-    out /= box_area_vector(depth)
-    _max_ancestors(out, depth)
-    return out
+    work = _TreeWork(np.abs(values, dtype=np.float64), depth)
+    return work.maximal(None if domain is None else domain.mask)
 
 
 def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the largest of avg over its ancestors-or-self; slot 0 is NaN."""
-    out = np.array(avg)
-    _max_ancestors(out, depth)
-    return out
-
-
-def _max_ancestors(out: np.ndarray, depth: int) -> None:
-    """ancestor_max in place, top-down."""
-    o = out.T
-    o[0] = np.nan
-    for k in range(1, depth + 1):
-        lo, hi = 1 << k, 1 << (k + 1)
-        # each child from its parent: a broadcast (2^(k-1), 2, ...) view is slower
-        for children in (o[lo:hi:2], o[lo + 1 : hi : 2]):
-            np.maximum(o[lo >> 1 : lo], children, out=children)
+    work = _TreeWork(np.array(avg), depth)
+    work.max_ancestors()
+    return work.buf
 
 
 def b1_constant(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
@@ -441,15 +466,16 @@ def c_const(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
 
 def _c_values(values: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
     """c_const of one tree or a stack, each restricted to its mask."""
-    # each arc i = 1 .. 2^N - 1 against its children 2i and 2i + 1
-    mask, half = np.broadcast_to(mask, values.shape), 1 << depth
-    trio_vals = np.stack([values[..., 1:half], values[..., 2::2], values[..., 3::2]])
-    trio_mask = np.stack([mask[..., 1:half], mask[..., 2::2], mask[..., 3::2]])
-    hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
-    lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
-    present = trio_mask.any(axis=0)
-    return np.max(np.where(present, hi_v, 1.0) / np.where(present, lo_v, 1.0), axis=-1,
-                  initial=1.0)
+    # each arc i = 1 .. 2^N - 1 against its children 2i and 2i + 1, the
+    # values masked once with -inf (for the max) and +inf (for the min)
+    half = 1 << depth
+    hi, lo = np.where(mask, values, -np.inf), np.where(mask, values, np.inf)
+    hi_v = np.maximum(np.maximum(hi[..., 1:half], hi[..., 2::2]), hi[..., 3::2])
+    lo_v = np.minimum(np.minimum(lo[..., 1:half], lo[..., 2::2]), lo[..., 3::2])
+    present = mask[..., 1:half] | mask[..., 2::2] | mask[..., 3::2]
+    ratio = np.ones(hi_v.shape)
+    np.divide(hi_v, lo_v, out=ratio, where=present)
+    return np.max(ratio, axis=-1, initial=1.0)
 
 
 def _log_pair_sup(v: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:

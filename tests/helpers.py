@@ -9,8 +9,11 @@ the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
 per-tree geometric mean, the per-piece box product, the Fraction survey
 set-up, the window-by-window survey loop, the np.repeat ancestor
-cascade, the cell masses the maximal kernel once composed, the weak-type
-ratio), or builds a small tree or domain from a node list.
+cascade, the cell masses the maximal kernel once composed, the
+slice-per-level subtree sums and ancestor cascade, the stacked-trio
+oscillation constant, the two-buffer S operator, the per-weight constants
+loop, the weak-type ratio), or builds a small tree or domain from a node
+list.
 """
 
 import math
@@ -52,10 +55,13 @@ from discweights.martingales import (
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
+    box_area_vector,
+    bp_constant,
     cell_areas,
     maximal_values,
     node_id,
     node_levels,
+    random_log_walk,
 )
 
 
@@ -917,3 +923,72 @@ def repeat_ancestor_max(avg, depth):
         lo, hi = 1 << k, 1 << (k + 1)
         o[lo:hi] = np.maximum(np.repeat(o[lo >> 1 : hi >> 1], 2, axis=0), a[lo:hi])
     return out
+
+
+def slice_add_subtrees(out, depth):
+    """weights.subtree_sums in place as it was before the tree workspace:
+    fresh slices and a temporary per level, bottom-up."""
+    o = out.T
+    for k in range(depth - 1, -1, -1):
+        lo, mid, hi = 1 << k, 1 << (k + 1), 1 << (k + 2)
+        o[lo:mid] += o[mid:hi:2] + o[mid + 1 : hi : 2]
+
+
+def slice_max_ancestors(out, depth):
+    """weights.ancestor_max in place as it was before the tree workspace:
+    fresh slices per level, top-down; slot 0 becomes NaN."""
+    o = out.T
+    o[0] = np.nan
+    for k in range(1, depth + 1):
+        lo, hi = 1 << k, 1 << (k + 1)
+        for children in (o[lo:hi:2], o[lo + 1 : hi : 2]):
+            np.maximum(o[lo >> 1 : lo], children, out=children)
+
+
+def slice_maximal_values(values, depth, mask=None):
+    """weights.maximal_values as it was, on the slice-per-level kernels."""
+    out = np.abs(values, dtype=np.float64)
+    out *= cell_areas(depth)
+    if mask is not None:
+        np.copyto(out, 0.0, where=~mask)
+    slice_add_subtrees(out, depth)
+    out /= box_area_vector(depth)
+    slice_max_ancestors(out, depth)
+    return out
+
+
+def stacked_c_values(values, mask, depth):
+    """weights._c_values as it was: the trios of values and of the mask
+    stacked, then masked and reduced along the stack."""
+    mask, half = np.broadcast_to(mask, values.shape), 1 << depth
+    trio_vals = np.stack([values[..., 1:half], values[..., 2::2], values[..., 3::2]])
+    trio_mask = np.stack([mask[..., 1:half], mask[..., 2::2], mask[..., 3::2]])
+    hi_v = np.where(trio_mask, trio_vals, -np.inf).max(axis=0)
+    lo_v = np.where(trio_mask, trio_vals, np.inf).min(axis=0)
+    present = trio_mask.any(axis=0)
+    return np.max(np.where(present, hi_v, 1.0) / np.where(present, lo_v, 1.0), axis=-1,
+                  initial=1.0)
+
+
+def two_buffer_op_s(g, values, depth, p):
+    """factorization.op_s as it was: each maximal function in its own
+    buffer, then M(g w) / w + M(g^{1/(p-1)})^{p-1}."""
+    m1 = maximal_values(g * values, depth)
+    m2 = maximal_values(np.abs(g) ** (1.0 / (p - 1)), depth)
+    return m1 / values + m2 ** (p - 1)
+
+
+def per_weight_constants(depth, count, p_grid, sigma, seed):
+    """The rows and the largest duality gap of the constants command as it
+    was: one bp_constant call per weight, exponent and route."""
+    rng = np.random.default_rng(seed)
+    rows, worst = [], 0.0
+    for i in range(count):
+        w = random_log_walk(depth, rng=rng, sigma=sigma)
+        for p in p_grid:
+            bp = bp_constant(w, p)
+            dual = bp_constant(w.power(-1.0 / (p - 1.0)), p / (p - 1.0))
+            gap = abs(dual - bp ** (1.0 / (p - 1.0))) / max(1.0, dual)
+            worst = max(worst, gap)
+            rows.append((i, p, bp, dual, gap))
+    return rows, worst

@@ -484,6 +484,21 @@ class TestGeoAverage:
         geo = geo_mean_weight(thetas, 4, [(2.0 * values, 1.0), (3.0 * values, -2.0)])
         assert geo(np.array([0.2, 0.99]), 0.5) == pytest.approx(2.0 / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 37])
+    def test_blocks_of_trees_match_per_tree_sums(self, count):
+        """The trees are summed GEO_BLOCK at a time, the running sums carried
+        between blocks: bitwise the per-tree sums, at any remainder."""
+        assert averaging.GEO_BLOCK == 16
+        rng = np.random.default_rng(600 + count)
+        trees = [random_log_walk(5, rng=rng, sigma=0.9, theta=F(i, count + 2))
+                 for i in range(count)]
+        thetas, depth, values = as_stack(trees)
+        r = rng.uniform(0.0, 1.0, size=300)
+        a = rng.uniform(0.0, 1.0, size=300)
+        for stacks in ([(values, 1.0)], [(values, 1.0), (values[::-1] ** 0.5, -1.5)]):
+            got = geo_mean_weight(thetas, depth, stacks)(r, a)
+            assert got.tobytes() == per_tree_geo_mean(thetas, depth, stacks)(r, a).tobytes()
+
     def test_log_minkowski_margin_random_families(self):
         family = default_arc_family(3)
         for seed in range(6):

@@ -19,6 +19,9 @@ from discweights.cli import (
     run,
     write_artifacts,
 )
+from discweights.weights import TreeWeight
+
+from helpers import per_weight_constants
 
 # One value per (command, key) that the key's schema spec must refuse: a
 # bool, a fraction where an integer goes, NaN, a string, or a value below
@@ -352,6 +355,61 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "config key 'depth'" in err and "over the cap" in err
+
+
+class TestConstantsStacks:
+    """The constants command measures its weights in stacks of at most
+    CONSTANTS_CHUNK rows; every row, gap and the worst gap are the
+    per-weight loop's, drawn in the same order."""
+
+    @pytest.mark.parametrize("count, depth, p_grid", [
+        (1, 8, [1.5, 2.0, 3.0]), (16, 8, [1.5, 2.0, 3.0]), (17, 8, [1.5, 2.0, 3.0]),
+        (100, 8, [1.5, 2.0, 3.0]),
+        # p' = p / (p - 1) rounds to 1 at p = 1e17, so the dual route is B_1
+        (17, 5, [1.25, 1e17]), (3, 0, [2.0]),
+    ])
+    def test_matches_per_weight_loop(self, count, depth, p_grid):
+        report = run("constants", {"count": count, "depth": depth, "p_grid": p_grid,
+                                   "seed": 26, "sigma": 0.8})
+        rows, worst = per_weight_constants(depth, count, p_grid, 0.8, 26)
+        assert report.tables["constants"].rows == rows
+        assert report.results["max_duality_gap"] == worst
+
+    def test_non_positive_dual_is_refused(self):
+        """w^{-1/(p-1)} overflowing to inf is refused as TreeWeight refuses it."""
+        with pytest.raises(ValueError, match="^weight values must be positive and finite$"):
+            run("constants", {"count": 20, "depth": 6, "p_grid": [1.001], "sigma": 60.0,
+                              "seed": 1})
+
+    def test_chunk_sizes(self):
+        assert cli.CONSTANTS_CHUNK == 16
+        assert [cli._constants_chunk(8, count) for count in (1, 16, 17, 100)] == [1, 16, 16, 16]
+        # 2 x 2^21 and 1 x 2^22 cells fill the cap; past it one row is refused
+        assert [cli._constants_chunk(d, 100) for d in (19, 20, 21, 22, 40)] == [4, 2, 1, 1, 1]
+
+    def test_footprint_counts_the_chunk(self, monkeypatch):
+        calls = []
+        real = cli._check_footprint
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_check_footprint", spy)
+        run("constants", {"count": 20, "depth": 4, "seed": 1})
+        assert calls == [("constants", "'depth'", 16, 5)]
+
+    def test_depth_at_the_cap_is_accepted(self, monkeypatch):
+        """depth 21 holds 2^22 cells per tree, the cap: accepted as before,
+        with one row per stack; depth 22 is refused before any allocation."""
+        def reached(cls, value, depth, theta=0):
+            raise LookupError(depth)
+
+        monkeypatch.setattr(TreeWeight, "constant", classmethod(reached))
+        with pytest.raises(LookupError, match="21"):
+            run("constants", {"depth": 21, "count": 100, "seed": 1})
+        with pytest.raises(PreconditionError, match=r"'depth' asks for 1 x 2\^23 cells"):
+            run("constants", {"depth": 22, "count": 100, "seed": 1})
 
 
 class TestArtifacts:

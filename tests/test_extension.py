@@ -182,15 +182,17 @@ class TestExtendBpMany:
             assert np.array_equal(row, single.weight.values)
 
     def test_single_tree_stays_one_dimensional(self, monkeypatch):
+        """Every tree workspace (the maximal functions, subtree sums and the
+        series all run in one) holds a 1-D buffer."""
         ndims = []
-        real = weights.maximal_values
+        real = weights._TreeWork
 
-        def spy(values, depth, domain=None):
-            ndims.append(np.ndim(values))
-            return real(values, depth, domain)
+        def spy(buf, depth):
+            ndims.append(np.ndim(buf))
+            return real(buf, depth)
 
-        for module in (weights, factorization, extension):
-            monkeypatch.setattr(module, "maximal_values", spy)
+        for module in (weights, factorization):
+            monkeypatch.setattr(module, "_TreeWork", spy)
         w, om = b1_instance(63, depth=5)
         extend_bp(w, 3.0, 2.0, om)
         factorization.factor_bho_full(w, 3.0)

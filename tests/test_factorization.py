@@ -10,6 +10,8 @@ from discweights import factorization, weights
 from discweights.extension import extend_bp
 from discweights.weights import (
     TreeWeight,
+    _b1_values,
+    _c_values,
     _mask,
     b1_constant,
     bp_constant,
@@ -27,7 +29,7 @@ from discweights.factorization import (
     weighted_maximal,
     weighted_maximal_norm_bound,
 )
-from helpers import full_series
+from helpers import full_series, two_buffer_op_s
 
 
 class TestNormBounds:
@@ -317,9 +319,9 @@ class TestSeriesStop:
         rows = []
         real = factorization.op_s
 
-        def spy(g, values, depth, p):
+        def spy(g, values, depth, p, **kwargs):
             rows.append(len(g))
-            return real(g, values, depth, p)
+            return real(g, values, depth, p, **kwargs)
 
         monkeypatch.setattr(factorization, "op_s", spy)
         ws = [random_log_walk(7, seed=47, sigma=sigma) for sigma in (0.2, 0.8, 2.0)]
@@ -327,3 +329,67 @@ class TestSeriesStop:
         assert rows[0] == 3 and min(rows) == 1
         assert len({r.terms_used for r in results}) == 3
         assert sum(rows) == sum(r.terms_used + 1 for r in results)
+
+
+class TestSeriesWorkspace:
+    """op_s in one tree workspace, and the series keeping one workspace per
+    set of rows still moving, against the two-buffer S and the one-tree runs."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0 / 3.0, 3.0])
+    def test_op_s_matches_two_buffer_formula(self, p):
+        rng = np.random.default_rng(48)
+        values = np.stack([random_log_walk(6, rng=rng, sigma=0.7).values for _ in range(3)])
+        work = weights._TreeWork(np.empty(values.shape), 6)
+        for _ in range(3):  # the workspace refilled, as in the series
+            g = rng.uniform(0.0, 2.0, size=values.shape)
+            g[:, rng.uniform(size=values.shape[-1]) < 0.2] = 0.0
+            want = two_buffer_op_s(g, values, 6, p)
+            assert op_s(g, values, 6, p, work=work).tobytes() == want.tobytes()
+            assert op_s(g, values, 6, p).tobytes() == want.tobytes()
+            assert op_s(g[1], values[1], 6, p).tobytes() == want[1].tobytes()
+
+    def test_workspace_rebuilt_only_when_rows_leave(self, monkeypatch):
+        """Three rows settling at three different terms: one workspace for
+        the three, then one for the two left, then one for the last; every
+        row still equals its one-tree series bitwise."""
+        shapes = []
+        real = weights._TreeWork
+
+        def spy(buf, depth):
+            shapes.append(buf.shape)
+            return real(buf, depth)
+
+        ws = [random_log_walk(7, seed=47, sigma=sigma) for sigma in (0.2, 0.8, 2.0)]
+        values = np.stack([w.values for w in ws])
+        mask = np.ones(values.shape, dtype=bool)
+        mask[:, 0] = False
+        s = np.array([s_norm_bound(w, 2.0) for w in ws])
+        with monkeypatch.context() as m:
+            m.setattr(factorization, "_TreeWork", spy)
+            f, tail, used = factorization._series(values, mask, s, 7, 2.0, 60)
+        assert len(set(used.tolist())) == 3
+        assert shapes == [(3, 256), (2, 256), (1, 256)]
+        for i in range(3):
+            f1, tail1, used1 = factorization._series(values[i], mask[i], s[i, ...], 7, 2.0, 60)
+            assert f[i].tobytes() == f1.tobytes() and (tail[i], used[i]) == (tail1, used1)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_rdf_factor_returns_the_factors_constants(self, restricted):
+        """The c_const and B_1 lists _rdf_factor returns are the factors'
+        own, on the mask, and the B_1 ones are what its certificates hold."""
+        ws, doms, s_norms = stack_with_low_bound(2.0)
+        if not restricted:
+            doms = [None] * len(ws)
+        depth = ws[0].depth
+        mask = np.stack([_mask(om, depth) for om in doms])
+        v1, v2, results, (c1, c2, b1_1, b1_2) = factorization._rdf_factor(
+            [w.theta for w in ws], depth, np.stack([w.values for w in ws]), mask, 2.0,
+            s_norms, 60, [om is None for om in doms])
+        assert c1 == _c_values(v1, mask, depth).tolist()
+        assert c2 == _c_values(v2, mask, depth).tolist()
+        assert b1_1 == _b1_values(v1, mask, depth).tolist()
+        assert b1_2 == _b1_values(v2, mask, depth).tolist()
+        for i, res in enumerate(results):
+            measured = {c.quantity: c.measured for c in res.certificates}
+            assert (measured["b1_of_w1"], measured["osc_of_w1"]) == (b1_1[i], c1[i])
+            assert measured["osc_of_w2"] == c2[i]

@@ -15,6 +15,7 @@ from discweights.geometry import GridNode, area_carleson, beta_dyadic_nodes
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
+    _TreeWork,
     _b1_values,
     _bad_rows,
     _bp_values,
@@ -51,6 +52,10 @@ from helpers import (
     from_generators,
     from_node_values,
     repeat_ancestor_max,
+    slice_add_subtrees,
+    slice_max_ancestors,
+    slice_maximal_values,
+    stacked_c_values,
     weak_type_ratio,
 )
 
@@ -420,6 +425,99 @@ class TestMaximalKernel:
                 assert got.shape == values.shape
                 assert got.tobytes() == want.tobytes()
                 assert want.tobytes() == repeat_ancestor_max(avg, depth).tobytes()
+
+
+def signed_stack(depth, rows, seed):
+    """rows seeded random walks of one depth with random signs and zeros
+    (the maximal function takes |f|), one tree when rows is None."""
+    rng = np.random.default_rng(seed)
+    count = 1 if rows is None else int(np.prod(rows))
+    vals = np.stack([random_log_walk(depth, rng=rng, sigma=0.9).values for _ in range(count)])
+    vals *= rng.choice([-1.0, 0.0, 1.0], size=vals.shape, p=[0.4, 0.1, 0.5])
+    return vals[0] if rows is None else vals.reshape(tuple(rows) + (vals.shape[-1],))
+
+
+class TestTreeWork:
+    """The tree workspace against the slice-per-level kernels it replaced,
+    kept as oracles in helpers: bitwise on one tree, stacks of any leading
+    shape, the smallest depths and masked input, fresh or reused."""
+
+    SHAPES = [None, (3,), (2, 3)]
+
+    @pytest.mark.parametrize("rows", SHAPES)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 9])
+    def test_kernels_match_slice_oracles(self, depth, rows):
+        values = signed_stack(depth, rows, 900 + depth)
+        sums = subtree_sums(values, depth)
+        want = values.copy()
+        slice_add_subtrees(want, depth)
+        assert sums.shape == values.shape and sums.tobytes() == want.tobytes()
+        got = ancestor_max(values, depth)
+        want = values.copy()
+        slice_max_ancestors(want, depth)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", SHAPES)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 6])
+    def test_maximal_matches_slice_oracle(self, depth, rows):
+        values = signed_stack(depth, rows, 950 + depth)
+        domain = random_domain(depth, seed=960 + depth, density=0.5)
+        for om in (None, domain):
+            mask = None if om is None else om.mask
+            want = slice_maximal_values(values, depth, mask)
+            assert maximal_values(values, depth, om).tobytes() == want.tobytes()
+            work = _TreeWork(np.abs(values), depth)
+            assert work.maximal(mask) is work.buf
+            assert work.buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", SHAPES)
+    def test_reused_workspace_matches_fresh_calls(self, rows):
+        """One workspace refilled many times gives each call's fresh result:
+        nothing of an earlier call survives in the buffer or the scratch."""
+        depth = 6
+        work = _TreeWork(np.empty(signed_stack(depth, rows, 0).shape), depth)
+        views = [tuple(v.ctypes.data for v in level) for level in work.levels]
+        for seed in range(5):
+            values = signed_stack(depth, rows, 970 + seed)
+            np.abs(values, out=work.buf)
+            assert work.maximal().tobytes() == slice_maximal_values(values, depth).tobytes()
+            np.copyto(work.buf, values)
+            work.add_subtrees()
+            want = values.copy()
+            slice_add_subtrees(want, depth)
+            assert work.buf.tobytes() == want.tobytes()
+        assert [tuple(v.ctypes.data for v in level) for level in work.levels] == views
+
+    def test_level_views_share_the_buffer(self):
+        work = _TreeWork(np.zeros((4, 1 << 6)), 5)
+        assert len(work.levels) == 5
+        for k, (parent, left, right, scratch) in enumerate(work.levels):
+            assert parent.shape == left.shape == right.shape == scratch.shape == (1 << k, 4)
+            for view in (parent, left, right):
+                assert np.shares_memory(view, work.buf)
+            assert not np.shares_memory(scratch, work.buf)
+        assert _TreeWork(np.zeros(2), 0).levels == []
+
+
+class TestCConst:
+    """_c_values masks once and chains max and min over the three views; it
+    equals the stacked trios it replaced bitwise."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 8])
+    def test_matches_stacked_trios(self, depth):
+        rng = np.random.default_rng(980 + depth)
+        stack = np.stack([random_log_walk(depth, rng=rng, sigma=0.8).values for _ in range(4)])
+        size = stack.shape[-1]
+        masks = [np.ones(size, dtype=bool), np.zeros(size, dtype=bool),
+                 rng.uniform(size=size) < 0.3, rng.uniform(size=(4, size)) < 0.5,
+                 rng.uniform(size=(4, size)) < 0.05]
+        for mask in masks:
+            for values in (stack, stack[2]):
+                if mask.ndim > values.ndim:
+                    continue
+                got = _c_values(values, mask, depth)
+                want = stacked_c_values(values, mask, depth)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def isfinite_bad_rows(values):
