@@ -58,15 +58,9 @@ from .weights import (
     _tree_arrays,
     _tree_rows,
     _TreeWork,
-    ancestor_max,
-    cell_areas,
-    subtree_sums,
 )
 
 __all__ = [
-    "maximal_norm_bound",
-    "weighted_maximal_norm_bound",
-    "weighted_maximal",
     "restricted_maximal_norm_lp",
     "restricted_maximal_norm_dual",
     "s_norm_bound",
@@ -83,33 +77,6 @@ _MAX_ESCALATIONS = 8
 # ---------------------------------------------------------------------------
 # norm bounds feeding the iteration
 # ---------------------------------------------------------------------------
-
-def maximal_norm_bound(p: float, bracket: float) -> float:
-    """Full-disc bound ||M||_{L^p(w)} <= 4 (p^2/(p-1))^{1/p} [w]^{1/(p-1)}."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    return 4.0 * (p * p / (p - 1)) ** (1.0 / p) * bracket ** (1.0 / (p - 1))
-
-
-def weighted_maximal_norm_bound(p: float) -> float:
-    """||M_w||_{L^p(w)} <= 2 (p/(p-1))^{1/p}, any weight (Doob route)."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    return 2.0 * (p / (p - 1)) ** (1.0 / p)
-
-
-def weighted_maximal(f: np.ndarray, w: TreeWeight,
-                     domain: Optional[DyadicDomain] = None) -> np.ndarray:
-    """Maximal function with averages taken in the w-measure."""
-    _check_same_grid(w, domain)
-    depth = w.depth
-    wmass = np.where(_mask(domain, depth), w.values * cell_areas(depth), 0.0)
-    num = subtree_sums(np.abs(f) * wmass, depth)
-    den = subtree_sums(wmass, depth)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(den > 0, num / den, 0.0)
-    return ancestor_max(avg, depth)
-
 
 def restricted_maximal_norm_lp(p: float, q: float, delta: float, bracket_wq: float) -> float:
     """||M_Omega||_{L^p(Omega, w^{delta q})} <= 2 (p/((p-1)(1-delta)))^{1/p} B^{delta/(delta p + 1 - delta)}.
@@ -131,10 +98,13 @@ def s_norm_bound(w: TreeWeight, p: float, mode: str = "full",
                  q: float = None, delta: float = None) -> float:
     """Norm bound for S: dual-space maximal norm plus the L^p one to p-1.
 
-    mode "full": both maximal norms via the full-disc bound in terms of
-    [w]_{B_p,D}.  mode "restricted": the weight is w^{delta q} for a given
-    pair (q, delta), and the norms come from the restricted bounds in terms
-    of [w^q]_{B_p,D,Omega}; here `w` is the base weight, not its power.
+    mode "full": both maximal norms via the full-disc (Lerner) bound
+    ||M||_{L^p(v)} <= 4 (p^2/(p-1))^{1/p} [v]_{B_p,D}^{1/(p-1)}, taken at
+    p' for the dual weight (whose B_p' constant is [w]_{B_p,D}^{1/(p-1)})
+    and at p for w, so each term is a constant times [w]_{B_p,D}.
+    mode "restricted": the weight is w^{delta q} for a given pair
+    (q, delta), and the norms come from the restricted bounds in terms of
+    [w^q]_{B_p,D,Omega}; here `w` is the base weight, not its power.
     """
     _check_same_grid(w, domain)
     return _s_norms([w.theta], w.values, p, mode, _mask(domain, w.depth), w.depth, q, delta)[0]

@@ -34,26 +34,14 @@ __all__ = [
     "UnitArc",
     "GridNode",
     "DiscPoint",
-    "disc_point",
     "mod1",
     "as_fraction",
     "area_carleson",
     "area_top",
-    "node_point",
-    "node_arc",
     "rho_pseudo",
     "beta_hyperbolic",
     "containing_level",
-    "containing_node",
-    "lca_level",
-    "beta_dyadic_nodes",
-    "beta_dyadic",
     "arc_contains_angle",
-    "arc_contains_arc",
-    "arc_hull",
-    "min_predecessor_theta",
-    "min_predecessor_cont",
-    "hyplemma_ratio",
 ]
 
 
@@ -150,10 +138,6 @@ class DiscPoint:
         return self.modulus * cmath.exp(2j * cmath.pi * float(self.angle))
 
 
-def disc_point(modulus: float, angle: AngleLike) -> DiscPoint:
-    return DiscPoint(float(modulus), mod1(angle))
-
-
 # ---------------------------------------------------------------------------
 # areas
 # ---------------------------------------------------------------------------
@@ -183,29 +167,6 @@ def area_top(length, rho=None):
 
 
 # ---------------------------------------------------------------------------
-# points attached to arcs
-# ---------------------------------------------------------------------------
-
-def node_point(node: GridNode) -> DiscPoint:
-    """The distinguished point of a grid arc: modulus 1 - |I|, central angle.
-
-    Its distance from the circle equals the arc length exactly, so the arc
-    that the point's radial cell projects onto is the arc itself.
-    """
-    ell = node.length
-    return DiscPoint(1.0 - float(ell), node.left + ell / 2)
-
-
-def node_arc(z: DiscPoint) -> UnitArc:
-    """The boundary arc I_z centered at z/|z| with length 1 - |z|.
-
-    Undefined (full circle returned) at the origin where 1 - |z| = 1.
-    """
-    d = 1 - as_fraction(z.modulus)
-    return UnitArc(center=z.angle, length=d)
-
-
-# ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
@@ -227,7 +188,7 @@ def beta_hyperbolic(z: complex, w: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cell assignment and the dyadic metric
+# cell levels
 # ---------------------------------------------------------------------------
 
 def containing_level(depth_to_boundary: AngleLike) -> int:
@@ -248,43 +209,8 @@ def _ratio_level(p: int, q: int) -> int:
     return k - ((p << k) > q)
 
 
-def containing_node(theta: AngleLike, z: DiscPoint) -> GridNode:
-    """The grid arc I_z whose radial cell contains z.
-
-    The level is fixed by 2^{-k-1} < 1 - |z| <= 2^{-k} and the position by
-    the half-open arc convention: z with angle exactly on a grid endpoint
-    belongs to the arc lying to the left (counterclockwise below) of it.
-    """
-    d = 1 - as_fraction(z.modulus)
-    return containing_grid_arc_of_angle(theta, containing_level(d), z.angle)
-
-
-def lca_level(a: GridNode, b: GridNode) -> int:
-    """Level of the deepest common grid ancestor of two nodes (same offset)."""
-    if a.theta != b.theta:
-        raise ValueError("nodes live on different grids")
-    k = min(a.level, b.level)
-    ja = a.index >> (a.level - k)
-    jb = b.index >> (b.level - k)
-    return k - (ja ^ jb).bit_length()
-
-
-def beta_dyadic_nodes(a: GridNode, b: GridNode) -> int:
-    """Dyadic distance between two cells: max level minus common-ancestor level."""
-    return max(a.level, b.level) - lca_level(a, b)
-
-
-def beta_dyadic(theta: AngleLike, z: DiscPoint, w: DiscPoint) -> int:
-    """Dyadic distance log2(|P(I_z, I_w)| / min(|I_z|, |I_w|)) on the grid.
-
-    I_z, I_w are the containing grid arcs of the two points and P their
-    smallest common grid predecessor, so the value is a nonnegative integer.
-    """
-    return beta_dyadic_nodes(containing_node(theta, z), containing_node(theta, w))
-
-
 # ---------------------------------------------------------------------------
-# arc containment and hulls (all exact)
+# arc containment (exact)
 # ---------------------------------------------------------------------------
 
 def arc_contains_angle(arc: UnitArc, angle: AngleLike) -> bool:
@@ -292,95 +218,3 @@ def arc_contains_angle(arc: UnitArc, angle: AngleLike) -> bool:
         return True
     r = mod1(as_fraction(angle) - arc.left)
     return 0 < r <= arc.length
-
-
-def arc_contains_arc(outer: UnitArc, inner: UnitArc) -> bool:
-    """Whether inner is a subset of outer, as half-open arcs mod 1."""
-    if outer.length >= 1:
-        return True
-    if inner.length > outer.length:
-        return False
-    r = mod1(inner.left - outer.left)
-    return r + inner.length <= outer.length
-
-
-def arc_hull(a: UnitArc, b: UnitArc) -> UnitArc:
-    """Smallest arc containing both arcs (full circle if none shorter works).
-
-    Candidates: sweep from a's left end far enough to cover b, and the same
-    with roles swapped; the shorter valid sweep wins.
-    """
-    if arc_contains_arc(a, b):
-        return a
-    if arc_contains_arc(b, a):
-        return b
-
-    def sweep(first: UnitArc, second: UnitArc) -> Fraction:
-        r = mod1(second.left - first.left)
-        return max(first.length, r + second.length)
-
-    length = min(sweep(a, b), sweep(b, a))
-    if length >= 1:
-        return UnitArc(center=Fraction(1, 2), length=Fraction(1))
-    if sweep(a, b) <= sweep(b, a):
-        return UnitArc(center=a.left + length / 2, length=length)
-    return UnitArc(center=b.left + length / 2, length=length)
-
-
-def min_predecessor_theta(theta: AngleLike, arc: UnitArc) -> GridNode:
-    """Smallest grid arc (deepest level) of offset theta containing the arc.
-
-    The root always qualifies, so the result is well defined.  A level-m
-    grid arc can contain an arc of length ell only when ell <= 2^{-m} and
-    the left endpoint sits no closer than ell to the next grid point
-    clockwise, i.e. ((left - theta) mod 2^{-m}) <= 2^{-m} - ell.
-    """
-    theta = mod1(theta)
-    if arc.length >= 1:
-        return GridNode(theta, 0, 0)
-    m_max = containing_level(arc.length)
-    if Fraction(1, 1 << m_max) < arc.length:  # not a power of two: strict room
-        m_max -= 1
-    for m in range(m_max, 0, -1):
-        step = Fraction(1, 1 << m)
-        rel = mod1(arc.left - theta)
-        if rel % step <= step - arc.length:
-            # find the index from the arc's right endpoint (always interior)
-            return containing_grid_arc_of_angle(theta, m, arc.right)
-    return GridNode(theta, 0, 0)
-
-
-def containing_grid_arc_of_angle(theta: AngleLike, level: int, angle: AngleLike) -> GridNode:
-    """The level-`level` grid arc containing the given angle (half-open)."""
-    theta = mod1(theta)
-    n = 1 << level
-    r = mod1(as_fraction(angle) - theta) * n
-    # j = ceil(r) - 1 for r > 0; angle == theta wraps to the last arc
-    if r == 0:
-        j = n - 1
-    else:
-        j = -((-r.numerator) // r.denominator) - 1
-    return GridNode(theta, level, j)
-
-
-def min_predecessor_cont(z: DiscPoint, w: DiscPoint) -> UnitArc:
-    """Smallest arc containing I_z and I_w (grid-free predecessor)."""
-    return arc_hull(node_arc(z), node_arc(w))
-
-
-# ---------------------------------------------------------------------------
-# comparison quantity for the hyperbolic/dyadic calibration
-# ---------------------------------------------------------------------------
-
-def hyplemma_ratio(z: DiscPoint, w: DiscPoint) -> float:
-    """|1 - conj(z) w| divided by max(1 - |z|^2, 1 - |w|^2, |z* - w*|).
-
-    z*, w* are the boundary projections.  The ratio is bounded between
-    absolute constants; tests pin the empirical envelope.
-    """
-    zc, wc = z.z, w.z
-    zs = cmath.exp(2j * cmath.pi * float(z.angle))
-    ws = cmath.exp(2j * cmath.pi * float(w.angle))
-    num = abs(1 - zc.conjugate() * wc)
-    den = max(1 - abs(zc) ** 2, 1 - abs(wc) ** 2, abs(zs - ws))
-    return num / den

@@ -60,7 +60,6 @@ __all__ = [
     "PointSeq",
     "radial_chain",
     "CarlesonReport",
-    "carleson_sum_at",
     "carleson_sup",
     "trace_sup_i",
     "trace_weak_l1",
@@ -633,13 +632,6 @@ class CarlesonReport:
 
     def report(self) -> dict:
         return asdict(self)
-
-
-def carleson_sum_at(seq: PointSeq, gap, angle) -> float:
-    """Sum of 1 - rho^2(z, z_n) at the point with boundary gap and angle."""
-    d = Fraction(gap) if not isinstance(gap, Fraction) else gap
-    (_, _, inv), = _pair_blocks([(d, mod1(angle))], seq.anchors())
-    return float(_anchor_order_sums(inv)[0])
 
 
 def carleson_sup(seq: PointSeq) -> CarlesonReport:

@@ -33,7 +33,6 @@ __all__ = [
     "DyadicDomain",
     "WeightCertificate",
     "OscillationReport",
-    "node_id",
     "cell_areas",
     "subtree_sums",
     "ancestor_max",
@@ -46,10 +45,6 @@ __all__ = [
     "random_log_walk",
     "random_domain",
 ]
-
-
-def node_id(level: int, index: int) -> int:
-    return (1 << level) + index
 
 
 @lru_cache(maxsize=64)

@@ -12,8 +12,10 @@ set-up, the window-by-window survey loop, the np.repeat ancestor
 cascade, the cell masses the maximal kernel once composed, the
 slice-per-level subtree sums and ancestor cascade, the stacked-trio
 oscillation constant, the two-buffer S operator, the per-weight constants
-loop, the weak-type ratio), or builds a small tree or domain from a node
-list.
+loop, the weak-type ratio, the full-disc maximal norm bound, the
+one-probe Carleson sum), decides a relation of grid nodes or arcs exactly
+(common-ancestor level, dyadic distance, arc-in-arc containment), or
+builds a small tree or domain from a node list.
 """
 
 import math
@@ -46,8 +48,10 @@ from discweights.geometry import (
 from discweights.martingales import (
     ParentRecord,
     SeqEntry,
+    _anchor_order_sums,
     _expand_signs,
     _log_inv_mass,
+    _pair_blocks,
     _sign_paths,
     default_probe_addresses,
     threshold_sequence,
@@ -59,10 +63,14 @@ from discweights.weights import (
     bp_constant,
     cell_areas,
     maximal_values,
-    node_id,
     node_levels,
     random_log_walk,
 )
+
+
+def node_id(level: int, index: int) -> int:
+    """Heap id of the grid arc at level k, position j: 2^k + j."""
+    return (1 << level) + index
 
 
 def brute_cells(depth, domain=None):
@@ -138,6 +146,21 @@ def weak_type_ratio(w, f, p, lam, domain=None):
     return lam ** p * super_mass / fnorm
 
 
+def lca_level(a: GridNode, b: GridNode) -> int:
+    """Level of the deepest common grid ancestor of two nodes (same offset)."""
+    if a.theta != b.theta:
+        raise ValueError("nodes live on different grids")
+    k = min(a.level, b.level)
+    ja = a.index >> (a.level - k)
+    jb = b.index >> (b.level - k)
+    return k - (ja ^ jb).bit_length()
+
+
+def beta_dyadic_nodes(a: GridNode, b: GridNode) -> int:
+    """Dyadic distance between two cells: max level minus common-ancestor level."""
+    return max(a.level, b.level) - lca_level(a, b)
+
+
 def beta_dyadic_pairs(levels_a, indices_a, levels_b, indices_b):
     """Matrix of dyadic distances from the cells (levels_a, indices_a), one
     per row, to the cells (levels_b, indices_b), one per column."""
@@ -188,21 +211,29 @@ def brute_c_const(w, domain=None):
     return best
 
 
-def brute_cell_id(depth, theta, modulus, angle):
-    """Node id of the cell of a depth-N tree with offset theta holding a point.
+def brute_cell_ids(depth, theta, modulus, angle):
+    """Node ids of the cells of a depth-N tree with offset theta holding the
+    points (modulus[i], angle[i]).
 
     Exact rational arithmetic on the float inputs: the level-k cell (k < N)
     is the top half T(I), depth 1 - |z| in (2^-(k+1), 2^-k] over the arc
     (theta + j 2^-k, theta + (j+1) 2^-k]; the leaf level takes every point
-    of depth at most 2^-N.
+    of depth at most 2^-N.  The level depends only on the modulus and the
+    index only on (level, angle), so each is found once per distinct value.
     """
-    d = 1 - F(modulus)
-    k = 0
-    while k < depth and d <= F(1, 1 << (k + 1)):
-        k += 1
-    rel = (F(angle) - F(theta)) % 1
-    j = math.ceil(rel * (1 << k)) - 1
-    return (1 << k) + (j if j >= 0 else (1 << k) - 1)
+    levels, index, out = {}, {}, []
+    for m, a in zip(modulus, angle):
+        if m not in levels:
+            d, k = 1 - F(m), 0
+            while k < depth and d <= F(1, 1 << (k + 1)):
+                k += 1
+            levels[m] = k
+        k = levels[m]
+        if (k, a) not in index:
+            j = math.ceil((F(a) - F(theta)) % 1 * (1 << k)) - 1
+            index[k, a] = j if j >= 0 else (1 << k) - 1
+        out.append((1 << k) + index[k, a])
+    return out
 
 
 def brute_good_nodes(theta, domain, depth, threshold=F(1, 18)):
@@ -516,6 +547,16 @@ def window_survey_geo_family(thetas, depth, stacks, p, family):
     return float(val.max(initial=0.0)), float(np.max(mink, initial=-np.inf))
 
 
+def arc_contains_arc(outer: UnitArc, inner: UnitArc) -> bool:
+    """Whether inner is a subset of outer, as half-open arcs mod 1."""
+    if outer.length >= 1:
+        return True
+    if inner.length > outer.length:
+        return False
+    r = mod1(inner.left - outer.left)
+    return r + inner.length <= outer.length
+
+
 def random_arcs(depth, rng, count):
     """Arcs with a uniform left end and a log-uniform length down to
     2^-depth, each read exactly from its float: their denominators reach
@@ -601,6 +642,13 @@ def brute_azuma_count(M, eps, k, base=""):
 def _probe_anchor(address, grid_theta):
     e = SeqEntry(address)
     return e.gap, e.angle(grid_theta)
+
+
+def carleson_sum_at(seq, gap, angle):
+    """Sum of 1 - rho^2(z, z_n) at the point with boundary gap and angle,
+    through the probe x anchor kernel that carleson_sup runs."""
+    (_, _, inv), = _pair_blocks([(F(gap), mod1(angle))], seq.anchors())
+    return float(_anchor_order_sums(inv)[0])
 
 
 def brute_carleson_sup(seq, probes=None):
@@ -841,6 +889,13 @@ def fraction_avg_beta_check(pairs):
         "max_beta_theta": maxima,
         "ratios": ratios,
     }
+
+
+def maximal_norm_bound(p, bracket):
+    """Full-disc (Lerner) bound ||M||_{L^p(w)} <= 4 (p^2/(p-1))^{1/p} [w]^{1/(p-1)}."""
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    return 4.0 * (p * p / (p - 1)) ** (1.0 / p) * bracket ** (1.0 / (p - 1))
 
 
 def full_series(values, mask, s, depth, p, terms):

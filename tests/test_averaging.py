@@ -29,7 +29,6 @@ from discweights.geometry import (
     GridNode,
     UnitArc,
     arc_contains_angle,
-    arc_contains_arc,
     area_top,
     beta_hyperbolic,
     containing_level,
@@ -38,6 +37,7 @@ from discweights.geometry import (
 from discweights.weights import TreeWeight, osc_constants, random_log_walk
 
 from helpers import (
+    arc_contains_arc,
     brute_cell_survey,
     brute_good_nodes,
     brute_restriction_values,

@@ -17,13 +17,12 @@ from discweights.weights import (
     b1_constant,
     bp_constant,
     maximal_values,
-    node_id,
     osc_constants,
     random_domain,
     random_log_walk,
 )
 
-from helpers import brute_maximal, from_generators, from_node_values
+from helpers import brute_maximal, from_generators, from_node_values, node_id
 
 
 def b1_instance(seed, depth=7):

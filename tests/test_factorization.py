@@ -22,14 +22,11 @@ from discweights.weights import (
 )
 from discweights.factorization import (
     factor_bho_full,
-    maximal_norm_bound,
     op_s,
     rdf_factor,
     s_norm_bound,
-    weighted_maximal,
-    weighted_maximal_norm_bound,
 )
-from helpers import full_series, two_buffer_op_s
+from helpers import full_series, maximal_norm_bound, two_buffer_op_s
 
 
 class TestNormBounds:
@@ -41,26 +38,22 @@ class TestNormBounds:
         # both maximal norms equal 8 at p = 2, bracket 1
         assert s_norm_bound(w, 2.0) == pytest.approx(16.0, abs=1e-12)
 
-    def test_doob_route_weighted_maximal(self):
-        # ||M_w f||_{L^p(w)} <= 2 (p/(p-1))^{1/p} ||f||_{L^p(w)}
-        rng = np.random.default_rng(31)
-        for _ in range(15):
-            w = random_log_walk(6, rng=rng, sigma=1.0)
-            f = np.abs(rng.normal(size=1 << 7)) ** rng.uniform(0.5, 3)
-            f[0] = 0.0
-            m = weighted_maximal(f, w)
-            areas = cell_areas(6)
-            for p in (1.5, 2.0, 4.0):
-                num = np.sum(m[1:] ** p * w.values[1:] * areas[1:]) ** (1 / p)
-                den = np.sum(f[1:] ** p * w.values[1:] * areas[1:]) ** (1 / p)
-                assert num <= weighted_maximal_norm_bound(p) * den * (1 + 1e-12)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_s_norm_is_the_lerner_form(self, p):
+        # the dual weight's bracket is [w]_p^{1/(p-1)} at p' = p/(p-1)
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            w = random_log_walk(6, rng=rng, sigma=0.8)
+            br = bp_constant(w, p)
+            lerner = (maximal_norm_bound(p / (p - 1), br ** (1 / (p - 1)))
+                      + maximal_norm_bound(p, br) ** (p - 1))
+            assert s_norm_bound(w, p, "full") == pytest.approx(lerner, rel=1e-12)
 
     def test_weighted_maximal_refuses_off_grid_domain(self):
         w = random_log_walk(5, seed=1)
         om = random_domain(5, seed=2, theta=F(1, 3))
-        for run in (lambda: weighted_maximal(w.values, w, om), lambda: weights.maximal(w, om)):
-            with pytest.raises(ValueError, match="different grids"):
-                run()
+        with pytest.raises(ValueError, match="different grids"):
+            weights.maximal(w, om)
 
     def test_unweighted_maximal_under_lerner_bound(self):
         rng = np.random.default_rng(32)

@@ -10,33 +10,31 @@ from fractions import Fraction as F
 import math
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from discweights.geometry import (
-    DiscPoint,
     GridNode,
     UnitArc,
     arc_contains_angle,
-    arc_contains_arc,
-    arc_hull,
     area_carleson,
     area_top,
-    beta_dyadic,
-    beta_dyadic_nodes,
     beta_hyperbolic,
     containing_level,
-    containing_node,
-    disc_point,
-    hyplemma_ratio,
-    lca_level,
-    min_predecessor_cont,
-    min_predecessor_theta,
     mod1,
-    node_arc,
-    node_point,
     rho_pseudo,
 )
+from discweights.weights import values_at
+
+from helpers import arc_contains_arc, beta_dyadic_nodes, lca_level
+
+
+def cell_ids(theta, depth, modulus, angle):
+    """Node ids of the cells of a depth-N tree with offset theta holding the
+    points, through the lab's batched lookup (a tree whose values are its
+    own node ids)."""
+    ids = np.arange(1 << (depth + 1), dtype=np.float64)
+    got = values_at(ids[None, :], [theta], depth, np.array(modulus), np.array(angle))
+    return got[0].astype(np.int64).tolist()
 
 
 def mc_area(contains, n=2_000_000, seed=7):
@@ -141,15 +139,6 @@ class TestMetrics:
             rhs = (1 - abs(z) ** 2) * (1 - abs(w) ** 2) / abs(1 - w.conjugate() * z) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_hyplemma_ratio_envelope(self):
-        rng = np.random.default_rng(11)
-        ratios = []
-        for _ in range(2000):
-            z = disc_point(rng.uniform(0, 0.9999), F(int(rng.integers(0, 1 << 30)), 1 << 30))
-            w = disc_point(rng.uniform(0, 0.9999), F(int(rng.integers(0, 1 << 30)), 1 << 30))
-            ratios.append(hyplemma_ratio(z, w))
-        assert 1 / 8 <= min(ratios) and max(ratios) <= 8
-
 
 class TestCellAssignment:
     def test_containing_level_boundaries(self):
@@ -187,30 +176,22 @@ class TestCellAssignment:
             containing_level(d)
 
     def test_node_point_round_trip(self):
-        # the distinguished point of a node lands back in that node's cell
-        for level in range(0, 10):
-            for index in (0, (1 << level) - 1, (1 << level) // 2):
-                node = GridNode(F(0), level, index)
-                assert containing_node(F(0), node_point(node)) == node
-
-    def test_node_point_example(self):
-        p = node_point(GridNode(F(0), 1, 0))
-        assert p.modulus == 0.5
-        assert p.angle == F(1, 4)
-        # 1 - |z|^2 = ell (2 - ell)
-        assert 1 - p.modulus ** 2 == pytest.approx(0.5 * 1.5)
+        # a node's distinguished point (modulus 1 - |I|, central angle)
+        # lands back in that node's cell
+        nodes = [(level, index) for level in range(10)
+                 for index in sorted({0, (1 << level) - 1, (1 << level) // 2})]
+        modulus = [1 - 2.0 ** -level for level, _ in nodes]
+        angle = [(index + 0.5) / (1 << level) for level, index in nodes]
+        assert cell_ids(F(0), 10, modulus, angle) == [(1 << k) + j for k, j in nodes]
 
     def test_origin_maps_to_root(self):
-        assert containing_node(F(1, 3), disc_point(0.0, 0.7)) == GridNode(F(1, 3), 0, 0)
+        assert cell_ids(F(1, 3), 4, [0.0], [0.7]) == [1]
 
     def test_half_open_boundary_membership(self):
-        # angle exactly on a grid endpoint belongs to the arc ending there
-        z = DiscPoint(0.4, F(1, 2))  # depth 0.6 -> level 0 regardless
-        assert containing_node(F(0), z).level == 0
-        z = DiscPoint(0.75, F(1, 2))  # depth 1/4 -> level 2, angle on endpoint 1/2
-        assert containing_node(F(0), z) == GridNode(F(0), 2, 1)
-        z = DiscPoint(0.75, F(0))  # angle on theta itself wraps to last arc
-        assert containing_node(F(0), z) == GridNode(F(0), 2, 3)
+        # angle exactly on a grid endpoint belongs to the arc ending there:
+        # depth 0.6 is level 0 regardless; depth 1/4 is level 2, with the
+        # angle on the endpoint 1/2 and on theta itself (the last arc)
+        assert cell_ids(F(0), 4, [0.4, 0.75, 0.75], [0.5, 0.5, 0.0]) == [1, 4 + 1, 4 + 3]
 
 
 class TestBetaDyadic:
@@ -231,11 +212,10 @@ class TestBetaDyadic:
         # points just clockwise/counterclockwise of theta at depth 2^-k sit in
         # the first and last level-k arcs; the common predecessor is the root
         for k in (2, 5, 9):
-            zk = DiscPoint(1 - 2.0 ** -k, F(1, 1 << (k + 2)))
-            wk = DiscPoint(1 - 2.0 ** -k, mod1(F(-1, 1 << (k + 2))))
-            assert containing_node(F(0), zk) == GridNode(F(0), k, 0)
-            assert containing_node(F(0), wk) == GridNode(F(0), k, (1 << k) - 1)
-            assert beta_dyadic(F(0), zk, wk) == k
+            angles = [2.0 ** -(k + 2), 1 - 2.0 ** -(k + 2)]
+            assert cell_ids(F(0), 10, [1 - 2.0 ** -k] * 2, angles) == [1 << k, (2 << k) - 1]
+            first, last = GridNode(F(0), k, 0), GridNode(F(0), k, (1 << k) - 1)
+            assert beta_dyadic_nodes(first, last) == k
 
     def test_lca_level_via_prefixes(self):
         rng = np.random.default_rng(5)
@@ -288,62 +268,3 @@ class TestArcPredicates:
         assert arc_contains_angle(arc, F(15, 16))
         assert arc_contains_angle(arc, F(1, 16))
         assert not arc_contains_angle(arc, F(1, 2))
-
-    @given(
-        c1=st.fractions(0, 1), l1=st.fractions(F(1, 64), 1),
-        c2=st.fractions(0, 1), l2=st.fractions(F(1, 64), 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_hull_contains_both_and_is_minimal_at_ends(self, c1, l1, c2, l2):
-        a, b = UnitArc(c1, l1), UnitArc(c2, l2)
-        h = arc_hull(a, b)
-        assert arc_contains_arc(h, a) and arc_contains_arc(h, b)
-        if h.length < 1:
-            # both endpoints of the hull are forced by one of the arcs
-            assert h.left in (a.left, b.left)
-            assert h.right in (a.right, b.right)
-
-    def test_sibling_top_halves_hull_to_parent(self):
-        parent = GridNode(F(0), 3, 5)
-        c1, c2 = parent.children()
-        z, w = node_point(c1), node_point(c2)
-        hull = min_predecessor_cont(z, w)
-        # smallest arc containing both children's boundary arcs is the parent arc
-        assert hull.length == parent.length
-        assert hull.left == parent.left
-
-    def test_min_predecessor_theta_identity_on_grid_arcs(self):
-        for level in range(0, 8):
-            node = GridNode(F(0), level, (1 << level) - 1 if level else 0)
-            found = min_predecessor_theta(F(0), node.arc())
-            assert found == node
-
-    @given(
-        left=st.fractions(0, 1),
-        ell=st.fractions(F(1, 512), F(1, 2)),
-        theta=st.fractions(0, 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_min_predecessor_theta_contains_and_is_deepest(self, left, ell, theta):
-        arc = UnitArc(left + ell / 2, ell)
-        node = min_predecessor_theta(theta, arc)
-        assert arc_contains_arc(node.arc(), arc)
-        if node.level < 9:
-            children = node.children()
-            assert not any(arc_contains_arc(c.arc(), arc) for c in children)
-
-    @given(
-        m1=st.floats(0.02, 0.98), a1=st.fractions(0, 1),
-        m2=st.floats(0.02, 0.98), a2=st.fractions(0, 1),
-        theta=st.fractions(0, 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_grid_predecessor_of_pair_sits_inside_grid_hull_predecessor(
-        self, m1, a1, m2, a2, theta
-    ):
-        z, w = disc_point(m1, a1), disc_point(m2, a2)
-        iz, iw = containing_node(theta, z), containing_node(theta, w)
-        k = lca_level(iz, iw)
-        pair_pred = GridNode(theta, k, iz.index >> (iz.level - k))
-        hull_pred = min_predecessor_theta(theta, min_predecessor_cont(z, w))
-        assert arc_contains_arc(hull_pred.arc(), pair_pred.arc())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discweights import martingales
-from discweights.geometry import GridNode, mod1, node_point
+from discweights.geometry import GridNode, mod1
 from discweights.martingales import (
     DyadicMartingale,
     PointSeq,
@@ -19,7 +19,6 @@ from discweights.martingales import (
     azuma_fit,
     azuma_table,
     bloch_seminorm,
-    carleson_sum_at,
     carleson_sup,
     counterexample_build,
     default_probe_addresses,
@@ -39,6 +38,7 @@ from helpers import (
     brute_pair_invariants,
     brute_trace_sup_i,
     brute_trace_weak_l1,
+    carleson_sum_at,
     dict_crossing_classes,
     fraction_build_parents,
     weak_separation_ok,
@@ -480,9 +480,9 @@ class TestPointSeq:
         # central angle of the interval
         for address in ("0", "10", "0110"):
             e = SeqEntry(address)
-            z = node_point(GridNode(0, len(address), int(address, 2)))
-            assert float(1 - e.gap) == z.modulus
-            assert e.angle(Fraction(0)) == z.angle
+            node = GridNode(0, len(address), int(address, 2))
+            assert e.gap == node.length  # modulus 1 - |I|
+            assert e.angle(Fraction(0)) == node.left + node.length / 2
 
     def test_duplicates_raise(self):
         with pytest.raises(ValueError, match=r"duplicate addresses .*\['01'\]"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from discweights import weights
-from discweights.geometry import GridNode, area_carleson, beta_dyadic_nodes
+from discweights.geometry import GridNode, area_carleson
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
@@ -31,7 +31,6 @@ from discweights.weights import (
     cell_areas,
     maximal,
     maximal_values,
-    node_id,
     node_levels,
     osc_constants,
     random_domain,
@@ -41,16 +40,18 @@ from discweights.weights import (
 )
 
 from helpers import (
+    beta_dyadic_nodes,
     beta_dyadic_pairs,
     brute_box_integral,
     brute_c_const,
-    brute_cell_id,
+    brute_cell_ids,
     brute_cells,
     brute_l_const,
     brute_maximal,
     cell_masses,
     from_generators,
     from_node_values,
+    node_id,
     repeat_ancestor_max,
     slice_add_subtrees,
     slice_max_ancestors,
@@ -351,7 +352,7 @@ class TestValuesAt:
         r, a = r.ravel(), a.ravel()
         got = values_at(np.stack([ids] * len(thetas)), thetas, depth, r, a)
         for row, theta in zip(got, thetas):
-            expect = [brute_cell_id(depth, theta, ri, ai) for ri, ai in zip(r, a)]
+            expect = brute_cell_ids(depth, theta, r.tolist(), a.tolist())
             assert row.astype(np.int64).tolist() == expect
 
 
