@@ -54,7 +54,6 @@ from .geometry import (
     GridNode,
     UnitArc,
     _ratio_level,
-    arc_contains_angle,
     beta_hyperbolic,
     mod1,
 )
@@ -183,13 +182,6 @@ class ContinuousDomain:
 
     def area(self) -> Fraction:
         return sum((p.area() for p in self.pieces()), Fraction(0))
-
-    def contains(self, depth: Fraction, angle) -> bool:
-        """Exact membership of a point given by its depth 1-|z| and angle."""
-        for g in self.generators:
-            if g.length / 2 < depth <= g.length and arc_contains_angle(g, angle):
-                return True
-        return False
 
     def clip_to_top(self, node: GridNode):
         """Disjoint rectangles making up T(node) intersected with the region."""

@@ -2,8 +2,8 @@
 
 Angles are measured in turns (fractions of a revolution) and kept as exact
 rationals wherever a containment decision depends on them.  Floats are
-binary rationals, so ``Fraction(x)`` loses nothing and every arc membership
-test below is decided exactly.
+binary rationals, so ``Fraction(x)`` loses nothing and the cell level of
+a boundary distance below is decided exactly.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -41,7 +41,6 @@ __all__ = [
     "rho_pseudo",
     "beta_hyperbolic",
     "containing_level",
-    "arc_contains_angle",
 ]
 
 
@@ -78,10 +77,6 @@ class UnitArc:
     def left(self) -> Fraction:
         return mod1(self.center - self.length / 2)
 
-    @cached_property
-    def right(self) -> Fraction:
-        return mod1(self.center + self.length / 2)
-
 
 @dataclass(frozen=True)
 class GridNode:
@@ -108,17 +103,6 @@ class GridNode:
 
     def arc(self) -> UnitArc:
         return UnitArc(center=self.left + self.length / 2, length=self.length)
-
-    def parent(self) -> "GridNode":
-        if self.level == 0:
-            raise ValueError("root has no parent")
-        return GridNode(self.theta, self.level - 1, self.index >> 1)
-
-    def children(self) -> tuple["GridNode", "GridNode"]:
-        return (
-            GridNode(self.theta, self.level + 1, 2 * self.index),
-            GridNode(self.theta, self.level + 1, 2 * self.index + 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -207,14 +191,3 @@ def _ratio_level(p: int, q: int) -> int:
         raise ValueError(f"need 0 < d <= 1, got {Fraction(p, q)}")
     k = q.bit_length() - p.bit_length()
     return k - ((p << k) > q)
-
-
-# ---------------------------------------------------------------------------
-# arc containment (exact)
-# ---------------------------------------------------------------------------
-
-def arc_contains_angle(arc: UnitArc, angle: AngleLike) -> bool:
-    if arc.length >= 1:
-        return True
-    r = mod1(as_fraction(angle) - arc.left)
-    return 0 < r <= arc.length

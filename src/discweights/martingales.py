@@ -29,8 +29,11 @@ angle differences:
 with dt the wrapped angle difference in turns.  No term is a difference
 of nearly equal floats, and 1 - rho^2 comes out as the positive quotient
 (mass_z * mass_w) / |1 - conj(z) w|^2.  Sums over many pairs evaluate all
-probes against all anchors in one array pass, with every angle on one
-common denominator, so dt is an exact integer ratio rounded once.
+probe addresses against all anchor addresses in one array pass, on
+integer cells: every angle is an integer over 2^(K+1), K the deepest
+level, so dt is an exact integer ratio rounded once, and the gap terms
+are integer quotients per pair of levels.  The grid offset shifts every
+angle alike and never enters a pair term.
 """
 
 from __future__ import annotations
@@ -419,17 +422,9 @@ class SeqEntry:
         return len(self.address)
 
     @property
-    def gap(self) -> Fraction:
-        """Boundary distance d = 1 - |z| of the anchor (= interval length)."""
-        return Fraction(1, 1 << self.level)
-
-    def angle(self, grid_theta: Fraction) -> Fraction:
-        idx = int(self.address, 2) if self.address else 0
-        return mod1(grid_theta + (idx + Fraction(1, 2)) * self.gap)
-
-    @property
     def mass(self) -> Fraction:
-        d = self.gap
+        """1 - |z|^2 = d(2 - d) at the anchor, d = 2^-k its boundary gap."""
+        d = Fraction(1, 1 << self.level)
         return d * (2 - d)
 
 
@@ -469,10 +464,6 @@ class PointSeq:
     def __iter__(self):
         return iter(self.entries)
 
-    def anchors(self) -> List[Tuple[Fraction, Fraction]]:
-        """(boundary gap, angle) pairs, exact."""
-        return [(e.gap, e.angle(self.grid_theta)) for e in self.entries]
-
     def masses(self) -> np.ndarray:
         return np.array([float(e.mass) for e in self.entries])
 
@@ -505,7 +496,7 @@ def radial_chain(depth: int = 12) -> PointSeq:
 
 
 # ---------------------------------------------------------------------------
-# stable disc metric from (gap, angle) pairs
+# stable disc metric between address anchors
 # ---------------------------------------------------------------------------
 
 # Probe rows per block of the pair kernel are chosen so that a block holds
@@ -514,59 +505,57 @@ def radial_chain(depth: int = 12) -> PointSeq:
 _BLOCK_PAIRS = 1 << 14
 
 
-def _gap_terms(probe_gaps: Sequence[Fraction], anchor_gaps: Sequence[Fraction]):
-    """The angle-free factors of the pair formula, one entry per (probe gap,
-    anchor gap): (1 - d1)(1 - d2), (d1 - d2)^2, (d1 + d2 - d1 d2)^2 and the
-    mass product d1(2 - d1) d2(2 - d2), each rounded to float where the
-    scalar formula rounds it.  Each rational is one integer quotient over
-    unreduced denominators; int / int rounds once, as float(Fraction) does.
+def _gap_terms(probe_levels: Sequence[int], anchor_levels: Sequence[int]):
+    """The angle-free factors of the pair formula, one entry per (probe
+    level, anchor level): with gaps d = 1/q, q = 2^k, they are (1 - d1)(1 - d2),
+    (d1 - d2)^2, (d1 + d2 - d1 d2)^2 and the mass product
+    d1(2 - d1) d2(2 - d2), each rounded to float where the scalar formula
+    rounds it.  Each is one integer quotient, and int / int rounds once.
     """
-    shape = (len(probe_gaps), len(anchor_gaps))
+    shape = (len(probe_levels), len(anchor_levels))
     rprod, near, far, mass = (np.empty(shape) for _ in range(4))
-    for i, d1 in enumerate(probe_gaps):
-        p1, q1 = d1.numerator, d1.denominator
-        m1 = p1 * (2 * q1 - p1) / (q1 * q1)
-        for j, d2 in enumerate(anchor_gaps):
-            p2, q2 = d2.numerator, d2.denominator
+    for i, k1 in enumerate(probe_levels):
+        q1 = 1 << k1
+        m1 = (2 * q1 - 1) / (q1 * q1)
+        for j, k2 in enumerate(anchor_levels):
+            q2 = 1 << k2
             q = q1 * q2
-            rprod[i, j] = (q1 - p1) * (q2 - p2) / q
-            near[i, j] = ((p1 * q2 - p2 * q1) / q) ** 2
-            far[i, j] = ((p1 * q2 + p2 * q1 - p1 * p2) / q) ** 2
-            mass[i, j] = m1 * (p2 * (2 * q2 - p2) / (q2 * q2))
+            rprod[i, j] = (q1 - 1) * (q2 - 1) / q
+            near[i, j] = ((q2 - q1) / q) ** 2
+            far[i, j] = ((q2 + q1 - 1) / q) ** 2
+            mass[i, j] = m1 * ((2 * q2 - 1) / (q2 * q2))
     return rprod, near, far, mass
 
 
-def _gap_level(d: Fraction) -> int:
-    """-log2 of a boundary gap to the nearest level; the level of 2^-k is k."""
-    return d.denominator.bit_length() - d.numerator.bit_length()
-
-
-def _pair_blocks(probes: Sequence[Tuple[Fraction, Fraction]],
-                 anchors: Sequence[Tuple[Fraction, Fraction]]):
+def _pair_blocks(probes: Sequence[str], anchors: Sequence[str]):
     """(rho^2, 1 - rho^2) between every probe and every anchor.
 
-    Points are exact (gap, angle) pairs.  Yields (start, rho2, inv) with
-    (rows, anchors) float arrays for the probes start, start + 1, ...,
-    a block of about _BLOCK_PAIRS pairs at a time.  Every angle goes on
-    one common denominator L, so the folded difference dt is an integer
-    over L, divided once; the gap terms come exact from _gap_terms.  Each
-    entry is bitwise what the scalar formula gives for its pair.  Angle
-    numerators are int64 while L < 2^53 (so dt / L rounds once) and
-    Python ints above.  A pair whose |1 - conj(z) w|^2 underflows to 0
-    raises a ValueError naming its levels.
+    Probes and anchors are tree addresses; the anchor of an address of
+    level k and index i has gap 2^-k and angle (2i + 1) / 2^(k+1).  The
+    grid offset is left out: it shifts every angle alike, so no pair term
+    sees it.  Yields (start, rho2, inv) with (rows, anchors) float arrays
+    for the probes start, start + 1, ..., a block of about _BLOCK_PAIRS
+    pairs at a time.  With K the deepest level, every angle is an integer
+    over L = 2^(K+1), so the folded difference dt is an integer over L,
+    divided once; the gap terms are integer quotients per level pair from
+    _gap_terms.  Each entry is bitwise what the scalar formula gives for
+    its pair.  Angle numerators are int64 while L < 2^53 (so dt / L
+    rounds once) and Python ints above.  A pair whose |1 - conj(z) w|^2
+    underflows to 0 raises a ValueError naming its levels.
     """
     points = list(probes) + list(anchors)
     count = len(probes)
-    L = math.lcm(*(t.denominator for _, t in points))
-    turns = np.array([t.numerator * (L // t.denominator) for _, t in points],
+    K = max(map(len, points), default=0)
+    L = 2 << K
+    turns = np.array([(2 * int(a or "0", 2) + 1) << (K - len(a)) for a in points],
                      dtype=np.int64 if L < 1 << 53 else object)
-    probe_gaps = sorted({d for d, _ in probes})
-    anchor_gaps = sorted({d for d, _ in anchors})
-    rprod, near, far, mass = _gap_terms(probe_gaps, anchor_gaps)
-    where_p = {d: i for i, d in enumerate(probe_gaps)}
-    where_a = {d: j for j, d in enumerate(anchor_gaps)}
-    gp = np.array([where_p[d] for d, _ in probes], dtype=np.intp)
-    ga = np.array([where_a[d] for d, _ in anchors], dtype=np.intp)[None, :]
+    probe_levels = sorted({len(a) for a in probes})
+    anchor_levels = sorted({len(a) for a in anchors})
+    rprod, near, far, mass = _gap_terms(probe_levels, anchor_levels)
+    where_p = {k: i for i, k in enumerate(probe_levels)}
+    where_a = {k: j for j, k in enumerate(anchor_levels)}
+    gp = np.array([where_p[len(a)] for a in probes], dtype=np.intp)
+    ga = np.array([where_a[len(a)] for a in anchors], dtype=np.intp)[None, :]
     rows = max(1, _BLOCK_PAIRS // max(1, len(anchors)))
     for start in range(0, count, rows):
         stop = min(start + rows, count)
@@ -579,8 +568,8 @@ def _pair_blocks(probes: Sequence[Tuple[Fraction, Fraction]],
         if not den.all():
             i, j = np.argwhere(den == 0)[0]
             raise ValueError(
-                f"probe at level {_gap_level(probes[start + i][0])} and anchor at "
-                f"level {_gap_level(anchors[j][0])} lie too close to the circle: "
+                f"probe at level {len(probes[start + i])} and anchor at "
+                f"level {len(anchors[j])} lie too close to the circle: "
                 "|1 - conj(z) w|^2 underflows to 0 in double precision")
         yield start, (near[g, ga] + cross) / den, mass[g, ga] / den
 
@@ -596,17 +585,6 @@ def _anchor_order_sums(inv: np.ndarray) -> np.ndarray:
 def _log_inv_mass(level: int) -> float:
     """log(1/(1 - |z|^2)) at an anchor of the given level, stable at depth."""
     return level * math.log(2.0) - math.log(2.0 - 0.5 ** level)
-
-
-def _address_points(addresses: Sequence[str]) -> List[Tuple[Fraction, Fraction]]:
-    """Exact (gap, angle) of address anchors, the grid offset left out: it
-    shifts every angle alike, so no pair term sees it."""
-    out = []
-    for address in addresses:
-        k = len(_validate_address(address))
-        idx = int(address, 2) if address else 0
-        out.append((Fraction(1, 1 << k), Fraction(2 * idx + 1, 1 << (k + 1))))
-    return out
 
 
 def default_probe_addresses(seq: PointSeq) -> List[str]:
@@ -644,8 +622,7 @@ def carleson_sup(seq: PointSeq) -> CarlesonReport:
     """
     probes = default_probe_addresses(seq)
     totals = np.empty(len(probes))
-    anchors = _address_points([e.address for e in seq])
-    for start, _, inv in _pair_blocks(_address_points(probes), anchors):
+    for start, _, inv in _pair_blocks(probes, [e.address for e in seq]):
         totals[start:start + len(inv)] = _anchor_order_sums(inv)
     best, arg = -math.inf, ""
     for address, total in zip(probes, totals.tolist()):
@@ -680,13 +657,12 @@ def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float, r_levels: int = 
     attained, and a per-radius profile.
     """
     probes = default_probe_addresses(seq)
-    anchors = _address_points([e.address for e in seq])
     b_entries = np.array([M.value(e.address) for e in seq])
     log_terms = [_log_inv_mass(m) for m in range(1, r_levels + 1)]
     r2s = np.array([(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)])[:, None]
     sup, arg_probe, arg_m = -math.inf, "", 0
     by_radius = [0.0] * r_levels
-    for start, rho2_rows, inv_rows in _pair_blocks(_address_points(probes), anchors):
+    for start, rho2_rows, inv_rows in _pair_blocks(probes, [e.address for e in seq]):
         block = probes[start:start + len(rho2_rows)]
         with np.errstate(over="ignore"):
             for address, rho2, inv in zip(block, rho2_rows, inv_rows):
@@ -720,8 +696,7 @@ def trace_weak_l1(seq: PointSeq, M: DyadicMartingale, lam: float,
     """
     bz = M.value(probe)
     kept = [e for e in seq if e.address != probe]
-    (_, _, inv_row), = _pair_blocks(_address_points([probe]),
-                                    _address_points([e.address for e in kept]))
+    (_, _, inv_row), = _pair_blocks([probe], [e.address for e in kept])
     values = []
     for e, inv in zip(kept, inv_row[0].tolist()):
         # log(1/(1 - rho^2)) via the quotient's parts; safe for rho near 0 or 1

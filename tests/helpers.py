@@ -13,9 +13,11 @@ cascade, the cell masses the maximal kernel once composed, the
 slice-per-level subtree sums and ancestor cascade, the stacked-trio
 oscillation constant, the two-buffer S operator, the per-weight constants
 loop, the weak-type ratio, the full-disc maximal norm bound, the
-one-probe Carleson sum), decides a relation of grid nodes or arcs exactly
-(common-ancestor level, dyadic distance, arc-in-arc containment), or
-builds a small tree or domain from a node list.
+one-probe Carleson sum, the exact anchor points of tree addresses),
+decides a relation of grid nodes, arcs or regions exactly
+(common-ancestor level, dyadic distance, arc-in-arc containment, angle
+in arc, point in region), or builds a small tree or domain from a node
+list.
 """
 
 import math
@@ -38,7 +40,6 @@ from discweights.factorization import factor_bho_full, op_s
 from discweights.geometry import (
     GridNode,
     UnitArc,
-    arc_contains_angle,
     area_carleson,
     area_top,
     beta_hyperbolic,
@@ -47,7 +48,6 @@ from discweights.geometry import (
 )
 from discweights.martingales import (
     ParentRecord,
-    SeqEntry,
     _anchor_order_sums,
     _expand_signs,
     _log_inv_mass,
@@ -547,6 +547,21 @@ def window_survey_geo_family(thetas, depth, stacks, p, family):
     return float(val.max(initial=0.0)), float(np.max(mink, initial=-np.inf))
 
 
+def arc_contains_angle(arc: UnitArc, angle) -> bool:
+    """Whether the half-open arc holds the angle (in turns), exactly."""
+    if arc.length >= 1:
+        return True
+    r = mod1(F(angle) - arc.left)
+    return 0 < r <= arc.length
+
+
+def domain_contains(domain, depth, angle) -> bool:
+    """Exact membership in a continuous region of the point with depth
+    1 - |z| and the given angle: some generator's top holds it."""
+    return any(g.length / 2 < depth <= g.length and arc_contains_angle(g, angle)
+               for g in domain.generators)
+
+
 def arc_contains_arc(outer: UnitArc, inner: UnitArc) -> bool:
     """Whether inner is a subset of outer, as half-open arcs mod 1."""
     if outer.length >= 1:
@@ -639,15 +654,24 @@ def brute_azuma_count(M, eps, k, base=""):
     return sum(F(abs(float(v) - v0)) > thr for v in level)
 
 
-def _probe_anchor(address, grid_theta):
-    e = SeqEntry(address)
-    return e.gap, e.angle(grid_theta)
+def anchor_point(address, grid_theta=0):
+    """Exact (boundary gap, angle) of an address anchor: modulus 1 - 2^-k
+    under the centre of its interval, shifted by the grid offset."""
+    k = len(address)
+    index = int(address, 2) if address else 0
+    return F(1, 1 << k), mod1(grid_theta + F(2 * index + 1, 1 << (k + 1)))
 
 
-def carleson_sum_at(seq, gap, angle):
-    """Sum of 1 - rho^2(z, z_n) at the point with boundary gap and angle,
-    through the probe x anchor kernel that carleson_sup runs."""
-    (_, _, inv), = _pair_blocks([(F(gap), mod1(angle))], seq.anchors())
+def seq_anchors(seq):
+    """The exact anchor points of a sequence, grid offset included."""
+    return [anchor_point(e.address, seq.grid_theta) for e in seq]
+
+
+def carleson_sum_at(seq, address):
+    """Sum of 1 - rho^2(z, z_n) at the anchor of a probe address (the
+    origin is the probe ""), through the probe x anchor kernel that
+    carleson_sup runs."""
+    (_, _, inv), = _pair_blocks([address], [e.address for e in seq])
     return float(_anchor_order_sums(inv)[0])
 
 
@@ -655,10 +679,10 @@ def brute_carleson_sup(seq, probes=None):
     """(sup, argmax, box_sup, box_argmax) of carleson_sup, pair by pair."""
     if probes is None:
         probes = default_probe_addresses(seq)
-    anchors = seq.anchors()
+    anchors = seq_anchors(seq)
     best, arg = -math.inf, ""
     for address in probes:
-        d, t = _probe_anchor(address, seq.grid_theta)
+        d, t = anchor_point(address, seq.grid_theta)
         total = sum(brute_pair_invariants(d, t, dq, tq)[1] for dq, tq in anchors)
         if total > best:
             best, arg = total, address
@@ -676,7 +700,7 @@ def brute_trace_sup_i(seq, M, lam, probes=None, r_levels=12):
     """trace_sup_i's sup, argmax and per-radius profile, pair by pair."""
     if probes is None:
         probes = default_probe_addresses(seq)
-    anchors = seq.anchors()
+    anchors = seq_anchors(seq)
     b_entries = np.array([M.value(e.address) for e in seq])
     log_terms = [m * math.log(2.0) - math.log(2.0 - 0.5 ** m)
                  for m in range(1, r_levels + 1)]
@@ -684,7 +708,7 @@ def brute_trace_sup_i(seq, M, lam, probes=None, r_levels=12):
     sup, arg_probe, arg_m = -math.inf, "", 0
     by_radius = [0.0] * r_levels
     for address in probes:
-        d, t = _probe_anchor(address, seq.grid_theta)
+        d, t = anchor_point(address, seq.grid_theta)
         pairs = [brute_pair_invariants(d, t, dq, tq) for dq, tq in anchors]
         rho2 = np.array([r for r, _ in pairs])
         inv = np.array([m for _, m in pairs])
@@ -704,12 +728,12 @@ def brute_trace_sup_i(seq, M, lam, probes=None, r_levels=12):
 
 def brute_trace_weak_l1(seq, M, lam, probe=""):
     """trace_weak_l1's (weak_l1, strong_sum, count, collisions), pair by pair."""
-    d, t = _probe_anchor(probe, seq.grid_theta)
+    d, t = anchor_point(probe, seq.grid_theta)
     bz = M.value(probe)
     values = []
     collisions = 0
     for e in seq:
-        dq, tq = e.gap, e.angle(seq.grid_theta)
+        dq, tq = anchor_point(e.address, seq.grid_theta)
         if dq == d and tq == t:
             collisions += 1
             continue

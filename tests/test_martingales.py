@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discweights import martingales
-from discweights.geometry import GridNode, mod1
+from discweights.geometry import GridNode
 from discweights.martingales import (
     DyadicMartingale,
     PointSeq,
@@ -33,6 +33,7 @@ from discweights.martingales import (
     trace_weak_l1,
 )
 from helpers import (
+    anchor_point,
     brute_azuma_count,
     brute_carleson_sup,
     brute_pair_invariants,
@@ -41,6 +42,7 @@ from helpers import (
     carleson_sum_at,
     dict_crossing_classes,
     fraction_build_parents,
+    seq_anchors,
     weak_separation_ok,
 )
 
@@ -468,21 +470,19 @@ class TestAzumaFit:
 
 class TestPointSeq:
     def test_anchor_geometry(self):
-        e = SeqEntry("000")
-        assert e.gap == Fraction(1, 8)
-        assert e.angle(Fraction(0)) == Fraction(1, 16)
-        assert e.mass == Fraction(1, 8) * Fraction(15, 8)
-        shifted = SeqEntry("11").angle(Fraction(1, 3))
+        assert anchor_point("000") == (Fraction(1, 8), Fraction(1, 16))
+        assert SeqEntry("000").mass == Fraction(1, 8) * Fraction(15, 8)
+        _, shifted = anchor_point("11", Fraction(1, 3))
         assert shifted == Fraction(1, 3) + Fraction(7, 8) - 1
 
     def test_anchor_matches_tree_node_point(self):
         # same convention as the dyadic geometry: modulus 1 - 2^{-k},
         # central angle of the interval
         for address in ("0", "10", "0110"):
-            e = SeqEntry(address)
+            gap, angle = anchor_point(address)
             node = GridNode(0, len(address), int(address, 2))
-            assert e.gap == node.length  # modulus 1 - |I|
-            assert e.angle(Fraction(0)) == node.left + node.length / 2
+            assert gap == node.length  # modulus 1 - |I|
+            assert angle == node.left + node.length / 2
 
     def test_duplicates_raise(self):
         with pytest.raises(ValueError, match=r"duplicate addresses .*\['01'\]"):
@@ -494,7 +494,7 @@ class TestPointSeq:
         seq = PointSeq([SeqEntry("0", 1), SeqEntry("0110", 2)],
                        grid_theta=Fraction(1, 7))
         back = PointSeq.from_json(seq.to_json())
-        assert back.anchors() == seq.anchors()
+        assert seq_anchors(back) == seq_anchors(seq)
         assert [e.generation for e in back] == [1, 2]
         assert back.grid_theta == Fraction(1, 7)
 
@@ -504,7 +504,7 @@ class TestPointSeq:
     def test_round_trip_preserves_anchors(self, addrs, theta):
         seq = PointSeq(addrs, grid_theta=Fraction(theta, 128))
         back = PointSeq.from_json(seq.to_json())
-        assert back.anchors() == seq.anchors()
+        assert seq_anchors(back) == seq_anchors(seq)
 
     def test_generation_spans(self):
         seq = radial_chain(4)
@@ -517,22 +517,22 @@ class TestCarleson:
     def test_single_point_from_origin(self):
         # the origin sees exactly the invariant mass 1 - |z|^2
         seq = PointSeq(["0"])
-        assert carleson_sum_at(seq, Fraction(1), 0) == 0.75
+        assert carleson_sum_at(seq, "") == 0.75
 
     def test_chain_origin_sum_closed_form(self):
         chain = radial_chain(12)
         exact = sum(Fraction(1, 1 << j) * (2 - Fraction(1, 1 << j))
                     for j in range(1, 13))
         assert exact == 2 * (1 - Fraction(1, 4096)) - Fraction(1, 3) * (1 - Fraction(1, 4 ** 12))
-        assert carleson_sum_at(chain, Fraction(1), 0) == pytest.approx(float(exact), rel=1e-13)
+        assert carleson_sum_at(chain, "") == pytest.approx(float(exact), rel=1e-13)
 
     def test_pair_mass_against_complex_arithmetic(self):
         # shallow anchors: the stable gap/angle route must agree with the
         # naive formula
         chain = radial_chain(10)
-        anchors = chain.anchors()
-        for gap, angle in anchors:
-            stable = carleson_sum_at(chain, gap, angle)
+        anchors = seq_anchors(chain)
+        for e, (gap, angle) in zip(chain, anchors):
+            stable = carleson_sum_at(chain, e.address)
             naive = sum(naive_pair_mass(gap, angle, g2, a2) for g2, a2 in anchors)
             assert stable == pytest.approx(naive, rel=1e-10)
 
@@ -551,12 +551,10 @@ class TestCarleson:
         # moduli this close to 1 collapse in naive complex arithmetic;
         # the gap/angle route keeps the invariant mass positive and the
         # decay in angular separation monotone
-        probe_gap, probe_angle = SeqEntry("0" * 55).gap, SeqEntry("0" * 55).angle(Fraction(0))
         sums = []
-        for offset in range(1, 5):
-            other = Fraction(offset, 1 << 55) + Fraction(1, 1 << 56)
-            seq = PointSeq([SeqEntry("0" * 55)], grid_theta=other - probe_angle)
-            val = carleson_sum_at(seq, probe_gap, probe_angle)
+        for steps in range(1, 5):
+            seq = PointSeq([format(steps, "055b")])  # level 55, `steps` cells along
+            val = carleson_sum_at(seq, "0" * 55)
             assert 0.0 < val < 1.0
             sums.append(val)
         assert sums == sorted(sums, reverse=True)
@@ -565,8 +563,7 @@ class TestCarleson:
         chain = radial_chain(6)
         rep = carleson_sup(chain)
         assert rep.probe_count == len(default_probe_addresses(chain)) == 7
-        top = SeqEntry(rep.argmax)
-        assert rep.sup == carleson_sum_at(chain, top.gap, top.angle(chain.grid_theta))
+        assert rep.sup == carleson_sum_at(chain, rep.argmax)
 
 
 class TestTrace:
@@ -652,9 +649,9 @@ class TestPairKernel:
     @pytest.mark.parametrize("seed, grid_theta, count, extra", [
         (1, Fraction(0), 24, 0),
         (2, Fraction(3, 7), 24, 0),
-        # anchors at levels 47-51: L = 7 * 2^52 with the offset, above 2^53
+        # anchors at levels 47-51: L = 2^52, the deepest int64 angles
         (3, Fraction(3, 7), 10, 40),
-        # anchors below level 72: L >= 2^73, past int64 too
+        # anchors at levels 72-76: L = 2^77, Python int angles
         (4, Fraction(0), 10, 65),
         (5, Fraction(3, 7), 10, 65),
     ])
@@ -664,18 +661,13 @@ class TestPairKernel:
         addresses = spread_addresses(np.random.default_rng(seed), count, extra)
         seq = PointSeq(addresses, grid_theta=grid_theta)
         probes = default_probe_addresses(seq)
-        probe_points = [(SeqEntry(a).gap, SeqEntry(a).angle(grid_theta)) for a in probes]
-        want = [[brute_pair_invariants(d, t, dq, tq) for dq, tq in seq.anchors()]
-                for d, t in probe_points]
-        want_rho2 = np.array([[r for r, _ in row] for row in want])
-        want_inv = np.array([[m for _, m in row] for row in want])
-        # with the grid offset (L carries its 7) and without it (L = 2^(K+1))
-        for points, anchors in ((probe_points, seq.anchors()),
-                                (martingales._address_points(probes),
-                                 martingales._address_points(addresses))):
-            rho2, inv = kernel_arrays(points, anchors)
-            assert np.array_equal(rho2, want_rho2)
-            assert np.array_equal(inv, want_inv)
+        # the oracle sees the exact points, grid offset included; the
+        # kernel sees the addresses alone
+        want = [[brute_pair_invariants(*anchor_point(a, grid_theta), dq, tq)
+                 for dq, tq in seq_anchors(seq)] for a in probes]
+        rho2, inv = kernel_arrays(probes, addresses)
+        assert np.array_equal(rho2, np.array([[r for r, _ in row] for row in want]))
+        assert np.array_equal(inv, np.array([[m for _, m in row] for row in want]))
 
     @pytest.mark.parametrize("seed, grid_theta, extra", [
         (6, Fraction(0), 0), (7, Fraction(3, 7), 0), (8, Fraction(3, 7), 50),
@@ -691,20 +683,6 @@ class TestPairKernel:
         # five probe rows per block: each probe is read back at start + i
         monkeypatch.setattr(martingales, "_BLOCK_PAIRS", 64)
         assert_sums_equal_plain_loop_oracle(seed, grid_theta, extra)
-
-    @pytest.mark.parametrize("gap, angle", [
-        (Fraction(1), 0),
-        (Fraction(1, 3), Fraction(2, 7)),
-        (Fraction(1, 1000), Fraction(5, 11)),
-        (Fraction(0.1), Fraction(0.3)),  # denominators 2^55 and more
-        (Fraction(1, 1 << 60), Fraction(-4, 3)),
-    ])
-    def test_sum_at_non_dyadic_probes(self, gap, angle):
-        seq = PointSeq(spread_addresses(np.random.default_rng(9), 24),
-                       grid_theta=Fraction(3, 7))
-        want = sum(brute_pair_invariants(gap, mod1(angle), dq, tq)[1]
-                   for dq, tq in seq.anchors())
-        assert carleson_sum_at(seq, gap, angle) == want
 
     def test_underflow_names_the_level(self):
         # the anchor's own probe: (2 d - d^2)^2 underflows below 2^-1074

@@ -1,5 +1,5 @@
 """Every name a module exports through `__all__` exists in it, and the lab
-reads it."""
+reads it; so does every method and property of the package's classes."""
 
 import ast
 import importlib
@@ -21,6 +21,12 @@ KEPT = {
     "ancestor_max": "one-tree face of the ancestor cascade of weights._TreeWork",
     "containing_level": "exact level of a boundary distance; its tests are those of _ratio_level",
     "restriction_certificate": "continuous restriction certificate, kept for its rewrite on the integer region algebra",
+}
+
+# class members that nothing in the lab reads, kept on purpose
+KEPT_MEMBERS = {
+    "DiscPoint.z": "perfbench/tracer.py wraps DiscPoint's members through _GEOMETRY_CLASSES; "
+                   "goes with the class once the tracer drops it",
 }
 
 
@@ -66,3 +72,40 @@ def test_every_exported_name_has_a_lab_reader():
     exported = {n for name in MODULES
                 for n in getattr(importlib.import_module(f"discweights.{name}"), "__all__", [])}
     assert sorted(exported - reads) == sorted(KEPT)
+
+
+def _members(tree):
+    """(Class.member, definition) for every method and property defined in
+    a class of a parsed source file, dunders left out."""
+    return [(f"{cls.name}.{fn.name}", fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+
+
+def _member_reads(tree):
+    """(name, node) for every attribute read of a parsed source file and
+    every part of a dotted-name string in it (such as perfbench's layer
+    table)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.replace(".", "_").isidentifier():
+            for part in node.value.split("."):
+                yield part, node
+
+
+def test_every_class_member_has_a_lab_reader():
+    """Each method or property of a class in src/ is read in src/ or
+    perfbench/ outside its own body.  The match is by name alone, whatever
+    object the attribute is read on: GridNode.parent would pass only
+    because the tracer reads a `.parent` attribute of its own."""
+    trees = {path: ast.parse(path.read_text()) for path in LAB_SOURCES}
+    readers = {}
+    for tree in trees.values():
+        for name, node in _member_reads(tree):
+            readers.setdefault(name, set()).add(id(node))
+    unread = [qual for path, tree in trees.items() if path.parent.name == "discweights"
+              for qual, fn in _members(tree)
+              if readers.get(fn.name, set()) <= set(map(id, ast.walk(fn)))]
+    assert sorted(unread) == sorted(KEPT_MEMBERS)
