@@ -307,30 +307,31 @@ def theta_measure_spectrum(arc: UnitArc) -> dict:
 
     For an arc of length in [2^-N, 2^{-N+1}) the key k means the smallest
     grid arc containing it (as theta varies uniformly) has length 2^{k-N},
-    k scales above the arc's own dyadic scale N.  A grid arc of level m
-    contains the arc exactly when the offset residue leaves room, an event
-    of measure max(0, 1 - 2^m ell) for m >= 1 and 1 for the full circle;
-    the events nest in m, so each bucket is a difference of two of them.
-    With ell = p/q every chance is an integer over q, so the buckets are
-    integer differences and one Fraction is built per key.  Values are
-    Fractions summing to exactly 1.  The key 0 is always present with
-    measure 0: containment at the arc's own scale needs exact alignment
-    (a null event) when the length is dyadic, and is impossible otherwise
-    since level-N arcs are then strictly shorter.
+    k scales above the arc's own dyadic scale N.  Values are Fractions
+    summing to exactly 1, one row of _spectrum_buckets.  The key 0 is always
+    present, at measure 0 unless the arc is the full circle: containment at
+    the arc's own scale is a null event (exact alignment) when the length
+    is dyadic, and impossible otherwise (level-N arcs are then shorter).
     """
     p, q = arc.length.numerator, arc.length.denominator
-    if p >= q:
-        return {0: Fraction(1)}
-    n = _ratio_level(p, q)
-    cap = n if p << n == q else n + 1
-    out = {0: Fraction(0)}
-    chance = q  # q times the chance at level m, 1 for the full circle
-    for m in range(n + 1):
-        finer = max(0, q - (p << (m + 1)))
-        if chance > finer:
-            out[cap - m] = Fraction(chance - finer, q)
-        chance = finer
-    return out
+    dtype = np.int64 if q.bit_length() <= 30 else object  # no p 2^m reaches 2^63
+    keys, buckets = _spectrum_buckets(np.array([p], dtype), np.array([q], dtype))
+    pairs = zip(keys[0].tolist(), buckets[0].tolist())
+    return {0: Fraction(0), **{k: Fraction(c, q) for k, c in pairs if c > 0}}
+
+
+def _spectrum_buckets(p: np.ndarray, q: np.ndarray):
+    """(keys, buckets) of arcs of lengths p / q in lowest terms, 0 < p <= q,
+    one row each: buckets[:, m] is q times the measure of key keys[:, m],
+    the difference of the nested containment chances at levels m and m + 1,
+    max(0, q - 2^m p) over q (1 at m = 0).  The level n counts the m >= 1
+    with q - 2^m p >= 0; every bucket past n is 0, and keys count down from
+    n, or n + 1 when the length is not 2^-n."""
+    m = np.arange(1, int(q.max()).bit_length() + 2)
+    gaps = q[:, None] - (p[:, None] << m)
+    n = np.count_nonzero(gaps >= 0, axis=1)
+    chances = np.concatenate([q[:, None], np.maximum(gaps, 0)], axis=1)
+    return (n + (p << n != q))[:, None] + 1 - m, chances[:, :-1] - chances[:, 1:]
 
 
 # ---------------------------------------------------------------------------

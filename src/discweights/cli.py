@@ -25,13 +25,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .averaging import avg_beta_check, extend_continuous, theta_measure_spectrum
+from .averaging import _spectrum_buckets, avg_beta_check, extend_continuous, theta_measure_spectrum
 from .extension import extend_b1, extend_bp, power_maximal_b1
 from .factorization import factor_bho_full
 from .fixtures import CONTINUOUS_FIXTURES, bho_tree_fixture, continuous_fixture
 from .geometry import UnitArc
 from .martingales import (
     PointSeq,
+    _probe_sweep,
     azuma_fit,
     azuma_table,
     bloch_seminorm,
@@ -43,7 +44,6 @@ from .martingales import (
     radial_chain,
     random_pm1,
     random_walk,
-    trace_sup_i,
     trace_weak_l1,
 )
 from .weights import (
@@ -74,6 +74,8 @@ class PreconditionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _jsonable(x):
+    if type(x) in (str, int, float, bool, type(None)):  # exact: np.float64 converts below
+        return x
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -322,8 +324,12 @@ def _run_constants(cfg: dict):
     for start in range(0, count, chunk):
         stack = np.stack([random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"])).values
                           for _ in range(min(chunk, count - start))])
-        per_p = [(p, _stack_bp(stack, p, depth),
-                  _stack_bp(stack ** (-1.0 / (p - 1.0)), p / (p - 1.0), depth)) for p in p_grid]
+        # the duals first: a w^{-1/(p-1)} that overflows to inf is refused
+        # there, before the B_p sums raise w to the same power
+        with np.errstate(over="ignore"):
+            dual_rows = [_stack_bp(stack ** (-1.0 / (p - 1.0)), p / (p - 1.0), depth)
+                         for p in p_grid]
+        per_p = [(p, _stack_bp(stack, p, depth), d) for p, d in zip(p_grid, dual_rows)]
         for r in range(len(stack)):
             for p, bps, duals in per_p:
                 bp, dual = bps[r], duals[r]
@@ -487,43 +493,44 @@ def _run_extend_continuous(cfg: dict):
     return results, certs, tables
 
 
+# arcs per block of the average command, whose `arcs` has no upper bound
+AVERAGE_BLOCK = 1 << 12
+
+
 @_command("average", {
     "arcs": (1000, _int(1)), "pairs": (1000, _int(1)), "seed": (None, _SEED),
     "ratio_bound": (50.0, _number(0, strict=True)),
 })
 def _run_average(cfg: dict):
-    seed = _require_seed("average", cfg)
-    rng = np.random.default_rng(seed)
-
+    rng = np.random.default_rng(_require_seed("average", cfg))
+    # one call with bounds tiled per item draws what one scalar call per value
+    # draws: an arc's center then its length; a pair's two moduli then its angles
     grid = 1 << 20
-    arc_rows, sum_violations = [], 0
-    bucket_ratio_max = Fraction(0)
-    for i in range(cfg["arcs"]):
-        center = Fraction(int(rng.integers(0, grid)), grid)
-        length = Fraction(int(rng.integers(1, grid + 1)), grid)
-        spec = theta_measure_spectrum(UnitArc(center, length))
-        # every mass is an integer c over q: check and rank those integers
-        q = length.denominator
-        counts = {k: mass.numerator * (q // mass.denominator) for k, mass in spec.items()}
-        if sum(counts.values()) != q:
-            sum_violations += 1
-        worst = Fraction(max((c << k for k, c in counts.items()), default=0), q << 2)
-        bucket_ratio_max = max(bucket_ratio_max, worst)
-        arc_rows.append((i, float(center), float(length), len(spec),
-                         float(worst)))
+    arc_rows, sum_violations, bucket_ratio_max = [], 0, 0.0
+    for start in range(0, cfg["arcs"], AVERAGE_BLOCK):
+        lo = np.tile([0, 1], min(AVERAGE_BLOCK, cfg["arcs"] - start))
+        center, length = rng.integers(lo, lo + grid).reshape(-1, 2).T
+        # each mass is an integer c over q, the length's reduced denominator
+        q = grid // (length & -length)
+        keys, buckets = _spectrum_buckets(length * q // grid, q)
+        sum_violations += int(np.count_nonzero(buckets.sum(axis=1) != q))
+        worst = (buckets << np.maximum(keys, 0)).max(axis=1) / (q << 2)  # rounded once
+        bucket_ratio_max = max(bucket_ratio_max, float(worst.max()))
+        levels = 1 + np.count_nonzero((buckets > 0) & (keys != 0), axis=1)  # and the key 0
+        arc_rows += zip(range(start, start + len(q)), (center / grid).tolist(),
+                        (length / grid).tolist(), levels.tolist(), worst.tolist())
 
-    pairs = []
-    for _ in range(cfg["pairs"]):
-        r1, r2 = rng.uniform(0.05, 0.999, 2)
-        a1, a2 = rng.uniform(0, 1, 2)
-        pairs.append(((r1, a1), (r2, a2)))
+    # in one call: avg_beta_check holds every pair as Python floats anyway
+    r1, r2, a1, a2 = rng.uniform(np.tile([0.05, 0.05, 0.0, 0.0], cfg["pairs"]),
+                                 np.tile([0.999, 0.999, 1.0, 1.0], cfg["pairs"])).reshape(-1, 4).T
+    pairs = list(zip(zip(r1.tolist(), a1.tolist()), zip(r2.tolist(), a2.tolist())))
     beta = avg_beta_check(pairs)
     beta_rows = [(i, beta["mean_beta_theta"][i], beta["max_beta_theta"][i],
                   float(beta["ratios"][i])) for i in range(len(pairs))]
 
     certs = [
         _cert("spectrum_sum_violations", sum_violations, 0.0, arcs=cfg["arcs"]),
-        _cert("bucket_ratio_max", float(bucket_ratio_max), 1.0),
+        _cert("bucket_ratio_max", bucket_ratio_max, 1.0),
         _cert("avg_beta_max_ratio", beta["max_ratio"], float(cfg["ratio_bound"])),
     ]
     tables = {
@@ -543,7 +550,7 @@ def _run_average(cfg: dict):
     }
     results = {"arcs": cfg["arcs"], "pairs": cfg["pairs"],
                "sum_violations": sum_violations,
-               "bucket_ratio_max": float(bucket_ratio_max),
+               "bucket_ratio_max": bucket_ratio_max,
                "max_ratio": beta["max_ratio"],
                "mean_ratio": beta["mean_ratio"]}
     return results, certs, tables
@@ -656,8 +663,7 @@ def _run_trace(cfg: dict):
     seq = _sequence_from_config(cfg["sequence"])
     M = _martingale("trace: martingale", cfg["martingale"])
 
-    sup_rep = carleson_sup(seq)
-    sup_i = trace_sup_i(seq, M, lam, r_levels=r_levels)
+    sup_rep, sup_i = _probe_sweep(seq, M, lam, r_levels)  # one pass of the pair kernel
     weak = trace_weak_l1(seq, M, lam, probe=cfg["probe"])
 
     certs = [
@@ -895,8 +901,7 @@ def write_artifacts(report: RunReport, out_dir: Path) -> List[Path]:
         with open(cpath, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([n for n, _ in table.columns])
-            for row in table.rows:
-                writer.writerow([_jsonable(v) for v in row])
+            writer.writerows(map(_jsonable, row) for row in table.rows)
         written.append(cpath)
 
     meta = out_dir / "run_meta.json"

@@ -95,6 +95,25 @@ _RULES = {
 }
 
 
+def _check_midpoint(levels: Sequence[np.ndarray], detail: bool) -> int:
+    """Check each level against the mean of its children, exactly; returns
+    the parents checked.  Integer levels compare sums in a wider integer
+    type (Python ints past int32): no sum overflows, no float is made."""
+    for n, (parent, child) in enumerate(zip(levels, levels[1:])):
+        if parent.dtype.kind == child.dtype.kind == "i":
+            size = max(parent.itemsize, child.itemsize)
+            wide = object if size == 8 else np.dtype(f"i{2 * size}")
+            ok = np.add(child[0::2], child[1::2], dtype=wide) == parent.astype(wide) * 2
+        else:
+            ok = parent == np.add(child[0::2], child[1::2], dtype=float) / 2.0
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError(f"midpoint law fails at level {n}" + (
+                f", index {bad}: {parent[bad]} != mean of children "
+                f"{child[2 * bad: 2 * bad + 2]}" if detail else ""))
+    return sum(lv.size for lv in levels[:-1])
+
+
 class DyadicMartingale:
     """A martingale on the binary tree, digit-rule or materialized.
 
@@ -117,15 +136,7 @@ class DyadicMartingale:
             for n, lv in enumerate(arrs):
                 if lv.shape != (1 << n,):
                     raise ValueError(f"level {n} must hold {1 << n} values")
-            for n in range(len(arrs) - 1):
-                # a float sum: integer children may overflow their own dtype
-                mid = np.add(arrs[n + 1][0::2], arrs[n + 1][1::2], dtype=float) / 2.0
-                if not np.array_equal(arrs[n], mid):
-                    bad = int(np.flatnonzero(arrs[n] != mid)[0])
-                    raise ValueError(
-                        f"midpoint law fails at level {n}, index {bad}: "
-                        f"{arrs[n][bad]} != mean of children {arrs[n + 1][2 * bad: 2 * bad + 2]}"
-                    )
+            _check_midpoint(arrs, detail=True)
             self._levels = arrs
             self.depth = len(arrs) - 1
         elif kind not in _RULES:
@@ -182,13 +193,7 @@ class DyadicMartingale:
         row of each table sums to 0; the checks are those rows.
         """
         if self._levels is not None:
-            checks = 0
-            for n in range(self.depth):
-                lv, nxt = self._levels[n], self._levels[n + 1]
-                if not np.array_equal(lv, np.add(nxt[0::2], nxt[1::2], dtype=float) / 2.0):
-                    raise ValueError(f"midpoint law fails at level {n}")
-                checks += lv.size
-            return checks
+            return _check_midpoint(self._levels, detail=False)
         rows = 0
         for i, steps in enumerate(_RULES[self.kind]):
             for prev, row in enumerate(steps):
@@ -226,12 +231,11 @@ def random_pm1(depth: int, seed) -> DyadicMartingale:
     # |value| <= depth: int8 holds every depth whose 2^depth leaves fit in memory
     levels = [np.zeros(1, dtype=np.int8)]
     for n in range(1, depth + 1):
-        parent = np.repeat(levels[-1], 2)
-        sign = np.where(rng.integers(0, 2, size=1 << (n - 1)) == 0, np.int8(1), np.int8(-1))
-        bump = np.empty(1 << n, dtype=np.int8)
-        bump[0::2] = sign
-        bump[1::2] = -sign
-        levels.append(parent + bump)
+        sign = 1 - 2 * rng.integers(0, 2, size=1 << (n - 1)).astype(np.int8)  # draw 0 gives +1
+        child = np.empty(1 << n, dtype=np.int8)
+        child[0::2] = levels[-1] + sign
+        child[1::2] = levels[-1] - sign
+        levels.append(child)
     return DyadicMartingale("random_pm1", levels=levels, depth=depth)
 
 
@@ -574,14 +578,6 @@ def _pair_blocks(probes: Sequence[str], anchors: Sequence[str]):
         yield start, (near[g, ga] + cross) / den, mass[g, ga] / den
 
 
-def _anchor_order_sums(inv: np.ndarray) -> np.ndarray:
-    """Row sums of a (probes, anchors) block, added in anchor order as a
-    scalar loop adds them; np.sum adds pairwise and moves the last bits."""
-    if inv.shape[1] == 0:
-        return np.zeros(len(inv))
-    return np.cumsum(inv, axis=1)[:, -1]
-
-
 def _log_inv_mass(level: int) -> float:
     """log(1/(1 - |z|^2)) at an anchor of the given level, stable at depth."""
     return level * math.log(2.0) - math.log(2.0 - 0.5 ** level)
@@ -597,7 +593,7 @@ def default_probe_addresses(seq: PointSeq) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Carleson sums
+# Carleson and trace sums
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -620,14 +616,47 @@ def carleson_sup(seq: PointSeq) -> CarlesonReport:
     only address prefixes carry mass, so scanning prefixes attains the
     global sup of mu(S(I)) / |I|.
     """
-    probes = default_probe_addresses(seq)
-    totals = np.empty(len(probes))
-    for start, _, inv in _pair_blocks(probes, [e.address for e in seq]):
-        totals[start:start + len(inv)] = _anchor_order_sums(inv)
-    best, arg = -math.inf, ""
-    for address, total in zip(probes, totals.tolist()):
-        if total > best:
-            best, arg = total, address
+    return _probe_sweep(seq)[0]
+
+
+def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float, r_levels: int = 12) -> dict:
+    """Sup over probes z and radii r = 1 - 2^{-m} of the localized sum
+
+        sum_{rho(z, z_n) < r} exp(lam (b_n - b_z)^2 / log(1/(1-r^2))) (1 - rho^2)
+
+    with b taken from the martingale at the point's own interval, the
+    probes being those of carleson_sup.  Returns the sup, where it is
+    first attained in (probe, radius) order, and a per-radius profile.
+    """
+    return _probe_sweep(seq, M, lam, r_levels)[1]
+
+
+def _probe_sweep(seq: PointSeq, M: Optional[DyadicMartingale] = None, lam: float = 0.0,
+                 r_levels: int = 0):
+    """carleson_sup's report and, given a martingale, trace_sup_i's dict
+    (else None), from one pass of the pair kernel over probes x anchors."""
+    probes, anchors = default_probe_addresses(seq), [e.address for e in seq]
+    sums = np.empty(len(probes))
+    b_anchors = np.array([M.value(a) for a in anchors]) if M is not None else None
+    b_probes = np.array([M.value(a) for a in probes]) if M is not None else None
+    log_terms = np.array([_log_inv_mass(m) for m in range(1, r_levels + 1)])
+    r2s = np.array([(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)])[:, None]
+    sup, arg_probe, arg_m, by_radius = -math.inf, "", 0, np.zeros(r_levels)
+    for start, rho2, inv in _pair_blocks(probes, anchors):
+        stop = start + len(inv)
+        # rows added in anchor order, as a scalar loop adds them (not pairwise)
+        sums[start:stop] = np.cumsum(inv, axis=1)[:, -1] if anchors else 0.0
+        if M is None or not r_levels:
+            continue
+        lam_db2 = lam * (b_anchors - b_probes[start:stop, None]) ** 2
+        with np.errstate(over="ignore"):
+            totals = _localized_sums(rho2[:, None, :] < r2s, lam_db2, inv, log_terms)
+        totals[np.isnan(totals)] = -math.inf  # fails every comparison, as in a scalar max
+        by_radius = np.maximum(by_radius, totals.max(axis=0))
+        at = int(np.argmax(totals))  # the first maximum in (probe, radius) order
+        if totals.flat[at] > sup:
+            sup, arg_probe = float(totals.flat[at]), probes[start + at // r_levels]
+            arg_m = at % r_levels + 1
     # the masses inside each prefix's box, in sequence order, so that each
     # box sum adds them as a sum over the sequence does
     boxes: Dict[str, List[float]] = {}
@@ -639,52 +668,35 @@ def carleson_sup(seq: PointSeq) -> CarlesonReport:
         ratio = sum(boxes[a]) * (1 << len(a))
         if ratio > box_best:
             box_best, box_arg = ratio, a
-    return CarlesonReport(sup=best, argmax=arg, box_sup=box_best,
-                          box_argmax=box_arg, probe_count=len(probes))
-
-
-# ---------------------------------------------------------------------------
-# trace sums
-# ---------------------------------------------------------------------------
-
-def trace_sup_i(seq: PointSeq, M: DyadicMartingale, lam: float, r_levels: int = 12) -> dict:
-    """Sup over probes z and radii r = 1 - 2^{-m} of the localized sum
-
-        sum_{rho(z, z_n) < r} exp(lam (b_n - b_z)^2 / log(1/(1-r^2))) (1 - rho^2)
-
-    with b taken from the martingale at the point's own interval, the
-    probes being those of carleson_sup.  Returns the sup, where it is
-    attained, and a per-radius profile.
-    """
-    probes = default_probe_addresses(seq)
-    b_entries = np.array([M.value(e.address) for e in seq])
-    log_terms = [_log_inv_mass(m) for m in range(1, r_levels + 1)]
-    r2s = np.array([(1.0 - 0.5 ** m) ** 2 for m in range(1, r_levels + 1)])[:, None]
-    sup, arg_probe, arg_m = -math.inf, "", 0
-    by_radius = [0.0] * r_levels
-    for start, rho2_rows, inv_rows in _pair_blocks(probes, [e.address for e in seq]):
-        block = probes[start:start + len(rho2_rows)]
-        with np.errstate(over="ignore"):
-            for address, rho2, inv in zip(block, rho2_rows, inv_rows):
-                lam_db2 = lam * (b_entries - M.value(address)) ** 2
-                # one (r_levels, anchors) mask per probe; each radius still
-                # sums its own masked array, which fixes the addition order
-                masks = rho2 < r2s
-                for mi in np.flatnonzero(masks.any(axis=1)).tolist():
-                    mask = masks[mi]
-                    total = float((np.exp(lam_db2[mask] / log_terms[mi]) * inv[mask]).sum())
-                    by_radius[mi] = max(by_radius[mi], total)
-                    if total > sup:
-                        sup, arg_probe, arg_m = total, address, mi + 1
-    return {
+    best = int(np.argmax(sums))  # the sums are finite: the first maximum
+    report = CarlesonReport(sup=float(sums[best]), argmax=probes[best], box_sup=box_best,
+                            box_argmax=box_arg, probe_count=len(probes))
+    return report, None if M is None else {
         "lambda": lam,
         "sup": sup,
         "argmax_probe": arg_probe,
         "argmax_r_level": arg_m,
         "finite": math.isfinite(sup),
-        "by_radius": by_radius,
+        "by_radius": by_radius.tolist(),
         "probe_count": len(probes),
     }
+
+
+def _localized_sums(mask: np.ndarray, lam_db2: np.ndarray, inv: np.ndarray,
+                    log_terms: np.ndarray) -> np.ndarray:
+    """(probes, radii) sums of exp(lam_db2 / log_term) inv over each row of
+    a (probes, radii, anchors) mask, -inf if empty.  Each is x[mask].sum():
+    the rows of one count form one C-contiguous array, whose row sums add
+    each row pairwise as a 1-D array (np.add.reduceat adds in another order)."""
+    pi, mi, ai = np.nonzero(mask)
+    terms = np.exp(lam_db2[pi, ai] / log_terms[mi]) * inv[pi, ai]
+    counts = np.count_nonzero(mask, axis=2).ravel()
+    starts = np.cumsum(counts) - counts
+    totals = np.full(counts.size, -math.inf)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        totals[rows] = terms[starts[rows, None] + np.arange(c)].sum(axis=1)
+    return totals.reshape(mask.shape[:2])
 
 
 def trace_weak_l1(seq: PointSeq, M: DyadicMartingale, lam: float,
@@ -850,17 +862,17 @@ def _sign_paths(k0: int, value0: int, s: float, target_level: int, target_value:
     yield from rec((), value0)
 
 
-_PAIRS = {1: ("00", "11"), -1: ("01", "10")}
-
-
-def _expand_signs(parent: str, signs: Tuple[int, ...], start: int, stop: int):
-    """Quarter-digit addresses number `start..stop-1` for a sign path."""
+def _sign_addresses(parent: str, signs: Tuple[int, ...], take: int) -> List[str]:
+    """Quarter-digit addresses number 0 .. take - 1 for a sign path, from one
+    digit array: pair i of number j repeats bit t - 1 - i of j for sign +1
+    ("00" or "11") and flips it for -1 ("01" or "10")."""
     t = len(signs)
-    for mask in range(start, stop):
-        parts = [parent]
-        for i, sgn in enumerate(signs):
-            parts.append(_PAIRS[sgn][(mask >> (t - 1 - i)) & 1])
-        yield "".join(parts)
+    bits = (np.arange(take)[:, None] >> np.arange(t - 1, -1, -1)) & 1
+    digits = np.empty((take, 2 * t), dtype=np.uint8)
+    digits[:, 0::2] = bits
+    digits[:, 1::2] = bits ^ (np.array(signs) < 0)
+    text = (digits + ord("0")).tobytes().decode()
+    return [parent + text[i:i + 2 * t] for i in range(0, len(text), 2 * t)]
 
 
 def counterexample_build(generations: int = 4, depth_budget: int = 60,
@@ -955,10 +967,8 @@ def counterexample_build(generations: int = 4, depth_budget: int = 60,
                     break
                 got = 0
                 for signs in _sign_paths(k0, parent_val, s, k, v):
-                    per = 1 << len(signs)
-                    take_here = min(per, n_take - got)
-                    for address in _expand_signs(parent_addr, signs, 0, take_here):
-                        taken.append((address, v))
+                    take_here = min(1 << len(signs), n_take - got)
+                    taken += ((a, v) for a in _sign_addresses(parent_addr, signs, take_here))
                     got += take_here
                     if got >= n_take:
                         break

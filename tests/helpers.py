@@ -13,7 +13,9 @@ cascade, the cell masses the maximal kernel once composed, the
 slice-per-level subtree sums and ancestor cascade, the stacked-trio
 oscillation constant, the two-buffer S operator, the per-weight constants
 loop, the weak-type ratio, the full-disc maximal norm bound, the
-one-probe Carleson sum, the exact anchor points of tree addresses),
+one-probe Carleson sum, the exact anchor points of tree addresses, the
+per-arc and per-pair average command, the repeat-and-bump random_pm1
+levels, the per-address sign expansion),
 decides a relation of grid nodes, arcs or regions exactly
 (common-ancestor level, dyadic distance, arc-in-arc containment, angle
 in arc, point in region), or builds a small tree or domain from a node
@@ -32,6 +34,7 @@ from discweights.averaging import (
     _scaled,
     _survey_scaled,
     _tree_prefix,
+    avg_beta_check,
     dyadic_restriction,
     rect_quadrature,
 )
@@ -48,8 +51,6 @@ from discweights.geometry import (
 )
 from discweights.martingales import (
     ParentRecord,
-    _anchor_order_sums,
-    _expand_signs,
     _log_inv_mass,
     _pair_blocks,
     _sign_paths,
@@ -672,7 +673,10 @@ def carleson_sum_at(seq, address):
     origin is the probe ""), through the probe x anchor kernel that
     carleson_sup runs."""
     (_, _, inv), = _pair_blocks([address], [e.address for e in seq])
-    return float(_anchor_order_sums(inv)[0])
+    total = 0.0
+    for x in inv[0].tolist():  # in anchor order, as carleson_sup adds them
+        total += x
+    return total
 
 
 def brute_carleson_sup(seq, probes=None):
@@ -779,6 +783,21 @@ def dict_crossing_classes(k0, value0, s, depth_budget):
     return classes, sum(live.values())
 
 
+_PAIRS = {1: ("00", "11"), -1: ("01", "10")}
+
+
+def loop_expand_signs(parent, signs, start, stop):
+    """Quarter-digit addresses number `start..stop-1` for a sign path, one
+    address at a time, as the builder expanded them before it built each
+    path's addresses from one digit array."""
+    t = len(signs)
+    for mask in range(start, stop):
+        parts = [parent]
+        for i, sgn in enumerate(signs):
+            parts.append(_PAIRS[sgn][(mask >> (t - 1 - i)) & 1])
+        yield "".join(parts)
+
+
 def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budget=1 << 15):
     """counterexample_build's ParentRecords, one list per generation built.
 
@@ -832,7 +851,7 @@ def fraction_build_parents(generations=4, depth_budget=60, scale=2.0, node_budge
                 got = 0
                 for signs in _sign_paths(k0, parent_val, s, k, v):
                     take_here = min(1 << len(signs), n_take - got)
-                    taken += [(a, v) for a in _expand_signs(parent_addr, signs, 0, take_here)]
+                    taken += [(a, v) for a in loop_expand_signs(parent_addr, signs, 0, take_here)]
                     got += take_here
                     if got >= n_take:
                         break
@@ -1071,3 +1090,51 @@ def per_weight_constants(depth, count, p_grid, sigma, seed):
             worst = max(worst, gap)
             rows.append((i, p, bp, dual, gap))
     return rows, worst
+
+
+def loop_average_rows(cfg, rng=None):
+    """The arc rows, pair rows and results of the average command as it
+    was: per arc one scalar draw of its center and one of its length, the
+    Fraction offset spectrum, its masses checked and ranked as integers
+    over the length's denominator; per pair two scalar uniform draws of
+    two values.  `rng` stands in for the generator seeded with cfg's seed."""
+    rng = np.random.default_rng(cfg["seed"]) if rng is None else rng
+    grid = 1 << 20
+    arc_rows, sum_violations, bucket_ratio_max = [], 0, F(0)
+    for i in range(cfg["arcs"]):
+        center = F(int(rng.integers(0, grid)), grid)
+        length = F(int(rng.integers(1, grid + 1)), grid)
+        spec = fraction_theta_measure_spectrum(UnitArc(center, length))
+        q = length.denominator
+        counts = {k: mass.numerator * (q // mass.denominator) for k, mass in spec.items()}
+        sum_violations += sum(counts.values()) != q
+        worst = F(max((c << k for k, c in counts.items()), default=0), q << 2)
+        bucket_ratio_max = max(bucket_ratio_max, worst)
+        arc_rows.append((i, float(center), float(length), len(spec), float(worst)))
+    pairs = []
+    for _ in range(cfg["pairs"]):
+        r1, r2 = rng.uniform(0.05, 0.999, 2)
+        a1, a2 = rng.uniform(0, 1, 2)
+        pairs.append(((r1, a1), (r2, a2)))
+    beta = avg_beta_check(pairs)
+    beta_rows = [(i, beta["mean_beta_theta"][i], beta["max_beta_theta"][i],
+                  float(beta["ratios"][i])) for i in range(len(pairs))]
+    results = {"arcs": cfg["arcs"], "pairs": cfg["pairs"], "sum_violations": sum_violations,
+               "bucket_ratio_max": float(bucket_ratio_max), "max_ratio": beta["max_ratio"],
+               "mean_ratio": beta["mean_ratio"]}
+    return arc_rows, beta_rows, results
+
+
+def loop_random_pm1(depth, seed):
+    """random_pm1's levels as it built them: the parent level repeated
+    plus an interleaved +-1 bump, one draw of signs per level."""
+    rng = np.random.default_rng(seed)
+    levels = [np.zeros(1, dtype=np.int8)]
+    for n in range(1, depth + 1):
+        parent = np.repeat(levels[-1], 2)
+        sign = np.where(rng.integers(0, 2, size=1 << (n - 1)) == 0, np.int8(1), np.int8(-1))
+        bump = np.empty(1 << n, dtype=np.int8)
+        bump[0::2] = sign
+        bump[1::2] = -sign
+        levels.append(parent + bump)
+    return levels

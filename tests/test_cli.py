@@ -1,10 +1,12 @@
 """CLI harness: exit codes, determinism, and artifact shapes."""
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from discweights import cli
@@ -21,7 +23,7 @@ from discweights.cli import (
 )
 from discweights.weights import TreeWeight
 
-from helpers import per_weight_constants
+from helpers import loop_average_rows, per_weight_constants
 
 # One value per (command, key) that the key's schema spec must refuse: a
 # bool, a fraction where an integer goes, NaN, a string, or a value below
@@ -357,6 +359,77 @@ class TestExitCodes:
         assert "config key 'depth'" in err and "over the cap" in err
 
 
+class ScriptedDraws:
+    """A seeded generator whose integer draws are `values`, in order,
+    whether taken one scalar call at a time or as one array call; its
+    uniform draws are the seeded generator's."""
+
+    def __init__(self, seed, values, make=np.random.default_rng):
+        self.rng, self.values = make(seed), list(values)
+
+    def integers(self, lo, hi):
+        n = np.size(lo)
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out) if np.ndim(lo) else out[0]
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+
+class TestAverageBlocks:
+    """The average command draws and measures its arcs and pairs in blocks
+    of arrays; every row, result and report byte is the per-arc and
+    per-pair loop's, drawn in the same order."""
+
+    @staticmethod
+    def assert_equals_loop(cfg, tmp_path, rng=None):
+        report = run("average", cfg)
+        arc_rows, beta_rows, results = loop_average_rows(cfg, rng)
+        assert report.results == results
+        for name, want in (("arcs", arc_rows), ("beta_pairs", beta_rows)):
+            got = report.tables[name].rows
+            assert list(got) == want
+            assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+        measured = {c["quantity"]: c["measured"] for c in report.certificates}
+        assert measured["spectrum_sum_violations"] == results["sum_violations"]
+        assert measured["bucket_ratio_max"] == results["bucket_ratio_max"]
+        loop = dataclasses.replace(report, results=results, tables={
+            "arcs": cli.Table(report.tables["arcs"].columns, arc_rows),
+            "beta_pairs": cli.Table(report.tables["beta_pairs"].columns, beta_rows)})
+        written = write_artifacts(report, tmp_path / "blocks")
+        write_artifacts(loop, tmp_path / "loop")
+        for path in written[:-1]:  # not run_meta.json, which holds the wall clock
+            assert path.read_bytes() == (tmp_path / "loop" / path.name).read_bytes()
+        return report
+
+    @pytest.mark.parametrize("cfg", [
+        {"seed": 1}, {"seed": 5}, {"seed": 12345}, {"seed": 2 ** 31 - 7},
+        {"seed": 3, "arcs": 1, "pairs": 1}, {"seed": 3, "arcs": 7, "pairs": 3},
+        {"seed": 3, "arcs": 8, "pairs": 4},
+    ])
+    def test_matches_per_item_loop(self, cfg, tmp_path):
+        self.assert_equals_loop({"arcs": 1000, "pairs": 1000, **cfg}, tmp_path)
+
+    def test_blocks_continue_the_stream(self, monkeypatch, tmp_path):
+        # three arcs per block: full blocks, a partial last block, then the
+        # pairs drawn after the last block
+        monkeypatch.setattr(cli, "AVERAGE_BLOCK", 3)
+        self.assert_equals_loop({"seed": 9, "arcs": 10, "pairs": 7}, tmp_path)
+
+    def test_full_and_dyadic_lengths(self, monkeypatch, tmp_path):
+        grid = 1 << 20
+        lengths = [grid, grid // 2, 1 << 7, 1, 3, grid - 1, 6 << 10, grid // 3]
+        values = [v for i, n in enumerate(lengths) for v in ((i * 40503) % grid, n)]
+        cfg = {"seed": 4, "arcs": len(lengths), "pairs": 2}
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedDraws(seed, values, make))
+        report = self.assert_equals_loop(cfg, tmp_path, ScriptedDraws(4, values, make))
+        rows = report.tables["arcs"].rows
+        # the full circle: all mass at the key 0; half a circle: all at the key 1
+        assert rows[0][3:] == (1, 0.25) and rows[1][3:] == (2, 0.5)
+
+
 class TestConstantsStacks:
     """The constants command measures its weights in stacks of at most
     CONSTANTS_CHUNK rows; every row, gap and the worst gap are the
@@ -375,6 +448,7 @@ class TestConstantsStacks:
         assert report.tables["constants"].rows == rows
         assert report.results["max_duality_gap"] == worst
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_positive_dual_is_refused(self):
         """w^{-1/(p-1)} overflowing to inf is refused as TreeWeight refuses it."""
         with pytest.raises(ValueError, match="^weight values must be positive and finite$"):

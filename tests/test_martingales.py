@@ -1,6 +1,7 @@
 """Dyadic martingales: digit rules, deviation counts, disc traces, builder."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -42,6 +43,8 @@ from helpers import (
     carleson_sum_at,
     dict_crossing_classes,
     fraction_build_parents,
+    loop_expand_signs,
+    loop_random_pm1,
     seq_anchors,
     weak_separation_ok,
 )
@@ -162,6 +165,25 @@ class TestMidpointLaw:
         big = DyadicMartingale("materialized", levels=[np.array([100], np.int8),
                                                        np.array([100, 100], np.int8)])
         assert big.check_midpoint_law() == 1
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 7])
+    def test_random_pm1_equals_repeat_and_bump_levels(self, seed):
+        for depth in range(1, 21):
+            got, want = random_pm1(depth, seed)._levels, loop_random_pm1(depth, seed)
+            assert [lv.dtype for lv in got] == [lv.dtype for lv in want]
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+    def test_broken_int8_level_is_refused(self):
+        levels = loop_random_pm1(6, 3)
+        levels[6][9] += 2  # its parent, index 4 of level 5, is no longer the mean
+        want = (f"midpoint law fails at level 5, index 4: {levels[5][4]} != mean of "
+                f"children {levels[6][8:10]}")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            DyadicMartingale("materialized", levels=levels)
+        M = random_pm1(6, 3)
+        M._levels[6][9] += 2
+        with pytest.raises(ValueError, match="^midpoint law fails at level 5$"):
+            M.check_midpoint_law()
 
     def test_materialized_exhaustive(self):
         M = random_pm1(10, seed=2)
@@ -693,7 +715,69 @@ class TestPairKernel:
             trace_sup_i(PointSeq(["1" * 539]), kahane(), 0.05)
 
 
+def trace_fields(out):
+    return {k: out[k] for k in ("sup", "argmax_probe", "argmax_r_level", "by_radius")}
+
+
+class TestTraceSums:
+    """trace_sup_i evaluates each kernel block's masked terms at once and
+    sums each (probe, radius) row as numpy sums its masked array; every
+    field is the pair-by-pair oracle's."""
+
+    def test_probe_with_every_radius_empty(self):
+        # anchors at levels 7-11: from the origin every rho is above 1 - 2^-3
+        seq = PointSeq(spread_addresses(np.random.default_rng(12), 10))
+        rho2, _ = kernel_arrays([""], [e.address for e in seq])
+        assert (rho2 >= (1 - 2.0 ** -3) ** 2).all()
+        for lam in (0.05, 0.7):
+            out = trace_sup_i(seq, kahane(), lam, r_levels=3)
+            assert trace_fields(out) == brute_trace_sup_i(seq, kahane(), lam, r_levels=3)
+
+    def test_all_radii(self):
+        seq = PointSeq(spread_addresses(np.random.default_rng(13), 12, extra=20))
+        for M in (kahane(), random_walk()):
+            out = trace_sup_i(seq, M, 0.3, r_levels=53)
+            assert trace_fields(out) == brute_trace_sup_i(seq, M, 0.3, r_levels=53)
+
+    def test_ties_go_to_the_first_radius_and_probe(self):
+        # at lambda 0 a radius whose mask holds every anchor ties the next
+        seq = PointSeq(spread_addresses(np.random.default_rng(6), 12))
+        out = trace_sup_i(seq, kahane(), 0.0, r_levels=20)
+        assert trace_fields(out) == brute_trace_sup_i(seq, kahane(), 0.0, r_levels=20)
+        assert out["by_radius"].count(out["sup"]) > 1
+        assert out["argmax_r_level"] == out["by_radius"].index(out["sup"]) + 1
+        # mirror images tie: the probe 00 comes before 11
+        pair = PointSeq(["00", "11"])
+        out = trace_sup_i(pair, kahane(), 0.0, r_levels=4)
+        assert trace_fields(out) == brute_trace_sup_i(pair, kahane(), 0.0, r_levels=4)
+        assert out["argmax_probe"] == "00"
+        assert brute_trace_sup_i(pair, kahane(), 0.0, probes=["11"], r_levels=4)["sup"] \
+            == out["sup"]
+
+    def test_trace_command_sweeps_the_kernel_once(self, monkeypatch):
+        calls = []
+        real = martingales._pair_blocks
+
+        def counted(probes, anchors):
+            calls.append(len(probes))
+            return real(probes, anchors)
+
+        monkeypatch.setattr(martingales, "_pair_blocks", counted)
+        seq = radial_chain(12)
+        sup_rep, sup_i = martingales._probe_sweep(seq, kahane(), 0.05, 12)
+        assert len(calls) == 1
+        assert sup_rep == carleson_sup(seq)
+        assert sup_i == trace_sup_i(seq, kahane(), 0.05, r_levels=12)
+
+
 class TestBuilder:
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1, -1), (-1, 1, 1, -1, 1), (1,) * 12])
+    def test_sign_addresses_equal_the_per_address_loop(self, signs):
+        for take in sorted({1, 2, 1 << len(signs) - 1, 1 << len(signs)}):
+            for parent in ("", "0110"):
+                assert martingales._sign_addresses(parent, signs, take) == \
+                    list(loop_expand_signs(parent, signs, 0, take))
+
     def test_desk_thresholds(self):
         s = threshold_sequence(4)
         assert s == [2 * j * math.log(j + 1) for j in (1, 2, 3, 4)]
