@@ -324,12 +324,11 @@ def _run_constants(cfg: dict):
     for start in range(0, count, chunk):
         stack = np.stack([random_log_walk(depth, rng=rng, sigma=float(cfg["sigma"])).values
                           for _ in range(min(chunk, count - start))])
-        # the duals first: a w^{-1/(p-1)} that overflows to inf is refused
-        # there, before the B_p sums raise w to the same power
+        # w^{-1/(p-1)}, in the B_p sums as in the dual weight, may overflow to
+        # inf: the dual's _stack_bp then refuses the row, so no warning is due
         with np.errstate(over="ignore"):
-            dual_rows = [_stack_bp(stack ** (-1.0 / (p - 1.0)), p / (p - 1.0), depth)
-                         for p in p_grid]
-        per_p = [(p, _stack_bp(stack, p, depth), d) for p, d in zip(p_grid, dual_rows)]
+            per_p = [(p, _stack_bp(stack, p, depth),
+                      _stack_bp(stack ** (-1.0 / (p - 1.0)), p / (p - 1.0), depth)) for p in p_grid]
         for r in range(len(stack)):
             for p, bps, duals in per_p:
                 bp, dual = bps[r], duals[r]
@@ -521,9 +520,9 @@ def _run_average(cfg: dict):
                         (length / grid).tolist(), levels.tolist(), worst.tolist())
 
     # in one call: avg_beta_check holds every pair as Python floats anyway
-    r1, r2, a1, a2 = rng.uniform(np.tile([0.05, 0.05, 0.0, 0.0], cfg["pairs"]),
-                                 np.tile([0.999, 0.999, 1.0, 1.0], cfg["pairs"])).reshape(-1, 4).T
-    pairs = list(zip(zip(r1.tolist(), a1.tolist()), zip(r2.tolist(), a2.tolist())))
+    r1, r2, a1, a2 = rng.uniform(np.tile([0.05, 0.05, 0.0, 0.0], cfg["pairs"]), np.tile(
+        [0.999, 0.999, 1.0, 1.0], cfg["pairs"])).reshape(-1, 4).T.tolist()
+    pairs = list(zip(zip(r1, a1), zip(r2, a2)))
     beta = avg_beta_check(pairs)
     beta_rows = [(i, beta["mean_beta_theta"][i], beta["max_beta_theta"][i],
                   float(beta["ratios"][i])) for i in range(len(pairs))]
