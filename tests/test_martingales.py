@@ -184,6 +184,10 @@ class TestMidpointLaw:
         M._levels[6][9] += 2
         with pytest.raises(ValueError, match="^midpoint law fails at level 5$"):
             M.check_midpoint_law()
+        # 100 + 100 wraps to -56 = 2 * -28 in int8: the wider sum refuses it
+        with pytest.raises(ValueError, match="^midpoint law fails at level 0, index 0: -28 "):
+            DyadicMartingale("materialized", levels=[np.array([-28], np.int8),
+                                                     np.array([100, 100], np.int8)])
 
     def test_materialized_exhaustive(self):
         M = random_pm1(10, seed=2)
@@ -739,7 +743,10 @@ class TestTraceSums:
             out = trace_sup_i(seq, M, 0.3, r_levels=53)
             assert trace_fields(out) == brute_trace_sup_i(seq, M, 0.3, r_levels=53)
 
-    def test_ties_go_to_the_first_radius_and_probe(self):
+    @pytest.mark.parametrize("block_pairs", [martingales._BLOCK_PAIRS, 1])
+    def test_ties_go_to_the_first_radius_and_probe(self, monkeypatch, block_pairs):
+        # one probe row per block at block_pairs 1: ties across blocks too
+        monkeypatch.setattr(martingales, "_BLOCK_PAIRS", block_pairs)
         # at lambda 0 a radius whose mask holds every anchor ties the next
         seq = PointSeq(spread_addresses(np.random.default_rng(6), 12))
         out = trace_sup_i(seq, kahane(), 0.0, r_levels=20)
