@@ -231,10 +231,13 @@ def random_pm1(depth: int, seed) -> DyadicMartingale:
     # |value| <= depth: int8 holds every depth whose 2^depth leaves fit in memory
     levels = [np.zeros(1, dtype=np.int8)]
     for n in range(1, depth + 1):
-        sign = 1 - 2 * rng.integers(0, 2, size=1 << (n - 1)).astype(np.int8)  # draw 0 gives +1
+        # in place, so no int8 temporary is made: a draw of 0 gives sign +1
+        sign = rng.integers(0, 2, size=1 << (n - 1)).astype(np.int8)
+        sign *= -2
+        sign += 1
         child = np.empty(1 << n, dtype=np.int8)
-        child[0::2] = levels[-1] + sign
-        child[1::2] = levels[-1] - sign
+        np.add(levels[-1], sign, out=child[0::2])
+        np.subtract(levels[-1], sign, out=child[1::2])
         levels.append(child)
     return DyadicMartingale("random_pm1", levels=levels, depth=depth)
 
