@@ -377,9 +377,9 @@ class ScriptedDraws:
 
 
 class TestAverageBlocks:
-    """The average command draws and measures its arcs and pairs in blocks
-    of arrays; every row, result and report byte is the per-arc and
-    per-pair loop's, drawn in the same order."""
+    """The average command draws and measures its arcs in blocks of arrays
+    and draws its pairs in one call; every row, result and report byte is
+    the per-arc and per-pair loop's, drawn in the same order."""
 
     @staticmethod
     def assert_equals_loop(cfg, tmp_path, rng=None):
