@@ -180,9 +180,6 @@ class ContinuousDomain:
                 out.append(PolarRect(lo, hi, s, e - s))
         return out
 
-    def area(self) -> Fraction:
-        return sum((p.area() for p in self.pieces()), Fraction(0))
-
     def clip_to_top(self, node: GridNode):
         """Disjoint rectangles making up T(node) intersected with the region."""
         ell = node.length
@@ -920,6 +917,15 @@ def extend_continuous(w: Callable, p: float, q: float,
     Its stacks, [(extension, 1)] or [(w1, 1), (w2, 1 - p)], are W's
     (geo_mean_weight).  A ValueError names the first offset that failed.
 
+    The trees run at tree_depth = min(depth, L + 1), L the deepest level
+    at which any offset has a good node.  Below L every restricted tree is
+    neutral, so the extension and its factors are constant on each subtree
+    of level L + 1, whose leaf cell is the whole Carleson box; deeper
+    levels would change nothing but rounding.  Restriction still runs at
+    `depth`, and its node values are rounded once from exact rationals, so
+    the kept levels are bitwise the restriction at tree_depth.  `depth`
+    stays the gap survey's floor.
+
     Reported constants: the continuous B_p (or B_1) constant of W over the
     default arc family and the worst log-Minkowski margin on those boxes,
     both exact cell sums (_survey_geo_family), and the sup over a region
@@ -927,28 +933,33 @@ def extend_continuous(w: Callable, p: float, q: float,
     """
     thetas = [Fraction(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
     values, masks = _restrict(w, thetas, domain, depth)
+    deepest = int(np.flatnonzero(masks.any(axis=0))[-1]).bit_length() - 1
+    tree_depth = min(depth, deepest + 1)
+    values = np.ascontiguousarray(values[:, :2 << tree_depth])
+    masks = np.ascontiguousarray(masks[:, :2 << tree_depth])
     if p == 1:
-        ext_vals, exts = _extend_b1(thetas, depth, values, masks, q)
+        ext_vals, exts = _extend_b1(thetas, tree_depth, values, masks, q)
         facts = [None] * theta_count
         stacks = [(ext_vals, 1.0)]
     else:
-        ext_vals, exts = _extend_bp(thetas, depth, values, masks, p, q, terms=60)
+        ext_vals, exts = _extend_bp(thetas, tree_depth, values, masks, p, q, terms=60)
         for e in exts:  # nothing reads the extension step's factorization: free its stacks
             e.factorization = None
-        w1, w2, facts = _factor_bho_full(thetas, depth, ext_vals, p, terms=60)
+        w1, w2, facts = _factor_bho_full(thetas, tree_depth, ext_vals, p, terms=60)
         stacks = [(w1, 1.0), (w2, 1.0 - p)]
     artifacts = [ThetaArtifact(*row) for row in zip(
-        thetas, _tree_rows(thetas, depth, values),
-        [DyadicDomain(th, depth, m) for th, m in zip(thetas, masks)], exts, facts)]
+        thetas, _tree_rows(thetas, tree_depth, values),
+        [DyadicDomain(th, tree_depth, m) for th, m in zip(thetas, masks)], exts, facts)]
 
     family = default_arc_family(family_depth)
-    const, mink = _survey_geo_family(thetas, depth, stacks, p, family)
-    big = geo_mean_weight(thetas, depth, stacks)
+    const, mink = _survey_geo_family(thetas, tree_depth, stacks, p, family)
+    big = geo_mean_weight(thetas, tree_depth, stacks)
     key = "continuous_b1" if p == 1 else "continuous_bp"
 
-    # gap survey stops at the deepest band the tree resolves: below it the
-    # extension is cellwise constant while w may keep moving, so the sup
-    # over the full open region would measure resolution, not agreement.
+    # gap survey stops at the band of the configured depth, also when the
+    # trees stop at a shallower tree_depth: W is constant on each leaf box
+    # while w may keep moving, so the sup over the full open region would
+    # measure resolution, not agreement.
     # The 10 x 32 mesh per piece is dense enough that the sup is stable in
     # the offset count; a coarse 3 x 8 mesh made it wobble by ~10%
     r_mesh, a_mesh = _pieces_mesh(domain.pieces(), 10, 32, d_floor=0.5 ** (depth + 1))
@@ -960,6 +971,7 @@ def extend_continuous(w: Callable, p: float, q: float,
         "family_size": len(family),
         "theta_count": theta_count,
         "depth": depth,
+        "tree_depth": tree_depth,
     }
     return ContinuousExtensionResult(
         weight=big, p=p, q=q, artifacts=artifacts, constants=constants,

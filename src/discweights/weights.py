@@ -157,9 +157,6 @@ class DyadicDomain:
         self.depth = int(depth)
         self.mask = mask
 
-    def area(self) -> float:
-        return float(cell_areas(self.depth)[self.mask].sum())
-
 
 @dataclass
 class WeightCertificate:

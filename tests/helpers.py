@@ -7,8 +7,9 @@ oracle (the mesh survey of continuous constants, probe points, offset
 sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
-per-tree geometric mean, the per-piece box product, the Fraction survey
-set-up, the window-by-window survey loop, the np.repeat ancestor
+per-tree geometric mean, the per-piece box product, the continuous
+pipeline with every tree at the configured depth, the region area as a
+sum over its pieces, the Fraction survey set-up, the window-by-window survey loop, the np.repeat ancestor
 cascade, the cell masses the maximal kernel once composed, the
 slice-per-level subtree sums and ancestor cascade, the stacked-trio
 oscillation constant, the two-buffer S operator, the per-weight constants
@@ -28,18 +29,24 @@ from fractions import Fraction as F
 import numpy as np
 
 from discweights.averaging import (
+    ContinuousExtensionResult,
+    ThetaArtifact,
     _distinct,
     _over,
     _pieces_mesh,
+    _restrict,
     _scaled,
+    _survey_geo_family,
     _survey_scaled,
     _tree_prefix,
     avg_beta_check,
+    default_arc_family,
     dyadic_restriction,
+    geo_mean_weight,
     rect_quadrature,
 )
-from discweights.extension import extend_b1, extend_bp
-from discweights.factorization import factor_bho_full, op_s
+from discweights.extension import _extend_b1, _extend_bp, extend_b1, extend_bp
+from discweights.factorization import _factor_bho_full, factor_bho_full, op_s
 from discweights.geometry import (
     GridNode,
     UnitArc,
@@ -60,6 +67,7 @@ from discweights.martingales import (
 from discweights.weights import (
     DyadicDomain,
     TreeWeight,
+    _tree_rows,
     box_area_vector,
     bp_constant,
     cell_areas,
@@ -298,6 +306,41 @@ def per_offset_pipeline(w, p, q, region, depth, theta_count):
         ext = extend_bp(wt, p, q, om)
         rows.append((theta, wt, om, ext, factor_bho_full(ext.weight, p)))
     return rows
+
+
+def full_depth_pipeline(w, p, q, region, depth, theta_count, family_depth):
+    """extend_continuous with every tree at the configured depth, below
+    the deepest good level too, from the same array cores: restriction,
+    extension, factorization for p > 1, survey and gap.  Returns a
+    ContinuousExtensionResult without the `tree_depth` constant."""
+    thetas = [F(2 * i + 1, 2 * theta_count) for i in range(theta_count)]
+    values, masks = _restrict(w, thetas, region, depth)
+    if p == 1:
+        ext_vals, exts = _extend_b1(thetas, depth, values, masks, q)
+        facts = [None] * theta_count
+        stacks = [(ext_vals, 1.0)]
+    else:
+        ext_vals, exts = _extend_bp(thetas, depth, values, masks, p, q, terms=60)
+        w1, w2, facts = _factor_bho_full(thetas, depth, ext_vals, p, terms=60)
+        stacks = [(w1, 1.0), (w2, 1.0 - p)]
+    artifacts = [ThetaArtifact(*row) for row in zip(
+        thetas, _tree_rows(thetas, depth, values),
+        [DyadicDomain(th, depth, m) for th, m in zip(thetas, masks)], exts, facts)]
+    family = default_arc_family(family_depth)
+    const, mink = _survey_geo_family(thetas, depth, stacks, p, family)
+    big = geo_mean_weight(thetas, depth, stacks)
+    r, a = _pieces_mesh(region.pieces(), 10, 32, d_floor=0.5 ** (depth + 1))
+    gap = float(np.max(np.abs(np.log(w(r, a)) - np.log(big(r, a)))))
+    constants = {"continuous_b1" if p == 1 else "continuous_bp": const,
+                 "log_minkowski_margin": mink, "log_gap_sup": gap,
+                 "family_size": len(family), "theta_count": theta_count, "depth": depth}
+    return ContinuousExtensionResult(weight=big, p=p, q=q, artifacts=artifacts,
+                                     constants=constants)
+
+
+def region_area(region):
+    """Exact area of a continuous region: the sum of its pieces' areas."""
+    return sum((piece.area() for piece in region.pieces()), F(0))
 
 
 def five_probes(arc):

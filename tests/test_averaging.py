@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -49,11 +50,13 @@ from helpers import (
     fraction_survey_geo_family,
     fraction_theta_measure_spectrum,
     from_node_values,
+    full_depth_pipeline,
     mean_common_boxes,
     per_offset_pipeline,
     per_piece_box_product,
     per_tree_geo_mean,
     random_arcs,
+    region_area,
     window_survey_geo_family,
 )
 
@@ -151,16 +154,16 @@ class TestRegionAlgebra:
     def test_single_generator_matches_top_area(self):
         for ell in [F(1, 5), F(3, 7), F(1), F(2, 3), F(1, 64)]:
             dom = ContinuousDomain([UnitArc(F(1, 3), ell)])
-            assert dom.area() == area_top(ell)
+            assert region_area(dom) == area_top(ell)
 
     def test_union_inclusion_exclusion_frozen(self):
         dom = ContinuousDomain([UnitArc(F(1, 8), F(1, 4)), UnitArc(F(1, 4), F(1, 4))])
-        assert dom.area() == F(39, 512)
+        assert region_area(dom) == F(39, 512)
 
     def test_pieces_are_disjoint_and_tile(self):
         _, dom = continuous_fixture("chain_wrap")
         pieces = dom.pieces()
-        assert sum((p.area() for p in pieces), F(0)) == dom.area()
+        assert sum((p.area() for p in pieces), F(0)) == region_area(dom)
         for i, a in enumerate(pieces):
             for b in pieces[i + 1:]:
                 d_overlap = min(a.d_hi, b.d_hi) - max(a.d_lo, b.d_lo)
@@ -191,7 +194,7 @@ class TestRegionAlgebra:
             domain_contains(dom, F(1) - F(float(ri)), F(float(ai)))
             for ri, ai in zip(r, ang)
         )
-        p = float(dom.area())
+        p = float(region_area(dom))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 5 * sigma
 
@@ -522,7 +525,8 @@ class TestGeoAverage:
 def fixture_stacks():
     """{(fixture, p): (region, offsets, depth, arrays)} from extend_continuous
     at depth 6 with 64 offsets: the B_1 extensions at p = 1, the two factors
-    at p = 2, 3, each an (offsets, 2^7) array."""
+    at p = 2, 3, each an (offsets, 2^(N+1)) array at the depth N the trees
+    ran at, one level below the fixture's deepest good level (4 or 5)."""
     out = {}
     for name in CONTINUOUS_FIXTURES:
         w, dom = continuous_fixture(name)
@@ -534,7 +538,8 @@ def fixture_stacks():
                 stacks = [[a.factorization.w1 for a in res.artifacts],
                           [a.factorization.w2 for a in res.artifacts]]
             thetas = [a.theta for a in res.artifacts]
-            out[name, p] = dom, thetas, 6, [as_stack(trees)[2] for trees in stacks]
+            depth = res.artifacts[0].extension.weight.depth
+            out[name, p] = dom, thetas, depth, [as_stack(trees)[2] for trees in stacks]
     return out
 
 
@@ -701,31 +706,35 @@ class TestGroupedSurvey:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_windows_in_several_groups(self, monkeypatch, fixture_stacks, p):
-        """With a cap of 24 finest lines, the 8 windows of 8 lines at depth 6
-        (all 64 offsets share one shift) fall in groups of 3, 3 and 2."""
+        """With a cap of 48 finest lines, the 4 windows of 16 lines at
+        chain_wrap's tree depth 5 (8 grid lines each for the 64 offsets'
+        two shifts) fall in groups of 3 and 1."""
         _, thetas, depth, arrays = fixture_stacks["chain_wrap", p]
+        assert depth == 5
         stacks = powered(arrays, p)
-        monkeypatch.setattr(averaging, "SURVEY_LINES", 24)
+        monkeypatch.setattr(averaging, "SURVEY_LINES", 48)
         sizes = _group_calls(monkeypatch)
         self.check(thetas, depth, stacks, p, default_arc_family(4))
-        for band in range(7):  # one call per group, band and stack
-            assert [n for k, n in sizes if k == band] == [n for n in (3, 3, 2) for _ in stacks]
-        assert len(sizes) == 3 * 7 * len(stacks)
+        for band in range(6):  # one call per group, band and stack
+            assert [n for k, n in sizes if k == band] == [n for n in (3, 1) for _ in stacks]
+        assert len(sizes) == 2 * 6 * len(stacks)
 
 
 class TestSurveyGroupCounts:
     """Deterministic guards on the survey's work: calls of the grouped core,
     which repeat exactly where timings do not."""
 
-    @pytest.mark.parametrize("p, want", [(1.0, 7), (2.0, 14)])
+    @pytest.mark.parametrize("p, want", [(1.0, 5), (2.0, 10)])
     def test_one_group_per_band_at_depth_6(self, monkeypatch, p, want):
-        """At depth 6 with 64 offsets each band is one group: depth + 1
-        calls per stack, each over all 8 windows."""
+        """At depth 6 with 64 offsets the trees of pair_overlap, whose
+        deepest good level is 3, run at depth 4, and each band is one
+        group: tree depth + 1 calls per stack, each over all 4 windows."""
         calls = _group_calls(monkeypatch)
         w, dom = continuous_fixture("pair_overlap")
-        extend_continuous(w, p, 2.0, dom, depth=6, theta_count=64, family_depth=4)
+        res = extend_continuous(w, p, 2.0, dom, depth=6, theta_count=64, family_depth=4)
+        assert res.artifacts[0].extension.weight.depth == 4
         assert len(calls) == want
-        assert {n for _, n in calls} == {8}
+        assert {n for _, n in calls} == {4}
 
     def test_deep_bands_take_several_groups(self, monkeypatch):
         """At depth 10 with the pipeline's 255 offsets, the 32 windows hold
@@ -1005,7 +1014,8 @@ class TestExtendContinuous:
         for p in (1.0, 2.0, 3.0):
             res = extend_continuous(w, p, 2.0, dom, depth=5, theta_count=theta_count,
                                     family_depth=3)
-            ref = per_offset_pipeline(w, p, 2.0, dom, depth=5, theta_count=theta_count)
+            depth = res.artifacts[0].extension.weight.depth
+            ref = per_offset_pipeline(w, p, 2.0, dom, depth=depth, theta_count=theta_count)
             assert len(res.artifacts) == len(ref) == theta_count
             for art, (theta, wt, om, ext, fact) in zip(res.artifacts, ref):
                 assert art.theta == theta
@@ -1069,8 +1079,8 @@ class TestExtendContinuous:
                                     family_depth=3)
         assert calls == []
         for art in res.artifacts:
-            assert np.array_equal(art.restriction.values,
-                                  brute_restriction_values(w, art.theta, dom, 5))
+            assert np.array_equal(art.restriction.values, brute_restriction_values(
+                w, art.theta, dom, art.extension.weight.depth))
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_survey_and_weight_read_the_pipeline_arrays(self, monkeypatch, p):
@@ -1103,3 +1113,100 @@ class TestExtendContinuous:
         bad = lambda r, a: np.full_like(r, np.inf)
         with pytest.raises(ValueError, match="offset 1/4 failed"):
             extend_continuous(bad, 1, 2.0, dom, depth=6, theta_count=2)
+
+
+@lru_cache(maxsize=None)
+def _truncated_and_full(name, p, depth):
+    """(extend_continuous, full_depth_pipeline) on a fixture with 64
+    offsets and family depth 4."""
+    w, dom = continuous_fixture(name)
+    return (extend_continuous(w, p, 2.0, dom, depth=depth, theta_count=64, family_depth=4),
+            full_depth_pipeline(w, p, 2.0, dom, depth, 64, 4))
+
+
+def _deepest_good_level(res) -> int:
+    masks = np.array([a.domain.mask for a in res.artifacts])
+    return int(np.flatnonzero(masks.any(axis=0))[-1]).bit_length() - 1
+
+
+def _certificates(art) -> list:
+    """The extension's certificates, then the factorization's for p > 1."""
+    facts = art.factorization.certificates if art.factorization is not None else []
+    return list(art.extension.certificates) + list(facts)
+
+
+class TestTreeDepth:
+    """extend_continuous runs its trees at min(depth, L + 1), L the deepest
+    good level of any offset, against helpers.full_depth_pipeline, which
+    runs them at the configured depth."""
+
+    @pytest.mark.parametrize("depth", [6, 8])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_constants_and_certificates_match_full_depth(self, name, p, depth):
+        """Every constant and every per-offset certificate's measured and
+        bound agree to 1e-14 relative; the log-Minkowski margin, a
+        difference near 0, and the reconstruction error, itself a rounding
+        error, to 1e-14 absolute."""
+        res, full = _truncated_and_full(name, p, depth)
+        constants = dict(res.constants)
+        tree_depth = min(depth, _deepest_good_level(full) + 1)
+        assert tree_depth < depth
+        assert constants.pop("tree_depth") == tree_depth
+        assert res.artifacts[0].extension.weight.depth == tree_depth
+        assert constants.keys() == full.constants.keys()
+        for key, want in full.constants.items():
+            if key == "log_minkowski_margin":
+                assert constants[key] == pytest.approx(want, rel=0, abs=1e-14)
+            else:
+                assert constants[key] == pytest.approx(want, rel=1e-14, abs=0)
+        for art, ref in zip(res.artifacts, full.artifacts):
+            assert art.theta == ref.theta
+            for got, want in zip(_certificates(art), _certificates(ref), strict=True):
+                assert got.quantity == want.quantity
+                assert got.bound == pytest.approx(want.bound, rel=1e-14, abs=0)
+                if got.quantity == "reconstruction_relative_error":
+                    assert got.measured == pytest.approx(want.measured, rel=0, abs=1e-14)
+                else:
+                    assert got.measured == pytest.approx(want.measured, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_full_depth_trees_are_constant_below_the_good_levels(self, name, p):
+        """At depth 8 every node below level L + 1 of each offset's
+        extension, and of both of its factors, equals its level-(L + 1)
+        ancestor to 1e-14 relative."""
+        _, full = _truncated_and_full(name, p, 8)
+        top = _deepest_good_level(full) + 1
+        ids = np.arange(2 << top, 1 << 9)
+        ancestors = ids >> (np.log2(ids).astype(np.int64) - top)
+        trees = [a.extension.weight for a in full.artifacts]
+        if p > 1:
+            trees += [a.factorization.w1 for a in full.artifacts]
+            trees += [a.factorization.w2 for a in full.artifacts]
+        for tree in trees:
+            np.testing.assert_allclose(tree.values[ids], tree.values[ancestors], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    def test_shallow_depth_is_the_full_depth_run(self, name, p):
+        """At depth 4, at most L + 1 on every fixture (pair_overlap's L is
+        3), the trees run at the configured depth: bitwise the full run."""
+        res, full = _truncated_and_full(name, p, 4)
+        constants = dict(res.constants)
+        assert constants.pop("tree_depth") == 4 <= _deepest_good_level(full) + 1
+        assert constants == full.constants
+        for art, ref in zip(res.artifacts, full.artifacts):
+            assert np.array_equal(art.restriction.values, ref.restriction.values)
+            assert np.array_equal(art.domain.mask, ref.domain.mask)
+            assert np.array_equal(art.extension.weight.values, ref.extension.weight.values)
+            assert sorted(art.extension.diagnostics.items()) == \
+                sorted(ref.extension.diagnostics.items())
+            if p > 1:
+                assert np.array_equal(art.factorization.w1.values, ref.factorization.w1.values)
+                assert np.array_equal(art.factorization.w2.values, ref.factorization.w2.values)
+            assert [c.as_dict() for c in _certificates(art)] == \
+                [c.as_dict() for c in _certificates(ref)]
+        region = continuous_fixture(name)[1]
+        r, a = _gap_points(region, [art.theta for art in res.artifacts], 4)
+        assert res.weight(r, a).tobytes() == full.weight(r, a).tobytes()
