@@ -8,10 +8,11 @@ sampling of common boxes, float-born arcs, weak separation of a sequence,
 the builder's per-parent Fraction selection and dict crossing walk, the
 Fraction offset spectra, the fixed-length factorization series, the
 per-tree geometric mean, the per-piece box product, the continuous
-pipeline with every tree at the configured depth, the region area as a
-sum over its pieces, the Fraction survey set-up, the window-by-window survey loop, the np.repeat ancestor
-cascade, the cell masses the maximal kernel once composed, the
-slice-per-level subtree sums and ancestor cascade, the stacked-trio
+pipeline with every tree at the configured depth, the region area on the
+generators' own grid, the Fraction survey set-up, the window-by-window
+survey loop, the np.repeat ancestor cascade, the cell masses the maximal
+kernel once composed, the slice-per-level subtree sums and ancestor
+cascade, the stacked-trio
 oscillation constant, the two-buffer S operator, the per-weight constants
 loop, the weak-type ratio, the full-disc maximal norm bound, the
 one-probe Carleson sum, the exact anchor points of tree addresses, the
@@ -339,8 +340,20 @@ def full_depth_pipeline(w, p, q, region, depth, theta_count, family_depth):
 
 
 def region_area(region):
-    """Exact area of a continuous region: the sum of its pieces' areas."""
-    return sum((piece.area() for piece in region.pieces()), F(0))
+    """Exact area of a continuous region without its pieces: the
+    generators' band ends and arc ends cut depth and angle into
+    rectangles, each wholly inside the region or outside it, as its
+    midpoint is (domain_contains)."""
+    gens = region.generators
+    depths = sorted({F(0)} | {g.length / 2 for g in gens} | {g.length for g in gens})
+    angles = sorted({F(0), F(1)} | {mod1(g.left) for g in gens}
+                    | {mod1(g.left + g.length) for g in gens})
+    total = F(0)
+    for d_lo, d_hi in zip(depths, depths[1:]):
+        for a_lo, a_hi in zip(angles, angles[1:]):
+            if domain_contains(region, (d_lo + d_hi) / 2, (a_lo + a_hi) / 2):
+                total += (a_hi - a_lo) * ((1 - d_lo) ** 2 - (1 - d_hi) ** 2)
+    return total
 
 
 def five_probes(arc):
