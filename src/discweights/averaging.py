@@ -919,12 +919,13 @@ def extend_continuous(w: Callable, p: float, q: float,
 
     The trees run at tree_depth = min(depth, L + 1), L the deepest level
     at which any offset has a good node.  Below L every restricted tree is
-    neutral, so the extension and its factors are constant on each subtree
-    of level L + 1, whose leaf cell is the whole Carleson box; deeper
-    levels would change nothing but rounding.  Restriction still runs at
-    `depth`, and its node values are rounded once from exact rationals, so
-    the kept levels are bitwise the restriction at tree_depth.  `depth`
-    stays the gap survey's floor.
+    neutral, so the extension and its factors are constant, up to
+    rounding, on each subtree of level L + 1, whose leaf cell is the whole
+    Carleson box; deeper levels would change nothing but rounding.
+    Restriction still runs at `depth`, and its node values are rounded
+    once from exact rationals, so the kept levels are bitwise the
+    restriction at tree_depth.  `depth` stays the gap survey's floor; the
+    constants report both.
 
     Reported constants: the continuous B_p (or B_1) constant of W over the
     default arc family and the worst log-Minkowski margin on those boxes,
