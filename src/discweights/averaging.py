@@ -351,18 +351,19 @@ class GoodNodes:
     """The good nodes of T offsets, exactly, over one common denominator.
 
     Piece bounds are integers over `denom` and areas integers over denom^3.
-    Nodes are sorted by (offset row, node id 2^k + j); node i owns pieces
-    start[i] to start[i + 1], in the order ContinuousDomain.clip_to_top
-    lists them (band, region interval, node interval).  The integer arrays
-    are int64 where no product can reach 2^63 and Python ints (dtype
-    object) otherwise.
+    Nodes come in the scan's order: by level, then offset row, then index,
+    so one offset's nodes are in node-id order.  Piece p belongs to node
+    owner[p]; each node's pieces are consecutive, in the order
+    ContinuousDomain.clip_to_top lists them (band, region interval, node
+    interval).  The integer arrays are int64 where no product can reach
+    2^63 and Python ints (dtype object) otherwise.
     """
 
     denom: int
     offset: np.ndarray  # (G,) offset row
     node: np.ndarray    # (G,) node id
     area: np.ndarray    # (G,) intersection area times denom^3
-    start: np.ndarray   # (G + 1,) piece ranges
+    owner: np.ndarray   # (P,) node of each piece, never decreasing
     d_lo: np.ndarray    # (P,) depth band of each piece, times denom
     d_hi: np.ndarray
     ang_lo: np.ndarray  # (P,) angular interval of each piece, times denom
@@ -434,18 +435,8 @@ def good_nodes_many(thetas, domain: ContinuousDomain, depth: int) -> GoodNodes:
         nodes.append((t, (1 << k) + cand[t, c], inter[t, c]))
         pieces.append((ordinal[pt, pc], d_lo[pm], d_hi[pm], s[pt, pc, pm], e[pt, pc, pm]))
         found += len(t)
-    offset, node, area = (np.concatenate(col) for col in zip(*nodes))
-    owner, *bounds = (np.concatenate(col) for col in zip(*pieces))
-    # levels came in order and each level in (offset, index) order
-    order = np.argsort(offset, kind="stable")
-    rank = np.empty(found, np.int64)
-    rank[order] = np.arange(found)
-    owner = rank[owner]
-    by_node = np.argsort(owner, kind="stable")
-    start = np.zeros(found + 1, np.int64)
-    np.cumsum(np.bincount(owner, minlength=found), out=start[1:])
-    return GoodNodes(L, offset[order], node[order], area[order], start,
-                     *(b[by_node] for b in bounds))
+    return GoodNodes(L, *(np.concatenate(col) for col in zip(*nodes)),
+                     *(np.concatenate(col) for col in zip(*pieces)))
 
 
 def good_nodes(theta, domain: ContinuousDomain, depth: int):
@@ -456,9 +447,10 @@ def good_nodes(theta, domain: ContinuousDomain, depth: int):
     """
     g = good_nodes_many([theta], domain, depth)
     L, theta = g.denom, mod1(theta)
+    start = np.searchsorted(g.owner, np.arange(len(g.node) + 1))
     out = []
     for i, (nid, area) in enumerate(zip(g.node.tolist(), g.area.tolist())):
-        span = slice(g.start[i], g.start[i + 1])
+        span = slice(start[i], start[i + 1])
         pieces = [PolarRect(Fraction(lo, L), Fraction(hi, L), Fraction(s, L), Fraction(e - s, L))
                   for lo, hi, s, e in zip(*(b[span].tolist()
                                             for b in (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi)))]
@@ -495,11 +487,7 @@ def _restrict(w: Callable, thetas, domain: ContinuousDomain, depth: int):
                         "no good nodes: region and grid scales do not meet")
         q = _quadrature_many(*(_over(b, g.denom) for b in
                                (g.d_lo, g.d_hi, g.ang_lo, g.ang_hi - g.ang_lo)), w, 4, 4)
-        first, sizes = g.start[:-1], np.diff(g.start)
-        integral = q[first]
-        for i in range(1, int(sizes.max())):  # left to right, as sum() adds
-            more = sizes > i
-            integral[more] += q[first[more] + i]
+        integral = np.bincount(g.owner, q, minlength=len(g.node))  # left to right, as sum() adds
         vals[lo + g.offset, g.node] = integral / _over(g.area, g.denom ** 3)
         mask[lo + g.offset, g.node] = True
     return _checked(thetas, vals), mask
@@ -637,9 +625,10 @@ def avg_beta_check(pairs):
     points share their level-k cell with the containment chance of their
     circular distance, so the mean is the deeper level minus those chances
     summed over k = 1..kmin.  The largest and smallest beta_theta are exact
-    too, and the report carries the reverse pointwise ratio
-    beta / (1 + smallest beta_theta), which stays small because a grid cell
-    of the scale of either point contains both whenever beta_theta vanishes.
+    too, and the returned dict's max_pointwise_ratio is the largest reverse
+    ratio beta / (1 + smallest beta_theta), which stays small because a grid
+    cell of the scale of either point contains both whenever beta_theta
+    vanishes; the average command's report leaves it out.
     No offset is sampled: with both angles over one denominator Q the
     circular distance is dn / Q, every chance max(0, Q - 2^k dn) / Q, and
     the mean one integer quotient, rounded once as float(Fraction) rounds.
@@ -953,7 +942,9 @@ def extend_continuous(w: Callable, p: float, q: float,
         [DyadicDomain(th, tree_depth, m) for th, m in zip(thetas, masks)], exts, facts)]
 
     family = default_arc_family(family_depth)
-    const, mink = _survey_geo_family(thetas, tree_depth, stacks, p, family)
+    # a dual weight past the float range gives constants that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        const, mink = _survey_geo_family(thetas, tree_depth, stacks, p, family)
     big = geo_mean_weight(thetas, tree_depth, stacks)
     key = "continuous_b1" if p == 1 else "continuous_bp"
 

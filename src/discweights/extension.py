@@ -43,7 +43,6 @@ from .weights import (
     _floats,
     _log_pair_sup,
     _mask,
-    _plain,
     _tree_arrays,
     _tree_rows,
     b1_constant,
@@ -63,8 +62,7 @@ __all__ = [
 _WINDOW_SLACK = 1e-9
 
 
-def power_maximal_b1(w: TreeWeight, gamma: float,
-                     domain: Optional[DyadicDomain] = None):
+def power_maximal_b1(w: TreeWeight, gamma: float):
     """(M w)^gamma together with its certified B_1 constant (2-gamma)/(1-gamma).
 
     gamma must lie in (0, 1).  The bound is exact for the tree model, so
@@ -72,7 +70,7 @@ def power_maximal_b1(w: TreeWeight, gamma: float,
     """
     if not (0 < gamma < 1):
         raise ValueError("gamma must lie in (0, 1)")
-    m = maximal_values(w.values, w.depth, domain)
+    m = maximal_values(w.values, w.depth)
     v = TreeWeight(w.theta, w.depth, m ** gamma)
     cert = WeightCertificate(
         "b1_of_power_of_maximal",
@@ -96,16 +94,6 @@ class ExtensionResult:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.certificates)
-
-    def report(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "via_dual": self.via_dual,
-            "diagnostics": {k: _plain(v) for k, v in sorted(self.diagnostics.items())},
-            "certificates": [c.as_dict() for c in self.certificates],
-            "ok": self.ok,
-        }
 
 
 def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:
@@ -163,7 +151,7 @@ def _extend_b1(thetas, depth: int, values: np.ndarray, mask: np.ndarray, q: floa
         diagnostics = {
             "restricted_b1_of_wq": b1_res[i], "c_const_domain": c_w[i],
             "l_const_domain": l_w[i], "k_min": k_min[i], "k_max": k_max[i],
-            "b1_bookkeeping_bound": front * (k_max_g / k_min_g) ** (1.0 / q),
+            "b1_bookkeeping_bound": front * (k_max_g / k_min_g if k_min_g else math.inf) ** (1.0 / q),
             "c_const_extension": c_big[i], "l_const_extension": l_big[i],
             "b1_extension_measured": measured_b1[i],
         }
@@ -219,6 +207,8 @@ def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: floa
                q: float, terms: int):
     """extend_bp on one tree or a stack, one domain mask per tree: (the
     extensions' values, one result per tree)."""
+    if p / (p - 1.0) == 1.0:  # the dual route would divide by p' - 1 = 0
+        raise ValueError(f"exponent p = {p} is too large: its conjugate p/(p-1) rounds to 1")
     if p > 2:
         return _extend_bp_dual(thetas, depth, values, mask, p, q, terms)
     delta = (q + 1.0) / (2.0 * q)
@@ -247,7 +237,7 @@ def _extend_bp(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: floa
         k_min_bound = (4.0 * c2[i]) ** (1.0 - p) / b1_1[i]
         window_product = 4.0 ** p * c1[i] * c2[i] ** (p - 1.0) * b1_1[i] * b1_2[i] ** (p - 1.0)
         m1_bound = front ** p * window_product ** gamma
-        cw_bound = (4.0 ** p * k_max_g / k_min_g) ** gamma
+        cw_bound = (4.0 ** p * k_max_g / k_min_g if k_min_g else math.inf) ** gamma
         m2_bound = 2.0 * math.log(cw_bound)
         certs = [
             agree[i],

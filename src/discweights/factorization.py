@@ -260,10 +260,12 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
     w1s, w2s = _tree_rows(thetas, depth, v1), _tree_rows(thetas, depth, v2)
     c_w, c1, c2 = (_floats(_c_values(x, mask, depth)) for x in (values, v1, v2))
     b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
-    osc = [[WeightCertificate("osc_of_w1", bound=4.0 * c ** 2, measured=m1,
-                              inputs={"osc_of_w": c}),
-            WeightCertificate("osc_of_w2", bound=(4.0 * c) ** (1.0 / (p - 1)), measured=m2,
-                              inputs={"osc_of_w": c})] for c, m1, m2 in zip(c_w, c1, c2)]
+    with np.errstate(over="ignore"):  # a float64 power past the float range is inf
+        osc = [[WeightCertificate("osc_of_w1", bound=4.0 * c ** 2, measured=m1,
+                                  inputs={"osc_of_w": c}),
+                WeightCertificate("osc_of_w2", bound=float(np.float64(4.0 * c) ** (1.0 / (p - 1))),
+                                  measured=m2, inputs={"osc_of_w": c})]
+               for c, m1, m2 in zip(c_w, c1, c2)]
     checked = _factor_certs(values, v1, v2, p, mask, depth, b1_1, b1_2, [2.0 * x for x in s],
                             [{"s_norm": x, "p": p} for x in s], osc, free)
     results = [
@@ -324,6 +326,8 @@ def rdf_factor(w: TreeWeight, p: float, s_norm: float,
 def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: int):
     """factor_bho_full on one tree or a stack: (w1 values, w2 values, one
     result per row), with one series, norm bounds, duals and constants."""
+    if p / (p - 1) == 1.0:  # the dual route would divide by p' - 1 = 0
+        raise ValueError(f"exponent p = {p} is too large: its conjugate p/(p-1) rounds to 1")
     full = np.broadcast_to(_mask(None, depth), values.shape)
     if p <= 2:
         s_norms = _s_norms(thetas, values, p, "full", full, depth)

@@ -760,9 +760,6 @@ class ParentRecord:
     complete: bool
     note: str = ""
 
-    def report(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GenerationRecord:
@@ -1030,14 +1027,14 @@ def divergence_terms(seq: PointSeq, M: DyadicMartingale, lam: float,
             diff2 = (M.value(e.address) - b0) ** 2
             x = lam * diff2 / _log_inv_mass(e.level)
             actual += math.exp(x) * m if x < 700 else math.inf
-        t = math.exp(lam * s) * mass
+        grow = math.exp(lam * s) if lam * s < 700 else math.inf
         partial += actual
         rows.append({
             "generation": j,
             "threshold": s,
             "mass": mass,
-            "t": t,
-            "envelope": math.exp(lam * s) * 4.0 ** (-j),
+            "t": grow * mass,
+            "envelope": grow * 4.0 ** (-j),
             "actual": actual,
             "partial_actual": partial,
         })

@@ -36,10 +36,8 @@ __all__ = [
     "cell_areas",
     "subtree_sums",
     "ancestor_max",
-    "values_at",
     "bp_constant",
     "b1_constant",
-    "maximal",
     "osc_constants",
     "c_const",
     "random_log_walk",
@@ -99,25 +97,14 @@ class TreeWeight:
     # -- evaluation at points of the disc ---------------------------------
 
     def eval_polar(self, modulus: np.ndarray, angle: np.ndarray) -> np.ndarray:
-        """Value of the weight at disc points given in polar form (see values_at)."""
-        return values_at(self.values[None], [self.theta], self.depth, modulus, angle)[0]
-
-
-def values_at(values: np.ndarray, thetas: Sequence, depth: int,
-              modulus: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Values of T depth-N trees with offsets thetas at disc points in polar form.
-
-    values is (T, 2^(N+1)), one row per tree; the result has shape
-    (T,) + the points' shape.  Each point's level is found once for all
-    rows, its index within the level per row from that row's offset.
-    Points deeper than the leaf level fall in leaf boxes.  The lookup is
-    float based; it is meant for quadrature at interior sample points, not
-    for boundary-exact decisions.
-    """
-    scale, n = _point_levels(np.asarray(modulus, dtype=np.float64), depth)
-    theta = np.array([float(t) for t in thetas]).reshape((-1,) + (1,) * n.ndim)
-    rows = np.arange(len(values)).reshape(theta.shape)
-    return values[rows, _node_ids(np.asarray(angle, dtype=np.float64) - theta, scale, n)]
+        """Value of the weight at disc points given in polar form, in the
+        points' shape.  Points deeper than the leaf level fall in leaf
+        boxes.  The lookup is float based; it is meant for quadrature at
+        interior sample points, not for boundary-exact decisions.
+        """
+        scale, n = _point_levels(np.asarray(modulus, dtype=np.float64), self.depth)
+        rel = np.asarray(angle, dtype=np.float64) - float(self.theta)
+        return self.values[_node_ids(rel, scale, n)]
 
 
 def _point_levels(modulus: np.ndarray, depth: int):
@@ -300,14 +287,12 @@ class _TreeWork:
             np.maximum(parent, left, out=left)
             np.maximum(parent, right, out=right)
 
-    def maximal(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    def maximal(self) -> np.ndarray:
         """The maximal function of the buffer, which holds |f|, in place:
-        ancestor_max(subtree_sums(cell masses, zeroed off the mask) / box
-        areas).  Returns the buffer."""
+        ancestor_max(subtree_sums(cell masses) / box areas).  Returns the
+        buffer."""
         buf = self.buf
         buf *= cell_areas(self.depth)  # slot 0 feeds no sum and ends NaN
-        if mask is not None:
-            np.copyto(buf, 0.0, where=~mask)
         self.add_subtrees()
         buf /= box_area_vector(self.depth)
         self.max_ancestors()
@@ -352,39 +337,25 @@ def bp_constant(w: TreeWeight, p: float, domain: Optional[DyadicDomain] = None) 
 def _bp_values(values: np.ndarray, p: float, mask: np.ndarray, depth: int) -> np.ndarray:
     """bp_constant, p > 1, of one tree or a stack, each restricted to its mask."""
     s1 = subtree_sums(np.where(mask, values * cell_areas(depth), 0.0), depth)
-    s2 = subtree_sums(np.where(mask, values ** (-1.0 / (p - 1)) * cell_areas(depth), 0.0), depth)
     areas = box_area_vector(depth)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a dual past the float range: inf
+        dual = values ** (-1.0 / (p - 1))
+        s2 = subtree_sums(np.where(mask, dual * cell_areas(depth), 0.0), depth)
         prod = (s1 / areas) * (s2 / areas) ** (p - 1)
     live = s1 > 0
     live[..., 0] = False
     return np.max(np.where(live, prod, -np.inf), axis=-1)
 
 
-def maximal(f: TreeWeight, domain: Optional[DyadicDomain] = None) -> TreeWeight:
-    """Dyadic maximal function of f (restricted to the domain if given).
+def maximal_values(values: np.ndarray, depth: int) -> np.ndarray:
+    """Dyadic maximal function of f, one tree or a stack, f taken through |f|.
 
-    Per cell: the largest average (1/A(S(I))) int_{S(I) cap Omega} f over
-    the ancestors-or-self I of the cell.  On domain cells this is the
-    restricted maximal operator; elsewhere it equals the maximal function
-    of f extended by zero off the domain.  The result is a TreeWeight on
-    the full tree (strictly positive whenever the domain is nonempty,
-    since the root box always contributes).
+    Per cell: the largest average (1/A(S(I))) int_{S(I)} |f| over the
+    ancestors-or-self I of the cell, bitwise ancestor_max(subtree_sums(cell
+    masses of |f|) / box areas), all in one buffer.  The maximal function
+    restricted to a domain is that of f zeroed off the domain.
     """
-    _check_same_grid(f, domain)
-    out = maximal_values(f.values, f.depth, domain)
-    return TreeWeight(f.theta, f.depth, out)
-
-
-def maximal_values(values: np.ndarray, depth: int,
-                   domain: Optional[DyadicDomain] = None) -> np.ndarray:
-    """Array version of `maximal` for one tree or a stack; f is taken through |f|.
-
-    Bitwise ancestor_max(subtree_sums(cell masses of |f|) / box areas), all
-    in one buffer.
-    """
-    work = _TreeWork(np.abs(values, dtype=np.float64), depth)
-    return work.maximal(None if domain is None else domain.mask)
+    return _TreeWork(np.abs(values, dtype=np.float64), depth).maximal()
 
 
 def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
@@ -404,7 +375,8 @@ def _b1_values(values: np.ndarray, mask: np.ndarray, depth: int) -> np.ndarray:
     """b1_constant of one tree or a stack, each restricted to its mask."""
     # zeroing the values off the mask gives the restricted maximal function bitwise
     m = maximal_values(np.where(mask, values, 0.0), depth)
-    return np.max(np.where(mask, m / values, -np.inf), axis=-1)
+    with np.errstate(over="ignore"):  # a ratio past the float range makes the constant inf
+        return np.max(np.where(mask, m / values, -np.inf), axis=-1)
 
 
 # ---------------------------------------------------------------------------

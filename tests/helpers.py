@@ -147,7 +147,7 @@ def cell_masses(values, depth, domain=None):
 def weak_type_ratio(w, f, p, lam, domain=None):
     """lambda^p w{Mf > lambda} / ||f||^p_{L^p(w)}, all over the domain."""
     f = np.asarray(f, dtype=np.float64)
-    m = maximal_values(f, w.depth, domain)
+    m = maximal_values(f if domain is None else np.where(domain.mask, f, 0.0), w.depth)
     mask = domain.mask.copy() if domain is not None else np.ones(len(m), dtype=bool)
     mask[0] = False
     areas = cell_areas(w.depth)

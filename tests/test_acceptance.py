@@ -139,8 +139,8 @@ def test_criterion_05_extension_factored():
 
         dq = (q + 1.0) / 2.0
         fact = res.factorization
-        m1 = maximal_values(np.where(om.mask, fact.w1.values, 0.0), w.depth, om)
-        m2 = maximal_values(np.where(om.mask, fact.w2.values, 0.0), w.depth, om)
+        m1 = maximal_values(np.where(om.mask, fact.w1.values, 0.0), w.depth)
+        m2 = maximal_values(np.where(om.mask, fact.w2.values, 0.0), w.depth)
         k = (w.power(dq).values / (m1 * m2 ** (1.0 - p)))[inner]
         k_hi = 4.0 * osc_constants(fact.w1, om).c_const * b1_constant(fact.w2, om) ** (p - 1.0)
         k_lo = (4.0 * osc_constants(fact.w2, om).c_const) ** (1.0 - p) / b1_constant(fact.w1, om)

@@ -325,6 +325,23 @@ class TestGoodNodes:
         for theta, row in zip(thetas, values):
             assert np.array_equal(row, brute_restriction_values(w, theta, dom, 6))
 
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+    @pytest.mark.parametrize("depth, count", [(6, 64), (8, 7), (3, 300)])
+    def test_scan_order(self, name, depth, count):
+        """Nodes by level, then offset row, then index; each offset's rows
+        in node-id order; owner never decreasing, so each node's pieces
+        are consecutive, and every node owns at least one piece."""
+        _, dom = continuous_fixture(name)
+        g = good_nodes_many([F(2 * i + 1, 2 * count) for i in range(count)], dom, depth)
+        level = np.array([int(n).bit_length() - 1 for n in g.node])
+        assert np.all(np.diff(level) >= 0)
+        same = np.diff(level) == 0
+        assert np.all(np.diff(g.offset)[same] >= 0)
+        for t in range(count):
+            assert np.all(np.diff(g.node[g.offset == t]) > 0)
+        assert g.owner[0] == 0 and np.all(np.diff(g.owner) >= 0)
+        assert np.array_equal(np.unique(g.owner), np.arange(len(g.node)))
+
     def test_fixtures_take_the_int64_path(self):
         for name in CONTINUOUS_FIXTURES:
             _, dom = continuous_fixture(name)
@@ -426,6 +443,19 @@ class TestDyadicRestriction:
         wt, om = dyadic_restriction(w, F(1, 5), dom, 7)
         rep = osc_constants(wt, om)
         assert np.isfinite(rep.l_const) and np.isfinite(rep.c_const)
+
+    def test_offsets_across_blocks(self):
+        """300 offsets take two blocks of OFFSET_BLOCK = 256: the rows on
+        both sides of the boundary are the one-offset oracle's, bitwise."""
+        assert averaging.OFFSET_BLOCK == 256
+        w, dom = continuous_fixture("chain_wrap")
+        thetas = [F(2 * i + 1, 600) for i in range(300)]
+        values, masks = averaging._restrict(w, thetas, dom, 6)
+        for row in (0, 255, 256, 299):
+            want = brute_restriction_values(w, thetas[row], dom, 6)
+            assert values[row].tobytes() == want.tobytes(), row
+            good = [(1 << n.level) + n.index for n, _, _ in brute_good_nodes(thetas[row], dom, 6)]
+            assert np.flatnonzero(masks[row]).tolist() == good, row
 
     def test_offset_without_good_nodes_is_named(self):
         dom = ContinuousDomain([UnitArc(F(1, 3), F(1, 1000))])

@@ -287,6 +287,28 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "level 539" in capsys.readouterr().err
 
+    # configs inside the schemas whose arithmetic leaves the float range:
+    # a conjugate exponent that rounds to 1 is refused, a bound or term
+    # that overflows reads +inf, and no RuntimeWarning is printed
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, config, exit_code", [
+        ("factorize", {"p": 1e300}, EXIT_PRECONDITION),
+        ("extend-dyadic", {"seed": 1, "p": 1e300}, EXIT_PRECONDITION),
+        ("extend-continuous", {"p": 1e16}, EXIT_PRECONDITION),
+        ("factorize", {"p": 1.0000000001}, EXIT_CERT_VIOLATION),
+        ("extend-dyadic", {"seed": 1, "p": 1.0000000001}, EXIT_CERT_VIOLATION),
+        ("extend-continuous", {"p": 1.0000000001}, EXIT_CERT_VIOLATION),
+        ("extend-dyadic", {"seed": 1, "sigma": 50}, EXIT_OK),
+        ("counterexample", {"lambdas": [1e300]}, EXIT_OK),
+    ])
+    def test_float_range_edges_exit_cleanly(self, tmp_path, capsys, command, config, exit_code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == exit_code
+        if exit_code == EXIT_PRECONDITION:
+            assert "conjugate p/(p-1) rounds to 1" in capsys.readouterr().err
+
     def test_bad_values_cover_every_schema_key(self):
         assert {c: set(keys) for c, keys in BAD_VALUES.items()} == \
                {c: set(SCHEMAS[c]) for c in COMMANDS}

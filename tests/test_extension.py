@@ -43,10 +43,12 @@ class TestPowerMaximal:
                 assert cert.bound == (2 - gamma) / (1 - gamma)
 
     def test_restricted_variant(self):
+        # the restricted maximal function is that of w zeroed off the domain
         w, om = b1_instance(51)
         for gamma in (0.25, 0.75):
-            v, cert = power_maximal_b1(w, gamma, om)
-            assert cert.measured <= cert.bound
+            m = maximal_values(np.where(om.mask, w.values, 0.0), w.depth)
+            v = TreeWeight(w.theta, w.depth, m ** gamma)
+            assert b1_constant(v) <= (2 - gamma) / (1 - gamma)
 
     def test_gamma_range_enforced(self):
         w = TreeWeight.constant(1.0, 3)
@@ -96,6 +98,17 @@ class TestExtendB1:
         for q in (1.5, 3.0):
             res = extend_b1(w, q=q, domain=om)
             assert res.ok, [c.as_dict() for c in res.certificates if not c.passed]
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_window_gives_infinite_bounds(self):
+        # w^q / M(w^q chi) = 1e-300 / 1e100 underflows to 0 on cell (2, 0)
+        w = from_node_values(0, 2, [((2, 0), 1e-150), ((1, 1), 1e50)])
+        res = extend_b1(w, 2.0, from_generators(0, 2, [(2, 0), (1, 1)]))
+        assert res.diagnostics["k_min"] == 0.0
+        assert res.diagnostics["b1_bookkeeping_bound"] == math.inf
+        certs = {c.quantity: c for c in res.certificates}
+        assert certs["b1_of_extension"].bound == math.inf and res.ok
 
 
 class TestExtendBp:

@@ -49,12 +49,6 @@ class TestNormBounds:
                       + maximal_norm_bound(p, br) ** (p - 1))
             assert s_norm_bound(w, p, "full") == pytest.approx(lerner, rel=1e-12)
 
-    def test_weighted_maximal_refuses_off_grid_domain(self):
-        w = random_log_walk(5, seed=1)
-        om = random_domain(5, seed=2, theta=F(1, 3))
-        with pytest.raises(ValueError, match="different grids"):
-            weights.maximal(w, om)
-
     def test_unweighted_maximal_under_lerner_bound(self):
         rng = np.random.default_rng(32)
         for _ in range(10):

@@ -22,18 +22,18 @@ from discweights.geometry import (
     mod1,
     rho_pseudo,
 )
-from discweights.weights import values_at
+from discweights.weights import TreeWeight
 
 from helpers import arc_contains_angle, arc_contains_arc, beta_dyadic_nodes, lca_level
 
 
 def cell_ids(theta, depth, modulus, angle):
     """Node ids of the cells of a depth-N tree with offset theta holding the
-    points, through the lab's batched lookup (a tree whose values are its
+    points, through the lab's point lookup (a tree whose values are its
     own node ids)."""
     ids = np.arange(1 << (depth + 1), dtype=np.float64)
-    got = values_at(ids[None, :], [theta], depth, np.array(modulus), np.array(angle))
-    return got[0].astype(np.int64).tolist()
+    got = TreeWeight(theta, depth, ids).eval_polar(np.array(modulus), np.array(angle))
+    return got.astype(np.int64).tolist()
 
 
 def mc_area(contains, n=2_000_000, seed=7):

@@ -32,9 +32,12 @@ KEPT_MEMBERS = {
 
 def _reads(path):
     """Names a source file reads: loaded names (an import alias counts as
-    the imported name), attributes, and the parts of dotted-name strings
-    such as perfbench's layer table.  Neither `__all__` nor a top-level
-    definition's own body counts as a read of that definition's name."""
+    the imported name), attributes of a module name such as `weights.x`,
+    and the parts of dotted-name strings such as perfbench's layer table.
+    An attribute of anything else is no read of an exported name: a
+    method `work.maximal()` does not read a function `weights.maximal`.
+    Neither `__all__` nor a top-level definition's own body counts as a
+    read of that definition's name."""
     tree = ast.parse(path.read_text())
     aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for a in node.names if a.asname}
@@ -46,7 +49,7 @@ def _reads(path):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names = [aliases.get(node.id, node.id)]
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in MODULES:
                 names = [node.attr]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names = node.value.split(".") if node.value.replace(".", "_").isidentifier() else []

@@ -29,14 +29,12 @@ from discweights.weights import (
     bp_constant,
     c_const,
     cell_areas,
-    maximal,
     maximal_values,
     node_levels,
     osc_constants,
     random_domain,
     random_log_walk,
     subtree_sums,
-    values_at,
 )
 
 from helpers import (
@@ -146,27 +144,27 @@ class TestBpConstant:
 class TestMaximal:
     def test_hand_computed_depth_one(self):
         w = from_node_values(0, 1, [((0, 0), 2.0), ((1, 0), 3.0), ((1, 1), 5.0)])
-        m = maximal(w)
+        m = maximal_values(w.values, w.depth)
         # root average: 2*(1/4) + 3*(3/8) + 5*(3/8) = 3.5
-        assert m.values[node_id(0, 0)] == pytest.approx(3.5, abs=1e-15)
-        assert m.values[node_id(1, 0)] == pytest.approx(3.5, abs=1e-15)
-        assert m.values[node_id(1, 1)] == pytest.approx(5.0, abs=1e-15)
+        assert m[node_id(0, 0)] == pytest.approx(3.5, abs=1e-15)
+        assert m[node_id(1, 0)] == pytest.approx(3.5, abs=1e-15)
+        assert m[node_id(1, 1)] == pytest.approx(5.0, abs=1e-15)
         assert b1_constant(w) == pytest.approx(1.75, abs=1e-15)
 
     def test_against_brute_force(self):
         w = random_log_walk(4, seed=12, sigma=1.0)
         ref = brute_maximal(w)
-        m = maximal(w)
+        m = maximal_values(w.values, w.depth)
         for (k, j), v in ref.items():
-            assert m.values[node_id(k, j)] == pytest.approx(v, rel=1e-12)
+            assert m[node_id(k, j)] == pytest.approx(v, rel=1e-12)
 
     def test_against_brute_force_restricted(self):
         w = random_log_walk(4, seed=13, sigma=1.0)
         om = random_domain(4, seed=14, density=0.5)
         ref = brute_maximal(w, om)
-        m = maximal(w, om)
+        m = maximal_values(np.where(om.mask, w.values, 0.0), w.depth)
         for (k, j), v in ref.items():
-            assert m.values[node_id(k, j)] == pytest.approx(v, rel=1e-12)
+            assert m[node_id(k, j)] == pytest.approx(v, rel=1e-12)
 
     def test_maximal_output_oscillates_boundedly(self):
         # the maximal function of anything has oscillation constant < 4,
@@ -174,7 +172,7 @@ class TestMaximal:
         rng = np.random.default_rng(15)
         for _ in range(20):
             f = random_log_walk(6, rng=rng, sigma=2.0)
-            rep = osc_constants(maximal(f))
+            rep = osc_constants(TreeWeight(f.theta, f.depth, maximal_values(f.values, f.depth)))
             assert rep.c_const < 4.0
 
     def test_weak_type_bounded_by_bp_constant(self):
@@ -184,7 +182,7 @@ class TestMaximal:
             om = random_domain(6, rng=rng, density=0.6)
             f = np.abs(rng.normal(size=1 << 7)) + 0.01
             bp = bp_constant(w, 2.0, om)
-            m = maximal_values(f, 6, om)
+            m = maximal_values(np.where(om.mask, f, 0.0), 6)
             live = m[om.mask]
             for q in (0.25, 0.5, 0.75):
                 lam = float(np.quantile(live, q))
@@ -314,7 +312,7 @@ class TestOscillation:
 
 
 class TestValuesAt:
-    """The batched point lookup over trees with different offsets."""
+    """The point lookup TreeWeight.eval_polar over trees with different offsets."""
 
     DEPTH = 5
 
@@ -333,27 +331,16 @@ class TestValuesAt:
         r, a = np.meshgrid(np.array(radii), np.array(angles), indexing="ij")
         return r, a
 
-    def test_rows_match_eval_polar_bitwise(self):
-        thetas = [F(0), F(1, 16), F(3, 16), F(1, 3), F(5, 7), F(15, 16)]
-        trees = [random_log_walk(self.DEPTH, seed=70 + i, theta=t)
-                 for i, t in enumerate(thetas)]
-        r, a = self.points([t for t in thetas if t.denominator == 16])
-        batch = values_at(np.stack([t.values for t in trees]),
-                          [t.theta for t in trees], self.DEPTH, r, a)
-        assert batch.shape == (len(trees),) + r.shape
-        for row, tree in zip(batch, trees):
-            assert row.tobytes() == tree.eval_polar(r, a).tobytes()
-
     def test_cells_match_exact_lookup(self):
         depth = self.DEPTH
         thetas = [F(2 * i + 1, 16) for i in range(8)]
         ids = np.arange(1 << (depth + 1), dtype=np.float64)
         r, a = self.points(thetas)
         r, a = r.ravel(), a.ravel()
-        got = values_at(np.stack([ids] * len(thetas)), thetas, depth, r, a)
-        for row, theta in zip(got, thetas):
+        for theta in thetas:
+            got = TreeWeight(theta, depth, ids).eval_polar(r, a)
             expect = brute_cell_ids(depth, theta, r.tolist(), a.tolist())
-            assert row.astype(np.int64).tolist() == expect
+            assert got.astype(np.int64).tolist() == expect
 
 
 class TestStackedKernels:
@@ -370,7 +357,8 @@ class TestStackedKernels:
         sums = subtree_sums(masses, depth)
         avg = sums / box_area_vector(depth)
         cascade = ancestor_max(avg, depth)
-        maxima = maximal_values(stack, depth, domain)
+        zeroed = stack if domain is None else np.where(domain.mask, stack, 0.0)
+        maxima = maximal_values(zeroed, depth)
         for row, values in enumerate(trees):
             one = cell_masses(values, depth, domain)
             assert one.shape == values.shape
@@ -378,7 +366,7 @@ class TestStackedKernels:
             assert np.array_equal(sums[row], subtree_sums(one, depth))
             assert np.array_equal(cascade[row], ancestor_max(avg[row], depth),
                                   equal_nan=True)
-            single = maximal_values(values, depth, domain)
+            single = maximal_values(zeroed[row], depth)
             assert single.shape == values.shape and np.isnan(single[0])
             assert np.array_equal(maxima[row], single, equal_nan=True)
 
@@ -418,7 +406,8 @@ class TestMaximalKernel:
         for values in (stack, stack[1]):
             for om in (None, domain):
                 before = values.copy()
-                got = maximal_values(values, depth, om)
+                got = maximal_values(values if om is None else np.where(om.mask, values, 0.0),
+                                     depth)
                 assert values.tobytes() == before.tobytes()
                 avg = subtree_sums(cell_masses(np.abs(values), depth, om), depth) \
                     / box_area_vector(depth)
@@ -466,9 +455,10 @@ class TestTreeWork:
         for om in (None, domain):
             mask = None if om is None else om.mask
             want = slice_maximal_values(values, depth, mask)
-            assert maximal_values(values, depth, om).tobytes() == want.tobytes()
-            work = _TreeWork(np.abs(values), depth)
-            assert work.maximal(mask) is work.buf
+            f = values if om is None else np.where(mask, values, 0.0)
+            assert maximal_values(f, depth).tobytes() == want.tobytes()
+            work = _TreeWork(np.abs(f), depth)
+            assert work.maximal() is work.buf
             assert work.buf.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", SHAPES)
