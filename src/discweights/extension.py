@@ -121,7 +121,8 @@ def extend_b1(w: TreeWeight, q: float, domain: DyadicDomain) -> ExtensionResult:
 def _extend_b1(thetas, depth: int, values: np.ndarray, mask: np.ndarray, q: float):
     """extend_b1 on one tree or a stack, one domain mask per tree: (the
     extensions' values, one result per tree)."""
-    wq = _checked(thetas, values ** q)
+    with np.errstate(over="ignore"):  # a w^q past the float range is refused by the check
+        wq = _checked(thetas, values ** q)
     # maximal of w^q chi_Omega: zeroed off the domain, as in _b1_values
     m = maximal_values(np.where(mask, wq, 0.0), depth)
     ext_vals, big, agree, c_big, l_big, measured_b1 = _extended(

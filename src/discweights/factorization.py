@@ -58,6 +58,7 @@ from .weights import (
     _tree_arrays,
     _tree_rows,
     _TreeWork,
+    _workspace,
 )
 
 __all__ = [
@@ -114,10 +115,7 @@ def _s_norms(thetas, values: np.ndarray, p: float, mode: str, mask: np.ndarray,
              depth: int, q: float = None, delta: float = None) -> list:
     """s_norm_bound of one tree or a stack, one float per tree."""
     if mode == "full":
-        pp = p / (p - 1)
-        return [4.0 * (pp * pp / (pp - 1)) ** (1.0 / pp) * br
-                + (4.0 * (p * p / (p - 1)) ** (1.0 / p)) ** (p - 1) * br
-                for br in _floats(_bp_values(values, p, mask, depth))]
+        return [_full_norm(p, br) for br in _floats(_bp_values(values, p, mask, depth))]
     if mode == "restricted":
         if q is None or delta is None:
             raise ValueError("restricted mode needs q and delta")
@@ -125,6 +123,13 @@ def _s_norms(thetas, values: np.ndarray, p: float, mode: str, mask: np.ndarray,
                 + restricted_maximal_norm_lp(p, q, delta, br) ** (p - 1)
                 for br in _floats(_bp_values(_checked(thetas, values ** q), p, mask, depth))]
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _full_norm(p: float, br: float) -> float:
+    """s_norm_bound's "full" mode from the full-tree B_p constant br of w."""
+    pp = p / (p - 1)
+    return (4.0 * (pp * pp / (pp - 1)) ** (1.0 / pp) * br
+            + (4.0 * (p * p / (p - 1)) ** (1.0 / p)) ** (p - 1) * br)
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +146,29 @@ def op_s(g: np.ndarray, values: np.ndarray, depth: int, p: float, *,
     change nothing, and the result is bitwise the restricted one (an
     off-domain cell's mass is 0 x area = +0.0 either way).
 
-    Both maximal functions run in one tree workspace of the result's
-    shape: `work` when given (its buffer is overwritten), else a new one.
-    M(g w) / w is read out of the buffer before M(g^{1/(p-1)}) overwrites
-    it, in the order of the two-buffer formula, so the bits are the same.
+    Both maximal functions run as one cascade: |g w| and |g|^{1/(p-1)}
+    are the two halves of one tree workspace of twice the rows, `work`
+    when given (its buffer is overwritten), else `_workspace`'s.  Each
+    entry takes the float operations of the two-buffer formula, so the
+    bits are the same.
     """
+    shape = np.shape(values)
+    if np.shape(g) != shape:
+        shape = np.broadcast_shapes(np.shape(g), shape)
+    pair = np.empty((2,) + shape)
+    m_gw, m_g = pair  # g w and |g|^{1/(p-1)}, then their maximal functions
+    np.multiply(g, values, out=m_gw)
+    np.abs(g, out=m_g)
+    m_g **= 1.0 / (p - 1)
     if work is None:
-        work = _TreeWork(np.empty(np.broadcast_shapes(np.shape(g), np.shape(values))), depth)
-    buf = work.buf
-    np.multiply(g, values, out=buf)
-    np.abs(buf, out=buf)
-    out = work.maximal() / values
-    np.abs(g, out=buf)
-    buf **= 1.0 / (p - 1)
+        work = _workspace(pair.size >> (depth + 1), depth)
+    work.load(pair)
     work.maximal()
-    buf **= p - 1
-    out += buf
+    work.store(pair)
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf
+        out = m_gw / values
+    m_g **= p - 1
+    out += m_g
     return out
 
 
@@ -179,6 +191,9 @@ class FactorizationResult:
         return all(c.passed for c in self.certificates)
 
 
+# a series past the float range sums inf terms, and its tail is NaN (inf / inf)
+# once its bound is inf too; either way the caller's check keeps it pending
+@np.errstate(over="ignore", invalid="ignore")
 def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
             p: float, terms: int):
     """Truncated f = sum_k S^k(u) / (2s)^k with u = 1 on the mask, 0 off it.
@@ -200,7 +215,7 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
     tail, used = np.empty(s.shape), np.empty(s.shape, dtype=np.int64)
     rows, v, m, two_s = ..., values, mask, 2.0 * s[..., None]  # the rows still moving
     # one workspace per set of rows still moving: a new one only once a row leaves
-    term, work = f.copy(), _TreeWork(np.empty(values.shape), depth)
+    term, work = f.copy(), _workspace(2 * (values.size >> (depth + 1)), depth)
     moved = np.ones(s.shape, dtype=bool)
     for k in range(terms + 1):
         # S of the latest term: the next term on the mask, or the tail of a
@@ -217,7 +232,7 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
             if pick is ...:
                 return f, tail, used
             rows, v, m, two_s, t = (x[moved] for x in (rows, v, m, two_s, t))
-            work = _TreeWork(np.empty(v.shape), depth)
+            work = _workspace(2 * len(v), depth)
         term = np.where(m, t, 0.0)
         last = f[rows]
         nxt = last + term
@@ -227,13 +242,15 @@ def _series(values: np.ndarray, mask: np.ndarray, s: np.ndarray, depth: int,
 
 
 def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: float,
-                s_norms: Sequence[float], terms: int, free: Sequence[bool]):
+                s_norms: Sequence[float], terms: int, free: Sequence[bool],
+                bp_w: Optional[list] = None):
     """rdf_factor on one tree or a stack, one norm bound s_norms[i] and
     domain mask per row: (w1 values, w2 values, one result per row, the
     factors' measured constants).  free[i] marks a row without a domain,
-    also certified by the product rule.  The constants are the lists
-    (c_const of w1, c_const of w2, B_1 of w1, B_1 of w2), one float per
-    row, on the mask, for callers that certify the factors again."""
+    also certified by the product rule, against bp_w[i], the full-tree B_p
+    constant of w, when the caller has measured it.  The constants are the
+    lists (c_const of w1, c_const of w2, B_1 of w1, B_1 of w2), one float
+    per row, on the mask, for callers that certify the factors again."""
     s = np.asarray(s_norms, dtype=np.float64).reshape(values.shape[:-1]) / 2.0
     escalations = np.zeros(s.shape, dtype=np.int64)
     pending = np.ones(s.shape, dtype=bool)
@@ -256,7 +273,8 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
 
     # off the domain the factors carry neutral value 1 (never integrated)
     np.copyto(f, 1.0, where=~mask)
-    v1, v2 = f * np.where(mask, values, 1.0), f ** (1.0 / (p - 1))
+    with np.errstate(over="ignore"):  # a w2 past the float range fails its certificates
+        v1, v2 = f * np.where(mask, values, 1.0), f ** (1.0 / (p - 1))
     w1s, w2s = _tree_rows(thetas, depth, v1), _tree_rows(thetas, depth, v2)
     c_w, c1, c2 = (_floats(_c_values(x, mask, depth)) for x in (values, v1, v2))
     b1_1, b1_2 = _floats(_b1_values(v1, mask, depth)), _floats(_b1_values(v2, mask, depth))
@@ -267,7 +285,7 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
                                   measured=m2, inputs={"osc_of_w": c})]
                for c, m1, m2 in zip(c_w, c1, c2)]
     checked = _factor_certs(values, v1, v2, p, mask, depth, b1_1, b1_2, [2.0 * x for x in s],
-                            [{"s_norm": x, "p": p} for x in s], osc, free)
+                            [{"s_norm": x, "p": p} for x in s], osc, free, bp_w)
     results = [
         FactorizationResult(w1=w1, w2=w2, f=f_row, p=p, s_norm=s_i, escalations=e,
                             tail_ratio=t, terms_used=n, reconstruction_error=rec_err,
@@ -278,16 +296,18 @@ def _rdf_factor(thetas, depth: int, values: np.ndarray, mask: np.ndarray, p: flo
 
 
 def _factor_certs(values, v1, v2, p: float, mask, depth: int, b1_w1: list, b1_w2: list,
-                  bounds: list, inputs: list, osc: list, product_rule: Sequence[bool]) -> list:
+                  bounds: list, inputs: list, osc: list, product_rule: Sequence[bool],
+                  bp_w: Optional[list] = None) -> list:
     """(reconstruction error, certificates) per row of w = w1 w2^{1-p}: the
     B_1 bounds of both factors (their measured B_1 constants b1_w1, b1_w2
     on the mask), the row's osc certificates, the reconstruction on the
     mask and, where product_rule, the full-tree
-    [w]_{B_p} <= [w1]_{B_1} [w2]_{B_1}^{p-1}."""
+    [w]_{B_p} <= [w1]_{B_1} [w2]_{B_1}^{p-1}, [w]_{B_p} measured here
+    unless bp_w gives it."""
     with np.errstate(divide="ignore", invalid="ignore"):  # slot 0 is unused
         rec_err = np.abs(v1 * v2 ** (1.0 - p) / values - 1.0)
     rec_err = _floats(np.max(np.where(mask, rec_err, -np.inf), axis=-1))
-    if any(product_rule):
+    if bp_w is None and any(product_rule):
         bp_w = _floats(_bp_values(values, p, _mask(None, depth), depth))
     out = []
     for i, (bound, rule) in enumerate(zip(bounds, product_rule)):
@@ -330,9 +350,10 @@ def _factor_bho_full(thetas, depth: int, values: np.ndarray, p: float, terms: in
         raise ValueError(f"exponent p = {p} is too large: its conjugate p/(p-1) rounds to 1")
     full = np.broadcast_to(_mask(None, depth), values.shape)
     if p <= 2:
-        s_norms = _s_norms(thetas, values, p, "full", full, depth)
-        return _rdf_factor(thetas, depth, values, full, p, s_norms, terms,
-                           [True] * len(thetas))[:3]
+        # one B_p measurement feeds the norm bound and the product rule
+        bp_w = _floats(_bp_values(values, p, full, depth))
+        return _rdf_factor(thetas, depth, values, full, p, [_full_norm(p, br) for br in bp_w],
+                           terms, [True] * len(thetas), bp_w)[:3]
 
     # factor the dual weight at the conjugate exponent, swap the factors and
     # recertify them for w

@@ -248,30 +248,95 @@ def _floats(x) -> list:
 # The tree kernels and constants below take one tree, a (2^(N+1),) array,
 # or a stack of T trees, a (T, 2^(N+1)) array (and one mask, or one per
 # tree), and work row by row: each row equals its one-tree result bitwise.
-# They index the node axis through the transposed view or `...`, so a
-# single tree stays 1-D; its constant is a 0-d array.
+# They index the node axis through `...`, so a single tree stays 1-D; its
+# constant is a 0-d array.
+#
+# The cascades (subtree sums, ancestor maxima, the maximal function) run in
+# a tree workspace that stores its R trees level-major: slot 0 of every
+# row, then level 0 of every row, then level 1, and so on.  Level k of all
+# rows is then one contiguous run of R 2^k entries at offset R 2^k, and
+# the children of run position i are positions 2i and 2i + 1 of the next
+# run, so each kernel makes two ufunc calls on 1-D views per level,
+# whatever R is.  Every entry is the same float operation on the same
+# operands as on a heap-order row, so the results are bitwise the
+# one-tree ones.  One tree in level-major order is its heap order.
+#
+# The 1- and 2-row workspaces are the shapes the per-instance routes repeat
+# thousands of times (one tree, and op_s's or _bp_values's pair of trees):
+# they load and store with one copy or one `take`, and `_workspace` builds
+# each such shape of up to _CACHED_WORK_CELLS entries once and reuses it.
+# A stack of 3 or more rows gets a workspace of its own, loaded and stored
+# level by level, so nothing cached grows with the stack.  A cached
+# workspace is shared by every caller in the process and its buffer is
+# overwritten by every load: read a result out with `store` before the
+# next kernel call, and run no two kernels on it at once.
+
 
 class _TreeWork:
-    """A tree workspace: a buffer of one tree or a stack, shape
-    (..., 2^(N+1)), with its level views built once.
+    """A tree workspace for `rows` trees of one depth, level-major (see
+    above), with its level runs and views and its scratch built once."""
 
-    Per parent level k < N it keeps the parents, their left and right
-    children and the first 2^k entries of a (..., 2^(N-1)) scratch array,
-    each indexing the node axis first.  The kernels run in place on the
-    buffer through ufuncs with out=, so a caller that reuses one workspace
-    for many calls on one shape (the factorization series) builds no slice
-    and no temporary per level; subtree_sums, ancestor_max and
-    maximal_values are one-shot uses of it.
-    """
+    __slots__ = ("rows", "depth", "buf", "runs", "levels", "cells", "boxes", "gather",
+                 "scatter")
 
-    __slots__ = ("buf", "depth", "levels")
+    def __init__(self, rows: int, depth: int):
+        self.rows, self.depth = rows, depth
+        self.buf = buf = np.empty(rows << (depth + 1))
+        scratch = np.empty((rows << depth) >> 1)
+        # runs[k]: level k of every row, as a (rows, 2^k) view
+        self.runs = [buf[rows << k : rows << (k + 1)].reshape(rows, 1 << k)
+                     for k in range(depth + 1)]
+        # per parent level k: its run, its children's two interleaved halves
+        # in the next run, and scratch
+        self.levels = [(buf[rows << k : rows << (k + 1)],
+                        buf[rows << (k + 1) : rows << (k + 2) : 2],
+                        buf[(rows << (k + 1)) + 1 : rows << (k + 2) : 2], scratch[: rows << k])
+                       for k in range(depth)]
+        # one tree is its own level-major order: it loads and stores with one
+        # copy and scales by the heap area vectors; a pair loads and stores
+        # with one take and scales by level-major area vectors (entry i on
+        # the level of heap id i // 2); a stack goes level by level
+        self.cells = self.boxes = self.gather = self.scatter = None
+        if rows == 1:
+            self.cells, self.boxes = cell_areas(depth), box_area_vector(depth)
+        elif rows == 2:
+            self.cells, self.boxes = (np.repeat(a, 2) for a in (cell_areas(depth),
+                                                               box_area_vector(depth)))
+            # heap index (row r, node h of level k) -> level-major entry
+            # h + (r + 1) 2^k, slot 0 of row r -> entry r; and back
+            h = np.arange(1 << (depth + 1))
+            first = np.int64(1) << node_levels(depth)
+            self.scatter = np.concatenate([h + first, h + 2 * first])
+            self.scatter[[0, h.size]] = 0, 1
+            self.gather = np.empty_like(self.scatter)
+            self.gather[self.scatter] = np.arange(self.scatter.size)
 
-    def __init__(self, buf: np.ndarray, depth: int):
-        self.buf, self.depth = buf, depth
-        o = buf.T
-        s = np.empty(buf.shape[:-1] + ((1 << depth) >> 1,), dtype=buf.dtype).T
-        self.levels = [(o[1 << k : 2 << k], o[2 << k : 4 << k : 2],
-                        o[(2 << k) + 1 : 4 << k : 2], s[: 1 << k]) for k in range(depth)]
+    def load(self, values: np.ndarray) -> None:
+        """Fill the buffer with `rows` heap-order trees (any leading shape)."""
+        if self.rows == 1:
+            np.copyto(self.buf, values.reshape(-1))
+        elif self.gather is not None:
+            # mode="clip" spares take's buffered out=; every index is in range
+            values.reshape(-1).take(self.gather, out=self.buf, mode="clip")
+        else:
+            heap = values.reshape(self.rows, -1)
+            self.buf[: self.rows] = heap[:, 0]
+            for k, run in enumerate(self.runs):
+                run[...] = heap[:, 1 << k : 2 << k]
+
+    def store(self, out: np.ndarray) -> np.ndarray:
+        """Write the buffer's trees into out, `rows` heap-order trees (any
+        leading shape), and return it."""
+        if self.rows == 1:
+            np.copyto(out, self.buf.reshape(out.shape))
+        elif self.scatter is not None:
+            self.buf.take(self.scatter, out=out.reshape(-1), mode="clip")
+        else:
+            heap = out.reshape(self.rows, -1)
+            heap[:, 0] = self.buf[: self.rows]
+            for k, run in enumerate(self.runs):
+                heap[:, 1 << k : 2 << k] = run
+        return out
 
     def add_subtrees(self) -> None:
         """subtree_sums in place, bottom-up."""
@@ -281,29 +346,63 @@ class _TreeWork:
 
     def max_ancestors(self) -> None:
         """ancestor_max in place, top-down; slot 0 becomes NaN."""
-        self.buf.T[0] = np.nan
-        # each child from its parent: a broadcast (2^k, 2, ...) view is slower
+        self.buf[: self.rows] = np.nan
         for parent, left, right, _ in self.levels:
             np.maximum(parent, left, out=left)
             np.maximum(parent, right, out=right)
 
-    def maximal(self) -> np.ndarray:
-        """The maximal function of the buffer, which holds |f|, in place:
-        ancestor_max(subtree_sums(cell masses) / box areas).  Returns the
-        buffer."""
+    def maximal(self) -> None:
+        """The maximal function of the buffer, which holds f, in place:
+        ancestor_max(subtree_sums(cell masses of |f|) / box areas)."""
         buf = self.buf
-        buf *= cell_areas(self.depth)  # slot 0 feeds no sum and ends NaN
+        np.abs(buf, out=buf)
+        self._scale(np.multiply, self.cells, cell_areas(self.depth))
         self.add_subtrees()
-        buf /= box_area_vector(self.depth)
+        self._scale(np.divide, self.boxes, box_area_vector(self.depth))
         self.max_ancestors()
-        return buf
+
+    def _scale(self, op, vector, areas) -> None:
+        """buf = op(buf, area per entry), by the level-major vector or, on a
+        stack, level by level from the heap vector areas; slot 0 is left to
+        max_ancestors."""
+        if vector is not None:
+            op(self.buf, vector, out=self.buf)
+        else:
+            for k, run in enumerate(self.runs):
+                op(run, areas[1 << k : 2 << k], out=run)
+
+
+# The largest one-tree or pair workspace kept for reuse, in buffer entries:
+# a pair up to depth 9.  Deeper trees pay for a build in kernel work anyway,
+# and a cached depth-11 pair would hold 0.34 MB for the life of the process.
+_CACHED_WORK_CELLS = 1 << 11
+
+
+@lru_cache(maxsize=None)
+def _cached_work(rows: int, depth: int) -> _TreeWork:
+    return _TreeWork(rows, depth)
+
+
+def _workspace(rows: int, depth: int) -> _TreeWork:
+    """A workspace for `rows` trees: for one tree or a pair of at most
+    _CACHED_WORK_CELLS entries the cached one of that shape, else a new one."""
+    if rows <= 2 and rows << (depth + 1) <= _CACHED_WORK_CELLS:
+        return _cached_work(rows, depth)
+    return _TreeWork(rows, depth)
+
+
+def _run(values: np.ndarray, depth: int, kernel) -> np.ndarray:
+    """kernel(workspace) on a copy of values, one tree or a stack of any
+    leading shape, returned in values' shape."""
+    work = _workspace(values.size >> (depth + 1), depth)
+    work.load(values)
+    kernel(work)
+    return work.store(np.empty(values.shape))
 
 
 def subtree_sums(cell_masses: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the sum of cell masses over its subtree (its box)."""
-    work = _TreeWork(np.array(cell_masses, dtype=np.float64), depth)
-    work.add_subtrees()
-    return work.buf
+    return _run(np.asarray(cell_masses, dtype=np.float64), depth, _TreeWork.add_subtrees)
 
 
 @lru_cache(maxsize=64)
@@ -336,11 +435,13 @@ def bp_constant(w: TreeWeight, p: float, domain: Optional[DyadicDomain] = None) 
 
 def _bp_values(values: np.ndarray, p: float, mask: np.ndarray, depth: int) -> np.ndarray:
     """bp_constant, p > 1, of one tree or a stack, each restricted to its mask."""
-    s1 = subtree_sums(np.where(mask, values * cell_areas(depth), 0.0), depth)
+    pair = np.stack([values, values])
     areas = box_area_vector(depth)
     with np.errstate(over="ignore", invalid="ignore"):  # a dual past the float range: inf
-        dual = values ** (-1.0 / (p - 1))
-        s2 = subtree_sums(np.where(mask, dual * cell_areas(depth), 0.0), depth)
+        pair[1] **= -1.0 / (p - 1)
+        pair *= cell_areas(depth)
+        # the masses of w and of its dual summed in one workspace
+        s1, s2 = subtree_sums(np.where(mask, pair, 0.0), depth)
         prod = (s1 / areas) * (s2 / areas) ** (p - 1)
     live = s1 > 0
     live[..., 0] = False
@@ -352,17 +453,15 @@ def maximal_values(values: np.ndarray, depth: int) -> np.ndarray:
 
     Per cell: the largest average (1/A(S(I))) int_{S(I)} |f| over the
     ancestors-or-self I of the cell, bitwise ancestor_max(subtree_sums(cell
-    masses of |f|) / box areas), all in one buffer.  The maximal function
+    masses of |f|) / box areas), all in one workspace.  The maximal function
     restricted to a domain is that of f zeroed off the domain.
     """
-    return _TreeWork(np.abs(values, dtype=np.float64), depth).maximal()
+    return _run(np.asarray(values, dtype=np.float64), depth, _TreeWork.maximal)
 
 
 def ancestor_max(avg: np.ndarray, depth: int) -> np.ndarray:
     """For each node, the largest of avg over its ancestors-or-self; slot 0 is NaN."""
-    work = _TreeWork(np.array(avg), depth)
-    work.max_ancestors()
-    return work.buf
+    return _run(np.asarray(avg, dtype=np.float64), depth, _TreeWork.max_ancestors)
 
 
 def b1_constant(w: TreeWeight, domain: Optional[DyadicDomain] = None) -> float:
@@ -482,6 +581,8 @@ def random_log_walk(depth: int, seed=None, sigma: float = 0.5, theta=0,
     [-sigma, sigma], so log ratios across one generation are at most sigma
     and the weight oscillates boundedly at every scale.
     """
+    if not np.isfinite(2.0 * float(sigma)):
+        raise ValueError(f"sigma = {sigma} is too large: the step range 2 sigma is not finite")
     rng = np.random.default_rng(seed) if rng is None else rng
     size = 1 << (depth + 1)
     logv = np.zeros(size)
@@ -490,7 +591,9 @@ def random_log_walk(depth: int, seed=None, sigma: float = 0.5, theta=0,
         lo, hi = 1 << k, 1 << (k + 1)
         steps = rng.uniform(-sigma, sigma, hi - lo)
         logv[lo:hi] = np.repeat(logv[lo >> 1 : hi >> 1], 2) + steps
-    return TreeWeight(theta, depth, np.exp(logv))
+    with np.errstate(over="ignore"):  # an inf value is refused by TreeWeight's own check
+        values = np.exp(logv)
+    return TreeWeight(theta, depth, values)
 
 
 def random_domain(depth: int, seed=None, density: float = 0.5, theta=0,

@@ -309,6 +309,25 @@ class TestExitCodes:
         if exit_code == EXIT_PRECONDITION:
             assert "conjugate p/(p-1) rounds to 1" in capsys.readouterr().err
 
+    # a sigma whose step range 2 sigma is not finite is refused by name; a
+    # weight, power or factor past the float range is refused by the
+    # positivity check, silently
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, config, message", [
+        ("constants", {"seed": 1, "sigma": 1.7e308}, "sigma = 1.7e+308 is too large"),
+        ("extend-dyadic", {"seed": 1, "sigma": 1.7e308}, "sigma = 1.7e+308 is too large"),
+        ("constants", {"seed": 1, "sigma": 1e16}, "weight values must be positive and finite"),
+        ("extend-dyadic", {"seed": 1, "sigma": 1e16}, "weight values must be positive and finite"),
+        ("extend-dyadic", {"seed": 1, "q": 1e16}, "weight values must be positive and finite"),
+        ("extend-continuous", {"p": 1e15}, "weight values must be positive and finite"),
+    ])
+    def test_float_range_refusals(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert message in capsys.readouterr().err
+
     def test_bad_values_cover_every_schema_key(self):
         assert {c: set(keys) for c, keys in BAD_VALUES.items()} == \
                {c: set(SCHEMAS[c]) for c in COMMANDS}

@@ -194,21 +194,25 @@ class TestExtendBpMany:
             assert np.array_equal(row, single.weight.values)
 
     def test_single_tree_stays_one_dimensional(self, monkeypatch):
-        """Every tree workspace (the maximal functions, subtree sums and the
-        series all run in one) holds a 1-D buffer."""
-        ndims = []
-        real = weights._TreeWork
+        """A single tree's routes (the maximal functions, subtree sums and
+        the series) run only in the cached one-tree and pair workspaces, and
+        every array they return stays 1-D."""
+        rows = []
+        real = weights._workspace
 
-        def spy(buf, depth):
-            ndims.append(np.ndim(buf))
-            return real(buf, depth)
+        def spy(n, depth):
+            rows.append(n)
+            return real(n, depth)
 
         for module in (weights, factorization):
-            monkeypatch.setattr(module, "_TreeWork", spy)
+            monkeypatch.setattr(module, "_workspace", spy)
         w, om = b1_instance(63, depth=5)
-        extend_bp(w, 3.0, 2.0, om)
-        factorization.factor_bho_full(w, 3.0)
-        assert ndims and set(ndims) == {1}
+        ext = extend_bp(w, 3.0, 2.0, om)
+        fact = factorization.factor_bho_full(w, 3.0)
+        assert rows and set(rows) == {1, 2}
+        for arr in (ext.weight.values, ext.factorization.f, fact.f, fact.w1.values,
+                    fact.w2.values):
+            assert arr.ndim == 1
 
     def test_row_error_names_its_offset(self):
         ws, doms = self.stack(61)

@@ -324,9 +324,13 @@ class TestSeriesWorkspace:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0 / 3.0, 3.0])
     def test_op_s_matches_two_buffer_formula(self, p):
+        """The paired op_s, both maximal functions in one workspace of twice
+        the rows, against the two-buffer S: on a stack in a given workspace
+        refilled as in the series, in a fresh one, and on one tree in the
+        cached two-row workspace."""
         rng = np.random.default_rng(48)
         values = np.stack([random_log_walk(6, rng=rng, sigma=0.7).values for _ in range(3)])
-        work = weights._TreeWork(np.empty(values.shape), 6)
+        work = weights._workspace(6, 6)
         for _ in range(3):  # the workspace refilled, as in the series
             g = rng.uniform(0.0, 2.0, size=values.shape)
             g[:, rng.uniform(size=values.shape[-1]) < 0.2] = 0.0
@@ -334,17 +338,20 @@ class TestSeriesWorkspace:
             assert op_s(g, values, 6, p, work=work).tobytes() == want.tobytes()
             assert op_s(g, values, 6, p).tobytes() == want.tobytes()
             assert op_s(g[1], values[1], 6, p).tobytes() == want[1].tobytes()
+            assert op_s(g[1], values[1], 6, p, work=weights._workspace(2, 6)).tobytes() \
+                == want[1].tobytes()
 
     def test_workspace_rebuilt_only_when_rows_leave(self, monkeypatch):
-        """Three rows settling at three different terms: one workspace for
-        the three, then one for the two left, then one for the last; every
-        row still equals its one-tree series bitwise."""
-        shapes = []
-        real = weights._TreeWork
+        """Three rows settling at three different terms: one paired
+        workspace (twice the rows) for the three, then one for the two left,
+        then the cached pair for the last; every row still equals its
+        one-tree series bitwise."""
+        rows = []
+        real = factorization._workspace
 
-        def spy(buf, depth):
-            shapes.append(buf.shape)
-            return real(buf, depth)
+        def spy(n, depth):
+            rows.append(n)
+            return real(n, depth)
 
         ws = [random_log_walk(7, seed=47, sigma=sigma) for sigma in (0.2, 0.8, 2.0)]
         values = np.stack([w.values for w in ws])
@@ -352,10 +359,10 @@ class TestSeriesWorkspace:
         mask[:, 0] = False
         s = np.array([s_norm_bound(w, 2.0) for w in ws])
         with monkeypatch.context() as m:
-            m.setattr(factorization, "_TreeWork", spy)
+            m.setattr(factorization, "_workspace", spy)
             f, tail, used = factorization._series(values, mask, s, 7, 2.0, 60)
         assert len(set(used.tolist())) == 3
-        assert shapes == [(3, 256), (2, 256), (1, 256)]
+        assert rows == [6, 4, 2]
         for i in range(3):
             f1, tail1, used1 = factorization._series(values[i], mask[i], s[i, ...], 7, 2.0, 60)
             assert f[i].tobytes() == f1.tobytes() and (tail[i], used[i]) == (tail1, used1)
@@ -380,3 +387,57 @@ class TestSeriesWorkspace:
             measured = {c.quantity: c.measured for c in res.certificates}
             assert (measured["b1_of_w1"], measured["osc_of_w1"]) == (b1_1[i], c1[i])
             assert measured["osc_of_w2"] == c2[i]
+
+
+class TestOneBpMeasurement:
+    """For p <= 2 the full-disc route measures [w]_{B_p} once, for the norm
+    bound and the product rule, and its output is bitwise that of the
+    route measuring it twice (rdf_factor with the same bound)."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_measured_once_bitwise_the_same(self, monkeypatch, p):
+        w = random_log_walk(7, seed=81, sigma=0.7)
+        twice = rdf_factor(w, p, s_norm_bound(w, p))
+        calls = []
+        real = factorization._bp_values
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(factorization, "_bp_values", spy)
+        once = factor_bho_full(w, p)
+        assert calls == [p]
+        for a, b in ((once.w1.values, twice.w1.values), (once.w2.values, twice.w2.values),
+                     (once.f, twice.f)):
+            assert a.tobytes() == b.tobytes()
+        assert [c.as_dict() for c in once.certificates] == \
+               [c.as_dict() for c in twice.certificates]
+        rule = {c.quantity: c for c in once.certificates}["product_rule_bp"]
+        assert rule.measured == bp_constant(w, p)
+        assert (once.s_norm, once.escalations, once.tail_ratio, once.terms_used) == \
+               (twice.s_norm, twice.escalations, twice.tail_ratio, twice.terms_used)
+
+
+class TestOverflowPaths:
+    """Arithmetic past the float range in the series reads inf or NaN and
+    is handled by its checks, without a RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_op_s_quotient_past_the_float_range(self):
+        values = np.array([1.0, 1e-160, 1e200, 1.0])
+        g = np.array([0.0, 1e200, 1e100, 1.0])
+        out = op_s(g, values, 1, 2.0)
+        assert out[1] == np.inf and np.isfinite(out[2:]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extend_bp_far_apart_domain_values(self):
+        """Domain values 1e-160 and 1e50 on a depth-2 tree: M(g w) / w and
+        the tail overflow, the bound escalates and the series gives up."""
+        values = np.ones(8)
+        values[1], values[2] = 1e-160, 1e50
+        mask = np.zeros(8, dtype=bool)
+        mask[1:3] = True
+        w, om = TreeWeight(0, 2, values), weights.DyadicDomain(0, 2, mask)
+        with pytest.raises(ArithmeticError, match="series did not settle"):
+            extend_bp(w, 2.0, 2.0, om)

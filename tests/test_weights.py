@@ -23,6 +23,7 @@ from discweights.weights import (
     _checked,
     _log_pair_sup,
     _mask,
+    _workspace,
     ancestor_max,
     b1_constant,
     box_area_vector,
@@ -428,11 +429,15 @@ def signed_stack(depth, rows, seed):
 
 
 class TestTreeWork:
-    """The tree workspace against the slice-per-level kernels it replaced,
-    kept as oracles in helpers: bitwise on one tree, stacks of any leading
-    shape, the smallest depths and masked input, fresh or reused."""
+    """The level-major tree workspace against the slice-per-level kernels it
+    replaced, kept as oracles in helpers: bitwise on one tree, stacks of any
+    leading shape, the smallest depths and masked input, fresh or reused."""
 
     SHAPES = [None, (3,), (2, 3)]
+
+    @staticmethod
+    def rows_of(rows):
+        return 1 if rows is None else int(np.prod(rows))
 
     @pytest.mark.parametrize("rows", SHAPES)
     @pytest.mark.parametrize("depth", [0, 1, 2, 5, 9])
@@ -457,37 +462,117 @@ class TestTreeWork:
             want = slice_maximal_values(values, depth, mask)
             f = values if om is None else np.where(mask, values, 0.0)
             assert maximal_values(f, depth).tobytes() == want.tobytes()
-            work = _TreeWork(np.abs(f), depth)
-            assert work.maximal() is work.buf
-            assert work.buf.tobytes() == want.tobytes()
+            work = _workspace(self.rows_of(rows), depth)
+            work.load(f)
+            work.maximal()
+            out = np.empty(values.shape)
+            assert work.store(out) is out
+            assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", SHAPES)
     def test_reused_workspace_matches_fresh_calls(self, rows):
         """One workspace refilled many times gives each call's fresh result:
-        nothing of an earlier call survives in the buffer or the scratch."""
+        nothing of an earlier call survives in the buffer or the scratch,
+        and the level views stay on the one buffer."""
         depth = 6
-        work = _TreeWork(np.empty(signed_stack(depth, rows, 0).shape), depth)
+        work = _workspace(self.rows_of(rows), depth)
         views = [tuple(v.ctypes.data for v in level) for level in work.levels]
+        out = np.empty(signed_stack(depth, rows, 0).shape)
         for seed in range(5):
             values = signed_stack(depth, rows, 970 + seed)
-            np.abs(values, out=work.buf)
-            assert work.maximal().tobytes() == slice_maximal_values(values, depth).tobytes()
-            np.copyto(work.buf, values)
+            work.load(values)
+            work.maximal()
+            assert work.store(out).tobytes() == slice_maximal_values(values, depth).tobytes()
+            work.load(values)
             work.add_subtrees()
             want = values.copy()
             slice_add_subtrees(want, depth)
-            assert work.buf.tobytes() == want.tobytes()
+            assert work.store(out).tobytes() == want.tobytes()
         assert [tuple(v.ctypes.data for v in level) for level in work.levels] == views
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17])
+    def test_reused_kernels_match_slice_oracles(self, rows):
+        """maximal, add_subtrees and max_ancestors on 1, 2, 3 and 17 rows
+        at depths 0 to 8, each workspace refilled for every kernel."""
+        for depth in range(9):
+            work = _workspace(rows, depth)
+            out = np.empty((rows, 1 << (depth + 1)))
+            for seed in range(3):
+                values = signed_stack(depth, (rows,), 1000 + 10 * depth + seed)
+                work.load(values)
+                work.maximal()
+                want = slice_maximal_values(values, depth)
+                assert work.store(out).tobytes() == want.tobytes()
+                for kernel, oracle in ((_TreeWork.add_subtrees, slice_add_subtrees),
+                                       (_TreeWork.max_ancestors, slice_max_ancestors)):
+                    work.load(values)
+                    kernel(work)
+                    want = values.copy()
+                    oracle(want, depth)
+                    assert work.store(out).tobytes() == want.tobytes()
+
     def test_level_views_share_the_buffer(self):
-        work = _TreeWork(np.zeros((4, 1 << 6)), 5)
-        assert len(work.levels) == 5
+        """Level k of every row is one 1-D run at offset R 2^k, its children
+        the even and odd entries of the next run; the scratch is apart."""
+        rows, depth = 4, 5
+        work = _TreeWork(rows, depth)
+        assert work.buf.shape == (rows << (depth + 1),)
+        assert len(work.levels) == depth
         for k, (parent, left, right, scratch) in enumerate(work.levels):
-            assert parent.shape == left.shape == right.shape == scratch.shape == (1 << k, 4)
+            assert parent.shape == left.shape == right.shape == scratch.shape == (rows << k,)
             for view in (parent, left, right):
                 assert np.shares_memory(view, work.buf)
             assert not np.shares_memory(scratch, work.buf)
-        assert _TreeWork(np.zeros(2), 0).levels == []
+        # level-major order: the slot-0 entries, then each level of every row
+        heap = np.arange(rows << (depth + 1), dtype=np.float64).reshape(rows, -1)
+        work.load(heap)
+        want = [heap[:, 0]] + [heap[:, 1 << k : 2 << k].ravel() for k in range(depth + 1)]
+        assert work.buf.tobytes() == np.concatenate(want).tobytes()
+        for k, (parent, left, right, _) in enumerate(work.levels):
+            r, j = np.divmod(np.arange(rows << k), 1 << k)
+            node = (1 << k) + j
+            assert np.array_equal(parent, heap[r, node])
+            assert np.array_equal(left, heap[r, 2 * node])
+            assert np.array_equal(right, heap[r, 2 * node + 1])
+        assert _TreeWork(1, 0).levels == []
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17])
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_load_store_round_trip(self, depth, rows):
+        values = signed_stack(depth, (rows,), 1100 + depth)
+        work = _workspace(rows, depth)
+        work.load(values)
+        assert work.store(np.empty(values.shape)).tobytes() == values.tobytes()
+        # one tree in level-major order is its heap order
+        if rows == 1:
+            assert work.buf.tobytes() == values.tobytes()
+
+    def test_cache_holds_only_one_and_two_rows(self):
+        """One- and two-row workspaces are built once per depth and reused
+        up to _CACHED_WORK_CELLS entries; every stack of 3 or more rows gets
+        a workspace of its own, so nothing cached grows with the stack."""
+        assert _workspace(1, 6) is _workspace(1, 6)
+        assert _workspace(2, 6) is _workspace(2, 6)
+        assert _workspace(3, 6) is not _workspace(3, 6)
+        # past _CACHED_WORK_CELLS entries even a pair is built per use
+        assert _workspace(2, 9) is _workspace(2, 9)
+        assert _workspace(2, 10) is not _workspace(2, 10)
+        assert _workspace(1, 10) is _workspace(1, 10)
+        assert _workspace(1, 11) is not _workspace(1, 11)
+        weights._cached_work.cache_clear()
+        for rows in (3, 17):
+            values = signed_stack(6, (rows,), 1200 + rows)
+            maximal_values(values, 6)
+            subtree_sums(values, 6)
+            ancestor_max(values, 6)
+            _bp_values(np.abs(values) + 1.0, 2.0, _mask(None, 6), 6)  # 2 x rows
+        assert weights._cached_work.cache_info().currsize == 0
+        one = signed_stack(6, None, 1201)
+        maximal_values(one, 6)                                  # one row
+        _bp_values(np.abs(one) + 1.0, 2.0, _mask(None, 6), 6)   # its pair
+        assert weights._cached_work.cache_info().currsize == 2
+        assert (_workspace(1, 6).rows, _workspace(2, 6).rows) == (1, 2)
+        assert weights._cached_work.cache_info().currsize == 2
 
 
 class TestCConst:
